@@ -664,22 +664,15 @@ Result<Partition*> Database::ResidentPartition(PartitionId pid) {
   // partition finds it resident.
   ExecContext* ctx = std::exchange(exec_, nullptr);
   if (ctx != nullptr) clock_.AdvanceTo(ctx->cpu->busy_until_ns());
-  RestartReport scratch;
   uint64_t start_ns = clock_.now_ns();
-  Status rec = RecoverPartitionInternal(pid, d->checkpoint_page, &scratch);
+  Status rec = RecoverPartitionsParallel(
+      {RecoveryWorkItem{pid, d->checkpoint_page}}, RecoverySource::kOnDemand,
+      nullptr);
   if (ctx != nullptr) {
     ctx->cpu->IdleUntil(clock_.now_ns());
     exec_ = ctx;
   }
   MMDB_RETURN_IF_ERROR(rec);
-  ++on_demand_recoveries_;
-  m_ondemand_count_->Add(1);
-  m_ondemand_ns_->Record(static_cast<double>(clock_.now_ns() - start_ns));
-  if (pid.segment != v_->catalog_segment) {
-    recovery_progress_.OnPartitionsRecovered(RecoverySource::kOnDemand, 1,
-                                             scratch.records_applied,
-                                             clock_.now_ns());
-  }
   obs::Track track = ctx != nullptr ? obs::WorkerTrack(ctx->worker)
                                     : obs::Track::kMainCpu;
   tracer_.Span(track, "recovery", "on-demand " + pid.ToString(), start_ns,
@@ -817,184 +810,6 @@ Status Database::WriteCatalogRootBlock() {
   meter_->ChargeWrite(2 * b.size());
   slb_->SetCatalogRoot(b);
   slt_->SetCatalogRoot(std::move(b));
-  return Status::OK();
-}
-
-Status Database::RecoverPartitionInternal(PartitionId pid, uint64_t ckpt_page,
-                                          RestartReport* report) {
-  return RecoverPartitionsParallel({RecoveryWorkItem{pid, ckpt_page}}, report);
-}
-
-Status Database::RecoverPartitionSerial(PartitionId pid, uint64_t ckpt_page,
-                                        RestartReport* report) {
-  uint64_t t = clock_.now_ns();
-  const uint64_t t_entry = t;
-  auto bin_idx = slt_->FindBin(pid);
-  if (!bin_idx.ok()) {
-    return Status::Corruption("no Stable Log Tail bin for " + pid.ToString());
-  }
-
-  std::unique_ptr<Partition> part;
-  if (ckpt_page != kNoCheckpointPage) {
-    uint32_t pages_per_slot =
-        opts_.partition_size_bytes / opts_.log_page_bytes;
-    std::vector<uint8_t> image;
-    image.reserve(opts_.partition_size_bytes);
-    uint64_t done = 0;
-    Status rd;
-    for (uint32_t attempt = 0;; ++attempt) {
-      rd = checkpoint_disk_->ReadTrackInto(ckpt_page, pages_per_slot, t,
-                                           sim::SeekClass::kRandom, &image,
-                                           &done);
-      if (rd.ok() || !rd.IsIOError() ||
-          attempt + 1 >= sim::kReadRetryAttempts) {
-        break;
-      }
-      t += (attempt + 1) * sim::kReadRetryBackoffNs;
-      m_disk_retries_->Add(1);
-    }
-    MMDB_RETURN_IF_ERROR(rd);
-    t = done;
-    auto from = Partition::FromImage(std::move(image));
-    if (!from.ok()) return from.status();
-    part = std::move(from).value();
-    if (!(part->id() == pid)) {
-      return Status::Corruption("checkpoint image is for wrong partition");
-    }
-  } else {
-    part = std::make_unique<Partition>(pid, opts_.partition_size_bytes,
-                                       bin_idx.value());
-  }
-
-  std::vector<LogRecord> records;
-  if (extra_streams_.empty()) {
-    // Ordered log page reads: anchors backward, then stream forward
-    // (§2.5.1). Page payloads are byte ranges of the bin's record stream;
-    // concatenate them (plus the stable active page) and apply.
-    std::vector<uint64_t> lsns;
-    uint64_t backward = 0, done = t;
-    MMDB_RETURN_IF_ERROR(recovery_->CollectPageList(bin_idx.value(), t, &lsns,
-                                                    &backward, &done));
-    t = done;
-    std::vector<uint8_t> stream;
-    for (uint64_t lsn : lsns) {
-      ParsedLogPage page;
-      MMDB_RETURN_IF_ERROR(
-          log_writer_->ReadPage(lsn, t, sim::SeekClass::kNear, &page, &done));
-      t = done;
-      stream.insert(stream.end(), page.payload.begin(), page.payload.end());
-      ++report->log_pages_read;
-    }
-    auto bin = slt_->bin(bin_idx.value());
-    if (bin.ok() && !bin.value()->active_page.empty()) {
-      meter_->ChargeRead(bin.value()->active_page.size());
-      stream.insert(stream.end(), bin.value()->active_page.begin(),
-                    bin.value()->active_page.end());
-    }
-    MMDB_RETURN_IF_ERROR(ParseLogStream(stream, &records));
-  } else {
-    // Partitioned-log mode: each stream's chain is read on its own disk
-    // pair, overlapping the checkpoint-image transfer above (different
-    // devices), and the per-stream record sequences are merged back into
-    // group-commit order. The apply is gated on the slowest of them.
-    uint64_t pages = 0, merged_done = t_entry;
-    MMDB_RETURN_IF_ERROR(CollectMergedRecords(bin_idx.value(), t_entry,
-                                              &records, &pages, &merged_done));
-    t = std::max(t, merged_done);
-    report->log_pages_read += pages;
-  }
-  if (fault_->armed()) {
-    // restart.apply site: a crash here models a crash-within-restart —
-    // the half-applied partition is volatile and simply rebuilt again.
-    fault::SiteEvent ev;
-    ev.site = fault::Site::kRestartApply;
-    ev.device = "recovery";
-    ev.page_no = pid.Pack();
-    ev.now_ns = t;
-    MMDB_RETURN_IF_ERROR(fault_->OnSite(&ev));
-  }
-  for (const LogRecord& rec : records) {
-    MMDB_RETURN_IF_ERROR(ApplyLogRecord(rec, part.get()));
-    main_cpu_.Execute(opts_.apply_instructions_per_record);
-    ++report->records_applied;
-  }
-
-  clock_.AdvanceTo(t);
-  main_cpu_.IdleUntil(clock_.now_ns());
-  MMDB_RETURN_IF_ERROR(v_->pm.InstallRecovered(std::move(part)));
-  NoteSpaceFreed();
-  auto d = v_->catalog.FindDescriptor(pid);
-  if (d.ok()) d.value()->resident = true;
-  ++report->partitions_recovered;
-  return Status::OK();
-}
-
-Status Database::CollectMergedRecords(uint32_t bin_index, uint64_t now_ns,
-                                      std::vector<LogRecord>* records,
-                                      uint64_t* pages_read, uint64_t* done_ns) {
-  records->clear();
-  *pages_read = 0;
-  *done_ns = now_ns;
-  const uint32_t n = log_streams();
-  std::vector<std::vector<LogRecord>> per_stream(n);
-  for (uint32_t s = 0; s < n; ++s) {
-    // Each stream's chain reads serially on its own duplexed pair, all
-    // streams starting together at now_ns — the N pairs work in parallel
-    // and the merge is gated on the slowest stream.
-    uint64_t t = now_ns;
-    std::vector<uint64_t> lsns;
-    uint64_t backward = 0, done = t;
-    MMDB_RETURN_IF_ERROR(
-        recovery_at(s)->CollectPageList(bin_index, t, &lsns, &backward, &done));
-    t = done;
-    std::vector<uint8_t> stream_bytes;
-    for (uint64_t lsn : lsns) {
-      ParsedLogPage page;
-      MMDB_RETURN_IF_ERROR(
-          writer_at(s)->ReadPage(lsn, t, sim::SeekClass::kNear, &page, &done));
-      t = done;
-      stream_bytes.insert(stream_bytes.end(), page.payload.begin(),
-                          page.payload.end());
-      ++*pages_read;
-    }
-    auto bin = slt_at(s)->bin(bin_index);
-    if (bin.ok() && !bin.value()->active_page.empty()) {
-      meter_->ChargeRead(bin.value()->active_page.size());
-      stream_bytes.insert(stream_bytes.end(), bin.value()->active_page.begin(),
-                          bin.value()->active_page.end());
-    }
-    MMDB_RETURN_IF_ERROR(
-        ParseLogStream(stream_bytes, &per_stream[s], /*with_epoch=*/true));
-    if (t > *done_ns) *done_ns = t;
-  }
-
-  // K-way merge by (epoch, csn). Each stream's sequence is already a
-  // subsequence of the global commit order, so a cursor merge restores
-  // it exactly; ties are impossible (a csn belongs to one transaction,
-  // a transaction to one stream).
-  size_t total = 0;
-  for (const auto& v : per_stream) total += v.size();
-  records->reserve(total);
-  std::vector<size_t> cursor(n, 0);
-  while (records->size() < total) {
-    uint32_t best = n;
-    for (uint32_t s = 0; s < n; ++s) {
-      if (cursor[s] >= per_stream[s].size()) continue;
-      if (best == n) {
-        best = s;
-        continue;
-      }
-      const LogRecord& a = per_stream[s][cursor[s]];
-      const LogRecord& b = per_stream[best][cursor[best]];
-      if (std::make_pair(a.epoch, a.csn) < std::make_pair(b.epoch, b.csn)) {
-        best = s;
-      }
-    }
-    MMDB_CHECK(best < n);
-    main_cpu_.Execute(opts_.costs.i_record_lookup);
-    records->push_back(std::move(per_stream[best][cursor[best]]));
-    ++cursor[best];
-  }
   return Status::OK();
 }
 
@@ -1941,7 +1756,7 @@ void Database::Crash() {
   resilver_->OnCrash();
   fault_->OnCrashDelivered();
   crashed_ = true;
-  ++ddl_epoch_;  // the background-sweep cursor indexed the lost catalog
+  ++ddl_epoch_;  // the sweep queue indexed the lost catalog
   // Volatile metrics reset with the state they measured; the new lock
   // table / txn manager get fresh handle hookups.
   metrics_.ResetVolatile();
@@ -1996,101 +1811,22 @@ Status Database::RecoverRelation(const std::string& relation) {
       }
     }
   }
-  if (work.empty()) return Status::OK();
-  RestartReport scratch;
-  MMDB_RETURN_IF_ERROR(RecoverPartitionsParallel(work, &scratch));
-  recovery_progress_.OnPartitionsRecovered(RecoverySource::kBackground,
-                                           work.size(),
-                                           scratch.records_applied,
-                                           clock_.now_ns());
-  return Status::OK();
+  return RecoverPartitionsParallel(work, RecoverySource::kBackground, nullptr);
 }
 
-Status Database::BackgroundRecoveryStep(bool* done, RestartReport* report) {
+Status Database::BackgroundRecoveryStep(bool* done) {
   if (crashed_) return Status::InvalidArgument("crashed; call Restart()");
-  // The kFullReload restart sweep keeps catalog iteration order: it
-  // restores everything anyway (ordering buys nothing) and its restart
-  // timings are baselined on the catalog scan's seek pattern. Under
-  // kOnDemand the sweep is heat-ordered — Zipf-hot partitions first —
-  // so transactions stop faulting as early as possible.
-  if (opts_.restart_policy == RestartPolicy::kFullReload) {
-    return BackgroundRecoveryStepCatalogOrder(done, report);
-  }
-  *done = true;
+  // One batch per call, hottest partitions first, so transactions stop
+  // faulting as early as possible.
   const size_t batch = std::max<uint32_t>(1, opts_.recovery_parallelism);
   std::vector<RecoveryWorkItem> work;
   RecoveryWorkItem item;
   while (work.size() < batch && NextSweepItem(&item)) work.push_back(item);
-  if (work.empty()) return Status::OK();
-  *done = false;
-  return RecoverSweepBatch(work, report);
-}
-
-Status Database::BackgroundRecoveryStepCatalogOrder(bool* done,
-                                                    RestartReport* report) {
-  *done = true;
-  if (bg_cursor_.epoch != ddl_epoch_) {
-    bg_cursor_ = BackgroundCursor{};
-    bg_cursor_.epoch = ddl_epoch_;
-  }
-  // One step recovers up to one batch of lanes. The cursor resumes the
-  // catalog scan where the previous step stopped: within one DDL epoch
-  // residency only ever flips non-resident -> resident, so everything
-  // behind the cursor is known resident and a full sweep is
-  // O(partitions), not O(partitions²).
-  const size_t batch = std::max<uint32_t>(1, opts_.recovery_parallelism);
-  std::vector<RecoveryWorkItem> work;
-  auto rels = v_->catalog.AllRelations();
-  while (bg_cursor_.relation < rels.size() && work.size() < batch) {
-    auto rel = v_->catalog.GetRelation(rels[bg_cursor_.relation]->name);
-    if (!rel.ok()) return rel.status();
-    // Chain 0 is the relation's own partition list, chain 1+i is index i's.
-    const size_t chains = 1 + rel.value()->index_names.size();
-    while (bg_cursor_.chain < chains && work.size() < batch) {
-      std::vector<PartitionDescriptor>* parts;
-      if (bg_cursor_.chain == 0) {
-        parts = &rel.value()->partitions;
-      } else {
-        auto idx = v_->catalog.GetIndex(
-            rel.value()->index_names[bg_cursor_.chain - 1]);
-        if (!idx.ok()) return idx.status();
-        parts = &idx.value()->partitions;
-      }
-      while (bg_cursor_.partition < parts->size() && work.size() < batch) {
-        PartitionDescriptor& d = (*parts)[bg_cursor_.partition];
-        if (!d.resident) {
-          work.push_back(RecoveryWorkItem{d.id, d.checkpoint_page});
-        }
-        ++bg_cursor_.partition;
-      }
-      if (bg_cursor_.partition >= parts->size()) {
-        bg_cursor_.partition = 0;
-        ++bg_cursor_.chain;
-      }
-    }
-    if (bg_cursor_.chain >= chains) {
-      bg_cursor_.chain = 0;
-      ++bg_cursor_.relation;
-    }
-  }
-  if (work.empty()) return Status::OK();
-  *done = false;
-  return RecoverSweepBatch(work, report);
-}
-
-Status Database::RecoverSweepBatch(const std::vector<RecoveryWorkItem>& work,
-                                   RestartReport* report) {
-  uint64_t start_ns = clock_.now_ns();
-  RestartReport scratch;
-  RestartReport* target = report != nullptr ? report : &scratch;
-  uint64_t records_before = target->records_applied;
-  MMDB_RETURN_IF_ERROR(RecoverPartitionsParallel(work, target));
-  background_recoveries_ += work.size();
-  m_background_count_->Add(work.size());
-  recovery_progress_.OnPartitionsRecovered(
-      RecoverySource::kBackground, work.size(),
-      target->records_applied - records_before, clock_.now_ns());
-  m_background_ns_->Record(static_cast<double>(clock_.now_ns() - start_ns));
+  *done = work.empty();
+  if (*done) return Status::OK();
+  const uint64_t start_ns = clock_.now_ns();
+  MMDB_RETURN_IF_ERROR(
+      RecoverPartitionsParallel(work, RecoverySource::kBackground, nullptr));
   tracer_.Span(obs::Track::kMainCpu, "recovery",
                "background batch (" + std::to_string(work.size()) + ")",
                start_ns, clock_.now_ns() - start_ns);

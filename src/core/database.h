@@ -104,17 +104,19 @@ struct DatabaseOptions {
   double lock_instructions = 25.0;
   double apply_instructions_per_record = 50.0;
 
-  /// Post-crash recovery lanes: up to this many partitions are restored
-  /// concurrently, with checkpoint-image and log-page reads fanned across
-  /// the devices and contention serialized by per-device queues (the
-  /// device-queue scheduler). Used by Restart() phase 1 (catalogs),
-  /// RecoverRelation, BackgroundRecoveryStep, and the kFullReload sweep.
+  /// Post-crash recovery lanes: up to this many partitions are rebuilt
+  /// concurrently, one per lane, with contention on the checkpoint disk
+  /// and the log disks serialized by the devices' own queues. Restart()
+  /// phase 1 (catalogs), the kFullReload restart, RecoverRelation,
+  /// BackgroundRecoveryStep (one batch of this many per call) and, by
+  /// default, the executor's interleaved sweep run this many lanes; an
+  /// on-demand fault rebuilds its one partition on one lane.
   uint32_t recovery_parallelism = 1;
-  /// Pipeline each partition's recovery: checkpoint-image transfer,
-  /// ordered log-page reads, and record apply overlap on the virtual
-  /// timeline (§2.5.1 "overlapped with apply"). When false — and
-  /// recovery_parallelism is 1 — recovery runs the strictly serial legacy
-  /// chain, the ablation baseline.
+  /// Overlap each partition's rebuild on the virtual timeline (§2.5.1
+  /// "overlapped with apply"): the backward anchor walk starts with the
+  /// checkpoint-image read, and records apply page by page as the log
+  /// arrives. False is the no-overlap ablation of the same pipeline: the
+  /// walk waits for the image and the apply waits for the last log read.
   bool pipelined_recovery = true;
 
   RestartPolicy restart_policy = RestartPolicy::kOnDemand;
@@ -321,45 +323,67 @@ class Database {
   /// Predeclared recovery (paper §2.5 method 1): restore a relation and
   /// its indexes in their entirety.
   Status RecoverRelation(const std::string& relation);
-  /// Recovers one more batch of partitions (low-priority background
-  /// recovery, §2.5; batch size = recovery_parallelism). Sets *done when
-  /// nothing is left to recover. If `report` is given, recovery counters
-  /// accumulate into it (the kFullReload restart sweep passes its
-  /// RestartReport so last_restart() covers the whole reload).
-  Status BackgroundRecoveryStep(bool* done, RestartReport* report = nullptr);
+  /// Recovers one more batch of partitions off the heat-ordered sweep
+  /// queue (low-priority background recovery, §2.5; batch size =
+  /// recovery_parallelism). Sets *done when nothing is left to recover.
+  Status BackgroundRecoveryStep(bool* done);
   bool FullyResident();
   bool IsRelationResident(const std::string& relation);
 
-  // --- interleaved background sweep (unified event loop) ----------------------
-  /// One unit of background/parallel recovery work.
+  // --- partition rebuild pipeline (parallel_recovery.cc) ---------------------
+  /// One partition to rebuild: its id and checkpoint image.
   struct RecoveryWorkItem {
     PartitionId pid;
     uint64_t ckpt_page = 0;
   };
   /// Pops the next non-resident partition off the heat-ordered sweep
   /// queue (hottest first; see EnsureSweepQueue). Returns false when
-  /// nothing is left to sweep. Shared with BackgroundRecoveryStep, so an
-  /// executor-driven sweep and explicit stepping never double-recover.
+  /// nothing is left to sweep. Shared by BackgroundRecoveryStep, the
+  /// kFullReload restart and the executor's sweep lanes, so no two of
+  /// them rebuild the same partition.
   bool NextSweepItem(RecoveryWorkItem* item);
-  /// Time-functional single-partition recovery for the interleaved sweep:
-  /// performs the checkpoint-image and log-chain reads with virtual time
-  /// starting at `ready_ns` and the record apply charged to `lane` (a
-  /// recovery-lane timeline) — without advancing the global clock or
-  /// installing, so it can run as an event between transaction
-  /// operations on the unified loop. On success *done_ns is the virtual
-  /// completion time and *out the rebuilt partition.
-  Status SweepRecoverPartition(const RecoveryWorkItem& item, uint64_t ready_ns,
-                               sim::DeviceTimeline* lane, uint64_t* done_ns,
-                               std::unique_ptr<Partition>* out,
-                               uint64_t* records_applied);
-  /// Installs a sweep-recovered partition at virtual time `install_ns`,
-  /// recording background-recovery progress. Drops the copy (sets
-  /// *installed = false) when an on-demand recovery made the partition
-  /// resident — or DDL dropped it — while the sweep copy was in flight.
-  Status InstallSweepPartition(std::unique_ptr<Partition> part,
-                               uint64_t start_ns, uint64_t install_ns,
-                               uint64_t records_applied, uint32_t lane,
-                               bool* installed);
+
+  /// A recovery lane: the CPU timeline its rebuilds' record applies
+  /// occupy, and the trace track their spans land on.
+  struct RecoveryLane {
+    explicit RecoveryLane(uint32_t i)
+        : index(i), cpu("recovery-lane-" + std::to_string(i)) {}
+    uint32_t index;
+    sim::DeviceTimeline cpu;
+  };
+  /// Which member of each duplexed log pair serves a rebuild's reads.
+  enum class LogReads : uint8_t {
+    /// Whichever member is free sooner: for rebuilds a caller waits on.
+    kFanned,
+    /// The primary only: rebuilds beside live commits leave the mirror
+    /// to the log writer's duplexed writes.
+    kPrimary,
+  };
+  /// A partition rebuilt off to the side, not yet installed.
+  struct RebuiltPartition {
+    std::unique_ptr<Partition> part;
+    uint32_t lane = 0;
+    uint64_t start_ns = 0;    // the rebuild's ready time
+    uint64_t done_ns = 0;     // image, log reads and applies all complete
+    uint64_t pages_read = 0;  // forward log-page reads, every stream
+    uint64_t records_applied = 0;
+  };
+  /// Rebuilds one partition (§2.5, §2.5.1): reads its checkpoint image,
+  /// walks and reads its log chain on every stream (several streams
+  /// merge by (epoch, csn)), and applies the records in per-page chunks
+  /// on `lane`'s CPU. Time-functional: device time starts at `ready_ns`,
+  /// nothing is installed and the global clock does not move, so any
+  /// scheduler can drive it — the restart lanes, an on-demand fault, or
+  /// the executor's sweep lanes between transaction operations.
+  Result<RebuiltPartition> RebuildPartition(const RecoveryWorkItem& item,
+                                            uint64_t ready_ns,
+                                            RecoveryLane* lane, LogReads reads);
+  /// Installs a rebuilt partition at its completion time and records
+  /// the progress, metrics and lane span for `source`. Returns false —
+  /// dropping the copy — when an on-demand fault made the partition
+  /// resident or DDL dropped it while the rebuild was in flight. Catalog
+  /// partitions (no descriptor during restart phase 1) always install.
+  Result<bool> Install(RebuiltPartition rebuilt, RecoverySource source);
 
   // --- media failure ----------------------------------------------------------
   /// Simulates a checkpoint-disk media failure and recovers it from the
@@ -564,19 +588,12 @@ class Database {
   Status WriteCatalogRootBlock();
   Status EnsureCatalogPartitionExists();
 
-  /// Rebuilds one partition from its checkpoint image + log chain.
-  /// Dispatches to the pipelined scheduler path unless the options select
-  /// the serial ablation baseline.
-  Status RecoverPartitionInternal(PartitionId pid, uint64_t ckpt_page,
-                                  RestartReport* report);
-  /// The strictly serial legacy chain (checkpoint read, then log reads,
-  /// then apply) — the lanes=1 non-pipelined ablation baseline.
-  Status RecoverPartitionSerial(PartitionId pid, uint64_t ckpt_page,
-                                RestartReport* report);
-
-  /// Restores `work` on up to recovery_parallelism pipelined lanes over
-  /// the device-queue scheduler (defined in parallel_recovery.cc).
+  /// Rebuilds and installs `work` on up to recovery_parallelism lanes:
+  /// each lane takes the next item when its previous install lands.
+  /// Starts at the global clock and advances it to the last install.
+  /// Counters accumulate into `report` when it is given.
   Status RecoverPartitionsParallel(const std::vector<RecoveryWorkItem>& work,
+                                   RecoverySource source,
                                    RestartReport* report);
 
   Result<RelationInfo*> LookupRelation(Transaction* txn,
@@ -625,13 +642,6 @@ class Database {
   }
   /// Fences epochs, then drains every stream's committed backlog.
   Status DrainAllStreams(uint64_t now_ns);
-  /// Multi-stream partition recovery: reads every stream's log chain for
-  /// `bin_index` (streams proceed concurrently on their own disk pairs),
-  /// parses the epoch-framed records, and merges them by (epoch, csn)
-  /// into group-commit order. `*done_ns` is the latest read completion.
-  Status CollectMergedRecords(uint32_t bin_index, uint64_t now_ns,
-                              std::vector<LogRecord>* records,
-                              uint64_t* pages_read, uint64_t* done_ns);
 
   void MainWork(double instructions);
   /// Waits for virtual time `t_ns` (I/O completion): advances the global
@@ -730,26 +740,14 @@ class Database {
   std::vector<std::pair<uint64_t, uint64_t>> pending_grants_;
   sim::DeviceTimeline slb_gate_{"slb.alloc_gate"};
 
-  /// Background-sweep resume cursor: position in the catalog scan where
-  /// the previous BackgroundRecoveryStep stopped, so a full sweep is
-  /// O(partitions) instead of O(partitions²). Invalidated (epoch
-  /// mismatch) by any DDL, crash, or restart, since those change the
-  /// catalog iteration order the cursor indexes into.
-  struct BackgroundCursor {
-    uint64_t epoch = ~0ull;  // mismatches ddl_epoch_ until first use
-    size_t relation = 0;     // ordinal into Catalog::AllRelations()
-    size_t chain = 0;        // 0 = relation partitions, 1+i = index i
-    size_t partition = 0;    // ordinal within the chain's partitions
-  };
-  BackgroundCursor bg_cursor_;
+  /// Bumped by every DDL and crash: both change which partitions exist.
   uint64_t ddl_epoch_ = 0;
 
-  /// Heat-ordered background-sweep queue (kOnDemand policy): all
-  /// non-resident partitions at build time, hottest first (heat
-  /// harvested into partition_heat_ by Crash()), partition id ascending
-  /// on ties for determinism. Rebuilt on DDL-epoch mismatch like the
-  /// cursor above; already-resident entries are skipped at pop time.
-  /// Defined in sweep.cc.
+  /// Heat-ordered sweep queue: all non-resident partitions at build
+  /// time, hottest first (heat harvested into partition_heat_ by
+  /// Crash()), partition id ascending on ties for determinism. Rebuilt
+  /// on DDL-epoch mismatch; already-resident entries are skipped at pop
+  /// time. Defined in sweep.cc.
   void EnsureSweepQueue();
   std::vector<RecoveryWorkItem> bg_queue_;
   size_t bg_queue_pos_ = 0;
@@ -757,18 +755,8 @@ class Database {
   /// Lifetime access counts per partition (pid.Pack() -> touches),
   /// accumulated across crashes. std::map: deterministic order.
   std::map<uint64_t, uint64_t> partition_heat_;
-  /// The catalog-order legacy sweep step (kFullReload keeps it: a full
-  /// reload restores everything anyway, and its restart timings are
-  /// baselined on catalog iteration order).
-  Status BackgroundRecoveryStepCatalogOrder(bool* done, RestartReport* report);
-  /// Gathers up to `batch` sweep items (heat order) and recovers them on
-  /// the parallel lanes; shared tail of BackgroundRecoveryStep.
-  Status RecoverSweepBatch(const std::vector<RecoveryWorkItem>& work,
-                           RestartReport* report);
 
   // stats not covered by components
-  uint64_t on_demand_recoveries_ = 0;
-  uint64_t background_recoveries_ = 0;
   uint64_t checkpoints_completed_ = 0;
 
   // Commit-mode baseline state (timing model; durability itself always

@@ -1,19 +1,25 @@
-// Parallel, pipelined post-crash partition recovery (paper §2.5.1).
+// The partition-rebuild pipeline (paper §2.5, §2.5.1).
 //
-// The restart path is rewritten on the device-queue scheduler: each of up
-// to DatabaseOptions::recovery_parallelism lanes restores one partition at
-// a time, and within a partition the checkpoint-image transfer, the
-// ordered log-page reads, and the CPU record-apply overlap on the virtual
-// timeline. Device contention — the checkpoint disk, the two duplexed log
-// spindles, and each lane's CPU — is serialized by the devices' own
-// busy-until queues; the EventScheduler merely guarantees requests reach
-// every device in ready-time order, which makes the per-device service
-// order FCFS and the whole schedule deterministic.
+// RebuildPartition is the one routine that brings a partition back from
+// its checkpoint image plus its log chain, and Install is the one place a
+// rebuilt copy becomes resident. Every recovery path drives the pair:
+// restart phase 1, the kFullReload restart, on-demand faults,
+// RecoverRelation and BackgroundRecoveryStep through the lane loop below,
+// and the concurrent executor's interleaved sweep lanes
+// (src/txn/executor.cc) between transaction operations.
+//
+// A rebuild is time-functional. Its device requests start at the ready
+// time it is given, and the checkpoint disk, each log spindle and the
+// lane's CPU serialize it against all other traffic through their own
+// busy-until queues. Within a partition the checkpoint-image transfer,
+// the log-chain reads and the record apply overlap on the virtual
+// timeline unless pipelined_recovery is off.
 
 #include <algorithm>
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/database.h"
@@ -22,330 +28,282 @@
 
 namespace mmdb {
 
-Status Database::RecoverPartitionsParallel(
-    const std::vector<RecoveryWorkItem>& work, RestartReport* report) {
-  if (work.empty()) return Status::OK();
+namespace {
 
-  // Partitioned-log mode: the per-partition log chain lives on N streams
-  // that already read in parallel on their own duplexed pairs inside
-  // CollectMergedRecords, so each partition takes the serial path (whose
-  // multi-stream branch overlaps the image read with the stream reads).
-  // The single-stream pipelined scheduler below stays byte-identical for
-  // log_streams == 1.
-  if (!extra_streams_.empty()) {
-    for (const RecoveryWorkItem& w : work) {
-      MMDB_RETURN_IF_ERROR(RecoverPartitionSerial(w.pid, w.ckpt_page, report));
+/// One log stream's share of a partition's log: its records in stream
+/// order, the page ("chunk") whose arrival completes each record, and
+/// each chunk's arrival time.
+struct StreamLog {
+  std::vector<LogRecord> records;
+  std::vector<uint32_t> chunk_of;    // per record
+  std::vector<uint64_t> arrived_ns;  // per chunk
+};
+
+}  // namespace
+
+Result<Database::RebuiltPartition> Database::RebuildPartition(
+    const RecoveryWorkItem& item, uint64_t ready_ns, RecoveryLane* lane,
+    LogReads reads) {
+  const obs::Track track = obs::LaneTrack(lane->index);
+  const std::string name = item.pid.ToString();
+  auto bin_index = slt_->FindBin(item.pid);
+  if (!bin_index.ok()) {
+    return Status::Corruption("no Stable Log Tail bin for " + name);
+  }
+  RebuiltPartition out;
+  out.lane = lane->index;
+  out.start_ns = ready_ns;
+
+  // Checkpoint image: one track read, retried with virtual backoff on
+  // transient I/O errors. Everything that touches partition memory waits
+  // for it.
+  uint64_t image_ns = ready_ns;
+  if (item.ckpt_page == kNoCheckpointPage) {
+    out.part = std::make_unique<Partition>(
+        item.pid, opts_.partition_size_bytes, bin_index.value());
+  } else {
+    const uint32_t pages_per_slot =
+        opts_.partition_size_bytes / opts_.log_page_bytes;
+    std::vector<uint8_t> image;
+    image.reserve(opts_.partition_size_bytes);
+    uint64_t t = ready_ns;
+    Status st;
+    for (uint32_t attempt = 0;; ++attempt) {
+      st = checkpoint_disk_->ReadTrackInto(item.ckpt_page, pages_per_slot, t,
+                                           sim::SeekClass::kRandom, &image,
+                                           &image_ns);
+      if (st.ok() || !st.IsIOError() ||
+          attempt + 1 >= sim::kReadRetryAttempts) {
+        break;
+      }
+      t += (attempt + 1) * sim::kReadRetryBackoffNs;
+      m_disk_retries_->Add(1);
     }
-    return Status::OK();
+    MMDB_RETURN_IF_ERROR(st);
+    auto from = Partition::FromImage(std::move(image));
+    if (!from.ok()) return from.status();
+    out.part = std::move(from).value();
+    if (!(out.part->id() == item.pid)) {
+      return Status::Corruption("checkpoint image is for wrong partition");
+    }
+    tracer_.Span(track, "recovery", "image " + name, ready_ns,
+                 image_ns - ready_ns);
   }
 
-  // Ablation baseline: one lane, no pipelining — the strictly serial
-  // legacy chain, byte- and timing-identical to the pre-scheduler path.
-  if (!opts_.pipelined_recovery && opts_.recovery_parallelism <= 1) {
-    for (const RecoveryWorkItem& w : work) {
-      MMDB_RETURN_IF_ERROR(RecoverPartitionSerial(w.pid, w.ckpt_page, report));
+  // The log chain, each stream on its own duplexed pair: walk the anchors
+  // back to the bin's first page, read every page forward, then append
+  // the bin's stable active page (a stable-memory read, no disk time).
+  // Without pipelining the walk waits for the image.
+  const uint64_t walk_ns = opts_.pipelined_recovery ? ready_ns : image_ns;
+  const bool fanned = reads == LogReads::kFanned;
+  const uint32_t streams = log_streams();
+  std::vector<StreamLog> logs(streams);
+  uint64_t reads_ns = walk_ns;  // the last page's arrival, every stream
+  for (uint32_t s = 0; s < streams; ++s) {
+    StreamLog& log = logs[s];
+    std::vector<uint64_t> lsns;
+    uint64_t backward = 0, walked_ns = walk_ns;
+    MMDB_RETURN_IF_ERROR(recovery_at(s)->CollectPageList(
+        bin_index.value(), walk_ns, &lsns, &backward, &walked_ns, fanned));
+    std::vector<uint8_t> bytes;
+    std::vector<size_t> chunk_end;  // stream offset after each chunk
+    uint64_t arrived_ns = walked_ns;
+    for (uint64_t lsn : lsns) {
+      ParsedLogPage page;
+      uint64_t done_ns = 0;
+      MMDB_RETURN_IF_ERROR(writer_at(s)->ReadPage(
+          lsn, walked_ns, sim::SeekClass::kNear, &page, &done_ns, fanned));
+      bytes.insert(bytes.end(), page.payload.begin(), page.payload.end());
+      // The stream is consumed in LSN order, so a page's bytes are usable
+      // only once every earlier page has arrived too: prefix max.
+      arrived_ns = std::max(arrived_ns, done_ns);
+      chunk_end.push_back(bytes.size());
+      log.arrived_ns.push_back(arrived_ns);
     }
-    return Status::OK();
+    out.pages_read += lsns.size();
+    reads_ns = std::max(reads_ns, arrived_ns);
+    auto bin = slt_at(s)->bin(bin_index.value());
+    if (!bin.ok()) return bin.status();
+    const std::vector<uint8_t>& active = bin.value()->active_page;
+    if (!active.empty()) {
+      meter_->ChargeRead(active.size());
+      bytes.insert(bytes.end(), active.begin(), active.end());
+      chunk_end.push_back(bytes.size());
+      log.arrived_ns.push_back(arrived_ns);
+    }
+    std::vector<size_t> ends;
+    MMDB_RETURN_IF_ERROR(
+        ParseLogStream(bytes, &log.records, /*with_epoch=*/streams > 1, &ends));
+    uint32_t c = 0;
+    for (size_t end : ends) {
+      while (end > chunk_end[c]) ++c;
+      log.chunk_of.push_back(c);
+    }
+  }
+  if (out.pages_read > 0) {
+    tracer_.Span(track, "recovery", "log " + name, walk_ns,
+                 reads_ns - walk_ns);
   }
 
-  const uint64_t t0 = clock_.now_ns();
-  const uint32_t pages_per_slot =
-      opts_.partition_size_bytes / opts_.log_page_bytes;
+  if (fault_->armed()) {
+    // restart.apply site: a crash here is a crash-within-recovery — the
+    // half-built partition is volatile and simply rebuilt next time.
+    fault::SiteEvent ev;
+    ev.site = fault::Site::kRestartApply;
+    ev.device = "recovery";
+    ev.page_no = item.pid.Pack();
+    ev.now_ns = reads_ns;
+    MMDB_RETURN_IF_ERROR(fault_->OnSite(&ev));
+  }
+
+  // Apply in commit order: one stream's order, or the streams merged by
+  // (epoch, csn). Each stream's records are a subsequence of the global
+  // commit order, so a cursor merge restores it exactly; ties are
+  // impossible (a csn belongs to one transaction, a transaction to one
+  // stream). A run of records that one page completes is a chunk: it
+  // applies on the lane's CPU once that page has arrived (without
+  // pipelining, once the last page has) and never before the image.
+  std::vector<size_t> cursor(streams, 0);
+  auto next_stream = [&]() {
+    uint32_t best = streams;
+    for (uint32_t s = 0; s < streams; ++s) {
+      if (cursor[s] >= logs[s].records.size()) continue;
+      if (best == streams) {
+        best = s;
+        continue;
+      }
+      const LogRecord& a = logs[s].records[cursor[s]];
+      const LogRecord& b = logs[best].records[cursor[best]];
+      if (std::make_pair(a.epoch, a.csn) < std::make_pair(b.epoch, b.csn)) {
+        best = s;
+      }
+    }
+    return best;
+  };
   const double apply_ns_per_record =
       opts_.apply_instructions_per_record * main_cpu_.ns_per_instruction();
-  const size_t lanes = std::min<size_t>(
-      std::max<uint32_t>(1, opts_.recovery_parallelism), work.size());
-
-  sim::EventScheduler sched;
-  // At most one pending event per lane (plus the install chained off it):
-  // a small reservation makes every submission allocation-free.
-  sched.Reserve(2 * lanes + 8);
-  std::vector<sim::DeviceTimeline> lane_cpu;
-  lane_cpu.reserve(lanes);
-  for (size_t i = 0; i < lanes; ++i) {
-    lane_cpu.emplace_back("lane-" + std::to_string(i));
+  uint64_t apply_ns = image_ns;
+  uint64_t first_apply_ns = 0;
+  for (uint32_t s = next_stream(); s < streams;) {
+    StreamLog& log = logs[s];
+    const uint32_t c = log.chunk_of[cursor[s]];
+    uint64_t n = 0;
+    uint32_t following = s;
+    do {
+      if (streams > 1) main_cpu_.Execute(opts_.costs.i_record_lookup);
+      MMDB_RETURN_IF_ERROR(
+          ApplyLogRecord(log.records[cursor[s]++], out.part.get()));
+      ++n;
+      following = next_stream();
+    } while (following == s && log.chunk_of[cursor[s]] == c);
+    const uint64_t data_ns =
+        opts_.pipelined_recovery ? log.arrived_ns[c] : reads_ns;
+    const uint64_t ready = std::max(data_ns, apply_ns);
+    if (out.records_applied == 0) {
+      first_apply_ns = std::max(ready, lane->cpu.busy_until_ns());
+    }
+    apply_ns = lane->cpu.Occupy(
+        ready,
+        static_cast<uint64_t>(static_cast<double>(n) * apply_ns_per_record));
+    main_cpu_.AccountInstructions(static_cast<double>(n) *
+                                  opts_.apply_instructions_per_record);
+    out.records_applied += n;
+    s = following;
   }
+  if (out.records_applied > 0) {
+    tracer_.Span(track, "recovery", "apply " + name, first_apply_ns,
+                 apply_ns - first_apply_ns);
+  }
+  out.done_ns = std::max(apply_ns, reads_ns);
+  return out;
+}
 
-  /// One in-flight partition restore (a lane runs one at a time).
-  struct Task {
-    PartitionId pid;
-    uint32_t bin_index = 0;
-    uint64_t start_ns = 0;
-    uint64_t walk_start_ns = 0;
-    uint64_t image_done_ns = 0;
-    uint64_t first_page_lsn = 0;
-    std::unique_ptr<Partition> part;
-    /// Backward-walk work list; once the walk reaches the bin's first
-    /// page it is the complete in-order LSN list.
-    std::vector<uint64_t> known;
-  };
+Result<bool> Database::Install(RebuiltPartition rebuilt,
+                               RecoverySource source) {
+  const PartitionId pid = rebuilt.part->id();
+  // Catalog partitions recover before the catalog exists (restart phase
+  // 1); their descriptors live in the stable root instead.
+  PartitionDescriptor* d = nullptr;
+  if (pid.segment != v_->catalog_segment) {
+    auto found = v_->catalog.FindDescriptor(pid);
+    // An on-demand fault recovered the partition (or DDL dropped it)
+    // while this copy was in flight. The resident copy has seen every
+    // update since; this one would be stale, so it is dropped.
+    if (!found.ok() || found.value()->resident) return false;
+    d = found.value();
+  }
+  MMDB_RETURN_IF_ERROR(v_->pm.InstallRecovered(std::move(rebuilt.part)));
+  NoteSpaceFreed();
+  if (d != nullptr) d->resident = true;
 
-  size_t next_item = 0;
+  const uint64_t took_ns = rebuilt.done_ns - rebuilt.start_ns;
+  if (source == RecoverySource::kOnDemand) {
+    m_ondemand_count_->Add(1);
+    m_ondemand_ns_->Record(static_cast<double>(took_ns));
+  } else if (source == RecoverySource::kBackground) {
+    m_background_count_->Add(1);
+    m_background_ns_->Record(static_cast<double>(took_ns));
+  }
+  recovery_progress_.OnPartitionsRecovered(source, 1, rebuilt.records_applied,
+                                           rebuilt.done_ns);
+  tracer_.Span(obs::LaneTrack(rebuilt.lane), "recovery",
+               "recover " + pid.ToString(), rebuilt.start_ns, took_ns);
+  return true;
+}
 
-  std::function<void(size_t, uint64_t)> start_task;
-  std::function<void(size_t, std::shared_ptr<Task>, uint64_t)> walk_step;
-  std::function<void(size_t, std::shared_ptr<Task>, uint64_t)> read_and_apply;
+Status Database::RecoverPartitionsParallel(
+    const std::vector<RecoveryWorkItem>& work, RecoverySource source,
+    RestartReport* report) {
+  if (work.empty()) return Status::OK();
+  RestartReport scratch;
+  if (report == nullptr) report = &scratch;
+  const uint64_t t0 = clock_.now_ns();
+  const auto lane_count = static_cast<uint32_t>(std::min<size_t>(
+      std::max<uint32_t>(1, opts_.recovery_parallelism), work.size()));
+  std::vector<RecoveryLane> lanes;
+  lanes.reserve(lane_count);
+  for (uint32_t i = 0; i < lane_count; ++i) lanes.emplace_back(i);
 
-  // Pulls the next unassigned work item onto `lane` at time `now`.
-  start_task = [&](size_t lane, uint64_t now) {
-    if (next_item >= work.size()) return;  // lane drains
-    const RecoveryWorkItem item = work[next_item++];
-    auto task = std::make_shared<Task>();
-    task->pid = item.pid;
-    task->start_ns = now;
-
-    auto bin_idx = slt_->FindBin(item.pid);
-    if (!bin_idx.ok()) {
-      sched.Fail(Status::Corruption("no Stable Log Tail bin for " +
-                                    item.pid.ToString()));
+  // A lane rebuilds one partition at a time and pulls the next item when
+  // its install lands. The scheduler starts the rebuilds in ready-time
+  // order, so every device serves the lanes FCFS and the schedule is
+  // deterministic.
+  sim::EventScheduler sched;
+  sched.Reserve(2 * lane_count + 8);
+  size_t next = 0;
+  std::function<void(uint32_t, uint64_t)> pull = [&](uint32_t lane,
+                                                     uint64_t now_ns) {
+    if (next >= work.size()) return;  // the lane drains
+    auto rebuilt = RebuildPartition(work[next++], now_ns, &lanes[lane],
+                                    LogReads::kFanned);
+    if (!rebuilt.ok()) {
+      sched.Fail(rebuilt.status());
       return;
     }
-    task->bin_index = bin_idx.value();
-
-    // Checkpoint-image transfer. The read is submitted now, so the
-    // checkpoint disk sees lanes' requests in ready-time order; its
-    // completion time is known immediately and everything downstream
-    // that touches partition memory is gated on it.
-    if (item.ckpt_page != kNoCheckpointPage) {
-      std::vector<uint8_t> image;
-      image.reserve(opts_.partition_size_bytes);
-      uint64_t done = 0;
-      uint64_t t = now;
-      Status st;
-      for (uint32_t attempt = 0;; ++attempt) {
-        st = checkpoint_disk_->ReadTrackInto(item.ckpt_page, pages_per_slot,
-                                             t, sim::SeekClass::kRandom,
-                                             &image, &done);
-        if (st.ok() || !st.IsIOError() ||
-            attempt + 1 >= sim::kReadRetryAttempts) {
-          break;
-        }
-        t += (attempt + 1) * sim::kReadRetryBackoffNs;
-        m_disk_retries_->Add(1);
-      }
-      if (!st.ok()) {
-        sched.Fail(st);
+    report->log_pages_read += rebuilt.value().pages_read;
+    report->records_applied += rebuilt.value().records_applied;
+    const uint64_t done_ns = rebuilt.value().done_ns;
+    sched.At(done_ns, [&, lane, r = std::move(rebuilt).value()](
+                          uint64_t t) mutable {
+      auto installed = Install(std::move(r), source);
+      if (!installed.ok()) {
+        sched.Fail(installed.status());
         return;
       }
-      task->image_done_ns = done;
-      auto from = Partition::FromImage(std::move(image));
-      if (!from.ok()) {
-        sched.Fail(from.status());
-        return;
-      }
-      task->part = std::move(from).value();
-      if (!(task->part->id() == item.pid)) {
-        sched.Fail(Status::Corruption("checkpoint image is for wrong "
-                                      "partition"));
-        return;
-      }
-      tracer_.Span(obs::LaneTrack(static_cast<uint32_t>(lane)), "recovery",
-                   "image " + item.pid.ToString(), now, done - now);
-    } else {
-      task->image_done_ns = now;
-      task->part = std::make_unique<Partition>(
-          item.pid, opts_.partition_size_bytes, task->bin_index);
-    }
-
-    // Backward anchor walk (§2.5.1): overlaps the image transfer when
-    // pipelining; without it, the log phase waits for the image.
-    auto bin = slt_->bin(task->bin_index);
-    if (!bin.ok()) {
-      sched.Fail(bin.status());
-      return;
-    }
-    task->walk_start_ns =
-        opts_.pipelined_recovery ? now : task->image_done_ns;
-    if (bin.value()->has_disk_pages()) {
-      task->known = bin.value()->directory;
-      task->first_page_lsn = bin.value()->first_page_lsn;
-      sched.At(task->walk_start_ns, [&, lane, task](uint64_t t) {
-        walk_step(lane, task, t);
-      });
-    } else {
-      sched.At(task->walk_start_ns, [&, lane, task](uint64_t t) {
-        read_and_apply(lane, task, t);
-      });
-    }
-  };
-
-  // One backward step: read the oldest known anchor, prepend its
-  // directory, continue at the read's completion time.
-  walk_step = [&](size_t lane, std::shared_ptr<Task> task, uint64_t now) {
-    if (task->known.front() != task->first_page_lsn) {
-      ParsedLogPage page;
-      uint64_t done = 0;
-      Status st = log_writer_->ReadPageAny(task->known.front(), now,
-                                           sim::SeekClass::kNear, &page,
-                                           &done);
-      if (!st.ok()) {
-        sched.Fail(st);
-        return;
-      }
-      if (page.directory.empty()) {
-        sched.Fail(Status::Corruption(
-            "expected anchor page while walking bin " +
-            std::to_string(task->bin_index)));
-        return;
-      }
-      task->known.insert(task->known.begin(), page.directory.begin(),
-                         page.directory.end());
-      sched.At(done, [&, lane, task](uint64_t t) {
-        walk_step(lane, task, t);
-      });
-      return;
-    }
-    read_and_apply(lane, task, now);
-  };
-
-  // Forward page reads fanned across the duplexed pair, with the apply
-  // chain running on this lane's CPU as the stream prefix arrives.
-  read_and_apply = [&](size_t lane, std::shared_ptr<Task> task,
-                       uint64_t now) {
-    std::vector<uint8_t> stream;
-    std::vector<size_t> chunk_end;      // stream offset after each chunk
-    std::vector<uint64_t> chunk_avail;  // prefix-max completion time
-    uint64_t last_read_done = now;
-    for (uint64_t lsn : task->known) {
-      ParsedLogPage page;
-      uint64_t done = 0;
-      Status st = log_writer_->ReadPageAny(lsn, now, sim::SeekClass::kNear,
-                                           &page, &done);
-      if (!st.ok()) {
-        sched.Fail(st);
-        return;
-      }
-      stream.insert(stream.end(), page.payload.begin(), page.payload.end());
-      // The stream is consumed in LSN order, so a page's bytes are usable
-      // only once every earlier page has also arrived: prefix max.
-      last_read_done = std::max(last_read_done, done);
-      chunk_end.push_back(stream.size());
-      chunk_avail.push_back(last_read_done);
-      ++report->log_pages_read;
-    }
-    if (!task->known.empty()) {
-      tracer_.Span(obs::LaneTrack(static_cast<uint32_t>(lane)), "recovery",
-                   "log " + task->pid.ToString(), task->walk_start_ns,
-                   last_read_done - task->walk_start_ns);
-    }
-
-    // The bin's stable active page: a stable-memory read, no disk time.
-    auto bin = slt_->bin(task->bin_index);
-    if (!bin.ok()) {
-      sched.Fail(bin.status());
-      return;
-    }
-    if (!bin.value()->active_page.empty()) {
-      meter_->ChargeRead(bin.value()->active_page.size());
-      stream.insert(stream.end(), bin.value()->active_page.begin(),
-                    bin.value()->active_page.end());
-      chunk_end.push_back(stream.size());
-      chunk_avail.push_back(last_read_done);
-    }
-
-    std::vector<LogRecord> records;
-    Status st = ParseLogStream(stream, &records);
-    if (!st.ok()) {
-      sched.Fail(st);
-      return;
-    }
-
-    if (fault_->armed()) {
-      // restart.apply site: a crash here is a crash-within-restart — the
-      // half-built partition is volatile and simply rebuilt next time.
-      fault::SiteEvent ev;
-      ev.site = fault::Site::kRestartApply;
-      ev.device = "recovery";
-      ev.page_no = task->pid.Pack();
-      ev.now_ns = now;
-      Status hs = fault_->OnSite(&ev);
-      if (!hs.ok()) {
-        sched.Fail(hs);
-        return;
-      }
-    }
-
-    // Apply chain: a record is applicable once the chunk holding its last
-    // byte has arrived (pipelined) or once everything has (non-pipelined)
-    // — and never before the image is in memory. Batched per chunk on the
-    // lane's CPU timeline.
-    uint64_t apply_done = task->image_done_ns;
-    uint64_t first_apply_start = 0;
-    bool any_apply = false;
-    size_t rec_i = 0;
-    size_t cursor = 0;
-    for (size_t c = 0; c < chunk_end.size(); ++c) {
-      uint64_t data_ready =
-          opts_.pipelined_recovery ? chunk_avail[c] : chunk_avail.back();
-      uint64_t n = 0;
-      while (rec_i < records.size()) {
-        size_t sz = 0;
-        MMDB_CHECK(LogRecord::PeekSize(
-            std::span<const uint8_t>(stream.data() + cursor,
-                                     stream.size() - cursor),
-            &sz));
-        if (cursor + sz > chunk_end[c]) break;  // completes in a later chunk
-        Status ast = ApplyLogRecord(records[rec_i], task->part.get());
-        if (!ast.ok()) {
-          sched.Fail(ast);
-          return;
-        }
-        cursor += sz;
-        ++rec_i;
-        ++n;
-      }
-      if (n == 0) continue;
-      uint64_t ready = std::max(data_ready, apply_done);
-      uint64_t start = std::max(ready, lane_cpu[lane].busy_until_ns());
-      if (!any_apply) {
-        first_apply_start = start;
-        any_apply = true;
-      }
-      apply_done = lane_cpu[lane].Occupy(
-          ready,
-          static_cast<uint64_t>(static_cast<double>(n) * apply_ns_per_record));
-      main_cpu_.AccountInstructions(static_cast<double>(n) *
-                                    opts_.apply_instructions_per_record);
-      report->records_applied += n;
-    }
-    MMDB_CHECK(rec_i == records.size());
-    if (any_apply) {
-      tracer_.Span(obs::LaneTrack(static_cast<uint32_t>(lane)), "recovery",
-                   "apply " + task->pid.ToString(), first_apply_start,
-                   apply_done - first_apply_start);
-    }
-
-    uint64_t finish = std::max({apply_done, last_read_done,
-                                task->image_done_ns});
-    sched.At(finish, [&, lane, task](uint64_t t) {
-      Status ist = v_->pm.InstallRecovered(std::move(task->part));
-      NoteSpaceFreed();
-      if (!ist.ok()) {
-        sched.Fail(ist);
-        return;
-      }
-      // Catalog partitions recover before the catalog exists; their
-      // descriptors live in the stable root instead.
-      auto d = v_->catalog.FindDescriptor(task->pid);
-      if (d.ok()) d.value()->resident = true;
-      ++report->partitions_recovered;
-      tracer_.Span(obs::LaneTrack(static_cast<uint32_t>(lane)), "recovery",
-                   "recover " + task->pid.ToString(), task->start_ns,
-                   t - task->start_ns);
-      start_task(lane, t);  // lane pulls its next partition
+      if (installed.value()) ++report->partitions_recovered;
+      pull(lane, t);
     });
   };
-
-  for (size_t lane = 0; lane < lanes; ++lane) {
-    sched.At(t0, [&, lane](uint64_t now) { start_task(lane, now); });
+  for (uint32_t lane = 0; lane < lane_count; ++lane) {
+    sched.At(t0, [&, lane](uint64_t t) { pull(lane, t); });
   }
   MMDB_RETURN_IF_ERROR(sched.Run());
 
-  // The last event is the latest task finish: the batch's virtual end.
+  // The last event is the latest install: the run's virtual end.
   clock_.AdvanceTo(std::max(sched.now_ns(), t0));
   main_cpu_.IdleUntil(clock_.now_ns());
-  for (size_t lane = 0; lane < lanes; ++lane) {
-    m_lane_busy_ns_->Record(static_cast<double>(lane_cpu[lane].busy_total_ns()));
+  for (const RecoveryLane& lane : lanes) {
+    m_lane_busy_ns_->Record(static_cast<double>(lane.cpu.busy_total_ns()));
   }
   return Status::OK();
 }

@@ -1,31 +1,20 @@
-// Heat-ordered, interleavable background recovery sweep (paper §2.5).
+// Heat-ordered background recovery sweep queue (paper §2.5).
 //
-// The legacy background sweep walked the catalog in declaration order.
-// Here the sweep queue is ordered by access heat: every resident
-// partition reference bumps a per-partition counter, Crash() harvests the
-// counts, and the post-crash sweep restores the hottest partitions first
-// — under a Zipf workload the partitions transactions are about to fault
-// on anyway. The queue is shared between BackgroundRecoveryStep (explicit
-// stepping) and the concurrent executor's interleaved sweep lanes
-// (src/txn/executor.cc), so the two never double-recover a partition.
-//
-// SweepRecoverPartition / InstallSweepPartition split the serial recovery
-// chain (core/database.cc RecoverPartitionSerial) into a time-functional
-// rebuild and a separate install, so the rebuild can run as events on the
-// unified scheduler between transaction operations: the rebuild never
-// touches the global clock or the partition manager, and the install —
-// which does mutate shared state — happens at a well-defined virtual
-// instant on the event loop.
+// The sweep queue is ordered by access heat: every resident partition
+// reference bumps a per-partition counter, Crash() harvests the counts,
+// and the post-crash sweep restores the hottest partitions first — under
+// a Zipf workload the partitions transactions are about to fault on
+// anyway. The queue is shared by BackgroundRecoveryStep (explicit
+// stepping), the kFullReload restart and the concurrent executor's
+// interleaved sweep lanes (src/txn/executor.cc), so no two of them
+// rebuild the same partition. Every one of them rebuilds through
+// RebuildPartition and Install (core/parallel_recovery.cc).
 
 #include <algorithm>
-#include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/database.h"
-#include "sim/scheduler.h"
-#include "util/logging.h"
 
 namespace mmdb {
 
@@ -81,140 +70,6 @@ bool Database::NextSweepItem(RecoveryWorkItem* item) {
     return true;
   }
   return false;
-}
-
-Status Database::SweepRecoverPartition(const RecoveryWorkItem& item,
-                                       uint64_t ready_ns,
-                                       sim::DeviceTimeline* lane,
-                                       uint64_t* done_ns,
-                                       std::unique_ptr<Partition>* out,
-                                       uint64_t* records_applied) {
-  uint64_t t = ready_ns;
-  const uint64_t t_entry = t;
-  *records_applied = 0;
-  auto bin_idx = slt_->FindBin(item.pid);
-  if (!bin_idx.ok()) {
-    return Status::Corruption("no Stable Log Tail bin for " +
-                              item.pid.ToString());
-  }
-
-  std::unique_ptr<Partition> part;
-  if (item.ckpt_page != kNoCheckpointPage) {
-    uint32_t pages_per_slot =
-        opts_.partition_size_bytes / opts_.log_page_bytes;
-    std::vector<uint8_t> image;
-    image.reserve(opts_.partition_size_bytes);
-    uint64_t done = 0;
-    Status rd;
-    for (uint32_t attempt = 0;; ++attempt) {
-      rd = checkpoint_disk_->ReadTrackInto(item.ckpt_page, pages_per_slot, t,
-                                           sim::SeekClass::kRandom, &image,
-                                           &done);
-      if (rd.ok() || !rd.IsIOError() ||
-          attempt + 1 >= sim::kReadRetryAttempts) {
-        break;
-      }
-      t += (attempt + 1) * sim::kReadRetryBackoffNs;
-      m_disk_retries_->Add(1);
-    }
-    MMDB_RETURN_IF_ERROR(rd);
-    t = done;
-    auto from = Partition::FromImage(std::move(image));
-    if (!from.ok()) return from.status();
-    part = std::move(from).value();
-    if (!(part->id() == item.pid)) {
-      return Status::Corruption("checkpoint image is for wrong partition");
-    }
-  } else {
-    part = std::make_unique<Partition>(item.pid, opts_.partition_size_bytes,
-                                       bin_idx.value());
-  }
-
-  std::vector<LogRecord> records;
-  if (extra_streams_.empty()) {
-    std::vector<uint64_t> lsns;
-    uint64_t backward = 0, done = t;
-    MMDB_RETURN_IF_ERROR(recovery_->CollectPageList(bin_idx.value(), t, &lsns,
-                                                    &backward, &done));
-    t = done;
-    std::vector<uint8_t> stream;
-    for (uint64_t lsn : lsns) {
-      ParsedLogPage page;
-      MMDB_RETURN_IF_ERROR(
-          log_writer_->ReadPage(lsn, t, sim::SeekClass::kNear, &page, &done));
-      t = done;
-      stream.insert(stream.end(), page.payload.begin(), page.payload.end());
-    }
-    auto bin = slt_->bin(bin_idx.value());
-    if (bin.ok() && !bin.value()->active_page.empty()) {
-      meter_->ChargeRead(bin.value()->active_page.size());
-      stream.insert(stream.end(), bin.value()->active_page.begin(),
-                    bin.value()->active_page.end());
-    }
-    MMDB_RETURN_IF_ERROR(ParseLogStream(stream, &records));
-  } else {
-    uint64_t pages = 0, merged_done = t_entry;
-    MMDB_RETURN_IF_ERROR(CollectMergedRecords(bin_idx.value(), t_entry,
-                                              &records, &pages, &merged_done));
-    t = std::max(t, merged_done);
-  }
-
-  if (fault_->armed()) {
-    // Same restart.apply site as the restart paths: a crash here loses
-    // only the half-built volatile copy.
-    fault::SiteEvent ev;
-    ev.site = fault::Site::kRestartApply;
-    ev.device = "recovery";
-    ev.page_no = item.pid.Pack();
-    ev.now_ns = t;
-    MMDB_RETURN_IF_ERROR(fault_->OnSite(&ev));
-  }
-
-  for (const LogRecord& rec : records) {
-    MMDB_RETURN_IF_ERROR(ApplyLogRecord(rec, part.get()));
-  }
-  uint64_t apply_done = t;
-  if (!records.empty()) {
-    const double apply_ns_per_record =
-        opts_.apply_instructions_per_record * main_cpu_.ns_per_instruction();
-    apply_done = lane->Occupy(
-        t, static_cast<uint64_t>(static_cast<double>(records.size()) *
-                                 apply_ns_per_record));
-    main_cpu_.AccountInstructions(static_cast<double>(records.size()) *
-                                  opts_.apply_instructions_per_record);
-  }
-  *records_applied = records.size();
-  *done_ns = std::max(t, apply_done);
-  *out = std::move(part);
-  return Status::OK();
-}
-
-Status Database::InstallSweepPartition(std::unique_ptr<Partition> part,
-                                       uint64_t start_ns, uint64_t install_ns,
-                                       uint64_t records_applied, uint32_t lane,
-                                       bool* installed) {
-  *installed = false;
-  const PartitionId pid = part->id();
-  auto d = v_->catalog.FindDescriptor(pid);
-  if (!d.ok() || d.value()->resident) {
-    // An on-demand fault recovered the partition (or DDL dropped it)
-    // while the sweep copy was in flight. The resident copy saw every log
-    // record; the sweep copy would go stale the moment new updates land,
-    // so it is simply discarded.
-    return Status::OK();
-  }
-  MMDB_RETURN_IF_ERROR(v_->pm.InstallRecovered(std::move(part)));
-  NoteSpaceFreed();
-  d.value()->resident = true;
-  ++background_recoveries_;
-  m_background_count_->Add(1);
-  recovery_progress_.OnPartitionsRecovered(RecoverySource::kBackground, 1,
-                                           records_applied, install_ns);
-  m_background_ns_->Record(static_cast<double>(install_ns - start_ns));
-  tracer_.Span(obs::LaneTrack(lane), "recovery", "sweep " + pid.ToString(),
-               start_ns, install_ns - start_ns);
-  *installed = true;
-  return Status::OK();
 }
 
 }  // namespace mmdb

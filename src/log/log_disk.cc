@@ -8,7 +8,8 @@
 namespace mmdb {
 
 Status ParseLogStream(std::span<const uint8_t> stream,
-                      std::vector<LogRecord>* records, bool with_epoch) {
+                      std::vector<LogRecord>* records, bool with_epoch,
+                      std::vector<size_t>* ends) {
   wire::Reader r(stream);
   while (r.remaining() > 0) {
     uint32_t epoch = 0;
@@ -21,6 +22,7 @@ Status ParseLogStream(std::span<const uint8_t> stream,
     rec.value().epoch = epoch;
     rec.value().csn = csn;
     records->push_back(std::move(rec).value());
+    if (ends != nullptr) ends->push_back(stream.size() - r.remaining());
   }
   return Status::OK();
 }
@@ -149,19 +151,7 @@ Result<uint64_t> LogDiskWriter::WriteArchivePage(
 
 Status LogDiskWriter::ReadPage(uint64_t lsn, uint64_t now_ns,
                                sim::SeekClass seek, ParsedLogPage* page,
-                               uint64_t* done_ns) {
-  return ReadParsed(lsn, now_ns, seek, page, done_ns, /*any_member=*/false);
-}
-
-Status LogDiskWriter::ReadPageAny(uint64_t lsn, uint64_t now_ns,
-                                  sim::SeekClass seek, ParsedLogPage* page,
-                                  uint64_t* done_ns) {
-  return ReadParsed(lsn, now_ns, seek, page, done_ns, /*any_member=*/true);
-}
-
-Status LogDiskWriter::ReadParsed(uint64_t lsn, uint64_t now_ns,
-                                 sim::SeekClass seek, ParsedLogPage* page,
-                                 uint64_t* done_ns, bool any_member) {
+                               uint64_t* done_ns, bool any_member) {
   std::vector<uint8_t> raw;
   uint64_t t = now_ns;
   Status st;

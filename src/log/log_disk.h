@@ -40,9 +40,12 @@ struct ParsedLogPage {
 /// Parses a complete record stream (concatenated page payloads). With
 /// `with_epoch` set, every record is preceded by the 12-byte epoch frame
 /// (multi-stream log format) and the parsed records carry epoch/csn.
+/// `ends`, if given, receives each parsed record's end offset in the
+/// stream (so a caller can tell which page completes which record).
 Status ParseLogStream(std::span<const uint8_t> stream,
                       std::vector<LogRecord>* records,
-                      bool with_epoch = false);
+                      bool with_epoch = false,
+                      std::vector<size_t>* ends = nullptr);
 
 /// Writer/reader of the duplexed log disks, and keeper of the *log
 /// window* (paper §2.3.3).
@@ -113,16 +116,15 @@ class LogDiskWriter {
   Result<uint64_t> WriteArchivePage(std::span<const uint8_t> stream_bytes,
                                     uint64_t now_ns, uint64_t* done_ns);
 
-  /// Reads and parses one log page (served by the primary disk).
+  /// Reads and parses one log page, served by the primary disk — or with
+  /// `any_member` by whichever duplexed member is free sooner at `now_ns`
+  /// (recovery fans its reads across both spindles; each disk's
+  /// busy-until timeline serializes the requests it wins). Transient
+  /// IOErrors retry with virtual backoff; a page whose device CRC
+  /// verified but whose content did not is retried on each member.
   Status ReadPage(uint64_t lsn, uint64_t now_ns, sim::SeekClass seek,
-                  ParsedLogPage* page, uint64_t* done_ns);
-
-  /// Reads and parses one log page from whichever duplexed member is free
-  /// sooner at `now_ns` — parallel recovery lanes fan their reads across
-  /// both spindles; each disk's busy-until timeline serializes the
-  /// requests it wins, so concurrent reads are timed correctly.
-  Status ReadPageAny(uint64_t lsn, uint64_t now_ns, sim::SeekClass seek,
-                     ParsedLogPage* page, uint64_t* done_ns);
+                  ParsedLogPage* page, uint64_t* done_ns,
+                  bool any_member = false);
 
   uint64_t next_lsn() const { return next_lsn_; }
   uint64_t pages_written() const { return next_lsn_; }
@@ -151,13 +153,6 @@ class LogDiskWriter {
 
   Status ParseRawPage(uint64_t lsn, const std::vector<uint8_t>& raw,
                       ParsedLogPage* page) const;
-
-  /// Shared read path: duplex read with bounded virtual-backoff retries
-  /// on transient IOError, plus an explicit per-member retry when the
-  /// returned page is content-corrupt (its device CRC was fine but the
-  /// payload CRC or LSN identity is not).
-  Status ReadParsed(uint64_t lsn, uint64_t now_ns, sim::SeekClass seek,
-                    ParsedLogPage* page, uint64_t* done_ns, bool any_member);
 
   void NoteFlush(const char* kind, PartitionId pid, uint64_t now_ns,
                  uint64_t done_ns);

@@ -232,7 +232,7 @@ void RecoveryManager::RebuildFirstLsnList() {
 Status RecoveryManager::CollectPageList(uint32_t bin_index, uint64_t now_ns,
                                         std::vector<uint64_t>* lsns,
                                         uint64_t* backward_reads,
-                                        uint64_t* done_ns) {
+                                        uint64_t* done_ns, bool any_member) {
   lsns->clear();
   *backward_reads = 0;
   *done_ns = now_ns;
@@ -251,7 +251,7 @@ Status RecoveryManager::CollectPageList(uint32_t bin_index, uint64_t now_ns,
     ParsedLogPage page;
     uint64_t done = 0;
     MMDB_RETURN_IF_ERROR(log_writer_->ReadPage(
-        known.front(), t, sim::SeekClass::kNear, &page, &done));
+        known.front(), t, sim::SeekClass::kNear, &page, &done, any_member));
     t = done;
     ++*backward_reads;
     if (page.directory.empty()) {

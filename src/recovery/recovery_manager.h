@@ -91,10 +91,11 @@ class RecoveryManager {
   /// page LSNs by walking directory anchors backward (§2.5.1). Returns
   /// the number of extra (backward) page reads performed via
   /// `*backward_reads`; `*done_ns` is the disk completion time of the
-  /// walk.
+  /// walk. The anchors are read from the primary log disk, or with
+  /// `any_member` from whichever duplexed member is free sooner.
   Status CollectPageList(uint32_t bin_index, uint64_t now_ns,
                          std::vector<uint64_t>* lsns, uint64_t* backward_reads,
-                         uint64_t* done_ns);
+                         uint64_t* done_ns, bool any_member = false);
 
   // --- statistics -----------------------------------------------------------
   uint64_t records_sorted() const { return records_sorted_; }

@@ -127,11 +127,8 @@ Status RestartManager::Restart(RestartReport* report) {
   for (const RootEntry& e : entries) {
     catalog_work.push_back(Database::RecoveryWorkItem{e.pid, e.ckpt_page});
   }
-  uint64_t records_before = report->records_applied;
-  MMDB_RETURN_IF_ERROR(db.RecoverPartitionsParallel(catalog_work, report));
-  db.recovery_progress_.OnPartitionsRecovered(
-      RecoverySource::kRestart, catalog_work.size(),
-      report->records_applied - records_before, db.clock_.now_ns());
+  MMDB_RETURN_IF_ERROR(db.RecoverPartitionsParallel(
+      catalog_work, RecoverySource::kRestart, report));
   for (const RootEntry& e : entries) {
     PartitionDescriptor d;
     d.id = e.pid;
@@ -209,12 +206,15 @@ Status RestartManager::Restart(RestartReport* report) {
   db.crashed_ = false;
 
   // Transaction processing could begin here. Under database-level
-  // recovery (the §3.4 baseline), everything must be reloaded first.
+  // recovery (the §3.4 baseline), everything must be reloaded first: the
+  // whole sweep queue goes to the lanes as one run, so no lane waits for
+  // a batch's slowest rebuild before taking its next partition.
   if (db.opts_.restart_policy == RestartPolicy::kFullReload) {
-    bool done = false;
-    while (!done) {
-      MMDB_RETURN_IF_ERROR(db.BackgroundRecoveryStep(&done, report));
-    }
+    std::vector<Database::RecoveryWorkItem> work;
+    Database::RecoveryWorkItem item;
+    while (db.NextSweepItem(&item)) work.push_back(item);
+    MMDB_RETURN_IF_ERROR(db.RecoverPartitionsParallel(
+        work, RecoverySource::kBackground, report));
   }
   // Restart succeeded: advance every stream's marker to the stamp
   // high-water so the survivors' epochs are uniformly acknowledged, then

@@ -418,13 +418,13 @@ void ConcurrentExecutor::LaneEvent(size_t li, uint64_t gen, uint64_t now_ns) {
 void ConcurrentExecutor::StartSweep(uint32_t lane, uint64_t now_ns) {
   Database::RecoveryWorkItem item;
   if (!db_->NextSweepItem(&item)) return;  // lane drains
-  uint64_t done_ns = 0;
-  uint64_t records = 0;
-  std::unique_ptr<Partition> part;
-  Status st = db_->SweepRecoverPartition(item, now_ns, &sweep_cpu_[lane],
-                                         &done_ns, &part, &records);
-  if (!st.ok()) {
-    sched_->Fail(st);
+  // The sweep runs beside live commits, so its log reads stay on the
+  // primary disk and leave the mirror to the log writer's duplexed
+  // writes.
+  auto rebuilt = db_->RebuildPartition(item, now_ns, &sweep_lanes_[lane],
+                                       Database::LogReads::kPrimary);
+  if (!rebuilt.ok()) {
+    sched_->Fail(rebuilt.status());
     return;
   }
   ++sweep_inflight_;
@@ -432,18 +432,16 @@ void ConcurrentExecutor::StartSweep(uint32_t lane, uint64_t now_ns) {
   // runs as its own event at the rebuild's completion instant — at the
   // scheduler's default priority, which loses virtual-time ties to
   // transaction dispatches (background work stays background).
-  const uint64_t start_ns = now_ns;
-  sched_->At(done_ns, [this, lane, start_ns, records,
-                       part = std::move(part)](uint64_t t) mutable {
+  const uint64_t done_ns = rebuilt.value().done_ns;
+  sched_->At(done_ns, [this, lane, r = std::move(rebuilt).value()](
+                          uint64_t t) mutable {
     --sweep_inflight_;
-    bool installed = false;
-    Status ist = db_->InstallSweepPartition(std::move(part), start_ns, t,
-                                            records, lane, &installed);
-    if (!ist.ok()) {
-      sched_->Fail(ist);
+    auto installed = db_->Install(std::move(r), RecoverySource::kBackground);
+    if (!installed.ok()) {
+      sched_->Fail(installed.status());
       return;
     }
-    if (installed) {
+    if (installed.value()) {
       ++sweep_recovered_;
       last_sweep_install_ns_ = t;
     }
@@ -495,10 +493,10 @@ Status ConcurrentExecutor::RunEventLoop() {
 
   if (opts_.background_sweep) {
     const uint64_t t0 = db_->now_ns();
-    sweep_cpu_.clear();
-    sweep_cpu_.reserve(sweep_lanes);
+    sweep_lanes_.clear();
+    sweep_lanes_.reserve(sweep_lanes);
     for (uint32_t s = 0; s < sweep_lanes; ++s) {
-      sweep_cpu_.emplace_back("sweep-lane-" + std::to_string(s));
+      sweep_lanes_.emplace_back(s);
       sched.At(t0, [this, s](uint64_t t) { StartSweep(s, t); });
     }
     sched.At(t0 + opts_.maintenance_tick_ns,

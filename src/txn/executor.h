@@ -202,7 +202,8 @@ class ConcurrentExecutor {
   /// postamble (drain grants, admit, reschedule touched lanes).
   void LaneEvent(size_t li, uint64_t gen, uint64_t now_ns);
   /// Pulls the next sweep item onto sweep lane `lane`: rebuilds it
-  /// time-functionally and schedules the install at its completion.
+  /// (Database::RebuildPartition) and schedules the install at its
+  /// completion.
   void StartSweep(uint32_t lane, uint64_t now_ns);
   /// Periodic sort-process + checkpointer pump (background_sweep only);
   /// stops rescheduling once it is the only thing left on the heap.
@@ -240,7 +241,7 @@ class ConcurrentExecutor {
   std::vector<uint64_t> lane_gen_;
   std::vector<bool> lane_live_;
   std::vector<size_t> dirty_;
-  std::vector<sim::DeviceTimeline> sweep_cpu_;
+  std::vector<Database::RecoveryLane> sweep_lanes_;
   uint32_t sweep_inflight_ = 0;
   uint64_t sweep_recovered_ = 0;
   uint64_t last_sweep_install_ns_ = 0;

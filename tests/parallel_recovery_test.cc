@@ -1,10 +1,12 @@
 // Parallel (multi-lane, pipelined) recovery: determinism across lane
-// counts, on-demand recovery racing the background sweep, DDL
-// invalidating the sweep cursor, and crash-again-during-recovery.
+// counts and log-stream counts, on-demand recovery racing the background
+// sweep, DDL invalidating the sweep queue, a stale rebuilt copy dropped
+// at install, and crash-again-during-recovery.
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 #include <vector>
 
 #include "core/database.h"
@@ -24,15 +26,21 @@ Tuple Account(int64_t id, int64_t balance, const std::string& owner) {
   return Tuple{id, balance, owner};
 }
 
-DatabaseOptions LaneOptions(uint32_t lanes, bool pipelined = true) {
+DatabaseOptions LaneOptions(uint32_t lanes, bool pipelined = true,
+                            uint32_t log_streams = 1) {
   DatabaseOptions o;
   o.partition_size_bytes = 16 * 1024;
   o.log_page_bytes = 2 * 1024;
   o.n_update = 100;
   o.recovery_parallelism = lanes;
   o.pipelined_recovery = pipelined;
+  o.log_streams = log_streams;
   return o;
 }
+
+/// The stream counts every full-reload test runs at: the single log, and
+/// a partitioned log whose rebuilds merge four chains per partition.
+constexpr uint32_t kStreamCounts[] = {1, 4};
 
 constexpr int kRelations = 4;
 constexpr int kRowsPerRelation = 150;
@@ -105,22 +113,25 @@ TEST(ParallelRecoveryTest, LaneCountsProduceByteIdenticalState) {
   // The same crash recovered with 1 lane and with 4 lanes must yield
   // byte-identical partitions — parallelism reorders device traffic, not
   // record application.
-  std::map<PartitionId, std::vector<uint8_t>> images[2];
-  std::map<int64_t, Tuple> snaps[2];
-  const uint32_t lane_counts[2] = {1, 4};
-  for (int i = 0; i < 2; ++i) {
-    DatabaseOptions o = LaneOptions(lane_counts[i]);
-    o.restart_policy = RestartPolicy::kFullReload;
-    Database db(o);
-    BuildAndCrash(&db);
-    ASSERT_OK(db.Restart());
-    ASSERT_TRUE(db.FullyResident());
-    images[i] = ImageMap(&db);
-    snaps[i] = Snapshot(&db, Rel(0));
+  for (uint32_t streams : kStreamCounts) {
+    SCOPED_TRACE("log_streams=" + std::to_string(streams));
+    std::map<PartitionId, std::vector<uint8_t>> images[2];
+    std::map<int64_t, Tuple> snaps[2];
+    const uint32_t lane_counts[2] = {1, 4};
+    for (int i = 0; i < 2; ++i) {
+      DatabaseOptions o = LaneOptions(lane_counts[i], true, streams);
+      o.restart_policy = RestartPolicy::kFullReload;
+      Database db(o);
+      BuildAndCrash(&db);
+      ASSERT_OK(db.Restart());
+      ASSERT_TRUE(db.FullyResident());
+      images[i] = ImageMap(&db);
+      snaps[i] = Snapshot(&db, Rel(0));
+    }
+    EXPECT_EQ(snaps[0], snaps[1]);
+    ASSERT_EQ(images[0].size(), images[1].size());
+    EXPECT_EQ(images[0], images[1]);
   }
-  EXPECT_EQ(snaps[0], snaps[1]);
-  ASSERT_EQ(images[0].size(), images[1].size());
-  EXPECT_EQ(images[0], images[1]);
 }
 
 TEST(ParallelRecoveryTest, SameLaneCountIsFullyDeterministic) {
@@ -143,32 +154,39 @@ TEST(ParallelRecoveryTest, SameLaneCountIsFullyDeterministic) {
 TEST(ParallelRecoveryTest, MoreLanesRecoverFaster) {
   // With post-checkpoint log to apply, four lanes amortize the exposed
   // per-partition apply time; full reload must get strictly faster.
-  double t_lanes[2] = {0, 0};
-  const uint32_t lane_counts[2] = {1, 4};
-  for (int i = 0; i < 2; ++i) {
-    DatabaseOptions o = LaneOptions(lane_counts[i]);
-    o.restart_policy = RestartPolicy::kFullReload;
-    Database db(o);
-    BuildAndCrash(&db);
-    ASSERT_OK(db.Restart());
-    t_lanes[i] = db.last_restart().total_ms;
+  for (uint32_t streams : kStreamCounts) {
+    SCOPED_TRACE("log_streams=" + std::to_string(streams));
+    double t_lanes[2] = {0, 0};
+    const uint32_t lane_counts[2] = {1, 4};
+    for (int i = 0; i < 2; ++i) {
+      DatabaseOptions o = LaneOptions(lane_counts[i], true, streams);
+      o.restart_policy = RestartPolicy::kFullReload;
+      Database db(o);
+      BuildAndCrash(&db);
+      ASSERT_OK(db.Restart());
+      t_lanes[i] = db.last_restart().total_ms;
+    }
+    EXPECT_LT(t_lanes[1], t_lanes[0]);
   }
-  EXPECT_LT(t_lanes[1], t_lanes[0]);
 }
 
 TEST(ParallelRecoveryTest, SerialAblationMatchesPipelinedState) {
-  // lanes=1 without pipelining routes through the legacy serial restart
-  // path; the recovered state must still match the pipelined result.
-  std::map<PartitionId, std::vector<uint8_t>> images[2];
-  for (int i = 0; i < 2; ++i) {
-    DatabaseOptions o = LaneOptions(1, /*pipelined=*/i == 1);
-    o.restart_policy = RestartPolicy::kFullReload;
-    Database db(o);
-    BuildAndCrash(&db);
-    ASSERT_OK(db.Restart());
-    images[i] = ImageMap(&db);
+  // Without pipelining the same rebuild runs with no overlap (the walk
+  // waits for the image, the apply for the last read); the recovered
+  // state must match the pipelined result.
+  for (uint32_t streams : kStreamCounts) {
+    SCOPED_TRACE("log_streams=" + std::to_string(streams));
+    std::map<PartitionId, std::vector<uint8_t>> images[2];
+    for (int i = 0; i < 2; ++i) {
+      DatabaseOptions o = LaneOptions(1, /*pipelined=*/i == 1, streams);
+      o.restart_policy = RestartPolicy::kFullReload;
+      Database db(o);
+      BuildAndCrash(&db);
+      ASSERT_OK(db.Restart());
+      images[i] = ImageMap(&db);
+    }
+    EXPECT_EQ(images[0], images[1]);
   }
-  EXPECT_EQ(images[0], images[1]);
 }
 
 TEST(ParallelRecoveryTest, OnDemandRecoveryRacesBackgroundSweep) {
@@ -192,7 +210,7 @@ TEST(ParallelRecoveryTest, OnDemandRecoveryRacesBackgroundSweep) {
   EXPECT_EQ(Snapshot(&db, Rel(kRelations - 1)), hot);
 }
 
-TEST(ParallelRecoveryTest, DdlMidSweepInvalidatesCursor) {
+TEST(ParallelRecoveryTest, DdlMidSweepRebuildsQueue) {
   DatabaseOptions o = LaneOptions(2);
   Database db(o);
   BuildAndCrash(&db);
@@ -201,9 +219,9 @@ TEST(ParallelRecoveryTest, DdlMidSweepInvalidatesCursor) {
   bool done = false;
   ASSERT_OK(db.BackgroundRecoveryStep(&done));
   ASSERT_FALSE(done);
-  // DDL between sweep steps: the resume cursor's ordinals no longer mean
-  // the same thing, so the sweep must restart its scan — and still
-  // terminate with everything resident.
+  // DDL between sweep steps changes which partitions exist, so the sweep
+  // queue is rebuilt — and the sweep still terminates with everything
+  // resident.
   ASSERT_OK(db.CreateRelation("fresh", AccountSchema()));
   auto t = db.Begin();
   ASSERT_OK(t.status());
@@ -216,6 +234,62 @@ TEST(ParallelRecoveryTest, DdlMidSweepInvalidatesCursor) {
   for (int r = 0; r < kRelations; ++r) {
     EXPECT_EQ(Snapshot(&db, Rel(r)).size(), size_t(kRowsPerRelation));
   }
+}
+
+TEST(ParallelRecoveryTest, InstallDropsCopyMadeStaleByOnDemandFault) {
+  Database db(LaneOptions(1));  // kOnDemand
+  BuildAndCrash(&db);
+  ASSERT_OK(db.Restart());
+
+  // Rebuild a cold partition off to the side, as a sweep lane would.
+  Database::RecoveryWorkItem item;
+  ASSERT_TRUE(db.NextSweepItem(&item));
+  Database::RecoveryLane lane(0);
+  ASSERT_OK_AND_ASSIGN(
+      Database::RebuiltPartition rebuilt,
+      db.RebuildPartition(item, db.now_ns(), &lane,
+                          Database::LogReads::kPrimary));
+
+  // Before it installs, a transaction faults the same partition in on
+  // demand and updates a row in it.
+  std::string rel;
+  for (int r = 0; r < kRelations && rel.empty(); ++r) {
+    for (const PartitionDescriptor& d :
+         db.catalog().GetRelation(Rel(r)).value()->partitions) {
+      if (d.id == item.pid) rel = Rel(r);
+    }
+  }
+  ASSERT_FALSE(rel.empty());
+  auto t = db.Begin();
+  ASSERT_OK(t.status());
+  ASSERT_OK_AND_ASSIGN(auto rows, db.Scan(t.value(), rel));
+  EntityAddr addr;
+  Tuple updated;
+  for (auto& [a, tuple] : rows) {
+    if (a.partition == item.pid) {
+      addr = a;
+      updated = tuple;
+      break;
+    }
+  }
+  ASSERT_EQ(addr.partition, item.pid);
+  updated[1] = int64_t{-1};
+  ASSERT_OK(db.Update(t.value(), rel, addr, updated));
+  ASSERT_OK(db.Commit(t.value()));
+  ASSERT_OK_AND_ASSIGN(Partition * faulted, db.partitions().Get(item.pid));
+
+  // The rebuilt copy predates the update: Install must drop it.
+  ASSERT_OK_AND_ASSIGN(
+      bool installed,
+      db.Install(std::move(rebuilt), RecoverySource::kBackground));
+  EXPECT_FALSE(installed);
+  ASSERT_OK_AND_ASSIGN(Partition * resident, db.partitions().Get(item.pid));
+  EXPECT_EQ(resident, faulted);
+  auto t2 = db.Begin();
+  ASSERT_OK(t2.status());
+  ASSERT_OK_AND_ASSIGN(Tuple read, db.Read(t2.value(), rel, addr));
+  EXPECT_EQ(read, updated);
+  ASSERT_OK(db.Commit(t2.value()));
 }
 
 TEST(ParallelRecoveryTest, CrashDuringParallelRestartRecoversAgain) {
