@@ -28,79 +28,61 @@ Database::Database(DatabaseOptions opts)
   opts_.costs.s_log_page = static_cast<double>(opts_.log_page_bytes);
   opts_.costs.s_partition = static_cast<double>(opts_.partition_size_bytes);
   opts_.costs.n_update = static_cast<double>(opts_.n_update);
-
-  fault_ = std::make_unique<fault::FaultInjector>();
-  meter_ = std::make_unique<sim::StableMemoryMeter>(opts_.stable_memory_bytes);
-  slb_ = std::make_unique<StableLogBuffer>(
-      StableLogBuffer::Config{opts_.slb_block_bytes, opts_.slb_capacity_bytes},
-      meter_.get());
-  slt_ = std::make_unique<StableLogTail>(
-      StableLogTail::Config{opts_.directory_entries, 50, opts_.log_page_bytes},
-      meter_.get());
-  log_disks_ =
-      std::make_unique<sim::DuplexedDisk>("log", opts_.log_disk_params);
-  checkpoint_disk_ =
-      std::make_unique<sim::Disk>("ckpt", opts_.checkpoint_disk_params);
-  log_writer_ = std::make_unique<LogDiskWriter>(
-      LogDiskWriter::Config{opts_.log_page_bytes, opts_.log_window_pages,
-                            opts_.grace_pages},
-      log_disks_.get());
-  const bool multi_stream = opts_.log_streams > 1;
-  recovery_ = std::make_unique<RecoveryManager>(
-      RecoveryManager::Config{opts_.costs, opts_.n_update, multi_stream},
-      slb_.get(), slt_.get(), log_writer_.get(), &recovery_cpu_);
-  archive_ = std::make_unique<ArchiveManager>();
-  audit_ = std::make_unique<AuditLog>(
-      AuditLog::Config{opts_.audit_buffer_bytes}, meter_.get());
-  resilver_ = std::make_unique<Resilverer>(Resilverer::Config{},
-                                           log_disks_.get(), archive_.get());
+  opts_.log_streams = std::max<uint32_t>(opts_.log_streams, 1);
 
   // Thread the (disarmed) fault injector through every component with an
   // injection site; each hook is a single branch until a plan is armed.
+  fault_ = std::make_unique<fault::FaultInjector>();
+  meter_ = std::make_unique<sim::StableMemoryMeter>(opts_.stable_memory_bytes);
   meter_->SetFaultInjector(fault_.get());
-  slb_->SetFaultInjector(fault_.get());
-  slt_->SetFaultInjector(fault_.get());
-  log_disks_->SetFaultInjector(fault_.get());
-  checkpoint_disk_->SetFaultInjector(fault_.get());
-  log_writer_->SetFaultInjector(fault_.get());
-  recovery_->SetFaultInjector(fault_.get());
-  resilver_->SetFaultInjector(fault_.get());
 
-  // Partitioned parallel logging: streams 1..N-1 each get their own SLB
-  // block pool, SLT bin table, duplexed log-disk pair, sort process, and
-  // allocation gate, all drawing from the shared stable-memory meter.
-  // Extra streams skip metrics/tracer attachment (series names are
-  // per-component); GetStats aggregates their counters directly.
-  if (multi_stream) {
-    epoch_flushed_.assign(opts_.log_streams, 0);
-    for (uint32_t s = 1; s < opts_.log_streams; ++s) {
-      const std::string tag = std::to_string(s);
-      auto ls = std::make_unique<LogStream>("slb.alloc_gate." + tag);
-      ls->slb = std::make_unique<StableLogBuffer>(
-          StableLogBuffer::Config{opts_.slb_block_bytes,
-                                  opts_.slb_capacity_bytes},
-          meter_.get());
-      ls->slt = std::make_unique<StableLogTail>(
-          StableLogTail::Config{opts_.directory_entries, 50,
-                                opts_.log_page_bytes},
-          meter_.get());
-      ls->disks = std::make_unique<sim::DuplexedDisk>("log" + tag,
-                                                      opts_.log_disk_params);
-      ls->writer = std::make_unique<LogDiskWriter>(
-          LogDiskWriter::Config{opts_.log_page_bytes, opts_.log_window_pages,
-                                opts_.grace_pages},
-          ls->disks.get());
-      ls->recovery = std::make_unique<RecoveryManager>(
-          RecoveryManager::Config{opts_.costs, opts_.n_update, true},
-          ls->slb.get(), ls->slt.get(), ls->writer.get(), &recovery_cpu_);
-      ls->slb->SetFaultInjector(fault_.get());
-      ls->slt->SetFaultInjector(fault_.get());
-      ls->disks->SetFaultInjector(fault_.get());
-      ls->writer->SetFaultInjector(fault_.get());
-      ls->recovery->SetFaultInjector(fault_.get());
-      extra_streams_.push_back(std::move(ls));
-    }
+  // Every log stream gets its own SLB block pool, SLT bin table, duplexed
+  // log-disk pair, writer, sort process and allocation gate, all drawing
+  // from the shared stable-memory meter and the one recovery CPU.
+  streams_.reserve(opts_.log_streams);
+  for (uint32_t s = 0; s < opts_.log_streams; ++s) {
+    const std::string tag = s == 0 ? "" : std::to_string(s);
+    LogStream& ls = streams_.emplace_back(s == 0 ? "" : "." + tag);
+    ls.slb = std::make_unique<StableLogBuffer>(
+        StableLogBuffer::Config{opts_.slb_block_bytes,
+                                opts_.slb_capacity_bytes},
+        meter_.get());
+    ls.slt = std::make_unique<StableLogTail>(
+        StableLogTail::Config{opts_.directory_entries, 50,
+                              opts_.log_page_bytes},
+        meter_.get());
+    ls.disks = std::make_unique<sim::DuplexedDisk>("log" + tag,
+                                                   opts_.log_disk_params);
+    ls.writer = std::make_unique<LogDiskWriter>(
+        LogDiskWriter::Config{opts_.log_page_bytes, opts_.log_window_pages,
+                              opts_.grace_pages},
+        ls.disks.get());
+    ls.recovery = std::make_unique<RecoveryManager>(
+        RecoveryManager::Config{opts_.costs, opts_.n_update,
+                                opts_.log_streams > 1},
+        ls.slb.get(), ls.slt.get(), ls.writer.get(), &recovery_cpu_);
+    ls.slb->SetFaultInjector(fault_.get());
+    ls.slt->SetFaultInjector(fault_.get());
+    ls.disks->SetFaultInjector(fault_.get());
+    ls.writer->SetFaultInjector(fault_.get());
+    ls.recovery->SetFaultInjector(fault_.get());
+    ls.slb->AttachMetrics(&metrics_, ls.suffix);
+    ls.slt->AttachMetrics(&metrics_, ls.suffix);
+    ls.disks->AttachMetrics(&metrics_);
+    ls.writer->AttachMetrics(&metrics_, ls.suffix);
+    ls.writer->AttachTracer(&tracer_, obs::LogDiskTrack(s));
+    ls.recovery->AttachMetrics(&metrics_, ls.suffix);
   }
+
+  checkpoint_disk_ =
+      std::make_unique<sim::Disk>("ckpt", opts_.checkpoint_disk_params);
+  checkpoint_disk_->SetFaultInjector(fault_.get());
+  archive_ = std::make_unique<ArchiveManager>();
+  audit_ = std::make_unique<AuditLog>(
+      AuditLog::Config{opts_.audit_buffer_bytes}, meter_.get());
+  resilver_ = std::make_unique<Resilverer>(
+      Resilverer::Config{}, streams_[0].disks.get(), archive_.get());
+  resilver_->SetFaultInjector(fault_.get());
 
   v_ = std::make_unique<Volatile>(opts_);
   v_->catalog_segment = v_->pm.AllocateSegment();
@@ -114,13 +96,7 @@ Database::Database(DatabaseOptions opts)
 }
 
 void Database::AttachStableObservers() {
-  slb_->AttachMetrics(&metrics_);
-  slt_->AttachMetrics(&metrics_);
-  log_disks_->AttachMetrics(&metrics_);
   checkpoint_disk_->AttachMetrics(&metrics_);
-  log_writer_->AttachMetrics(&metrics_);
-  log_writer_->AttachTracer(&tracer_);
-  recovery_->AttachMetrics(&metrics_);
   fault_->AttachMetrics(&metrics_);
   resilver_->AttachMetrics(&metrics_);
   resilver_->AttachTracer(&tracer_);
@@ -238,12 +214,12 @@ std::vector<std::pair<uint64_t, uint64_t>> Database::TakePendingGrants() {
   return std::exchange(pending_grants_, {});
 }
 
-void Database::SlbAllocationGate(uint32_t stream) {
+void Database::SlbAllocationGate(LogStream& ls) {
   if (exec_ == nullptr) return;
   uint64_t svc = static_cast<uint64_t>(opts_.lock_instructions *
                                        main_cpu_.ns_per_instruction());
   uint64_t ready = vnow();
-  uint64_t done = gate_at(stream).Occupy(ready, svc);
+  uint64_t done = ls.gate.Occupy(ready, svc);
   // The allocation bookkeeping itself is already charged through the
   // copy-cost instructions; only the queueing delay behind another
   // worker inside the critical section costs extra. A single stream
@@ -254,11 +230,7 @@ void Database::SlbAllocationGate(uint32_t stream) {
 Database::OpMark Database::MarkOperation(Transaction* txn) const {
   OpMark m;
   m.undo_depth = v_->undo.Depth(txn->id());
-  const StableLogBuffer* slb =
-      txn->log_stream() == 0
-          ? slb_.get()
-          : extra_streams_[txn->log_stream() - 1]->slb.get();
-  m.slb = slb->Mark(txn->id());
+  m.slb = StreamOf(txn).slb->Mark(txn->id());
   m.redo = txn->redo_mark();
   return m;
 }
@@ -291,7 +263,7 @@ Status Database::RollbackOperation(Transaction* txn, const OpMark& mark) {
     }
     NoteSpaceFreed();
   }
-  slb_at(txn->log_stream())->Rewind(txn->id(), mark.slb);
+  StreamOf(txn).slb->Rewind(txn->id(), mark.slb);
   txn->RestoreRedo(mark.redo);
   return Status::OK();
 }
@@ -316,9 +288,9 @@ void Database::ApplyCommitDurability(uint64_t redo_bytes) {
       uint64_t done = start;
       std::vector<uint8_t> marker(16, 0);
       for (uint64_t p = 0; p < pages; ++p) {
-        done = log_disks_->WritePage(kWalPageBase + wal_page_counter_++,
-                                     marker, done,
-                                     sim::SeekClass::kSequential);
+        done = streams_[0].disks->WritePage(
+            kWalPageBase + wal_page_counter_++, marker, done,
+            sim::SeekClass::kSequential);
       }
       WaitUntil(done);
       ++log_forces_;
@@ -350,8 +322,9 @@ void Database::FlushCommitGroup() {
   uint64_t done = vnow();
   std::vector<uint8_t> marker(16, 0);
   for (uint64_t p = 0; p < pages; ++p) {
-    done = log_disks_->WritePage(kWalPageBase + wal_page_counter_++, marker,
-                                 done, sim::SeekClass::kSequential);
+    done = streams_[0].disks->WritePage(kWalPageBase + wal_page_counter_++,
+                                        marker, done,
+                                        sim::SeekClass::kSequential);
   }
   WaitUntil(done);
   ++log_forces_;
@@ -373,7 +346,8 @@ void Database::FlushCommitGroup() {
 
 Status Database::AppendRedo(Transaction* txn, const LogRecord& redo,
                             const LogRecord& undo) {
-  StableLogBuffer* slb = slb_at(txn->log_stream());
+  LogStream& ls = StreamOf(txn);
+  StableLogBuffer* slb = ls.slb.get();
   uint64_t blocks_before = slb->blocks_allocated();
   Status st = slb->Append(txn->id(), redo);
   if (st.IsFull()) {
@@ -384,9 +358,7 @@ Status Database::AppendRedo(Transaction* txn, const LogRecord& redo,
     st = slb->Append(txn->id(), redo);
   }
   if (!st.ok()) return st;
-  if (slb->blocks_allocated() != blocks_before) {
-    SlbAllocationGate(txn->log_stream());
-  }
+  if (slb->blocks_allocated() != blocks_before) SlbAllocationGate(ls);
   v_->undo.Push(txn->id(), undo);
   txn->NoteRedo(redo.SerializedSize());
   MainWork(opts_.costs.i_copy_fixed +
@@ -685,23 +657,20 @@ Result<Partition*> Database::ResidentPartition(PartitionId pid) {
 Result<Partition*> Database::CreatePartitionInSegment(SegmentId segment) {
   uint32_t number = v_->pm.PeekNextNumber(segment);
   PartitionId pid{segment, number};
-  auto bin = slt_->RegisterPartition(pid);
-  if (!bin.ok()) return bin.status();
-  // Partitioned-log mode: mirror the registration in every stream's SLT.
-  // All streams' bin free-lists evolve identically, so the partition gets
-  // the same bin index everywhere and a record's bin_index addresses the
-  // right bin no matter which stream carried it.
-  for (auto& ls : extra_streams_) {
-    auto mirrored = ls->slt->RegisterPartition(pid);
-    if (!mirrored.ok()) return mirrored.status();
-    MMDB_CHECK(mirrored.value() == bin.value());
+  // Register the partition in every stream's SLT. All streams' bin
+  // free-lists evolve identically, so the partition gets the same bin
+  // index everywhere and a record's bin_index addresses the right bin no
+  // matter which stream carried it.
+  uint32_t bin = 0;
+  for (uint32_t s = 0; s < streams_.size(); ++s) {
+    auto b = streams_[s].slt->RegisterPartition(pid);
+    if (!b.ok()) return b.status();
+    MMDB_CHECK(s == 0 || b.value() == bin);
+    bin = b.value();
   }
-  auto created = v_->pm.CreatePartition(segment, bin.value());
+  auto created = v_->pm.CreatePartition(segment, bin);
   if (!created.ok()) {
-    MMDB_CHECK(slt_->ReleaseBin(bin.value()).ok());
-    for (auto& ls : extra_streams_) {
-      MMDB_CHECK(ls->slt->ReleaseBin(bin.value()).ok());
-    }
+    for (LogStream& ls : streams_) MMDB_CHECK(ls.slt->ReleaseBin(bin).ok());
     return created.status();
   }
   Partition* p = created.value();
@@ -808,8 +777,8 @@ Status Database::WriteCatalogRootBlock() {
   // flip), not only when a copy is missing.
   wire::PutU32(&b, Crc32(b.data(), b.size()));
   meter_->ChargeWrite(2 * b.size());
-  slb_->SetCatalogRoot(b);
-  slt_->SetCatalogRoot(std::move(b));
+  streams_[0].slb->SetCatalogRoot(b);
+  streams_[0].slt->SetCatalogRoot(std::move(b));
   return Status::OK();
 }
 
@@ -971,11 +940,11 @@ Status Database::LogObjectDrop(
 void Database::ReleaseSegmentStorage(
     const std::vector<PartitionDescriptor>& descriptors) {
   for (const PartitionDescriptor& d : descriptors) {
-    auto bin = slt_->FindBin(d.id);
+    auto bin = streams_[0].slt->FindBin(d.id);
     if (bin.ok()) {
-      for (uint32_t s = 0; s < log_streams(); ++s) {
-        recovery_at(s)->OnPartitionDropped(bin.value());
-        Status st = slt_at(s)->ReleaseBin(bin.value());
+      for (LogStream& ls : streams_) {
+        ls.recovery->OnPartitionDropped(bin.value());
+        Status st = ls.slt->ReleaseBin(bin.value());
         (void)st;
       }
     }
@@ -1100,7 +1069,7 @@ Result<Transaction*> Database::Begin(TxnKind kind,
   }
   // Partitioned-log routing: executor-bound user transactions spread
   // across the streams by worker; everything else stays on stream 0.
-  if (!extra_streams_.empty() && kind == TxnKind::kUser && exec_ != nullptr) {
+  if (kind == TxnKind::kUser && exec_ != nullptr) {
     txn->set_log_stream(exec_->worker % log_streams());
   }
   if (opts_.audit_logging && kind == TxnKind::kUser) {
@@ -1124,9 +1093,10 @@ Status Database::Commit(Transaction* txn) {
   uint64_t stamp_csn = 0;
   // Moving the chain to the committed list touches the SLB's shared
   // lists — the same critical section as block allocation (§2.3.1).
-  SlbAllocationGate(txn->log_stream());
-  if (extra_streams_.empty()) {
-    MMDB_RETURN_IF_ERROR(slb_->Commit(id));
+  LogStream& ls = StreamOf(txn);
+  SlbAllocationGate(ls);
+  if (streams_.size() == 1) {
+    MMDB_RETURN_IF_ERROR(ls.slb->Commit(id));
     // Single-stream commits carry no group-commit stamp (the mirrors
     // stay zero — exact parity with the legacy logger), but the version
     // store still needs a total commit order, so the csn latch advances
@@ -1147,7 +1117,7 @@ Status Database::Commit(Transaction* txn) {
     last_commit_csn_ = csn;
     stamp_epoch = e;
     stamp_csn = csn;
-    MMDB_RETURN_IF_ERROR(slb_at(txn->log_stream())->Commit(id, e, csn));
+    MMDB_RETURN_IF_ERROR(ls.slb->Commit(id, e, csn));
     if (kind != TxnKind::kUser) {
       // Checkpoint / system / DDL commits are fenced durable on the
       // spot: their effects (catalog rows, descriptor updates) must
@@ -1166,11 +1136,10 @@ Status Database::Commit(Transaction* txn) {
     if (tracer_.enabled()) {
       // Counter tracks: Perfetto renders these as stepped curves next to
       // the swimlanes. Sampled at commit points — the natural cadence of
-      // the simulation's observable state.
-      tracer_.Counter(obs::Track::kSystem, "gauge", "slb.occupancy_bytes",
-                      vnow(),
-                      static_cast<double>(slb_at(txn->log_stream())
-                                              ->occupancy_bytes()));
+      // the simulation's observable state; one curve per stream.
+      tracer_.Counter(obs::Track::kSystem, "gauge",
+                      "slb.occupancy_bytes" + ls.suffix, vnow(),
+                      static_cast<double>(ls.slb->occupancy_bytes()));
       tracer_.Counter(obs::Track::kSystem, "gauge", "lock.wait_queue_depth",
                       vnow(), static_cast<double>(v_->locks.waiting_count()));
     }
@@ -1249,8 +1218,9 @@ Status Database::Abort(Transaction* txn) {
     }
     NoteSpaceFreed();
   }
-  SlbAllocationGate(txn->log_stream());
-  MMDB_RETURN_IF_ERROR(slb_at(txn->log_stream())->Discard(id));
+  LogStream& ls = StreamOf(txn);
+  SlbAllocationGate(ls);
+  MMDB_RETURN_IF_ERROR(ls.slb->Discard(id));
   NoteGrants(v_->locks.ReleaseAll(id));
   TxnKind kind = txn->kind();
   if (kind == TxnKind::kUser) {
@@ -1655,32 +1625,32 @@ Status Database::PumpRecovery(uint64_t max_records) {
   // flush marker. With a single stream the fence is a no-op and the pump
   // bound is unbounded — the legacy path exactly.
   MMDB_RETURN_IF_ERROR(FenceEpochs());
-  for (uint32_t s = 0; s < log_streams(); ++s) {
-    auto n = recovery_at(s)->Pump(max_records, clock_.now_ns(), PumpBound(s));
+  for (LogStream& ls : streams_) {
+    auto n = ls.recovery->Pump(max_records, clock_.now_ns(), PumpBound(ls));
     if (!n.ok()) return n.status();
   }
   return Status::OK();
 }
 
 Status Database::FenceEpochs() {
-  if (extra_streams_.empty()) return Status::OK();
-  for (uint32_t s = 0; s < log_streams(); ++s) {
-    if (epoch_flushed_[s] == epoch_stamped_last_) continue;
+  if (streams_.size() == 1) return Status::OK();
+  for (LogStream& ls : streams_) {
+    if (ls.flushed_epoch == epoch_stamped_last_) continue;
     // The per-stream epoch flush marker is one small stable-memory write.
     // A crash landing between two streams' markers is exactly the group-
     // commit window: the epoch is acknowledged on a prefix of streams
     // only, and the next restart's frontier discards it everywhere.
     meter_->ChargeWrite(8);
     MMDB_RETURN_IF_ERROR(fault::Barrier(fault_.get()));
-    epoch_flushed_[s] = epoch_stamped_last_;
+    ls.flushed_epoch = epoch_stamped_last_;
   }
   return Status::OK();
 }
 
 Status Database::DrainAllStreams(uint64_t now_ns) {
   MMDB_RETURN_IF_ERROR(FenceEpochs());
-  for (uint32_t s = 0; s < log_streams(); ++s) {
-    MMDB_RETURN_IF_ERROR(recovery_at(s)->Drain(now_ns, PumpBound(s)));
+  for (LogStream& ls : streams_) {
+    MMDB_RETURN_IF_ERROR(ls.recovery->Drain(now_ns, PumpBound(ls)));
   }
   return Status::OK();
 }
@@ -1699,13 +1669,13 @@ Status Database::ForceCheckpointRelation(const std::string& relation) {
   if (!rel.ok()) return rel.status();
   MMDB_RETURN_IF_ERROR(DrainAllStreams(clock_.now_ns()));
   for (const PartitionDescriptor& d : rel.value()->partitions) {
-    slb_->RequestCheckpoint(d.id, CheckpointTrigger::kForced);
+    streams_[0].slb->RequestCheckpoint(d.id, CheckpointTrigger::kForced);
   }
   for (const std::string& iname : rel.value()->index_names) {
     auto idx = v_->catalog.GetIndex(iname);
     if (!idx.ok()) return idx.status();
     for (const PartitionDescriptor& d : idx.value()->partitions) {
-      slb_->RequestCheckpoint(d.id, CheckpointTrigger::kForced);
+      streams_[0].slb->RequestCheckpoint(d.id, CheckpointTrigger::kForced);
     }
   }
   return RunCheckpoints();
@@ -1715,7 +1685,7 @@ Status Database::CheckpointEverything() {
   if (crashed_) return Status::InvalidArgument("crashed; call Restart()");
   MMDB_RETURN_IF_ERROR(DrainAllStreams(clock_.now_ns()));
   for (Partition* p : v_->pm.AllPartitions()) {
-    slb_->RequestCheckpoint(p->id(), CheckpointTrigger::kForced);
+    streams_[0].slb->RequestCheckpoint(p->id(), CheckpointTrigger::kForced);
   }
   return RunCheckpoints();
 }
@@ -1731,28 +1701,26 @@ void Database::Crash() {
   // Volatile state is gone: the primary copy, locks, UNDO space,
   // in-flight transactions, in-memory catalogs.
   v_ = std::make_unique<Volatile>(opts_);
-  if (!extra_streams_.empty()) {
+  if (streams_.size() > 1) {
     // Cross-stream discard invariant: an epoch not acknowledged durable
     // on EVERY stream at the crash is discarded on every stream, so no
     // committed transaction can survive on one stream while a conflicting
-    // earlier one vanishes on another.
-    uint32_t frontier =
-        *std::min_element(epoch_flushed_.begin(), epoch_flushed_.end());
-    // A crash inside a previous restart's end fence may have advanced a
-    // subset of the markers past epochs that earlier crash discarded;
-    // the latched frontier (stable restart record) never moves forward
-    // until a restart durably completes.
-    frontier = std::min(frontier, epoch_discard_frontier_);
-    epoch_discard_frontier_ = frontier;
-    for (uint32_t s = 0; s < log_streams(); ++s) {
-      slb_at(s)->DiscardCommittedAfter(frontier);
+    // earlier one vanishes on another. A crash inside a previous
+    // restart's end fence may have advanced a subset of the markers past
+    // epochs that earlier crash discarded; the latched frontier (stable
+    // restart record) never moves forward until a restart durably
+    // completes.
+    for (const LogStream& ls : streams_) {
+      epoch_discard_frontier_ =
+          std::min(epoch_discard_frontier_, ls.flushed_epoch);
+    }
+    for (LogStream& ls : streams_) {
+      ls.slb->DiscardCommittedAfter(epoch_discard_frontier_);
     }
   }
-  for (uint32_t s = 0; s < log_streams(); ++s) slb_at(s)->OnCrash();
+  for (LogStream& ls : streams_) ls.slb->OnCrash();
   v_->undo.Clear();
-  for (uint32_t s = 0; s < log_streams(); ++s) {
-    recovery_at(s)->RebuildFirstLsnList();
-  }
+  for (LogStream& ls : streams_) ls.recovery->RebuildFirstLsnList();
   resilver_->OnCrash();
   fault_->OnCrashDelivered();
   crashed_ = true;
@@ -1869,7 +1837,7 @@ Status Database::StartLogDiskResilver(int member) {
   if (member != 0 && member != 1) {
     return Status::InvalidArgument("re-silver member must be 0 or 1");
   }
-  sim::Disk& target = log_disks_->member(member);
+  sim::Disk& target = streams_[0].disks->member(member);
   if (target.media_failed()) target.RepairMedia();
   MMDB_RETURN_IF_ERROR(resilver_->Start(member, clock_.now_ns()));
   tracer_.Instant(obs::Track::kSystem, "resilver",
@@ -1906,17 +1874,24 @@ DatabaseStats Database::GetStats() const {
   // A view over the metrics registry for everything counter-backed;
   // genuinely live state (residency, CPU timelines, stable high-water)
   // is sampled from the hardware models directly.
+  auto every_stream = [&](const std::string& name) {
+    uint64_t total = 0;
+    for (const LogStream& ls : streams_) {
+      total += metrics_.counter_value(name + ls.suffix);
+    }
+    return total;
+  };
   DatabaseStats s;
   s.txns_committed = metrics_.counter_value("txn.committed");
   s.txns_aborted = metrics_.counter_value("txn.aborted");
-  s.records_logged = metrics_.counter_value("slb.records_appended");
-  s.bytes_logged = metrics_.counter_value("slb.bytes_appended");
-  s.records_sorted = metrics_.counter_value("recovery.records_sorted");
-  s.log_pages_flushed = metrics_.counter_value("log.pages_flushed");
+  s.records_logged = every_stream("slb.records_appended");
+  s.bytes_logged = every_stream("slb.bytes_appended");
+  s.records_sorted = every_stream("recovery.records_sorted");
+  s.log_pages_flushed = every_stream("log.pages_flushed");
   s.checkpoints_completed = metrics_.counter_value("checkpoint.completed");
   s.checkpoints_update_count =
-      metrics_.counter_value("recovery.ckpt_requests_update_count");
-  s.checkpoints_age = metrics_.counter_value("recovery.ckpt_requests_age");
+      every_stream("recovery.ckpt_requests_update_count");
+  s.checkpoints_age = every_stream("recovery.ckpt_requests_age");
   s.partitions_resident = v_->pm.resident_count();
   s.on_demand_recoveries = metrics_.counter_value("recovery.on_demand");
   s.background_recoveries = metrics_.counter_value("recovery.background");
@@ -1930,16 +1905,6 @@ DatabaseStats Database::GetStats() const {
   if (const obs::Histogram* h = metrics_.find_histogram("commit.wait_ns")) {
     s.commit_wait_ms_total = h->sum() * 1e-6;
     s.commits_waited = h->count();
-  }
-  // Extra log streams skip metrics attachment (series names are
-  // per-component, not per-stream); fold their counters in directly.
-  for (const auto& ls : extra_streams_) {
-    s.records_logged += ls->slb->records_appended();
-    s.bytes_logged += ls->slb->bytes_appended();
-    s.records_sorted += ls->recovery->records_sorted();
-    s.log_pages_flushed += ls->recovery->pages_flushed();
-    s.checkpoints_update_count += ls->recovery->checkpoints_requested_update();
-    s.checkpoints_age += ls->recovery->checkpoints_requested_age();
   }
   return s;
 }

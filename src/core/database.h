@@ -163,7 +163,7 @@ struct DatabaseOptions {
   /// else uses stream 0. Commit durability across streams is coordinated
   /// by epoch group commit (see epoch_interval_ns). 1 (the default) is
   /// the paper's single-stream design and stays byte- and
-  /// timing-identical to the legacy path.
+  /// timing-identical to the legacy path. 0 reads as 1.
   uint32_t log_streams = 1;
   /// Group-commit epoch length in virtual ns (log_streams > 1 only):
   /// each commit is stamped with epoch max(vnow / interval + 1, last
@@ -303,7 +303,7 @@ class Database {
   uint32_t last_commit_epoch() const { return last_commit_epoch_; }
   uint64_t last_commit_csn() const { return last_commit_csn_; }
   uint32_t log_streams() const {
-    return 1 + static_cast<uint32_t>(extra_streams_.size());
+    return static_cast<uint32_t>(streams_.size());
   }
   /// Main CPU processes pending checkpoint requests (between
   /// transactions).
@@ -469,12 +469,13 @@ class Database {
   double now_ms() const { return clock_.now_seconds() * 1e3; }
   const sim::CpuModel& main_cpu() const { return main_cpu_; }
   const sim::CpuModel& recovery_cpu() const { return recovery_cpu_; }
-  RecoveryManager& recovery_manager() { return *recovery_; }
-  StableLogBuffer& slb() { return *slb_; }
-  StableLogTail& slt() { return *slt_; }
-  LogDiskWriter& log_writer() { return *log_writer_; }
+  // Log stream 0's components.
+  RecoveryManager& recovery_manager() { return *streams_[0].recovery; }
+  StableLogBuffer& slb() { return *streams_[0].slb; }
+  StableLogTail& slt() { return *streams_[0].slt; }
+  LogDiskWriter& log_writer() { return *streams_[0].writer; }
+  sim::DuplexedDisk& log_disks() { return *streams_[0].disks; }
   sim::Disk& checkpoint_disk() { return *checkpoint_disk_; }
-  sim::DuplexedDisk& log_disks() { return *log_disks_; }
   ArchiveManager& archive() { return *archive_; }
   AuditLog& audit_log() { return *audit_; }
   Catalog& catalog();
@@ -607,38 +608,37 @@ class Database {
   Result<LinearHash*> GetLinearHash(const std::string& name);
 
   // --- partitioned-log plumbing ----------------------------------------------
-  /// One extra log stream (streams 1..N-1; stream 0 is the legacy member
-  /// set). Stable: survives Crash(). Extra streams skip metrics/tracer
-  /// attachment (series names are per-component, not per-stream).
+  /// One log stream: the paper's logger (§2.2-2.3) once over. Stable:
+  /// survives Crash(). Stream 0's series and disks carry the single-stream
+  /// names; stream s > 0 appends `suffix` (".<s>") to its series, names
+  /// its disk pair "log<s>" and traces to its own log-disk track.
   struct LogStream {
-    explicit LogStream(const std::string& gate_name) : gate(gate_name) {}
+    explicit LogStream(std::string sfx)
+        : suffix(std::move(sfx)), gate("slb.alloc_gate" + suffix) {}
+    std::string suffix;
     std::unique_ptr<StableLogBuffer> slb;
     std::unique_ptr<StableLogTail> slt;
     std::unique_ptr<sim::DuplexedDisk> disks;
     std::unique_ptr<LogDiskWriter> writer;
+    /// The stream's sort process, on the one shared recovery CPU.
     std::unique_ptr<RecoveryManager> recovery;
-    /// Per-stream SLB block-allocation gate.
+    /// SLB block-allocation gate shared by the stream's workers.
     sim::DeviceTimeline gate;
+    /// Epoch group-commit marker: the last epoch whose flush marker this
+    /// stream persisted (multi-stream only).
+    uint32_t flushed_epoch = 0;
   };
-  StableLogBuffer* slb_at(uint32_t s) {
-    return s == 0 ? slb_.get() : extra_streams_[s - 1]->slb.get();
+  /// The stream a transaction logs on.
+  LogStream& StreamOf(const Transaction* txn) {
+    return streams_[txn->log_stream()];
   }
-  StableLogTail* slt_at(uint32_t s) {
-    return s == 0 ? slt_.get() : extra_streams_[s - 1]->slt.get();
+  const LogStream& StreamOf(const Transaction* txn) const {
+    return streams_[txn->log_stream()];
   }
-  LogDiskWriter* writer_at(uint32_t s) {
-    return s == 0 ? log_writer_.get() : extra_streams_[s - 1]->writer.get();
-  }
-  RecoveryManager* recovery_at(uint32_t s) {
-    return s == 0 ? recovery_.get() : extra_streams_[s - 1]->recovery.get();
-  }
-  sim::DeviceTimeline& gate_at(uint32_t s) {
-    return s == 0 ? slb_gate_ : extra_streams_[s - 1]->gate;
-  }
-  /// Epoch bound for stream `s`'s sort process (UINT32_MAX when single-
+  /// Epoch bound for a stream's sort process (UINT32_MAX when single-
   /// stream: no gating).
-  uint32_t PumpBound(uint32_t s) const {
-    return extra_streams_.empty() ? UINT32_MAX : epoch_flushed_[s];
+  uint32_t PumpBound(const LogStream& ls) const {
+    return streams_.size() == 1 ? UINT32_MAX : ls.flushed_epoch;
   }
   /// Fences epochs, then drains every stream's committed backlog.
   Status DrainAllStreams(uint64_t now_ns);
@@ -656,9 +656,9 @@ class Database {
   void NoteGrants(std::vector<uint64_t> granted);
   /// Models the SLB's block-allocation critical section (§2.3.1: "a
   /// critical section is needed only for block allocation"): concurrent
-  /// workers queue on a shared gate and pay only the queueing delay, so
-  /// a single stream is timing-identical to the legacy path.
-  void SlbAllocationGate(uint32_t stream);
+  /// workers queue on the stream's gate and pay only the queueing delay,
+  /// so a single stream is timing-identical to the legacy path.
+  void SlbAllocationGate(LogStream& ls);
   /// Runs sort-process pump + pending checkpoint transactions after a
   /// user commit, on the shared system clock when a worker context is
   /// bound (checkpointing is the main CPU's serial between-transactions
@@ -671,7 +671,8 @@ class Database {
   void FlushCommitGroup();
 
   /// Resolves the Database's own metric handles and attaches the stable
-  /// components (constructor only; their handles outlive every crash).
+  /// components outside the log streams, which the constructor's stream
+  /// loop attaches (constructor only; handles outlive every crash).
   void AttachStableObservers();
   /// Attaches the freshly built Volatile's components (constructor and
   /// every Crash(): the new lock table / txn manager need new hookups).
@@ -691,27 +692,22 @@ class Database {
   // every stable component holds a raw pointer to it.
   std::unique_ptr<fault::FaultInjector> fault_;
   std::unique_ptr<sim::StableMemoryMeter> meter_;
-  std::unique_ptr<StableLogBuffer> slb_;
-  std::unique_ptr<StableLogTail> slt_;
-  std::unique_ptr<sim::DuplexedDisk> log_disks_;
+  /// Every log stream, stream 0 first; never empty. Stream 0 alone also
+  /// carries system, checkpoint and DDL commits, both catalog-root
+  /// copies, forced checkpoint requests, the WAL baselines' writes, the
+  /// archive roll and log-disk re-silvering.
+  std::vector<LogStream> streams_;
   std::unique_ptr<sim::Disk> checkpoint_disk_;
-  std::unique_ptr<LogDiskWriter> log_writer_;
-  std::unique_ptr<RecoveryManager> recovery_;
   std::unique_ptr<ArchiveManager> archive_;
   std::unique_ptr<AuditLog> audit_;
   std::unique_ptr<Resilverer> resilver_;
 
-  /// Partitioned-log mode: streams 1..N-1 (stream 0 lives in the legacy
-  /// members above). Stable — the pools and disks survive Crash().
-  std::vector<std::unique_ptr<LogStream>> extra_streams_;
-  /// Epoch group-commit ledger (stable; empty/zero in single-stream
-  /// mode). `epoch_flushed_[s]` is the last epoch whose flush marker
-  /// stream `s` persisted; `epoch_stamped_last_` the highest epoch any
-  /// commit carries; `epoch_csn_last_` the commit-sequence latch giving
-  /// (epoch, csn) a total order consistent with commit order.
+  /// Epoch group-commit ledger (stable; zero in single-stream mode):
+  /// `epoch_stamped_last_` is the highest epoch any commit carries;
+  /// `epoch_csn_last_` the commit-sequence latch giving (epoch, csn) a
+  /// total order consistent with commit order.
   uint32_t epoch_stamped_last_ = 0;
   uint64_t epoch_csn_last_ = 0;
-  std::vector<uint32_t> epoch_flushed_;
   /// Stable restart record: the discard frontier latched by Crash() and
   /// cleared only when a restart durably completes. A crash inside the
   /// end-of-restart fence may have advanced a subset of the per-stream
@@ -734,11 +730,9 @@ class Database {
   RestartReport last_restart_;
 
   /// Concurrent-executor state: the bound per-operation context (null in
-  /// single-stream mode), waiter grants awaiting pickup, and the SLB
-  /// block-allocation gate shared by all workers.
+  /// single-stream mode) and waiter grants awaiting pickup.
   ExecContext* exec_ = nullptr;
   std::vector<std::pair<uint64_t, uint64_t>> pending_grants_;
-  sim::DeviceTimeline slb_gate_{"slb.alloc_gate"};
 
   /// Bumped by every DDL and crash: both change which partitions exist.
   uint64_t ddl_epoch_ = 0;

@@ -46,7 +46,7 @@ Result<Database::RebuiltPartition> Database::RebuildPartition(
     LogReads reads) {
   const obs::Track track = obs::LaneTrack(lane->index);
   const std::string name = item.pid.ToString();
-  auto bin_index = slt_->FindBin(item.pid);
+  auto bin_index = streams_[0].slt->FindBin(item.pid);
   if (!bin_index.ok()) {
     return Status::Corruption("no Stable Log Tail bin for " + name);
   }
@@ -100,10 +100,11 @@ Result<Database::RebuiltPartition> Database::RebuildPartition(
   std::vector<StreamLog> logs(streams);
   uint64_t reads_ns = walk_ns;  // the last page's arrival, every stream
   for (uint32_t s = 0; s < streams; ++s) {
+    LogStream& ls = streams_[s];
     StreamLog& log = logs[s];
     std::vector<uint64_t> lsns;
     uint64_t backward = 0, walked_ns = walk_ns;
-    MMDB_RETURN_IF_ERROR(recovery_at(s)->CollectPageList(
+    MMDB_RETURN_IF_ERROR(ls.recovery->CollectPageList(
         bin_index.value(), walk_ns, &lsns, &backward, &walked_ns, fanned));
     std::vector<uint8_t> bytes;
     std::vector<size_t> chunk_end;  // stream offset after each chunk
@@ -111,7 +112,7 @@ Result<Database::RebuiltPartition> Database::RebuildPartition(
     for (uint64_t lsn : lsns) {
       ParsedLogPage page;
       uint64_t done_ns = 0;
-      MMDB_RETURN_IF_ERROR(writer_at(s)->ReadPage(
+      MMDB_RETURN_IF_ERROR(ls.writer->ReadPage(
           lsn, walked_ns, sim::SeekClass::kNear, &page, &done_ns, fanned));
       bytes.insert(bytes.end(), page.payload.begin(), page.payload.end());
       // The stream is consumed in LSN order, so a page's bytes are usable
@@ -122,7 +123,7 @@ Result<Database::RebuiltPartition> Database::RebuildPartition(
     }
     out.pages_read += lsns.size();
     reads_ns = std::max(reads_ns, arrived_ns);
-    auto bin = slt_at(s)->bin(bin_index.value());
+    auto bin = ls.slt->bin(bin_index.value());
     if (!bin.ok()) return bin.status();
     const std::vector<uint8_t>& active = bin.value()->active_page;
     if (!active.empty()) {

@@ -27,12 +27,13 @@ Status ParseLogStream(std::span<const uint8_t> stream,
   return Status::OK();
 }
 
-void LogDiskWriter::AttachMetrics(obs::MetricsRegistry* reg) {
-  m_pages_flushed_ = reg->counter("log.pages_flushed");
-  m_archive_pages_ = reg->counter("log.archive_pages");
+void LogDiskWriter::AttachMetrics(obs::MetricsRegistry* reg,
+                                  const std::string& suffix) {
+  m_pages_flushed_ = reg->counter("log.pages_flushed" + suffix);
+  m_archive_pages_ = reg->counter("log.archive_pages" + suffix);
   m_retries_ = reg->counter("disk.retries_total");
-  m_flush_ns_ = reg->histogram("log.flush_ns");
-  m_next_lsn_ = reg->gauge("log.next_lsn");
+  m_flush_ns_ = reg->histogram("log.flush_ns" + suffix);
+  m_next_lsn_ = reg->gauge("log.next_lsn" + suffix);
   m_next_lsn_->Set(static_cast<double>(next_lsn_));
 }
 
@@ -43,7 +44,7 @@ void LogDiskWriter::NoteFlush(const char* kind, PartitionId pid,
     m_next_lsn_->Set(static_cast<double>(next_lsn_));
   }
   if (tracer_ != nullptr) {
-    tracer_->Span(obs::Track::kLogDisk, "log",
+    tracer_->Span(track_, "log",
                   std::string(kind) + " " + pid.ToString(), now_ns,
                   done_ns - now_ns);
   }
@@ -86,7 +87,7 @@ Result<uint64_t> LogDiskWriter::FlushBinPage(PartitionBin* bin,
   if (fault_ != nullptr && fault_->armed()) {
     fault::SiteEvent ev;
     ev.site = fault::Site::kSlbFlush;
-    ev.device = "log";
+    ev.device = disks_->name().c_str();
     ev.page_no = next_lsn_;
     ev.now_ns = now_ns;
     MMDB_RETURN_IF_ERROR(fault_->OnSite(&ev));
@@ -132,7 +133,7 @@ Result<uint64_t> LogDiskWriter::WriteArchivePage(
   if (fault_ != nullptr && fault_->armed()) {
     fault::SiteEvent ev;
     ev.site = fault::Site::kSlbFlush;
-    ev.device = "log";
+    ev.device = disks_->name().c_str();
     ev.page_no = next_lsn_;
     ev.now_ns = now_ns;
     MMDB_RETURN_IF_ERROR(fault_->OnSite(&ev));

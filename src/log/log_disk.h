@@ -2,6 +2,7 @@
 #define MMDB_LOG_LOG_DISK_H_
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "log/log_record.h"
@@ -79,14 +80,19 @@ class LogDiskWriter {
 
   const Config& config() const { return config_; }
 
-  /// Registers the writer's metric series (`log.*`): pages-flushed /
-  /// archive-page counters, a flush-latency histogram (submit to disk
-  /// completion, virtual ns), and a next-LSN gauge for window pressure.
-  void AttachMetrics(obs::MetricsRegistry* reg);
+  /// Registers the writer's metric series (`log.*`, each name followed by
+  /// `suffix`): pages-flushed / archive-page counters, a flush-latency
+  /// histogram (submit to disk completion, virtual ns), and a next-LSN
+  /// gauge for window pressure. Read retries count into the shared
+  /// `disk.retries_total`.
+  void AttachMetrics(obs::MetricsRegistry* reg, const std::string& suffix = "");
 
-  /// Attaches a tracer; each flushed page then emits a span on the
-  /// log-disk track.
-  void AttachTracer(obs::Tracer* tracer) { tracer_ = tracer; }
+  /// Attaches a tracer; each flushed page then emits a span on `track`.
+  void AttachTracer(obs::Tracer* tracer,
+                    obs::Track track = obs::Track::kLogDisk) {
+    tracer_ = tracer;
+    track_ = track;
+  }
 
   /// Arms the `slb.flush` fault site at the flush entry points plus
   /// post-write barriers (crash between the disk write and the bin's
@@ -169,6 +175,7 @@ class LogDiskWriter {
   obs::Histogram* m_flush_ns_ = nullptr;
   obs::Gauge* m_next_lsn_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
+  obs::Track track_ = obs::Track::kLogDisk;
 };
 
 }  // namespace mmdb

@@ -4,16 +4,18 @@
 
 namespace mmdb {
 
-void StableLogBuffer::AttachMetrics(obs::MetricsRegistry* reg) {
-  m_records_ = reg->counter("slb.records_appended");
-  m_bytes_ = reg->counter("slb.bytes_appended");
-  m_blocks_ = reg->counter("slb.blocks_allocated");
-  m_occupancy_ = reg->gauge("slb.occupancy_bytes");
+void StableLogBuffer::AttachMetrics(obs::MetricsRegistry* reg,
+                                    const std::string& suffix) {
+  m_records_ = reg->counter("slb.records_appended" + suffix);
+  m_bytes_ = reg->counter("slb.bytes_appended" + suffix);
+  m_blocks_ = reg->counter("slb.blocks_allocated" + suffix);
+  m_occupancy_ = reg->gauge("slb.occupancy_bytes" + suffix);
   // Occupancy sampled at each block allocation, in bytes: power-of-two
   // buckets from one block (2KB default) up past typical capacities.
   std::vector<double> bounds;
   for (double b = 1024.0; b <= 256.0 * 1024 * 1024; b *= 2) bounds.push_back(b);
-  m_occupancy_dist_ = reg->histogram("slb.occupancy_at_alloc_bytes", bounds);
+  m_occupancy_dist_ =
+      reg->histogram("slb.occupancy_at_alloc_bytes" + suffix, bounds);
   m_occupancy_->Set(static_cast<double>(occupancy_bytes_));
 }
 
@@ -58,8 +60,6 @@ Status StableLogBuffer::AppendToChain(Chain* chain, const LogRecord& rec) {
             b.buf.begin() + b.used);
   b.used += static_cast<uint32_t>(append_scratch_.size());
   ++chain->records;
-  ++records_appended_;
-  bytes_appended_ += append_scratch_.size();
   if (m_records_ != nullptr) {
     m_records_->Add(1);
     m_bytes_->Add(append_scratch_.size());

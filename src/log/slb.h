@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <deque>
 #include <list>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -76,10 +77,11 @@ class StableLogBuffer {
 
   const Config& config() const { return config_; }
 
-  /// Registers the SLB's metric series (`slb.*`): append counters plus
-  /// occupancy (current gauge and per-append distribution), so buffer
-  /// pressure between the main CPU and the sort process is visible.
-  void AttachMetrics(obs::MetricsRegistry* reg);
+  /// Registers the SLB's metric series (`slb.*`, each name followed by
+  /// `suffix`): append counters plus occupancy (current gauge and
+  /// per-append distribution), so buffer pressure between the main CPU
+  /// and the sort process is visible.
+  void AttachMetrics(obs::MetricsRegistry* reg, const std::string& suffix = "");
 
   /// Arms fault barriers at the SLB's stable-mutation entry points and a
   /// bit-flip hook on the catalog-root copy (device "slb.catalog_root").
@@ -169,8 +171,6 @@ class StableLogBuffer {
 
   // --- statistics -----------------------------------------------------------
 
-  uint64_t records_appended() const { return records_appended_; }
-  uint64_t bytes_appended() const { return bytes_appended_; }
   uint64_t blocks_allocated() const { return blocks_allocated_; }
   uint64_t committed_backlog_records() const;
   /// Bytes currently held in SLB blocks (uncommitted + committed chains).
@@ -208,8 +208,6 @@ class StableLogBuffer {
   /// per log record; keeping the buffer avoids a per-record allocation).
   std::vector<uint8_t> append_scratch_;
 
-  uint64_t records_appended_ = 0;
-  uint64_t bytes_appended_ = 0;
   uint64_t blocks_allocated_ = 0;
   uint64_t occupancy_bytes_ = 0;
 

@@ -4,10 +4,11 @@
 
 namespace mmdb {
 
-void StableLogTail::AttachMetrics(obs::MetricsRegistry* reg) {
-  m_bins_in_use_ = reg->gauge("slt.bins_in_use");
-  m_active_pages_ = reg->gauge("slt.active_page_buffers");
-  m_bin_resets_ = reg->counter("slt.bin_resets");
+void StableLogTail::AttachMetrics(obs::MetricsRegistry* reg,
+                                  const std::string& suffix) {
+  m_bins_in_use_ = reg->gauge("slt.bins_in_use" + suffix);
+  m_active_pages_ = reg->gauge("slt.active_page_buffers" + suffix);
+  m_bin_resets_ = reg->counter("slt.bin_resets" + suffix);
   UpdateGauges();
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <span>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -86,10 +87,10 @@ class StableLogTail {
 
   const Config& config() const { return config_; }
 
-  /// Registers the SLT's metric series (`slt.*`): bins-in-use and
-  /// active-page-buffer gauges, plus a counter of bin resets (one per
-  /// completed checkpoint of an active partition).
-  void AttachMetrics(obs::MetricsRegistry* reg);
+  /// Registers the SLT's metric series (`slt.*`, each name followed by
+  /// `suffix`): bins-in-use and active-page-buffer gauges, plus a counter
+  /// of bin resets (one per completed checkpoint of an active partition).
+  void AttachMetrics(obs::MetricsRegistry* reg, const std::string& suffix = "");
 
   /// Arms fault barriers at the SLT's stable-mutation entry points and a
   /// bit-flip hook on the catalog-root copy (device "slt.catalog_root").

@@ -19,6 +19,8 @@ std::string TrackName(Track t) {
     default: break;
   }
   uint32_t id = static_cast<uint32_t>(t);
+  uint32_t log_base = static_cast<uint32_t>(Track::kLogDiskBase);
+  if (id >= log_base) return "log-disk-" + std::to_string(id - log_base);
   uint32_t worker_base = static_cast<uint32_t>(Track::kTxnWorkerBase);
   if (id >= worker_base) return "txn-worker-" + std::to_string(id - worker_base);
   uint32_t lane_base = static_cast<uint32_t>(Track::kRecoveryLaneBase);

@@ -24,6 +24,9 @@ enum class Track : uint32_t {
   /// Transaction-worker swimlanes start here: worker w is
   /// kTxnWorkerBase + w (the concurrent executor's per-worker lanes).
   kTxnWorkerBase = 32,
+  /// Log-disk swimlanes of log streams 1..N-1 start here, above any
+  /// worker id: stream s > 0 is kLogDiskBase + s (stream 0 is kLogDisk).
+  kLogDiskBase = 1u << 16,
 };
 
 /// Per-recovery-lane track (rendered "recovery-lane-<i>" in Perfetto).
@@ -36,6 +39,14 @@ inline Track LaneTrack(uint32_t lane) {
 inline Track WorkerTrack(uint32_t worker) {
   return static_cast<Track>(static_cast<uint32_t>(Track::kTxnWorkerBase) +
                             worker);
+}
+
+/// Log stream `s`'s log-disk track: "log-disk" for stream 0, rendered
+/// "log-disk-<s>" for every other stream.
+inline Track LogDiskTrack(uint32_t stream) {
+  return stream == 0 ? Track::kLogDisk
+                     : static_cast<Track>(
+                           static_cast<uint32_t>(Track::kLogDiskBase) + stream);
 }
 
 /// Virtual-clock tracer emitting Chrome `trace_event` JSON.

@@ -15,7 +15,7 @@ Status Checkpointer::Poll() {
     CheckpointRequest* next = nullptr;
     uint32_t stream = 0;
     for (uint32_t s = 0; s < db.log_streams() && next == nullptr; ++s) {
-      for (CheckpointRequest& r : db.slb_at(s)->checkpoint_requests()) {
+      for (CheckpointRequest& r : db.streams_[s].slb->checkpoint_requests()) {
         if (r.state == CheckpointState::kRequest) {
           next = &r;
           stream = s;
@@ -57,7 +57,7 @@ Status Checkpointer::RunOne(CheckpointRequest* req, uint32_t stream) {
   if (d == nullptr) {
     // The partition was dropped since the request: nothing to do.
     req->state = CheckpointState::kFinished;
-    db.slb_at(stream)->ClearFinished(pid);
+    db.streams_[stream].slb->ClearFinished(pid);
     return Status::OK();
   }
 
@@ -200,12 +200,12 @@ Status Checkpointer::RunOne(CheckpointRequest* req, uint32_t stream) {
       MMDB_RETURN_IF_ERROR(db.WriteCatalogRootBlock());
     }
     req->state = CheckpointState::kFinished;
-    for (uint32_t s = 0; s < db.log_streams(); ++s) {
-      MMDB_RETURN_IF_ERROR(db.recovery_at(s)->OnCheckpointFinished(
-          bin_index, db.clock_.now_ns()));
+    for (Database::LogStream& ls : db.streams_) {
+      MMDB_RETURN_IF_ERROR(
+          ls.recovery->OnCheckpointFinished(bin_index, db.clock_.now_ns()));
     }
     trigger = req->trigger;
-    db.slb_at(stream)->ClearFinished(pid);  // `req` dangles after this line
+    db.streams_[stream].slb->ClearFinished(pid);  // `req` dangles after this
     req = nullptr;
   }
   MMDB_RETURN_IF_ERROR(fault::Barrier(db.fault_.get()));
@@ -228,9 +228,9 @@ Status Checkpointer::RunOne(CheckpointRequest* req, uint32_t stream) {
                   "checkpoint " + pid.ToString(), ckpt_start_ns,
                   db.clock_.now_ns() - ckpt_start_ns);
 
-  // Roll retired log extents onto the archive.
-  MMDB_RETURN_IF_ERROR(
-      db.archive_->RollLog(db.log_disks_.get(), db.log_writer_->window_start()));
+  // Roll stream 0's retired log extents onto the archive.
+  MMDB_RETURN_IF_ERROR(db.archive_->RollLog(
+      db.streams_[0].disks.get(), db.streams_[0].writer->window_start()));
   return Status::OK();
 }
 

@@ -15,11 +15,13 @@ RecoveryManager::RecoveryManager(Config config, StableLogBuffer* slb,
       log_writer_(log_writer),
       cpu_(recovery_cpu) {}
 
-void RecoveryManager::AttachMetrics(obs::MetricsRegistry* reg) {
-  m_records_sorted_ = reg->counter("recovery.records_sorted");
-  m_ckpt_update_ = reg->counter("recovery.ckpt_requests_update_count");
-  m_ckpt_age_ = reg->counter("recovery.ckpt_requests_age");
-  m_window_slack_ = reg->gauge("log.window_slack_pages");
+void RecoveryManager::AttachMetrics(obs::MetricsRegistry* reg,
+                                    const std::string& suffix) {
+  m_records_sorted_ = reg->counter("recovery.records_sorted" + suffix);
+  m_ckpt_update_ =
+      reg->counter("recovery.ckpt_requests_update_count" + suffix);
+  m_ckpt_age_ = reg->counter("recovery.ckpt_requests_age" + suffix);
+  m_window_slack_ = reg->gauge("log.window_slack_pages" + suffix);
   UpdateWindowSlack();
 }
 

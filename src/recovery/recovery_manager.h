@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "analysis/model.h"
@@ -53,8 +54,9 @@ class RecoveryManager {
   /// Registers the sort process's metric series (`recovery.*`) plus the
   /// log-window pressure gauge `log.window_slack_pages`: how many pages
   /// the oldest active partition's first log page is ahead of the age
-  /// boundary (0 = age checkpoints firing now).
-  void AttachMetrics(obs::MetricsRegistry* reg);
+  /// boundary (0 = age checkpoints firing now). Every name is followed by
+  /// `suffix`.
+  void AttachMetrics(obs::MetricsRegistry* reg, const std::string& suffix = "");
 
   /// Arms fault handling for the sort process. Each SLB-pop + bin-append
   /// runs as one atomic stable transition (the real system releases a

@@ -68,23 +68,18 @@ Status RestartManager::Restart(RestartReport* report) {
   // SLBs. No fence here, and no recomputation from the markers: a crash
   // inside a previous attempt's end fence leaves the markers partially
   // advanced, and retries must keep reporting the original frontier.
-  if (!db.extra_streams_.empty()) {
-    report->epoch_frontier =
-        db.epoch_discard_frontier_ != UINT32_MAX
-            ? db.epoch_discard_frontier_
-            : *std::min_element(db.epoch_flushed_.begin(),
-                                db.epoch_flushed_.end());
-  }
-  for (uint32_t s = 0; s < db.log_streams(); ++s) {
+  // With one stream nothing is latched and the frontier stays UINT32_MAX.
+  report->epoch_frontier = db.epoch_discard_frontier_;
+  for (Database::LogStream& ls : db.streams_) {
     MMDB_RETURN_IF_ERROR(
-        db.recovery_at(s)->Drain(db.clock_.now_ns(), db.PumpBound(s)));
-    db.recovery_at(s)->RebuildFirstLsnList();
+        ls.recovery->Drain(db.clock_.now_ns(), db.PumpBound(ls)));
+    ls.recovery->RebuildFirstLsnList();
   }
 
   // Read the catalog root from its well-known stable location; it is
-  // stored twice (SLB + SLT) for reliability.
-  std::vector<uint8_t> root = db.slb_->catalog_root();
-  const std::vector<uint8_t>& root2 = db.slt_->catalog_root();
+  // stored twice (stream 0's SLB + SLT) for reliability.
+  std::vector<uint8_t> root = db.streams_[0].slb->catalog_root();
+  const std::vector<uint8_t>& root2 = db.streams_[0].slt->catalog_root();
   db.meter_->ChargeRead(root.size() + root2.size());
   if (root.empty() && root2.empty()) {
     // The database never had catalog data: a fresh start.
@@ -177,9 +172,9 @@ Status RestartManager::Restart(RestartReport* report) {
       }
     }
   }
-  uint64_t max_txn = db.slb_->max_txn_id();
-  for (const auto& ls : db.extra_streams_) {
-    max_txn = std::max(max_txn, ls->slb->max_txn_id());
+  uint64_t max_txn = 0;
+  for (const Database::LogStream& ls : db.streams_) {
+    max_txn = std::max(max_txn, ls.slb->max_txn_id());
   }
   db.v_->txns.SeedNextId(max_txn + 1);
 

@@ -277,6 +277,29 @@ TEST_F(DatabaseTest, ManyRelations) {
   ASSERT_OK(db_.Commit(t));
 }
 
+// log_streams = 0 reads as one stream, through a commit, a crash and a
+// restart.
+TEST(DatabaseOptionsTest, ZeroLogStreamsReadsAsOne) {
+  DatabaseOptions o = SmallOptions();
+  o.log_streams = 0;
+  Database db(o);
+  EXPECT_EQ(db.log_streams(), 1u);
+  EXPECT_EQ(db.options().log_streams, 1u);
+  ASSERT_OK(db.CreateRelation("acct", AccountSchema()));
+  auto t = db.Begin();
+  ASSERT_OK(t.status());
+  ASSERT_OK(db.Insert(t.value(), "acct", Account(1, 10, "x")).status());
+  ASSERT_OK(db.Commit(t.value()));
+  db.Crash();
+  ASSERT_OK(db.Restart());
+  EXPECT_EQ(db.last_restart().epoch_frontier, UINT32_MAX);
+  t = db.Begin();
+  ASSERT_OK(t.status());
+  ASSERT_OK_AND_ASSIGN(auto rows, db.Scan(t.value(), "acct"));
+  EXPECT_EQ(rows.size(), 1u);
+  ASSERT_OK(db.Commit(t.value()));
+}
+
 TEST_F(DatabaseTest, ForceCheckpointRelationCoversIndexes) {
   ASSERT_OK(db_.CreateRelation("acct", AccountSchema()));
   ASSERT_OK(db_.CreateIndex("acct_id", "acct", "id", IndexType::kTTree));

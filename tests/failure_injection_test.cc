@@ -8,9 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
+#include "concurrency_workload.h"
 #include "core/database.h"
 #include "fault/fault.h"
 #include "test_util.h"
+#include "txn/executor.h"
 
 namespace mmdb {
 namespace {
@@ -327,6 +331,75 @@ TEST_F(FailureInjectionTest, CrashAtVisitOnSlbFlushRecovers) {
   ASSERT_OK_AND_ASSIGN(auto rows, db.Scan(txn.value(), "r"));
   EXPECT_EQ(rows.size(), 800u);
   ASSERT_OK(db.Commit(txn.value()));
+}
+
+// The slb.flush site names the flushing stream's own log-disk pair, so a
+// spec can target one stream: "log1" fires at stream 1's first page flush
+// and never on stream 0. The flush runs in a commit's post-commit pump,
+// after every stamped epoch was fenced, so every committed script — the
+// commit-faulted one included — survives the crash.
+TEST(FailureInjectionStreamsTest, SlbFlushFaultNamesItsStream) {
+  testing::ConcurrencyWorkload w;
+  ASSERT_OK(w.Setup(/*workers=*/2, /*trace=*/false, /*streams=*/2));
+  fault::FaultPlan plan;
+  fault::FaultSpec spec;
+  spec.site = fault::Site::kSlbFlush;
+  spec.kind = fault::FaultKind::kCrash;
+  spec.device = "log1";
+  plan.specs.push_back(spec);
+  w.db->ArmFaultPlan(plan);
+
+  // Waves of the seeded workload until the spec fires; the scripts that
+  // committed, in commit order, are the serial-replay oracle.
+  std::vector<std::pair<uint64_t, int>> committed;  // (wave seed, script)
+  for (uint64_t seed = 1; seed <= 150; ++seed) {
+    ConcurrentExecutor ex(w.db.get());
+    for (TxnScript& s : w.MakeScripts(seed)) ex.Submit(std::move(s));
+    Status st = ex.Run();
+    std::map<uint64_t, int> script_of;
+    int faulted = -1;
+    for (size_t i = 0; i < ex.results().size(); ++i) {
+      const ScriptResult& r = ex.results()[i];
+      if (r.outcome == ScriptOutcome::kCommitted) {
+        script_of[r.txn_id] = static_cast<int>(i);
+      }
+      if (r.commit_faulted) faulted = static_cast<int>(i);
+    }
+    for (uint64_t id : ex.commit_order()) {
+      committed.emplace_back(seed, script_of.at(id));
+    }
+    if (!st.ok()) {
+      ASSERT_TRUE(st.IsFault()) << st.ToString();
+      ASSERT_GE(faulted, 0);
+      committed.emplace_back(seed, faulted);
+      break;
+    }
+    w.db->AdvanceClockTo(ex.completion_ns());
+  }
+  ASSERT_TRUE(w.db->fault_injector().crash_pending());
+  EXPECT_EQ(w.db->fault_injector().crashes_fired(), 1u);
+  // The flush sits inside the sort process's atomic pop-and-bin step, so
+  // the page that fired still lands; the crash takes effect right after.
+  const obs::MetricsRegistry& reg = w.db->metrics();
+  EXPECT_GT(reg.counter_value("log.pages_flushed"), 0u);
+  EXPECT_EQ(reg.counter_value("log.pages_flushed.1"), 1u);
+
+  w.db->Crash();
+  ASSERT_OK(w.db->Restart());
+  testing::ConcurrencyWorkload serial;
+  ASSERT_OK(serial.Setup(/*workers=*/1));
+  for (const auto& [seed, script] : committed) {
+    std::vector<TxnScript> scripts = serial.MakeScripts(seed);
+    auto t = serial.db->Begin();
+    ASSERT_OK(t.status());
+    for (TxnOp& op : scripts[script].ops) {
+      ASSERT_OK(op(*serial.db, t.value()));
+    }
+    ASSERT_OK(serial.db->Commit(t.value()));
+  }
+  ASSERT_OK_AND_ASSIGN(auto got, w.LogicalRows());
+  ASSERT_OK_AND_ASSIGN(auto want, serial.LogicalRows());
+  EXPECT_EQ(got, want);
 }
 
 TEST_F(FailureInjectionTest, CrashAtTimeRecovers) {
