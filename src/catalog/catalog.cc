@@ -236,6 +236,13 @@ Result<RelationInfo*> Catalog::RelationOfSegment(SegmentId segment) {
                           std::to_string(segment));
 }
 
+Result<IndexInfo*> Catalog::IndexOfSegment(SegmentId segment) {
+  for (auto& [_, i] : indexes_) {
+    if (i.segment == segment) return &i;
+  }
+  return Status::NotFound("no index owns segment " + std::to_string(segment));
+}
+
 // ---------------------------------------------------------------------------
 // Row serialization
 // ---------------------------------------------------------------------------

@@ -174,6 +174,8 @@ class Catalog {
   std::string SegmentOwnerName(SegmentId segment) const;
   /// Relation owning `segment` directly or via one of its indexes.
   Result<RelationInfo*> RelationOfSegment(SegmentId segment);
+  /// Index owning `segment`; NotFound for relation segments.
+  Result<IndexInfo*> IndexOfSegment(SegmentId segment);
 
   // --- row serialization (shared by Database persistence + recovery) -------
   static std::vector<uint8_t> SerializeRelationRow(const RelationInfo& r);

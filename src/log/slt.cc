@@ -43,6 +43,7 @@ Result<uint32_t> StableLogTail::RegisterPartition(PartitionId pid) {
 }
 
 Status StableLogTail::ReleaseBin(uint32_t bin_index) {
+  MMDB_RETURN_IF_ERROR(fault::Barrier(fault_));
   auto b = bin(bin_index);
   if (!b.ok()) return b.status();
   if (BinActive(*b.value())) {

@@ -99,7 +99,9 @@ class StableLogTail {
   /// Assigns a permanent bin to a newly allocated partition.
   Result<uint32_t> RegisterPartition(PartitionId pid);
 
-  /// Releases a bin when its partition is deallocated.
+  /// Releases a bin when its partition is deallocated. Refused while an
+  /// injected crash is pending: the bin outlives the crash, and restart
+  /// releases every bin no catalog row describes.
   Status ReleaseBin(uint32_t bin_index);
 
   Result<PartitionBin*> bin(uint32_t bin_index);

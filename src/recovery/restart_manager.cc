@@ -1,5 +1,7 @@
 #include "recovery/restart_manager.h"
 
+#include <unordered_set>
+
 #include "core/database.h"
 #include "util/crc32.h"
 #include "util/logging.h"
@@ -160,15 +162,33 @@ Status RestartManager::Restart(RestartReport* report) {
   // collide with recovered ones.
   db.v_->pm.BumpCounters(db.v_->catalog.max_segment_seen() + 1,
                          PartitionId{catalog_segment, 0});
+  std::unordered_set<PartitionId> described;
+  for (const PartitionDescriptor& cd : db.v_->catalog_partitions) {
+    described.insert(cd.id);
+  }
   for (const RelationInfo* rc : db.v_->catalog.AllRelations()) {
     for (const PartitionDescriptor& d : rc->partitions) {
       db.v_->pm.BumpCounters(d.id.segment + 1, d.id);
+      described.insert(d.id);
     }
     for (const std::string& iname : rc->index_names) {
       auto idx = db.v_->catalog.GetIndex(iname);
       if (!idx.ok()) return idx.status();
       for (const PartitionDescriptor& d : idx.value()->partitions) {
         db.v_->pm.BumpCounters(d.id.segment + 1, d.id);
+        described.insert(d.id);
+      }
+    }
+  }
+  // A bin no catalog row describes belongs to a partition of an index
+  // whose CreateIndex never committed; nothing will replay it. Every
+  // stream releases the same bins, so their free lists stay aligned.
+  for (Database::LogStream& ls : db.streams_) {
+    for (uint32_t b = 0; b < ls.slt->bin_count(); ++b) {
+      auto bin = ls.slt->bin(b);
+      if (bin.ok() && described.count(bin.value()->partition) == 0) {
+        ls.recovery->OnPartitionDropped(b);
+        MMDB_RETURN_IF_ERROR(ls.slt->ReleaseBin(b));
       }
     }
   }

@@ -35,12 +35,6 @@ class EntityStore {
 
   virtual Status Delete(const EntityAddr& addr) = 0;
 
-  /// Whether an Update of `addr` to `new_size` bytes can succeed in its
-  /// partition. Index structures use this to degrade gracefully (e.g.
-  /// skip a hash split whose bigger directory would no longer fit).
-  virtual Result<bool> FitsUpdate(const EntityAddr& addr,
-                                  size_t new_size) = 0;
-
   /// Reads an entity (copies: partition spans are invalidated by
   /// mutations).
   virtual Result<std::vector<uint8_t>> Read(const EntityAddr& addr) = 0;

@@ -121,24 +121,6 @@ void Partition::Compact() {
   h->garbage = 0;
 }
 
-uint32_t Partition::AllocHeap(uint32_t n) {
-  Header* h = header();
-  uint32_t dir_end = kHeaderSize + h->slot_count * kSlotEntrySize;
-  if (h->heap_top - dir_end >= n) {
-    h->heap_top -= n;
-    return h->heap_top;
-  }
-  if (h->garbage >= n) {
-    Compact();
-    dir_end = kHeaderSize + h->slot_count * kSlotEntrySize;
-    if (h->heap_top - dir_end >= n) {
-      h->heap_top -= n;
-      return h->heap_top;
-    }
-  }
-  return 0;
-}
-
 Result<uint32_t> Partition::Insert(std::span<const uint8_t> data) {
   Header* h = header();
   // Reuse a free directory entry if one exists.
@@ -163,12 +145,14 @@ Status Partition::InsertAt(uint32_t slot, std::span<const uint8_t> data) {
   uint32_t grow = (new_slot_count - h->slot_count) * kSlotEntrySize;
   uint32_t dir_end = kHeaderSize + h->slot_count * kSlotEntrySize;
   uint32_t need = grow + static_cast<uint32_t>(data.size());
-  if (h->heap_top - dir_end < need && h->garbage < need) {
+  // Compaction merges the garbage into the free space, so together they
+  // decide whether the entity fits.
+  if (h->heap_top - dir_end + h->garbage < need) {
     return Status::Full("partition cannot fit entity");
   }
   if (h->heap_top - dir_end < need) Compact();
-  dir_end = kHeaderSize + h->slot_count * kSlotEntrySize;
   if (h->heap_top - dir_end < need) {
+    // A garbage count the heap does not back (a damaged image).
     return Status::Full("partition cannot fit entity after compaction");
   }
   // Grow the directory, marking any intermediate new slots free.
@@ -178,13 +162,12 @@ Status Partition::InsertAt(uint32_t slot, std::span<const uint8_t> data) {
     e[1] = 0;
   }
   h->slot_count = new_slot_count;
-  uint32_t off = AllocHeap(static_cast<uint32_t>(data.size()));
-  MMDB_CHECK(off != 0 || data.empty());
+  h->heap_top -= static_cast<uint32_t>(data.size());
   if (!data.empty()) {
-    std::memcpy(buf_.data() + off, data.data(), data.size());
+    std::memcpy(buf_.data() + h->heap_top, data.data(), data.size());
   }
   uint32_t* e = slot_entry(slot);
-  e[0] = off == 0 ? h->heap_top : off;  // empty entities point at heap_top
+  e[0] = h->heap_top;
   e[1] = static_cast<uint32_t>(data.size());
   ++h->live_count;
   ++update_count_;
@@ -244,14 +227,6 @@ Status Partition::Delete(uint32_t slot) {
     --h->slot_count;
   }
   return Status::OK();
-}
-
-bool Partition::CanUpdate(uint32_t slot, size_t new_size) const {
-  if (!SlotUsed(slot)) return false;
-  const uint32_t* e = slot_entry(slot);
-  if (new_size <= e[1]) return true;
-  return static_cast<size_t>(free_bytes()) + garbage_bytes() + e[1] >=
-         new_size;
 }
 
 Result<std::span<const uint8_t>> Partition::Read(uint32_t slot) const {

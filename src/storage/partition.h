@@ -56,7 +56,7 @@ class Partition {
   uint32_t bin_index() const;
 
   /// Inserts an entity, choosing a free slot. Returns the slot number, or
-  /// kFull when neither free space nor compactable garbage suffices.
+  /// kFull when free space plus compactable garbage does not suffice.
   Result<uint32_t> Insert(std::span<const uint8_t> data);
 
   /// Inserts an entity at a specific slot (REDO apply and UNDO of delete).
@@ -69,11 +69,6 @@ class Partition {
   /// Frees `slot`. The heap space becomes garbage, reclaimed by
   /// compaction.
   Status Delete(uint32_t slot);
-
-  /// Whether Update(slot, <new_size bytes>) can succeed: shrinking
-  /// updates always fit; growing ones fit if free space plus reclaimable
-  /// garbage plus the entity's current bytes cover the new size.
-  bool CanUpdate(uint32_t slot, size_t new_size) const;
 
   /// Reads the entity at `slot`. The span is invalidated by any mutation.
   Result<std::span<const uint8_t>> Read(uint32_t slot) const;
@@ -115,9 +110,6 @@ class Partition {
 
   /// Compacts the heap in place; slot numbers are preserved.
   void Compact();
-
-  /// Allocates `n` heap bytes, compacting if needed. Returns offset or 0.
-  uint32_t AllocHeap(uint32_t n);
 
   std::vector<uint8_t> buf_;
   uint64_t update_count_ = 0;

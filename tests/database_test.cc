@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <set>
 
 #include "core/database.h"
 #include "test_util.h"
+#include "util/random.h"
 
 namespace mmdb {
 namespace {
@@ -167,6 +169,74 @@ TEST_F(DatabaseTest, HashIndexMaintainedByDml) {
   }
   EXPECT_TRUE(db_.IndexRange(t, "acct_id", 0, 5).status().IsNotSupported());
   ASSERT_OK(db_.Commit(t));
+}
+
+TEST(DatabaseHashGrowthTest, HashIndexGrowsOverRandomOrderInserts) {
+  // An empty hash index grows by splits alone: 25,000 keys in a random
+  // order, 100 rows per transaction, at the default geometry (48 KB
+  // partitions, 8 KB log pages).
+  Database db;
+  ASSERT_OK(db.CreateRelation("acct", AccountSchema()));
+  ASSERT_OK(db.CreateIndex("acct_id", "acct", "id", IndexType::kLinearHash));
+  constexpr int64_t kKeys = 25000;
+  std::vector<int64_t> ids(kKeys);
+  std::iota(ids.begin(), ids.end(), 0);
+  Random rng(3);
+  for (size_t i = ids.size(); i > 1; --i) {
+    std::swap(ids[i - 1], ids[rng.Uniform(i)]);
+  }
+  for (size_t next = 0; next < ids.size();) {
+    ASSERT_OK_AND_ASSIGN(Transaction * t, db.Begin());
+    for (int k = 0; k < 100 && next < ids.size(); ++k, ++next) {
+      ASSERT_OK(db.Insert(t, "acct", Account(ids[next], 0, "x")).status());
+    }
+    ASSERT_OK(db.Commit(t));
+  }
+  ASSERT_OK_AND_ASSIGN(Transaction * t, db.Begin());
+  for (int64_t i = 0; i < kKeys; i += 11) {
+    ASSERT_OK_AND_ASSIGN(auto hits, db.IndexLookup(t, "acct_id", i));
+    ASSERT_EQ(hits.size(), 1u) << i;
+    ASSERT_OK_AND_ASSIGN(Tuple tuple, db.Read(t, "acct", hits[0]));
+    EXPECT_EQ(std::get<int64_t>(tuple[0]), i);
+  }
+  ASSERT_OK(db.Commit(t));
+  // About 3,500 nodes of 178 bytes fill a dozen or two 48 KB partitions.
+  ASSERT_OK_AND_ASSIGN(auto* idx, db.catalog().GetIndex("acct_id"));
+  EXPECT_LT(idx->partitions.size(), 30u) << idx->partitions.size();
+}
+
+TEST_F(DatabaseTest, MixedSizeChurnReusesFreedSpace) {
+  // Deleting rows and inserting longer ones leaves partitions whose free
+  // space and garbage each fall short of a new row while together they
+  // hold it. Such a partition must take the row, and the relation must
+  // not grow while its live data does not.
+  ASSERT_OK(db_.CreateRelation("acct", AccountSchema()));
+  Random rng(11);
+  auto owner = [&] {
+    return std::string(static_cast<size_t>(rng.UniformRange(10, 400)), 'o');
+  };
+  std::vector<EntityAddr> live;
+  Transaction* t = MustBegin();
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_OK_AND_ASSIGN(EntityAddr a,
+                         db_.Insert(t, "acct", Account(i, 0, owner())));
+    live.push_back(a);
+  }
+  ASSERT_OK(db_.Commit(t));
+  ASSERT_OK_AND_ASSIGN(auto* rel, db_.catalog().GetRelation("acct"));
+  const size_t before = rel->partitions.size();
+  for (int round = 0; round < 60; ++round) {
+    t = MustBegin();
+    for (int k = 0; k < 20; ++k) {
+      EntityAddr& victim = live[rng.Uniform(live.size())];
+      ASSERT_OK(db_.Delete(t, "acct", victim));
+      ASSERT_OK_AND_ASSIGN(
+          victim, db_.Insert(t, "acct", Account(1000 + round * 20 + k, 0,
+                                                owner())));
+    }
+    ASSERT_OK(db_.Commit(t));
+  }
+  EXPECT_LE(rel->partitions.size(), before + 1);
 }
 
 TEST_F(DatabaseTest, IndexBackfillOnCreate) {

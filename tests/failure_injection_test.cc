@@ -497,12 +497,16 @@ TEST_F(FailureInjectionTest, SlbRootCopyLostFallsBackToSltCopy) {
 
 TEST_F(FailureInjectionTest, CheckpointDiskFullSurfacesAsFull) {
   DatabaseOptions o = SmallOptions();
-  o.checkpoint_disk_slots = 2;  // room for almost nothing
+  o.checkpoint_disk_slots = 2;  // fewer slots than data partitions
   Database db(o);
-  ASSERT_OK(db.CreateRelation("r", S()));
-  Status st = Fill(&db, "r", 0, 100);
+  Status st = Status::OK();
+  for (int r = 0; r < 3 && st.ok(); ++r) {
+    const std::string rel = "r" + std::to_string(r);
+    st = db.CreateRelation(rel, S());
+    if (st.ok()) st = Fill(&db, rel, 0, 100);
+  }
   if (st.ok()) st = db.CheckpointEverything();
-  // Several partitions (catalog + data) cannot fit in 2 slots.
+  // Three data partitions (plus the catalog) cannot fit in 2 slots.
   EXPECT_TRUE(st.IsFull()) << st.ToString();
 }
 

@@ -120,6 +120,33 @@ TEST(PartitionTest, CompactionReclaimsGarbage) {
   }
 }
 
+TEST(PartitionTest, InsertFitsWhenFreeSpaceAndGarbageTogetherCoverIt) {
+  Partition p({1, 0}, 4096, 0);
+  ASSERT_OK_AND_ASSIGN(uint32_t s0, p.Insert(testing::FilledBytes(1000, 1)));
+  ASSERT_OK_AND_ASSIGN(uint32_t s1, p.Insert(testing::FilledBytes(1000, 2)));
+  ASSERT_OK_AND_ASSIGN(uint32_t s2, p.Insert(testing::FilledBytes(1000, 3)));
+  ASSERT_OK(p.Delete(s0));
+  // Neither the contiguous free space nor the garbage alone holds 1500
+  // bytes; compaction merges them into one run that does.
+  ASSERT_LT(p.free_bytes(), 1500u);
+  ASSERT_LT(p.garbage_bytes(), 1500u);
+  ASSERT_GE(p.free_bytes() + p.garbage_bytes(), 1500u);
+  ASSERT_OK_AND_ASSIGN(uint32_t s3, p.Insert(testing::FilledBytes(1500, 4)));
+  EXPECT_EQ(s3, s0);  // the freed slot is reused
+  EXPECT_EQ(p.garbage_bytes(), 0u);
+  ASSERT_OK_AND_ASSIGN(auto b1, p.Read(s1));
+  EXPECT_EQ(std::vector<uint8_t>(b1.begin(), b1.end()),
+            testing::FilledBytes(1000, 2));
+  ASSERT_OK_AND_ASSIGN(auto b2, p.Read(s2));
+  EXPECT_EQ(std::vector<uint8_t>(b2.begin(), b2.end()),
+            testing::FilledBytes(1000, 3));
+  ASSERT_OK_AND_ASSIGN(auto b3, p.Read(s3));
+  EXPECT_EQ(std::vector<uint8_t>(b3.begin(), b3.end()),
+            testing::FilledBytes(1500, 4));
+  // Past free + garbage the partition is still full.
+  EXPECT_TRUE(p.Insert(testing::FilledBytes(1000, 5)).status().IsFull());
+}
+
 TEST(PartitionTest, ImageRoundTripPreservesEverything) {
   Partition p({3, 7}, 8192, 11);
   ASSERT_OK_AND_ASSIGN(uint32_t s0, p.Insert(testing::FilledBytes(64, 1)));

@@ -79,13 +79,6 @@ class PlainEntityStore : public EntityStore {
     return std::vector<uint8_t>(bytes.value().begin(), bytes.value().end());
   }
 
-  Result<bool> FitsUpdate(const EntityAddr& addr,
-                          size_t new_size) override {
-    auto p = pm_.Get(addr.partition);
-    if (!p.ok()) return p.status();
-    return p.value()->CanUpdate(addr.slot, new_size);
-  }
-
   Status NodeInsertEntry(const EntityAddr& addr,
                          const node::Entry& e) override {
     auto bytes = Read(addr);
