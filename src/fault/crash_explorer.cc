@@ -57,8 +57,10 @@ Status CrashExplorer::RunScript(Database* db, Ledger* led) {
 
   // Phase B: a deterministic transaction mix — inserts, plus one txn of
   // updates+delete and one delete-heavy txn — with forced checkpoints in
-  // the middle of the stream.
-  const int kTxns = 14;
+  // the middle of the stream. There are enough transactions for their
+  // small records to fill many log pages, so the sweep has SLB flushes
+  // and log disk writes to crash inside.
+  const int kTxns = 48;
   const int kOpsPerTxn = 4;
   int64_t next_key = 0;
   for (int ti = 0; ti < kTxns; ++ti) {

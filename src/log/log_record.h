@@ -35,6 +35,10 @@ enum class LogOp : uint8_t {
   kNodeInsertEntry = 4,
   /// Remove one (key, addr) entry from the index node at a slot.
   kNodeRemoveEntry = 5,
+  /// Overwrite `data` at byte `offset` of the entity at a slot, keeping
+  /// its length: a same-length update logs only the span from its first
+  /// to its last changed byte.
+  kPatch = 6,
 };
 
 /// One REDO (or, in the volatile UNDO space, UNDO) log record.
@@ -44,8 +48,10 @@ struct LogRecord {
   uint64_t txn_id = 0;
   PartitionId partition;
   uint32_t slot = 0;
-  // Payload for kInsert / kUpdate: the entity image.
+  // Payload for kInsert / kUpdate: the entity image; for kPatch: the
+  // changed span, which starts `offset` bytes into the entity.
   std::vector<uint8_t> data;
+  uint16_t offset = 0;
   // Payload for kNode*Entry: one index entry.
   int64_t key = 0;
   EntityAddr child;
@@ -91,12 +97,14 @@ struct LogRecord {
 /// Applies a single REDO (or UNDO) record to its partition. Records are
 /// deterministic: applying the committed record sequence, in commit
 /// order, to a transaction-consistent checkpoint image reproduces the
-/// partition exactly.
+/// partition exactly. A kPatch that runs past its entity's end is
+/// Corruption.
 Status ApplyLogRecord(const LogRecord& rec, Partition* partition);
 
 /// Builds the UNDO (inverse) record for a REDO record given the
 /// pre-image state. `pre_image` is the entity's bytes before the change
-/// (required for kUpdate and kDelete; ignored otherwise).
+/// (required for kUpdate, kPatch and kDelete; ignored otherwise). The
+/// UNDO of a kPatch is a full-image kUpdate.
 LogRecord MakeUndo(const LogRecord& redo, std::span<const uint8_t> pre_image);
 
 }  // namespace mmdb

@@ -123,12 +123,15 @@ void Partition::Compact() {
 
 Result<uint32_t> Partition::Insert(std::span<const uint8_t> data) {
   Header* h = header();
-  // Reuse a free directory entry if one exists.
+  // Reuse the lowest free directory entry; a directory with every entry
+  // live has none, so the scan is skipped and the entity appends.
   uint32_t slot = h->slot_count;
-  for (uint32_t s = 0; s < h->slot_count; ++s) {
-    if (slot_entry(s)[0] == kFreeSlot) {
-      slot = s;
-      break;
+  if (h->live_count < h->slot_count) {
+    for (uint32_t s = 0; s < h->slot_count; ++s) {
+      if (slot_entry(s)[0] == kFreeSlot) {
+        slot = s;
+        break;
+      }
     }
   }
   Status st = InsertAt(slot, data);

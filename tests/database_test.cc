@@ -123,6 +123,32 @@ TEST_F(DatabaseTest, AbortRollsBackEverything) {
   ASSERT_OK(db_.Commit(t));
 }
 
+TEST_F(DatabaseTest, AbortedPatchedUpdateRestoresThePreImage) {
+  ASSERT_OK(db_.CreateRelation("acct", AccountSchema()));
+  Transaction* t = MustBegin();
+  ASSERT_OK_AND_ASSIGN(EntityAddr a,
+                       db_.Insert(t, "acct", Account(1, 100, "alice")));
+  ASSERT_OK(db_.Commit(t));
+  ASSERT_OK_AND_ASSIGN(Partition * p, db_.partitions().Get(a.partition));
+  const std::vector<uint8_t> image = p->image();
+
+  // Same length, so the REDO record is a patch; the UNDO record is the
+  // whole pre-image.
+  ASSERT_OK_AND_ASSIGN(auto* rel, db_.catalog().GetRelation("acct"));
+  ASSERT_OK_AND_ASSIGN(auto post, rel->schema.Encode(Account(1, 300, "alicE")));
+  t = MustBegin();
+  ASSERT_OK(db_.Update(t, "acct", a, Account(1, 300, "alicE")));
+  EXPECT_LT(t->redo_bytes(), 25u + 2 + post.size());
+  EXPECT_NE(p->image(), image);
+  ASSERT_OK(db_.Abort(t));
+  EXPECT_EQ(p->image(), image);
+
+  t = MustBegin();
+  ASSERT_OK_AND_ASSIGN(Tuple back, db_.Read(t, "acct", a));
+  EXPECT_EQ(back, Account(1, 100, "alice"));
+  ASSERT_OK(db_.Commit(t));
+}
+
 TEST_F(DatabaseTest, TTreeIndexMaintainedByDml) {
   ASSERT_OK(db_.CreateRelation("acct", AccountSchema()));
   ASSERT_OK(db_.CreateIndex("acct_bal", "acct", "balance", IndexType::kTTree));

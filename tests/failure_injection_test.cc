@@ -333,6 +333,32 @@ TEST_F(FailureInjectionTest, CrashAtVisitOnSlbFlushRecovers) {
   ASSERT_OK(db.Commit(txn.value()));
 }
 
+// The seeded write scripts, each opening with the insert of one wide row
+// into "pad": the row mix alone logs a few bytes per update. A crash
+// latched by the page flush a pad record fills then surfaces at the next
+// record of the same post-commit pump, inside that commit. The pad rows
+// are state-independent, so serial replay stays an oracle for "r".
+constexpr size_t kPadBytes = 64;
+
+Status AddPadRelation(Database* db) {
+  return db->CreateRelation("pad", Schema({{"id", ColumnType::kInt64},
+                                           {"s", ColumnType::kString}}));
+}
+
+std::vector<TxnScript> PaddedScripts(const testing::ConcurrencyWorkload& w,
+                                     uint64_t seed) {
+  std::vector<TxnScript> scripts = w.MakeScripts(seed);
+  for (size_t i = 0; i < scripts.size(); ++i) {
+    const int64_t key = static_cast<int64_t>(seed * scripts.size() + i);
+    auto& ops = scripts[i].ops;
+    ops.insert(ops.begin(), [key](Database& d, Transaction* t) -> Status {
+      return d.Insert(t, "pad", Tuple{key, std::string(kPadBytes, 'p')})
+          .status();
+    });
+  }
+  return scripts;
+}
+
 // The slb.flush site names the flushing stream's own log-disk pair, so a
 // spec can target one stream: "log1" fires at stream 1's first page flush
 // and never on stream 0. The flush runs in a commit's post-commit pump,
@@ -341,6 +367,7 @@ TEST_F(FailureInjectionTest, CrashAtVisitOnSlbFlushRecovers) {
 TEST(FailureInjectionStreamsTest, SlbFlushFaultNamesItsStream) {
   testing::ConcurrencyWorkload w;
   ASSERT_OK(w.Setup(/*workers=*/2, /*trace=*/false, /*streams=*/2));
+  ASSERT_OK(AddPadRelation(w.db.get()));
   fault::FaultPlan plan;
   fault::FaultSpec spec;
   spec.site = fault::Site::kSlbFlush;
@@ -354,7 +381,7 @@ TEST(FailureInjectionStreamsTest, SlbFlushFaultNamesItsStream) {
   std::vector<std::pair<uint64_t, int>> committed;  // (wave seed, script)
   for (uint64_t seed = 1; seed <= 150; ++seed) {
     ConcurrentExecutor ex(w.db.get());
-    for (TxnScript& s : w.MakeScripts(seed)) ex.Submit(std::move(s));
+    for (TxnScript& s : PaddedScripts(w, seed)) ex.Submit(std::move(s));
     Status st = ex.Run();
     std::map<uint64_t, int> script_of;
     int faulted = -1;
@@ -388,8 +415,9 @@ TEST(FailureInjectionStreamsTest, SlbFlushFaultNamesItsStream) {
   ASSERT_OK(w.db->Restart());
   testing::ConcurrencyWorkload serial;
   ASSERT_OK(serial.Setup(/*workers=*/1));
+  ASSERT_OK(AddPadRelation(serial.db.get()));
   for (const auto& [seed, script] : committed) {
-    std::vector<TxnScript> scripts = serial.MakeScripts(seed);
+    std::vector<TxnScript> scripts = PaddedScripts(serial, seed);
     auto t = serial.db->Begin();
     ASSERT_OK(t.status());
     for (TxnOp& op : scripts[script].ops) {

@@ -130,6 +130,29 @@ TEST(MvccTest, AbortUnlinksUncommittedVersions) {
   EXPECT_EQ(rig.db->mvcc_versions_live(), 0u);
 }
 
+TEST(MvccTest, SnapshotBeforeAPatchedUpdateSeesThePreImage) {
+  Rig rig;
+  ASSERT_OK(rig.Setup());
+
+  // 300 -> 301 changes one byte, so the writer logs a one-byte patch;
+  // the version store still keeps the whole pre-image for the reader.
+  ASSERT_OK_AND_ASSIGN(Transaction * reader, rig.BeginSnapshot());
+  ASSERT_OK_AND_ASSIGN(Transaction * w, rig.db->Begin());
+  ASSERT_OK(rig.db->Update(w, "r", rig.addrs.at(3), Tuple{3, 301}));
+  EXPECT_EQ(w->redo_bytes(), 25u + 4 + 1);
+  ASSERT_OK_AND_ASSIGN(auto row, rig.db->Read(reader, "r", rig.addrs.at(3)));
+  EXPECT_EQ(row, (Tuple{3, 300}));
+  ASSERT_OK(rig.db->Commit(w));
+  ASSERT_OK_AND_ASSIGN(row, rig.db->Read(reader, "r", rig.addrs.at(3)));
+  EXPECT_EQ(row, (Tuple{3, 300}));
+  ASSERT_OK(rig.db->Commit(reader));
+
+  ASSERT_OK_AND_ASSIGN(Transaction * after, rig.BeginSnapshot());
+  ASSERT_OK_AND_ASSIGN(row, rig.db->Read(after, "r", rig.addrs.at(3)));
+  EXPECT_EQ(row, (Tuple{3, 301}));
+  ASSERT_OK(rig.db->Commit(after));
+}
+
 TEST(MvccTest, ReadOnlyTransactionsRejectWrites) {
   Rig rig;
   ASSERT_OK(rig.Setup());

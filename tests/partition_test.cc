@@ -44,6 +44,25 @@ TEST(PartitionTest, SlotReuseAfterDelete) {
   EXPECT_EQ(s2, s0);  // lowest free slot reused
 }
 
+TEST(PartitionTest, InsertAppendsWhenNoEntryIsFreeElseReusesLowest) {
+  Partition p({1, 0}, 48 * 1024, 0);
+  for (uint32_t i = 0; i < 6; ++i) {
+    ASSERT_OK_AND_ASSIGN(uint32_t s, p.Insert(testing::Bytes({1})));
+    EXPECT_EQ(s, i);  // every entry live: append
+  }
+  ASSERT_OK(p.Delete(4));
+  ASSERT_OK(p.Delete(1));
+  ASSERT_EQ(p.slot_count(), 6u);
+  ASSERT_EQ(p.live_count(), 4u);
+  ASSERT_OK_AND_ASSIGN(uint32_t a, p.Insert(testing::Bytes({2})));
+  EXPECT_EQ(a, 1u);  // lowest freed entry first
+  ASSERT_OK_AND_ASSIGN(uint32_t b, p.Insert(testing::Bytes({3})));
+  EXPECT_EQ(b, 4u);
+  ASSERT_OK_AND_ASSIGN(uint32_t c, p.Insert(testing::Bytes({4})));
+  EXPECT_EQ(c, 6u);  // directory full again: append
+  EXPECT_EQ(p.slot_count(), 7u);
+}
+
 TEST(PartitionTest, InsertAtSpecificSlotGrowsDirectory) {
   Partition p({1, 0}, 48 * 1024, 0);
   ASSERT_OK(p.InsertAt(4, testing::Bytes({9})));
