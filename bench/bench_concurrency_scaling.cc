@@ -18,8 +18,6 @@
 //     with flattening (but no collapse: >= 0.95x) tolerated at 16 and 32
 //     where the shared allocation gate saturates.
 
-#include <benchmark/benchmark.h>
-
 #include <cmath>
 #include <memory>
 #include <vector>
@@ -246,24 +244,10 @@ bool PrintScaling() {
   return ok;
 }
 
-void BM_ExecutorScaling(benchmark::State& state) {
-  const uint32_t workers = uint32_t(state.range(0));
-  const std::vector<Tp1Plan> plans = MakePlans(42);
-  for (auto _ : state) {
-    RunResult r = RunWithWorkers(workers, plans);
-    if (!r.ok) state.SkipWithError("run failed");
-    state.counters["elapsed_vms"] = double(r.elapsed_ns) / 1e6;
-    state.counters["txn_per_sec"] = r.txn_per_sec();
-  }
-}
-BENCHMARK(BM_ExecutorScaling)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace mmdb::bench
 
-int main(int argc, char** argv) {
-  ::benchmark::Initialize(&argc, argv);
+int main() {
   bool ok = mmdb::bench::PrintScaling();
-  ::benchmark::RunSpecifiedBenchmarks();
   return ok ? 0 : 1;
 }

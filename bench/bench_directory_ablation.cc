@@ -11,8 +11,6 @@
 // (b) the modeled time before the *first* record can be applied, versus
 // the pure backward-chain alternative which must read every page first.
 
-#include <benchmark/benchmark.h>
-
 #include "analysis/model.h"
 #include "bench_common.h"
 #include "log/log_disk.h"
@@ -50,7 +48,7 @@ struct Rig {
   RecoveryManager recovery;
 };
 
-void PrintAblation() {
+bool PrintAblation() {
   PrintHeader(
       "ABLATION (§2.5.1) — log page directory vs pure backward chain");
   std::printf("%8s %6s | %14s %16s | %16s %8s\n", "pages", "N",
@@ -63,7 +61,10 @@ void PrintAblation() {
     for (uint32_t pages : {4u, 16u, 64u, 256u}) {
       Rig rig(dir_n);
       auto bin_r = rig.slt.RegisterPartition({1, 0});
-      if (!bin_r.ok()) return;
+      if (!bin_r.ok()) {
+        std::printf("ERROR: %s\n", bin_r.status().ToString().c_str());
+        return false;
+      }
       uint32_t bin_idx = bin_r.value();
       auto bin = rig.slt.bin(bin_idx).value();
       uint64_t done = 0;
@@ -76,7 +77,7 @@ void PrintAblation() {
         auto lsn = rig.writer.FlushBinPage(bin, dir_n, done, &done);
         if (!lsn.ok()) {
           std::printf("ERROR: %s\n", lsn.status().ToString().c_str());
-          return;
+          return false;
         }
       }
       std::vector<uint64_t> lsns;
@@ -89,7 +90,7 @@ void PrintAblation() {
                                                &backward, &t_done);
       if (!st.ok()) {
         std::printf("ERROR: %s\n", st.ToString().c_str());
-        return;
+        return false;
       }
       // Time until the first page's records can be applied: the anchor
       // walk plus one forward page read.
@@ -116,7 +117,7 @@ void PrintAblation() {
       if (lsns.size() != pages) {
         std::printf("ERROR: collected %zu pages, expected %u\n", lsns.size(),
                     pages);
-        return;
+        return false;
       }
     }
   }
@@ -125,42 +126,13 @@ void PrintAblation() {
   std::printf(
       "\n(The directory keeps time-to-first-apply ~flat in the directory\n"
       " size while the backward chain grows linearly with page count.)\n");
+  return true;
 }
-
-void BM_CollectPageList(benchmark::State& state) {
-  uint32_t pages = static_cast<uint32_t>(state.range(0));
-  uint32_t dir_n = static_cast<uint32_t>(state.range(1));
-  Rig rig(dir_n);
-  auto bin_r = rig.slt.RegisterPartition({1, 0});
-  uint32_t bin_idx = bin_r.value();
-  auto bin = rig.slt.bin(bin_idx).value();
-  uint64_t done = 0;
-  for (uint32_t p = 0; p < pages; ++p) {
-    LogRecord r = SyntheticRecord(1, {1, 0}, bin_idx, p, 40);
-    std::vector<uint8_t> bytes;
-    r.AppendTo(&bytes);
-    bin->active_page = bytes;
-    bin->active_records = 1;
-    (void)rig.writer.FlushBinPage(bin, dir_n, done, &done);
-  }
-  for (auto _ : state) {
-    std::vector<uint64_t> lsns;
-    uint64_t backward = 0, t_done = 0;
-    Status st =
-        rig.recovery.CollectPageList(bin_idx, 0, &lsns, &backward, &t_done);
-    if (!st.ok()) state.SkipWithError(st.ToString().c_str());
-    state.counters["backward_reads"] = static_cast<double>(backward);
-  }
-}
-BENCHMARK(BM_CollectPageList)
-    ->ArgsProduct({{16, 64, 256}, {4, 8, 16}});
 
 }  // namespace
 }  // namespace mmdb::bench
 
-int main(int argc, char** argv) {
-  ::benchmark::Initialize(&argc, argv);
-  mmdb::bench::PrintAblation();
-  ::benchmark::RunSpecifiedBenchmarks();
-  return 0;
+int main() {
+  bool ok = mmdb::bench::PrintAblation();
+  return ok ? 0 : 1;
 }

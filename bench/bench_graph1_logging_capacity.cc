@@ -7,8 +7,6 @@
 // copy costs dominate) and rises slightly with page size (page-write
 // costs amortize over more records).
 
-#include <benchmark/benchmark.h>
-
 #include "analysis/model.h"
 #include "bench_common.h"
 
@@ -18,7 +16,7 @@ namespace {
 const size_t kRecordSizes[] = {28, 32, 40, 48, 64, 96, 128};
 const uint32_t kPageSizes[] = {4096, 8192, 16384};
 
-void PrintGraph1() {
+bool PrintGraph1() {
   PrintHeader(
       "GRAPH 1 (Fig. 5) — Logging capacity (records/second) vs record size");
   obs::BenchReport report("graph1_logging_capacity");
@@ -36,7 +34,12 @@ void PrintGraph1() {
       t.s_log_page = static_cast<double>(page);
       LoggingRig rig(page, 1000);
       Status st = rig.Run(30000, rec, 16);
-      double measured = st.ok() ? rig.RecordsPerSecond() : -1.0;
+      if (!st.ok()) {
+        std::printf("\nERROR: %zu B records, %u B pages: %s\n", rec, page,
+                    st.ToString().c_str());
+        return false;
+      }
+      double measured = rig.RecordsPerSecond();
       std::printf("  %11.0f %11.0f", t.RRecordsLogged(), measured);
       obs::JsonValue point;
       point["record_bytes"] = static_cast<uint64_t>(rec);
@@ -57,42 +60,23 @@ void PrintGraph1() {
   obs::MetricsRegistry reg;
   LoggingRig rig(8192, 1000);
   rig.AttachMetrics(&reg);
-  if (rig.Run(30000, 24, 16).ok()) {
-    report.Headline("records_per_vsec_24B_8K", rig.RecordsPerSecond());
-    report.Headline("bytes_per_vsec_24B_8K", rig.BytesPerSecond(24));
+  Status st = rig.Run(30000, 24, 16);
+  if (!st.ok()) {
+    std::printf("ERROR: headline run: %s\n", st.ToString().c_str());
+    return false;
   }
+  report.Headline("records_per_vsec_24B_8K", rig.RecordsPerSecond());
+  report.Headline("bytes_per_vsec_24B_8K", rig.BytesPerSecond(24));
   report.Set("series", std::move(series));
   report.AddRegistry(reg);
   (void)report.Write();
+  return true;
 }
-
-void BM_LoggingCapacity(benchmark::State& state) {
-  size_t rec = static_cast<size_t>(state.range(0));
-  uint32_t page = static_cast<uint32_t>(state.range(1));
-  double measured = 0;
-  for (auto _ : state) {
-    LoggingRig rig(page, 1000);
-    Status st = rig.Run(20000, rec, 16);
-    if (!st.ok()) state.SkipWithError(st.ToString().c_str());
-    measured = rig.RecordsPerSecond();
-  }
-  analysis::Table2 t;
-  t.s_log_record = static_cast<double>(rec);
-  t.s_log_page = static_cast<double>(page);
-  state.counters["records_per_vsec"] = measured;
-  state.counters["model_records_per_vsec"] = t.RRecordsLogged();
-  state.counters["bytes_per_vsec"] = measured * static_cast<double>(rec);
-}
-BENCHMARK(BM_LoggingCapacity)
-    ->ArgsProduct({{28, 48, 96}, {4096, 8192, 16384}})
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace mmdb::bench
 
-int main(int argc, char** argv) {
-  ::benchmark::Initialize(&argc, argv);
-  mmdb::bench::PrintGraph1();
-  ::benchmark::RunSpecifiedBenchmarks();
-  return 0;
+int main() {
+  bool ok = mmdb::bench::PrintGraph1();
+  return ok ? 0 : 1;
 }

@@ -10,8 +10,6 @@
 // Database; the transaction capacity is records_sorted / records_per_txn
 // per second of recovery-CPU time.
 
-#include <benchmark/benchmark.h>
-
 #include "analysis/model.h"
 #include "bench_common.h"
 
@@ -21,7 +19,7 @@ namespace {
 const int kRecordsPerTxn[] = {1, 2, 4, 8, 16, 32, 64, 100};
 const size_t kRecordSizes[] = {28, 32, 48, 64};
 
-void PrintGraph2() {
+bool PrintGraph2() {
   PrintHeader(
       "GRAPH 2 (Fig. 6) — Max transactions/second vs log records per txn");
   std::printf("%9s", "recs/txn");
@@ -38,9 +36,12 @@ void PrintGraph2() {
     // sort process.
     LoggingRig rig(8192, 1000);
     Status st = rig.Run(20000, 32, 16);
-    double meas =
-        st.ok() ? rig.RecordsPerSecond() / static_cast<double>(rpt) : -1;
-    std::printf("  %10.0f\n", meas);
+    if (!st.ok()) {
+      std::printf("\nERROR: %d records/txn: %s\n", rpt, st.ToString().c_str());
+      return false;
+    }
+    std::printf("  %10.0f\n",
+                rig.RecordsPerSecond() / static_cast<double>(rpt));
   }
 
   // Headline: full-database debit/credit (TP1: account + teller + branch
@@ -59,8 +60,8 @@ void PrintGraph2() {
     st = DebitCredit(&db, &rig, &rng);
   }
   if (!st.ok()) {
-    std::printf("debit/credit error: %s\n", st.ToString().c_str());
-    return;
+    std::printf("ERROR: debit/credit: %s\n", st.ToString().c_str());
+    return false;
   }
   auto stats = db.GetStats();
   double recs = static_cast<double>(stats.records_sorted - before_records);
@@ -82,36 +83,13 @@ void PrintGraph2() {
   report.Headline("model_txn_per_vsec_4rec", t.MaxTransactionRate(4.0));
   report.AddRegistry(db.metrics());
   (void)report.Write();
+  return true;
 }
-
-void BM_DebitCreditLogging(benchmark::State& state) {
-  for (auto _ : state) {
-    state.PauseTiming();
-    Database db;
-    DebitCreditRig rig;
-    Status st = SetupDebitCredit(&db, 500, &rig);
-    Random rng(7);
-    state.ResumeTiming();
-    for (int i = 0; i < 500 && st.ok(); ++i) {
-      st = DebitCredit(&db, &rig, &rng);
-    }
-    if (!st.ok()) state.SkipWithError(st.ToString().c_str());
-    auto stats = db.GetStats();
-    double vsec = db.recovery_cpu().total_instructions() / 1e6;
-    state.counters["txn_per_vsec"] =
-        vsec > 0 ? 500.0 / vsec : 0;
-    state.counters["records_logged"] =
-        static_cast<double>(stats.records_logged);
-  }
-}
-BENCHMARK(BM_DebitCreditLogging)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace mmdb::bench
 
-int main(int argc, char** argv) {
-  ::benchmark::Initialize(&argc, argv);
-  mmdb::bench::PrintGraph2();
-  ::benchmark::RunSpecifiedBenchmarks();
-  return 0;
+int main() {
+  bool ok = mmdb::bench::PrintGraph2();
+  return ok ? 0 : 1;
 }

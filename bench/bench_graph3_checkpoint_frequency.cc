@@ -11,8 +11,6 @@
 // Paper shape: frequency is linear in the logging rate; more
 // age-triggering or smaller N_update means steeper slopes.
 
-#include <benchmark/benchmark.h>
-
 #include "analysis/model.h"
 #include "bench_common.h"
 
@@ -47,7 +45,7 @@ struct MeasuredPoint {
   const char* label;
 };
 
-void PrintMeasured() {
+bool PrintMeasured() {
   std::printf(
       "\nMeasured (executable system, 48KB partitions, 8KB log pages,\n"
       "N_update=400; one hot relation floods the log while 11 cold\n"
@@ -56,6 +54,7 @@ void PrintMeasured() {
               "by update", "by age", "ckpt/vsec");
   obs::BenchReport report("graph3_checkpoint_frequency");
   obs::JsonValue series;
+  bool ok = true;
   const MeasuredPoint points[] = {
       {1ull << 30, "infinite"},
       {256, "256"},
@@ -118,6 +117,7 @@ void PrintMeasured() {
     }
     if (!st.ok()) {
       std::printf("%16s  ERROR: %s\n", pt.label, st.ToString().c_str());
+      ok = false;
       continue;
     }
     auto s = db.GetStats();
@@ -146,61 +146,14 @@ void PrintMeasured() {
   std::printf(
       "\n(Smaller windows push the trigger mix toward age and raise the\n"
       " checkpoint frequency — the paper's Graph 3 family.)\n");
+  return ok;
 }
-
-void BM_CheckpointFrequency(benchmark::State& state) {
-  uint64_t window = static_cast<uint64_t>(state.range(0));
-  for (auto _ : state) {
-    DatabaseOptions o;
-    o.n_update = 300;
-    o.log_window_pages = window;
-    o.grace_pages = 16;
-    Database db(o);
-    Status st = Populate(&db, "rel", 500);
-    std::vector<EntityAddr> addrs;
-    {
-      auto txn = db.Begin();
-      auto rows = db.Scan(txn.value(), "rel");
-      for (auto& [a, _] : rows.value()) addrs.push_back(a);
-      (void)db.Commit(txn.value());
-    }
-    Random rng(3);
-    for (int i = 0; i < 1000 && st.ok(); ++i) {
-      auto txn = db.Begin();
-      for (int k = 0; k < 5 && st.ok(); ++k) {
-        const EntityAddr& a = addrs[rng.Uniform(addrs.size())];
-        st = db.Update(txn.value(), "rel", a,
-                       Tuple{static_cast<int64_t>(i), static_cast<int64_t>(k),
-                             int64_t{0}});
-      }
-      if (st.ok()) st = db.Commit(txn.value());
-    }
-    if (!st.ok()) state.SkipWithError(st.ToString().c_str());
-    auto s = db.GetStats();
-    state.counters["checkpoints"] =
-        static_cast<double>(s.checkpoints_completed);
-    state.counters["age_share"] =
-        s.checkpoints_completed > 0
-            ? static_cast<double>(s.checkpoints_age) /
-                  static_cast<double>(s.checkpoints_age +
-                                      s.checkpoints_update_count +
-                                      1e-9)
-            : 0.0;
-  }
-}
-BENCHMARK(BM_CheckpointFrequency)
-    ->Arg(1 << 20)
-    ->Arg(512)
-    ->Arg(128)
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace mmdb::bench
 
-int main(int argc, char** argv) {
-  ::benchmark::Initialize(&argc, argv);
+int main() {
   mmdb::bench::PrintAnalyticFamily();
-  mmdb::bench::PrintMeasured();
-  ::benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  bool ok = mmdb::bench::PrintMeasured();
+  return ok ? 0 : 1;
 }

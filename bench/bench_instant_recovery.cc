@@ -26,8 +26,6 @@
 //   * the exported time-series JSON is byte-identical across two
 //     identical on-demand runs (fixed seed, virtual clock only).
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -299,24 +297,10 @@ bool PrintInstantRecovery() {
   return ok;
 }
 
-void BM_InstantRecoveryOnDemand(benchmark::State& state) {
-  for (auto _ : state) {
-    CurveRun r = RunExperiment(RestartPolicy::kOnDemand);
-    if (!r.ok) state.SkipWithError("run failed");
-    state.counters["perceived_downtime_vms"] =
-        double(r.stats.perceived_downtime_ns) / 1e6;
-    state.counters["time_to_90pct_vms"] =
-        double(r.stats.time_to_recover_ns) / 1e6;
-  }
-}
-BENCHMARK(BM_InstantRecoveryOnDemand)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace mmdb::bench
 
-int main(int argc, char** argv) {
-  ::benchmark::Initialize(&argc, argv);
+int main() {
   bool ok = mmdb::bench::PrintInstantRecovery();
-  ::benchmark::RunSpecifiedBenchmarks();
   return ok ? 0 : 1;
 }

@@ -24,8 +24,6 @@
 //     throughput at 32 workers (the headline stream win);
 //   * every run commits the full script set.
 
-#include <benchmark/benchmark.h>
-
 #include <cmath>
 #include <memory>
 #include <string>
@@ -228,28 +226,10 @@ bool PrintStreamScaling() {
   return ok;
 }
 
-void BM_LogStreams(benchmark::State& state) {
-  const uint32_t workers = uint32_t(state.range(0));
-  const uint32_t streams = uint32_t(state.range(1));
-  for (auto _ : state) {
-    RunResult r = RunOne(workers, streams);
-    if (!r.ok) state.SkipWithError("run failed");
-    state.counters["elapsed_vms"] = double(r.elapsed_ns) / 1e6;
-    state.counters["txn_per_sec"] = r.txn_per_sec();
-  }
-}
-BENCHMARK(BM_LogStreams)
-    ->Args({16, 1})
-    ->Args({16, 4})
-    ->Args({32, 4})
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace mmdb::bench
 
-int main(int argc, char** argv) {
-  ::benchmark::Initialize(&argc, argv);
+int main() {
   bool ok = mmdb::bench::PrintStreamScaling();
-  ::benchmark::RunSpecifiedBenchmarks();
   return ok ? 0 : 1;
 }

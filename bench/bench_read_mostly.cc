@@ -22,8 +22,6 @@
 //     run is >= 2x the S-lock run, and so is the read-transaction
 //     throughput on its own.
 
-#include <benchmark/benchmark.h>
-
 #include <cmath>
 #include <memory>
 #include <string>
@@ -233,24 +231,10 @@ bool PrintReadMostly() {
   return ok;
 }
 
-void BM_ReadMostly(benchmark::State& state) {
-  const bool mvcc = state.range(0) != 0;
-  const std::vector<ReadMostlyPlan> plans = MakePlans(42);
-  for (auto _ : state) {
-    RunResult r = Run(plans, mvcc);
-    if (!r.ok) state.SkipWithError("run failed");
-    state.counters["elapsed_vms"] = double(r.elapsed_ns) / 1e6;
-    state.counters["txn_per_sec"] = r.txn_per_sec();
-  }
-}
-BENCHMARK(BM_ReadMostly)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace mmdb::bench
 
-int main(int argc, char** argv) {
-  ::benchmark::Initialize(&argc, argv);
+int main() {
   bool ok = mmdb::bench::PrintReadMostly();
-  ::benchmark::RunSpecifiedBenchmarks();
   return ok ? 0 : 1;
 }

@@ -11,8 +11,6 @@
 // Both sides run on the same executable system and simulated disks; the
 // analytic model's predictions are printed alongside.
 
-#include <benchmark/benchmark.h>
-
 #include "analysis/model.h"
 #include "bench_common.h"
 #include "obs/timeseries.h"
@@ -209,44 +207,10 @@ void PrintComparison() {
               m.DatabaseReloadMs(2000, 6000));
 }
 
-void BM_PartitionLevelRestart(benchmark::State& state) {
-  for (auto _ : state) {
-    state.PauseTiming();
-    Database db;
-    std::vector<EntityAddr> hot;
-    uint64_t steady_ns = 0, crash_ns = 0;
-    Status st = BuildAndCrash(&db, Setup{500, 4}, &hot, &steady_ns, &crash_ns);
-    state.ResumeTiming();
-    if (st.ok()) st = db.Restart();
-    if (!st.ok()) state.SkipWithError(st.ToString().c_str());
-    state.counters["catalog_vms"] = db.last_restart().catalog_ms;
-  }
-}
-BENCHMARK(BM_PartitionLevelRestart)->Unit(benchmark::kMillisecond);
-
-void BM_FullReloadRestart(benchmark::State& state) {
-  for (auto _ : state) {
-    state.PauseTiming();
-    DatabaseOptions o;
-    o.restart_policy = RestartPolicy::kFullReload;
-    Database db(o);
-    std::vector<EntityAddr> hot;
-    uint64_t steady_ns = 0, crash_ns = 0;
-    Status st = BuildAndCrash(&db, Setup{500, 4}, &hot, &steady_ns, &crash_ns);
-    state.ResumeTiming();
-    if (st.ok()) st = db.Restart();
-    if (!st.ok()) state.SkipWithError(st.ToString().c_str());
-    state.counters["total_vms"] = db.last_restart().total_ms;
-  }
-}
-BENCHMARK(BM_FullReloadRestart)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace mmdb::bench
 
-int main(int argc, char** argv) {
-  ::benchmark::Initialize(&argc, argv);
+int main() {
   mmdb::bench::PrintComparison();
-  ::benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -12,8 +12,6 @@
 // only hide the apply tail behind other partitions' image reads, and
 // virtual time falls to the checkpoint-disk floor and stays there.
 
-#include <benchmark/benchmark.h>
-
 #include "analysis/model.h"
 #include "bench_common.h"
 
@@ -149,29 +147,10 @@ void PrintScaling() {
   (void)report.Write();
 }
 
-void BM_ParallelFullReload(benchmark::State& state) {
-  const uint32_t lanes = uint32_t(state.range(0));
-  for (auto _ : state) {
-    state.PauseTiming();
-    DatabaseOptions o;
-    o.restart_policy = RestartPolicy::kFullReload;
-    o.recovery_parallelism = lanes;
-    Database db(o);
-    Status st = BuildAndCrash(&db, Setup{500, 4, 1, 20});
-    state.ResumeTiming();
-    if (st.ok()) st = db.Restart();
-    if (!st.ok()) state.SkipWithError(st.ToString().c_str());
-    state.counters["total_vms"] = db.last_restart().total_ms;
-  }
-}
-BENCHMARK(BM_ParallelFullReload)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace mmdb::bench
 
-int main(int argc, char** argv) {
-  ::benchmark::Initialize(&argc, argv);
+int main() {
   mmdb::bench::PrintScaling();
-  ::benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -30,8 +30,6 @@
 //   * the crashed shard itself recovers fully (ready_fraction == 1) and
 //     commits transactions again after its restart.
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -364,23 +362,10 @@ bool PrintShardScaling() {
   return ok;
 }
 
-void BM_ShardScaling(benchmark::State& state) {
-  const uint32_t shards = uint32_t(state.range(0));
-  const std::vector<TrafficItem> traffic = MakeTraffic(7, 4000, kScaleRatePerSec);
-  for (auto _ : state) {
-    RunStats r = RunScaleConfig(shards, traffic, nullptr, nullptr);
-    if (!r.ok) state.SkipWithError("run failed");
-    state.counters["agg_txn_per_sec"] = r.txn_per_sec();
-  }
-}
-BENCHMARK(BM_ShardScaling)->Arg(4)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace mmdb::bench
 
-int main(int argc, char** argv) {
-  ::benchmark::Initialize(&argc, argv);
+int main() {
   bool ok = mmdb::bench::PrintShardScaling();
-  ::benchmark::RunSpecifiedBenchmarks();
   return ok ? 0 : 1;
 }

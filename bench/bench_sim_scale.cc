@@ -1,63 +1,45 @@
-// Simulator scale: host-time throughput of the unified event loop.
+// Simulator scale: host-time throughput of the concurrent executor with
+// crash recovery running beside it.
 //
 // Every other bench reports *virtual* time; this one measures the
 // simulator itself. ROADMAP item 4 (and Wu et al.'s multicore recovery
 // experiments, PAPERS.md) need 100x-scale configurations — dozens of
 // workers over GB-scale storage with crash recovery running concurrently
 // — and those are only affordable if the host cost per simulated
-// operation stays flat. The pre-unification simulator rescanned every
-// worker lane per dispatched operation (O(workers) argmin), could not
-// overlap the background sweep with transactions at all, and checksummed
-// every simulated disk page byte-at-a-time (~30% of host time — and the
-// page volume grows with database size, which is exactly the axis a
-// 100x experiment scales along). The unified loop replaces the scan with
-// O(log workers) heap maintenance, runs the heat-ordered sweep as events
-// on the same heap, and folds checksums sixteen bytes per step.
+// operation stays flat. Every simulated disk page transfer is
+// checksummed, and the page volume grows with database size, which is
+// exactly the axis a 100x experiment scales along; the slicing-by-16
+// Crc32 folds sixteen bytes per step where the byte-serial
+// Crc32Reference took one.
 //
 // The experiment: populate one relation at GB-scale storage geometry
-// (1 GiB stable memory, 32768 checkpoint-disk slots), checkpoint, then
-// run the identical crash-recovery workload twice at 32 workers:
+// (1 GiB stable memory, 32768 checkpoint-disk slots), checkpoint, crash,
+// restart on-demand, then run the scripts at 32 workers with the
+// heat-ordered background sweep interleaved (background_sweep=true)
+// until the database is fully resident again.
 //
-//   phase L (legacy)  — the preserved pre-unification simulator: crash,
-//     restart on-demand, run every script through the old O(workers)
-//     scan loop with the byte-serial reference checksum on every
-//     simulated page transfer (Crc32Reference — the literal old hot
-//     path, not a pessimized stand-in), then drain the cold partitions
-//     with stop-and-go BackgroundRecoveryStep calls (the old coarse
-//     alternation).
-//   phase U (unified) — crash again, restart, run the same scripts on
-//     the unified event loop with the background sweep interleaved
-//     (background_sweep=true) and the slicing-by-16 checksum. Phase U
-//     runs second, so its recovery replays phase L's update log on top —
-//     that bias runs *against* the unified loop.
-//
-// Both checksum implementations produce identical values, so the two
-// phases' virtual trajectories stay byte-comparable; only host cost
-// differs.
-//
-// Headline metric: simulated-txns-per-host-second for each phase, and
-// their ratio. Virtual-time results (completion, committed counts) are
+// Headline metric: simulated-txns-per-host-second. Virtual-time results
+// (completion, committed counts, sweep installs, scheduler events) are
 // deterministic and identical across hosts; host rates live in a
 // separate "host" report section that tools/bench_diff.py treats as
-// machine-local (only the speedup ratio is gated, loosely).
+// machine-local (only the crc32_speedup ratio is gated, loosely).
 //
 // Built-in gates (process exits non-zero on failure):
-//   * both phases commit every script (same schedule, no lost work);
-//   * the unified loop reaches >= 2x the legacy loop's
-//     sim-txns-per-host-second at 32 workers;
+//   * every script commits;
 //   * the sweep genuinely interleaves: partitions install after the
 //     first commit, not in a trailing drain;
-//   * both phases end fully resident (ready_fraction == 1);
-//   * unified throughput clears a conservative absolute floor
+//   * the run ends fully resident (ready_fraction == 1);
+//   * no background event callback falls back to a heap allocation;
+//   * throughput clears a conservative absolute floor
 //     (MMDB_SIM_SCALE_FLOOR, default 2k sim-txns/host-s) — a backstop
-//     against accidental-complexity regressions in the simulator core.
+//     against accidental-complexity regressions in the simulator core;
+//   * Crc32 runs >= 2x faster than Crc32Reference over 8 KB pages
+//     (crc32_speedup, a ratio measured within the run).
 //
 // Scale knobs (environment): MMDB_SIM_SCALE_ROWS (default 12,000,000 —
-// 275 MB of tuples, several GB of simulated disk traffic across the two
-// phases; set 40,000,000 for a true 1 GB image, see EXPERIMENTS.md),
-// MMDB_SIM_SCALE_TXNS (default 6,000).
-
-#include <benchmark/benchmark.h>
+// 275 MB of tuples, about 2 GB of simulated disk traffic; set 40,000,000
+// for a true 1 GB image, see EXPERIMENTS.md), MMDB_SIM_SCALE_TXNS
+// (default 6,000).
 
 #include <chrono>
 #include <cstdio>
@@ -109,8 +91,8 @@ DatabaseOptions MakeOptions() {
   o.checkpoint_disk_slots = 32768;
   o.stable_memory_bytes = 1ull << 30;
   o.slb_capacity_bytes = 64ull << 20;
-  // No mid-run checkpoints: both phases recover from the same image set
-  // (plus, for phase U, phase L's log suffix).
+  // No mid-run checkpoints: the restart recovers every partition from
+  // the populate-time image set.
   o.n_update = 1ull << 30;
   return o;
 }
@@ -155,34 +137,23 @@ TxnScript MakeScript(const Rig& rig, Random* rng, size_t id) {
   return s;
 }
 
-struct PhaseStats {
+struct RunStats {
   bool ok = false;
   uint64_t committed = 0;
   double host_sec = 0;
-  uint64_t phase_vns = 0;  // restart -> completion, virtual
+  uint64_t run_vns = 0;  // restart -> completion, virtual
   uint64_t first_commit_ns = 0;
   uint64_t sweep_installs = 0;
   uint64_t last_install_ns = 0;
   uint64_t events_run = 0;
-  uint64_t bg_steps = 0;  // legacy stop-and-go drain calls
+  uint64_t heap_fallbacks = 0;
 };
 
-/// Crash + on-demand restart + the full workload + whatever it takes to
-/// get back to full residency. Host-times everything from the first
-/// dispatched operation to full residency — the legacy phase pays its
-/// sweep as trailing stop-and-go batches, the unified phase inline.
-/// Routes the whole legacy phase (restart, log writes, every simulated
-/// page transfer) through the byte-serial pre-unification checksum.
-struct CrcEraGuard {
-  explicit CrcEraGuard(bool pre_unification) {
-    UseReferenceCrc32(pre_unification);
-  }
-  ~CrcEraGuard() { UseReferenceCrc32(false); }
-};
-
-PhaseStats RunPhase(Rig* rig, bool unified) {
-  PhaseStats out;
-  CrcEraGuard crc_era(/*pre_unification=*/!unified);
+/// Crash + on-demand restart + the full workload with the sweep
+/// interleaved. Host-times the executor run, from the first dispatched
+/// operation to full residency.
+RunStats RunScale(Rig* rig) {
+  RunStats out;
   Database* db = rig->db.get();
   db->Crash();
   Status st = db->Restart();
@@ -190,11 +161,10 @@ PhaseStats RunPhase(Rig* rig, bool unified) {
     std::printf("ERROR: restart: %s\n", st.ToString().c_str());
     return out;
   }
-  const uint64_t phase_v0 = db->now_ns();
+  const uint64_t v0 = db->now_ns();
 
   ConcurrentExecutor::Options eo;
-  eo.unified_event_loop = unified;
-  eo.background_sweep = unified;
+  eo.background_sweep = true;
   ConcurrentExecutor ex(db, eo);
   Random rng(kSeed);
   const uint64_t n = Txns();
@@ -202,33 +172,20 @@ PhaseStats RunPhase(Rig* rig, bool unified) {
 
   const auto host_t0 = std::chrono::steady_clock::now();
   st = ex.Run();
+  const auto host_t1 = std::chrono::steady_clock::now();
   if (!st.ok()) {
     std::printf("ERROR: executor: %s\n", st.ToString().c_str());
     return out;
   }
-  if (!unified) {
-    // Pre-unification protocol: the sweep cannot overlap transactions,
-    // so the cold partitions drain in stop-and-go batches afterwards.
-    bool done = false;
-    while (!done) {
-      st = db->BackgroundRecoveryStep(&done);
-      if (!st.ok()) {
-        std::printf("ERROR: background step: %s\n", st.ToString().c_str());
-        return out;
-      }
-      ++out.bg_steps;
-    }
-  }
-  const auto host_t1 = std::chrono::steady_clock::now();
 
   db->AdvanceClockTo(ex.completion_ns());
   if (db->recovery_progress().ready_fraction() != 1.0) {
-    std::printf("ERROR: phase ended at ready=%.3f\n",
+    std::printf("ERROR: run ended at ready=%.3f\n",
                 db->recovery_progress().ready_fraction());
     return out;
   }
   out.host_sec = std::chrono::duration<double>(host_t1 - host_t0).count();
-  out.phase_vns = ex.completion_ns() - phase_v0;
+  out.run_vns = ex.completion_ns() - v0;
   for (const ScriptResult& r : ex.results()) {
     if (r.outcome != ScriptOutcome::kCommitted) continue;
     ++out.committed;
@@ -239,16 +196,39 @@ PhaseStats RunPhase(Rig* rig, bool unified) {
   out.sweep_installs = ex.sweep_recovered();
   out.last_install_ns = ex.last_sweep_install_ns();
   out.events_run = ex.scheduler_events_run();
+  out.heap_fallbacks = ex.scheduler_heap_fallbacks();
   out.ok = true;
   return out;
 }
 
-double Rate(const PhaseStats& p) {
-  return p.host_sec > 0 ? static_cast<double>(p.committed) / p.host_sec : 0;
+double Rate(const RunStats& r) {
+  return r.host_sec > 0 ? static_cast<double>(r.committed) / r.host_sec : 0;
+}
+
+/// Host ns per 8 KB page for `crc`, the fastest of a few passes over a
+/// 2 MB buffer; `sum` accumulates every checksum so the two
+/// implementations can be compared and no pass is optimized away.
+double Crc32NsPerPage(const std::vector<uint8_t>& buf,
+                      uint32_t (*crc)(const void*, size_t, uint32_t),
+                      uint32_t* sum) {
+  constexpr size_t kPage = 8192;
+  const size_t pages = buf.size() / kPage;
+  double best = 0;
+  for (int pass = 0; pass < 5; ++pass) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (size_t p = 0; p < pages; ++p) {
+      *sum += crc(buf.data() + p * kPage, kPage, 0);
+    }
+    const auto t1 = std::chrono::steady_clock::now();
+    const double ns =
+        std::chrono::duration<double, std::nano>(t1 - t0).count();
+    if (pass == 0 || ns < best) best = ns;
+  }
+  return best / static_cast<double>(pages);
 }
 
 /// Total simulated bytes moved through the checkpoint disk and the
-/// duplexed log pair over the whole run (populate + both phases) — every
+/// duplexed log pair over the whole run (populate + crash run) — every
 /// one of these bytes was checksummed on the host, so this is the volume
 /// the "GB-scale" configuration claim rests on. Deterministic.
 double SimDiskGb(Database* db) {
@@ -263,8 +243,8 @@ double SimDiskGb(Database* db) {
 
 bool PrintSimScale() {
   PrintHeader(
-      "Simulator scale — sim-txns per host-second, unified event loop "
-      "vs pre-unification scan loop, 32 workers, crash + sweep");
+      "Simulator scale — sim-txns per host-second, 32 workers, crash + "
+      "interleaved sweep");
   obs::BenchReport report("sim_scale");
 
   const double data_mb =
@@ -282,107 +262,98 @@ bool PrintSimScale() {
     return false;
   }
 
-  PhaseStats legacy = RunPhase(&rig, /*unified=*/false);
-  if (!legacy.ok) return false;
-  PhaseStats unified = RunPhase(&rig, /*unified=*/true);
-  if (!unified.ok) return false;
+  RunStats run = RunScale(&rig);
+  if (!run.ok) return false;
 
-  const double rate_l = Rate(legacy);
-  const double rate_u = Rate(unified);
-  const double speedup = rate_l > 0 ? rate_u / rate_l : 0;
-  std::printf("legacy  | %8llu txns | %7.2f host-s | %9.0f sim-txn/host-s"
-              " | %6.1f vms | %llu drain steps\n",
-              static_cast<unsigned long long>(legacy.committed),
-              legacy.host_sec, rate_l, double(legacy.phase_vns) / 1e6,
-              static_cast<unsigned long long>(legacy.bg_steps));
-  std::printf("unified | %8llu txns | %7.2f host-s | %9.0f sim-txn/host-s"
+  const double rate = Rate(run);
+  std::printf("run | %8llu txns | %7.2f host-s | %9.0f sim-txn/host-s"
               " | %6.1f vms | %llu sweep installs, %llu events\n",
-              static_cast<unsigned long long>(unified.committed),
-              unified.host_sec, rate_u, double(unified.phase_vns) / 1e6,
-              static_cast<unsigned long long>(unified.sweep_installs),
-              static_cast<unsigned long long>(unified.events_run));
+              static_cast<unsigned long long>(run.committed), run.host_sec,
+              rate, double(run.run_vns) / 1e6,
+              static_cast<unsigned long long>(run.sweep_installs),
+              static_cast<unsigned long long>(run.events_run));
 
   bool ok = true;
-  if (legacy.committed != Txns() || unified.committed != Txns()) {
-    std::printf("ERROR: lost scripts: %llu / %llu committed of %llu\n",
-                static_cast<unsigned long long>(legacy.committed),
-                static_cast<unsigned long long>(unified.committed),
+  if (run.committed != Txns()) {
+    std::printf("ERROR: lost scripts: %llu committed of %llu\n",
+                static_cast<unsigned long long>(run.committed),
                 static_cast<unsigned long long>(Txns()));
     ok = false;
   }
-  if (speedup < 2.0) {
-    std::printf("ERROR: unified %.0f vs legacy %.0f sim-txn/host-s "
-                "(%.2fx < 2x)\n", rate_u, rate_l, speedup);
-    ok = false;
-  } else {
-    std::printf("\nunified loop: %.2fx sim-txns-per-host-second over the "
-                "pre-unification loop\n", speedup);
-  }
-  if (unified.sweep_installs == 0 ||
-      unified.last_install_ns <= unified.first_commit_ns) {
+  if (run.sweep_installs == 0 || run.last_install_ns <= run.first_commit_ns) {
     std::printf("ERROR: sweep did not interleave (installs=%llu, last "
                 "install %llu vs first commit %llu)\n",
-                static_cast<unsigned long long>(unified.sweep_installs),
-                static_cast<unsigned long long>(unified.last_install_ns),
-                static_cast<unsigned long long>(unified.first_commit_ns));
+                static_cast<unsigned long long>(run.sweep_installs),
+                static_cast<unsigned long long>(run.last_install_ns),
+                static_cast<unsigned long long>(run.first_commit_ns));
     ok = false;
   } else {
     std::printf("sweep interleaved: %llu installs, last at %.1f vms, first "
                 "commit at %.1f vms\n",
-                static_cast<unsigned long long>(unified.sweep_installs),
-                double(unified.last_install_ns) / 1e6,
-                double(unified.first_commit_ns) / 1e6);
+                static_cast<unsigned long long>(run.sweep_installs),
+                double(run.last_install_ns) / 1e6,
+                double(run.first_commit_ns) / 1e6);
   }
-  if (rate_u < Floor()) {
-    std::printf("ERROR: unified %.0f sim-txn/host-s below floor %.0f\n",
-                rate_u, Floor());
+  if (run.heap_fallbacks != 0) {
+    std::printf("ERROR: %llu scheduler events fell back to heap-allocated "
+                "callbacks\n",
+                static_cast<unsigned long long>(run.heap_fallbacks));
+    ok = false;
+  }
+  if (rate < Floor()) {
+    std::printf("ERROR: %.0f sim-txn/host-s below floor %.0f\n", rate,
+                Floor());
     ok = false;
   }
   const double sim_gb = SimDiskGb(rig.db.get());
   std::printf("simulated disk traffic: %.2f GB (checkpoint + duplexed "
               "log, whole run)\n", sim_gb);
 
+  // The checksum's host-time headroom, within this run: byte-serial
+  // reference vs slicing-by-16 over 8 KB pages of random bytes.
+  std::vector<uint8_t> pages(2u << 20);
+  Random fill(kSeed);
+  for (uint8_t& b : pages) b = static_cast<uint8_t>(fill.Uniform(256));
+  uint32_t ref_sum = 0;
+  uint32_t fast_sum = 0;
+  const double ref_ns = Crc32NsPerPage(pages, Crc32Reference, &ref_sum);
+  const double fast_ns = Crc32NsPerPage(pages, Crc32, &fast_sum);
+  const double crc_speedup = fast_ns > 0 ? ref_ns / fast_ns : 0;
+  if (ref_sum != fast_sum) {
+    std::printf("ERROR: Crc32 and Crc32Reference disagree\n");
+    ok = false;
+  }
+  if (crc_speedup < 2.0) {
+    std::printf("ERROR: crc32 %.0f vs reference %.0f host-ns per 8 KB page "
+                "(%.2fx < 2x)\n", fast_ns, ref_ns, crc_speedup);
+    ok = false;
+  } else {
+    std::printf("checksum: crc32 %.0f vs reference %.0f host-ns per 8 KB "
+                "page (%.2fx)\n", fast_ns, ref_ns, crc_speedup);
+  }
+
   // Deterministic virtual-time results: safe to diff across machines.
-  report.Headline("txns_committed", static_cast<int64_t>(unified.committed));
+  report.Headline("txns_committed", static_cast<int64_t>(run.committed));
   report.Headline("sim_disk_gb", sim_gb);
-  report.Headline("legacy_completion_vms", double(legacy.phase_vns) / 1e6);
-  report.Headline("unified_completion_vms", double(unified.phase_vns) / 1e6);
-  report.Headline("sweep_installs",
-                  static_cast<int64_t>(unified.sweep_installs));
-  report.Headline("scheduler_events",
-                  static_cast<int64_t>(unified.events_run));
-  // Host-local rates: machine-dependent, reported under "host" where
-  // bench_diff gates only the speedup ratio (loosely — same machine runs
-  // both phases, so the ratio is far more stable than the rates).
+  report.Headline("completion_vms", double(run.run_vns) / 1e6);
+  report.Headline("sweep_installs", static_cast<int64_t>(run.sweep_installs));
+  report.Headline("scheduler_events", static_cast<int64_t>(run.events_run));
+  // Host-local measurements: machine-dependent, reported under "host"
+  // where bench_diff gates only the within-run crc32_speedup ratio.
   obs::JsonValue host;
-  host["sim_txns_per_host_sec_legacy"] = rate_l;
-  host["sim_txns_per_host_sec_unified"] = rate_u;
-  host["unified_speedup"] = speedup;
-  host["host_seconds_legacy"] = legacy.host_sec;
-  host["host_seconds_unified"] = unified.host_sec;
+  host["sim_txns_per_host_sec"] = rate;
+  host["host_seconds"] = run.host_sec;
+  host["crc32_speedup"] = crc_speedup;
   host["floor_sim_txns_per_host_sec"] = Floor();
   report.Set("host", std::move(host));
   (void)report.Write();
   return ok;
 }
 
-void BM_SimScaleUnified(benchmark::State& state) {
-  for (auto _ : state) {
-    Rig rig;
-    if (!SetupRig(&rig).ok()) state.SkipWithError("setup failed");
-    PhaseStats u = RunPhase(&rig, /*unified=*/true);
-    if (!u.ok) state.SkipWithError("run failed");
-    state.counters["sim_txns_per_host_sec"] = Rate(u);
-  }
-}
-BENCHMARK(BM_SimScaleUnified)->Unit(benchmark::kSecond);
-
 }  // namespace
 }  // namespace mmdb::bench
 
-int main(int argc, char** argv) {
-  ::benchmark::Initialize(&argc, argv);
+int main() {
   bool ok = mmdb::bench::PrintSimScale();
-  ::benchmark::RunSpecifiedBenchmarks();
   return ok ? 0 : 1;
 }

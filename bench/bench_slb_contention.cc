@@ -13,14 +13,12 @@
 // block (one entry per ~block_size/record_size records); with a shared
 // log tail every record append is a critical-section entry.
 
-#include <benchmark/benchmark.h>
-
 #include "bench_common.h"
 
 namespace mmdb::bench {
 namespace {
 
-void PrintContention() {
+bool PrintContention() {
   PrintHeader(
       "ABLATION (§2.3.1) — log-tail critical sections per 10k records");
   std::printf("%12s %18s %22s %10s\n", "rec bytes", "shared-tail CS",
@@ -42,7 +40,7 @@ void PrintContention() {
           txn, SyntheticRecord(txn, {1, 0}, 0, static_cast<uint32_t>(i), rec));
       if (!st.ok()) {
         std::printf("ERROR: %s\n", st.ToString().c_str());
-        return;
+        return false;
       }
     }
     uint64_t block_cs = slb.blocks_allocated() - blocks_before;
@@ -67,31 +65,13 @@ void PrintContention() {
   std::printf(
       "\n(Per-transaction blocks need a critical section only at block\n"
       " allocation — a 20-70x reduction in log-tail synchronization.)\n");
+  return true;
 }
-
-void BM_SlbAppendThroughput(benchmark::State& state) {
-  size_t rec = static_cast<size_t>(state.range(0));
-  for (auto _ : state) {
-    sim::StableMemoryMeter meter(64ull << 20);
-    StableLogBuffer slb({2048, 32ull << 20}, &meter);
-    for (uint64_t i = 0; i < 10000; ++i) {
-      Status st = slb.Append(1 + (i % 8),
-                             SyntheticRecord(1, {1, 0}, 0,
-                                             static_cast<uint32_t>(i), rec));
-      if (!st.ok()) state.SkipWithError(st.ToString().c_str());
-    }
-    state.counters["blocks"] = static_cast<double>(slb.blocks_allocated());
-  }
-  state.SetItemsProcessed(state.iterations() * 10000);
-}
-BENCHMARK(BM_SlbAppendThroughput)->Arg(28)->Arg(48)->Arg(96);
 
 }  // namespace
 }  // namespace mmdb::bench
 
-int main(int argc, char** argv) {
-  ::benchmark::Initialize(&argc, argv);
-  mmdb::bench::PrintContention();
-  ::benchmark::RunSpecifiedBenchmarks();
-  return 0;
+int main() {
+  bool ok = mmdb::bench::PrintContention();
+  return ok ? 0 : 1;
 }

@@ -4,15 +4,13 @@
 // R_records_logged), plus a measured cross-check of the calculated rates
 // from the executable sort process.
 
-#include <benchmark/benchmark.h>
-
 #include "analysis/model.h"
 #include "bench_common.h"
 
 namespace mmdb::bench {
 namespace {
 
-void PrintTable2() {
+bool PrintTable2() {
   PrintHeader("TABLE 2 — Parameter values (analytic model)");
   for (const std::string& row : analysis::FormatTable2(analysis::Table2{})) {
     std::printf("  %s\n", row.c_str());
@@ -28,7 +26,7 @@ void PrintTable2() {
   std::printf("\n  measured cross-check (60k records, 24 B, 16 partitions)\n");
   if (!st.ok()) {
     std::printf("  ERROR: %s\n", st.ToString().c_str());
-    return;
+    return false;
   }
   std::printf("  %-28s %14.0f  records / second\n",
               "R_records_logged (model)", t.RRecordsLogged());
@@ -44,29 +42,13 @@ void PrintTable2() {
                   rig.RecordsPerSecond() / t.RRecordsLogged());
   report.AddRegistry(reg);
   (void)report.Write();
+  return true;
 }
-
-void BM_RecordSortCost(benchmark::State& state) {
-  // Wall-time benchmark of the host-side sort loop, with the modeled
-  // virtual-time rate attached as counters.
-  for (auto _ : state) {
-    LoggingRig rig(8192, 1000);
-    Status st = rig.Run(20000, 24, 16);
-    if (!st.ok()) state.SkipWithError(st.ToString().c_str());
-    state.counters["records_per_vsec"] = rig.RecordsPerSecond();
-  }
-  analysis::Table2 t;
-  state.counters["model_records_per_vsec"] = t.RRecordsLogged();
-  state.counters["model_I_record_sort"] = t.IRecordSort();
-}
-BENCHMARK(BM_RecordSortCost)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace mmdb::bench
 
-int main(int argc, char** argv) {
-  ::benchmark::Initialize(&argc, argv);
-  mmdb::bench::PrintTable2();
-  ::benchmark::RunSpecifiedBenchmarks();
-  return 0;
+int main() {
+  bool ok = mmdb::bench::PrintTable2();
+  return ok ? 0 : 1;
 }

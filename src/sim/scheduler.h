@@ -11,14 +11,15 @@
 namespace mmdb::sim {
 
 /// Deterministic discrete-event scheduler over the simulated devices —
-/// the single global event loop shared by transaction workers, recovery
-/// lanes, the background sweep, and the checkpoint/pump maintenance
-/// tick.
+/// the event loop of recovery lanes, the background sweep, the
+/// checkpoint/pump maintenance tick and the cluster's shards. The
+/// concurrent executor steps its transaction workers between these
+/// events (next_ns() / RunNext()).
 ///
-/// Events are (ready time, priority, submission sequence) triples
-/// drained in strictly ascending order; an event's callback performs its
-/// device operation (Disk reads/writes, CPU-lane occupancy) and may
-/// submit follow-up events at or after its own ready time. Because every
+/// Events are (ready time, submission sequence) pairs drained in
+/// strictly ascending order; an event's callback performs its device
+/// operation (Disk reads/writes, CPU-lane occupancy) and may submit
+/// follow-up events at or after its own ready time. Because every
 /// device serializes requests on its own busy-until timeline
 /// (max(ready, busy_until) start rule), invoking the operations in
 /// global ready order yields per-device FCFS service identical to a
@@ -27,28 +28,20 @@ namespace mmdb::sim {
 /// reads, record apply, and transaction operations overlap on the
 /// virtual timeline.
 ///
-/// Determinism: ties on ready time break by (priority, submission
-/// order), submission order is program order, and no wall-clock or
-/// randomness is involved — the same initial events always produce the
-/// same trajectory. The priority field exists so the unified transaction
-/// loop can reproduce the legacy "lowest worker index wins ties" rule
-/// exactly (worker lanes submit with pri = lane index); plain At() uses
-/// a fixed default priority, which leaves pure-recovery schedules
-/// ordered by (time, seq) as before.
+/// Determinism: ties on ready time break by submission order, which is
+/// program order, and no wall-clock or randomness is involved — the
+/// same initial events always produce the same trajectory.
 ///
 /// Host-time hot path: the heap proper holds only 24-byte POD ordering
-/// keys (ready time, priority, seq, slab slot) managed with
-/// std::push_heap/pop_heap, so every sift step moves three words instead
-/// of a whole callback. The callbacks themselves are SmallFn
-/// small-buffer callables parked in a slab indexed by the key's slot and
-/// recycled through a free list — steady-state event submission touches
-/// no allocator at all (Reserve pre-sizes heap, slab, and free list).
+/// keys (ready time, seq, slab slot) managed with std::push_heap/pop_heap,
+/// so every sift step moves three words instead of a whole callback. The
+/// callbacks themselves are SmallFn small-buffer callables parked in a
+/// slab indexed by the key's slot and recycled through a free list —
+/// steady-state event submission touches no allocator at all (Reserve
+/// pre-sizes heap, slab, and free list).
 class EventScheduler {
  public:
   using Fn = SmallFn;
-
-  /// Tie-break priority used by At() without an explicit priority.
-  static constexpr uint32_t kDefaultPri = 1u << 30;
 
   EventScheduler() = default;
   EventScheduler(const EventScheduler&) = delete;
@@ -57,11 +50,7 @@ class EventScheduler {
   /// Schedules `fn` to run at virtual time `when_ns` (clamped forward to
   /// the currently running event's time: the simulation cannot submit
   /// work into its own past).
-  void At(uint64_t when_ns, Fn fn) { At(when_ns, kDefaultPri, std::move(fn)); }
-
-  /// Same, with an explicit tie-break priority: at equal ready times a
-  /// lower `pri` runs first, before submission order is consulted.
-  void At(uint64_t when_ns, uint32_t pri, Fn fn);
+  void At(uint64_t when_ns, Fn fn);
 
   /// Pre-sizes the event heap and callback slab (allocation-free
   /// submission afterwards, until the reservation is outgrown).
@@ -74,6 +63,16 @@ class EventScheduler {
   /// Drains the event heap. Stops early if any callback called Fail().
   /// Returns the first failure, or OK when the heap ran dry.
   Status Run();
+
+  /// Ready time of the earliest pending event (UINT64_MAX when none) —
+  /// lets a caller interleave its own actors with the heap's events.
+  uint64_t next_ns() const {
+    return heap_.empty() ? UINT64_MAX : heap_.front().when_ns;
+  }
+
+  /// Runs the earliest pending event, if any. Returns the first failure
+  /// recorded so far, or OK.
+  Status RunNext();
 
   /// Records a failure; Run() stops before the next event.
   void Fail(Status st);
@@ -97,14 +96,12 @@ class EventScheduler {
   struct Event {
     uint64_t when_ns;
     uint64_t seq;
-    uint32_t pri;
     uint32_t slot;
   };
   /// std::push_heap max-heap comparator: "a orders after b" — the top of
   /// the heap is then the event that runs first.
   static bool Later(const Event& a, const Event& b) {
     if (a.when_ns != b.when_ns) return a.when_ns > b.when_ns;
-    if (a.pri != b.pri) return a.pri > b.pri;
     return a.seq > b.seq;
   }
 

@@ -22,7 +22,7 @@ namespace mmdb::sim {
 ///
 /// Unlike std::function, SmallFn accepts move-only captures (e.g. a
 /// `std::unique_ptr<Partition>` riding to its install event), which is
-/// what lets recovered partitions travel through the unified loop
+/// what lets recovered partitions travel through the event loop
 /// without shared_ptr overhead.
 class SmallFn {
  public:

@@ -76,7 +76,7 @@ Result<std::unique_ptr<Partition>> Partition::FromImage(
     return Status::Corruption("partition image size mismatch");
   }
   if (h->heap_top > h->size_bytes ||
-      kHeaderSize + h->slot_count * kSlotEntrySize > h->heap_top) {
+      kHeaderSize + uint64_t{h->slot_count} * kSlotEntrySize > h->heap_top) {
     return Status::Corruption("partition image has inconsistent layout");
   }
   return std::unique_ptr<Partition>(new Partition(std::move(image)));
@@ -144,13 +144,16 @@ Status Partition::InsertAt(uint32_t slot, std::span<const uint8_t> data) {
   if (slot < h->slot_count && slot_entry(slot)[0] != kFreeSlot) {
     return Status::InvalidArgument("slot already in use");
   }
-  uint32_t new_slot_count = slot >= h->slot_count ? slot + 1 : h->slot_count;
-  uint32_t grow = (new_slot_count - h->slot_count) * kSlotEntrySize;
-  uint32_t dir_end = kHeaderSize + h->slot_count * kSlotEntrySize;
-  uint32_t need = grow + static_cast<uint32_t>(data.size());
+  // 64-bit sizes: a slot number parsed from a damaged log record can be
+  // large enough to wrap the directory growth in 32 bits.
+  const uint64_t new_slot_count =
+      slot >= h->slot_count ? uint64_t{slot} + 1 : h->slot_count;
+  const uint64_t grow = (new_slot_count - h->slot_count) * kSlotEntrySize;
+  const uint32_t dir_end = kHeaderSize + h->slot_count * kSlotEntrySize;
+  const uint64_t need = grow + data.size();
   // Compaction merges the garbage into the free space, so together they
   // decide whether the entity fits.
-  if (h->heap_top - dir_end + h->garbage < need) {
+  if (uint64_t{h->heap_top} - dir_end + h->garbage < need) {
     return Status::Full("partition cannot fit entity");
   }
   if (h->heap_top - dir_end < need) Compact();
@@ -164,7 +167,7 @@ Status Partition::InsertAt(uint32_t slot, std::span<const uint8_t> data) {
     e[0] = kFreeSlot;
     e[1] = 0;
   }
-  h->slot_count = new_slot_count;
+  h->slot_count = static_cast<uint32_t>(new_slot_count);
   h->heap_top -= static_cast<uint32_t>(data.size());
   if (!data.empty()) {
     std::memcpy(buf_.data() + h->heap_top, data.data(), data.size());

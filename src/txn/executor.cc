@@ -81,14 +81,12 @@ void ConcurrentExecutor::DrainGrants() {
 }
 
 void ConcurrentExecutor::UnblockTxn(uint64_t txn_id, uint64_t grant_ns) {
-  for (size_t i = 0; i < lanes_.size(); ++i) {
-    Lane& l = lanes_[i];
+  for (Lane& l : lanes_) {
     if (l.blocked && l.txn != nullptr && l.txn->id() == txn_id) {
       l.blocked = false;
       if (grant_ns > l.park_ns) l.lock_wait_ns += grant_ns - l.park_ns;
       // The worker slept from its park time until the grant.
       l.cpu->IdleUntil(grant_ns);
-      MarkDirty(i);
       return;
     }
   }
@@ -98,8 +96,7 @@ void ConcurrentExecutor::AdmitScripts() {
   // O(1) in the steady state: the lane scan only runs when a script is
   // waiting *and* some lane is actually free (free_lanes_ counts them).
   if (admit_cursor_ >= scripts_.size() || free_lanes_ == 0) return;
-  for (size_t i = 0; i < lanes_.size(); ++i) {
-    Lane& l = lanes_[i];
+  for (Lane& l : lanes_) {
     if (l.script != -1) continue;
     if (admit_cursor_ >= scripts_.size()) break;
     l.script = static_cast<int>(admit_cursor_++);
@@ -112,7 +109,6 @@ void ConcurrentExecutor::AdmitScripts() {
     l.queue_recorded = false;
     l.lock_wait_ns = 0;
     l.park_ns = 0;
-    MarkDirty(i);
   }
 }
 
@@ -153,7 +149,7 @@ Status ConcurrentExecutor::AbortVictims(const std::vector<uint64_t>& victims,
     lane.blocked = false;
     // The victim learns of its fate at the moment the requester detected
     // the cycle. Its Abort releases locks; the resulting grants land in
-    // the database's pending list and are drained next scheduling round.
+    // the database's pending list and are drained after this step.
     lane.cpu->IdleUntil(now_ns);
     Database::ExecContext ctx;
     ctx.cpu = lane.cpu.get();
@@ -173,12 +169,10 @@ Status ConcurrentExecutor::AbortVictims(const std::vector<uint64_t>& victims,
       r.txn_id = vid;
       lane.script = -1;
       ++free_lanes_;
-      ResetForRetry(&lane);
-    } else {
-      // Retry from scratch on the same worker with a fresh transaction.
-      ResetForRetry(&lane);
     }
-    MarkDirty(li);
+    // Otherwise the script retries from scratch on the same worker with a
+    // fresh transaction.
+    ResetForRetry(&lane);
   }
   return Status::OK();
 }
@@ -324,97 +318,6 @@ Status ConcurrentExecutor::DispatchOne(size_t li) {
   return Status::OK();
 }
 
-Status ConcurrentExecutor::Run() {
-  return opts_.unified_event_loop ? RunEventLoop() : RunLegacy();
-}
-
-Status ConcurrentExecutor::RunLegacy() {
-  for (;;) {
-    DrainGrants();
-    AdmitScripts();
-
-    // Pick the runnable worker with the earliest (busy-until, index).
-    size_t pick = lanes_.size();
-    uint64_t pick_ns = 0;
-    for (size_t i = 0; i < lanes_.size(); ++i) {
-      const Lane& l = lanes_[i];
-      if (l.script == -1 || l.blocked) continue;
-      uint64_t t = l.cpu->busy_until_ns();
-      if (pick == lanes_.size() || t < pick_ns) {
-        pick = i;
-        pick_ns = t;
-      }
-    }
-
-    if (pick == lanes_.size()) {
-      bool any_blocked = false;
-      for (const Lane& l : lanes_) any_blocked |= (l.script != -1 && l.blocked);
-      if (any_blocked) {
-        // Every in-flight transaction is parked and nothing can release a
-        // lock: the schedule is wedged. Deadlock detection should make
-        // this unreachable.
-        return Status::Corruption("executor wedged: all workers blocked");
-      }
-      break;  // all scripts complete
-    }
-
-    MMDB_RETURN_IF_ERROR(DispatchOne(pick));
-  }
-  return FinishRun();
-}
-
-// --- unified event loop -------------------------------------------------------
-//
-// Equivalence to the legacy scan: the loop maintains the invariant that
-// every runnable lane (script assigned, not parked) has exactly one
-// pending current-generation event at (its busy-until, pri = lane
-// index). All lane state changes happen inside event callbacks, and each
-// callback ends by rescheduling every lane it touched — so at every pop
-// the heap's minimum over (when, pri) is exactly the legacy argmin over
-// (busy-until, index), including the lowest-index-wins tie-break.
-// Grants are drained and scripts admitted after each dispatch — the same
-// point, relative to the next pick, as the legacy top-of-round preamble.
-
-void ConcurrentExecutor::MarkDirty(size_t li) {
-  if (sched_ == nullptr) return;
-  ++lane_gen_[li];  // a pending event for this lane is now stale
-  lane_live_[li] = false;
-  dirty_.push_back(li);
-}
-
-void ConcurrentExecutor::ScheduleLane(size_t li) {
-  Lane& l = lanes_[li];
-  if (l.script == -1 || l.blocked || lane_live_[li]) return;
-  lane_live_[li] = true;
-  const uint64_t gen = lane_gen_[li];
-  sched_->At(l.cpu->busy_until_ns(), static_cast<uint32_t>(li),
-             [this, li, gen](uint64_t t) { LaneEvent(li, gen, t); });
-}
-
-void ConcurrentExecutor::FlushDirty() {
-  for (size_t li : dirty_) ScheduleLane(li);
-  dirty_.clear();
-}
-
-void ConcurrentExecutor::LaneEvent(size_t li, uint64_t gen, uint64_t now_ns) {
-  (void)now_ns;
-  if (gen != lane_gen_[li]) return;  // superseded while queued
-  lane_live_[li] = false;
-  Status st = DispatchOne(li);
-  if (!st.ok()) {
-    sched_->Fail(st);
-    return;
-  }
-  DrainGrants();
-  AdmitScripts();
-  FlushDirty();
-  // This lane's own event just fired (nothing pending to invalidate), so
-  // it reschedules directly at its moved busy-until — one heap push, no
-  // generation churn. If admission or a grant already rescheduled it,
-  // lane_live_ makes this a no-op.
-  ScheduleLane(li);
-}
-
 void ConcurrentExecutor::StartSweep(uint32_t lane, uint64_t now_ns) {
   Database::RecoveryWorkItem item;
   if (!db_->NextSweepItem(&item)) return;  // lane drains
@@ -427,15 +330,12 @@ void ConcurrentExecutor::StartSweep(uint32_t lane, uint64_t now_ns) {
     sched_->Fail(rebuilt.status());
     return;
   }
-  ++sweep_inflight_;
   // The install mutates shared state (partition manager, catalog), so it
-  // runs as its own event at the rebuild's completion instant — at the
-  // scheduler's default priority, which loses virtual-time ties to
-  // transaction dispatches (background work stays background).
+  // runs as its own event at the rebuild's completion instant; like every
+  // background event it loses virtual-time ties to transaction steps.
   const uint64_t done_ns = rebuilt.value().done_ns;
   sched_->At(done_ns, [this, lane, r = std::move(rebuilt).value()](
                           uint64_t t) mutable {
-    --sweep_inflight_;
     auto installed = db_->Install(std::move(r), RecoverySource::kBackground);
     if (!installed.ok()) {
       sched_->Fail(installed.status());
@@ -459,39 +359,41 @@ void ConcurrentExecutor::MaintenanceTick(uint64_t now_ns) {
   // Background version reclamation: prune anything older than the
   // oldest live snapshot (pure bookkeeping, no virtual time).
   db_->PruneVersions();
-  // Keep ticking only while something else is scheduled: when the tick
-  // is the last event on the heap, every worker has finished (or is
-  // wedged) and every sweep lane has drained, so the loop winds down.
-  if (sched_->depth() > 0) {
+  // Keep ticking only while something else can run: once no worker is
+  // runnable and every sweep lane has drained, the loop winds down.
+  if (sched_->depth() > 0 || NextWorker() < lanes_.size()) {
     sched_->At(now_ns + opts_.maintenance_tick_ns,
                [this](uint64_t t) { MaintenanceTick(t); });
   }
 }
 
-Status ConcurrentExecutor::RunEventLoop() {
+size_t ConcurrentExecutor::NextWorker() const {
+  size_t pick = lanes_.size();
+  uint64_t pick_ns = 0;
+  for (size_t i = 0; i < lanes_.size(); ++i) {
+    const Lane& l = lanes_[i];
+    if (l.script == -1 || l.blocked) continue;
+    uint64_t t = l.cpu->busy_until_ns();
+    if (pick == lanes_.size() || t < pick_ns) {
+      pick = i;
+      pick_ns = t;
+    }
+  }
+  return pick;
+}
+
+Status ConcurrentExecutor::Run() {
   sim::EventScheduler sched;
   sched_ = &sched;
-  lane_gen_.assign(lanes_.size(), 0);
-  lane_live_.assign(lanes_.size(), false);
-  dirty_.clear();
-  sweep_inflight_ = 0;
   sweep_recovered_ = 0;
   last_sweep_install_ns_ = 0;
 
-  uint32_t sweep_lanes = 0;
   if (opts_.background_sweep) {
-    sweep_lanes = opts_.sweep_lanes != 0
-                      ? opts_.sweep_lanes
-                      : std::max<uint32_t>(1, db_->options().recovery_parallelism);
-  }
-  sched.Reserve(2 * lanes_.size() + 2 * sweep_lanes + 16);
-
-  DrainGrants();
-  AdmitScripts();
-  dirty_.clear();
-  for (size_t li = 0; li < lanes_.size(); ++li) ScheduleLane(li);
-
-  if (opts_.background_sweep) {
+    const uint32_t sweep_lanes =
+        opts_.sweep_lanes != 0
+            ? opts_.sweep_lanes
+            : std::max<uint32_t>(1, db_->options().recovery_parallelism);
+    sched.Reserve(sweep_lanes + 1);
     const uint64_t t0 = db_->now_ns();
     sweep_lanes_.clear();
     sweep_lanes_.reserve(sweep_lanes);
@@ -503,8 +405,33 @@ Status ConcurrentExecutor::RunEventLoop() {
              [this](uint64_t t) { MaintenanceTick(t); });
   }
 
-  Status st = sched.Run();
-  sched_events_run_ = sched.events_run();
+  // Each step runs the runnable worker with the smallest (busy-until,
+  // worker index), unless a background event is due strictly earlier:
+  // at a tie the worker goes first, so background work stays background.
+  // Grants and admissions are applied after worker steps only — a grant
+  // released inside a maintenance tick waits for the next worker step.
+  DrainGrants();
+  AdmitScripts();
+  uint64_t worker_steps = 0;
+  Status st = Status::OK();
+  for (;;) {
+    const size_t pick = NextWorker();
+    const uint64_t pick_ns = pick < lanes_.size()
+                                 ? lanes_[pick].cpu->busy_until_ns()
+                                 : UINT64_MAX;
+    if (sched.next_ns() < pick_ns) {
+      st = sched.RunNext();
+      if (!st.ok()) break;
+      continue;
+    }
+    if (pick == lanes_.size()) break;
+    ++worker_steps;
+    st = DispatchOne(pick);
+    if (!st.ok()) break;
+    DrainGrants();
+    AdmitScripts();
+  }
+  sched_events_run_ = worker_steps + sched.events_run();
   sched_peak_depth_ = sched.peak_depth();
   sched_heap_fallbacks_ = sched.heap_fallbacks();
   sched_ = nullptr;
@@ -513,9 +440,9 @@ Status ConcurrentExecutor::RunEventLoop() {
   m_sched_events_->Add(sched_events_run_);
   m_sched_peak_depth_->Set(static_cast<double>(sched_peak_depth_));
 
-  // The heap ran dry. Any script still in flight means every in-flight
-  // transaction was parked with nothing left to release a lock — the
-  // legacy loop's wedge condition.
+  // Nothing is runnable and no background event is pending. Any script
+  // still in flight means every in-flight transaction was parked with
+  // nothing left to release a lock.
   for (const Lane& l : lanes_) {
     if (l.script != -1) {
       return Status::Corruption("executor wedged: all workers blocked");

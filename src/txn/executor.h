@@ -67,7 +67,7 @@ struct ScriptResult {
 /// operation granularity on the virtual clock.
 ///
 /// Scheduling is discrete-event and fully deterministic: each worker is
-/// a private sim::CpuModel timeline, and every round the runnable worker
+/// a private sim::CpuModel timeline, and every step the runnable worker
 /// with the smallest (busy-until, worker index) dispatches its next
 /// operation. An operation that blocks on a lock is rolled back to its
 /// operation mark (block-and-replay) and the worker parks until the
@@ -81,34 +81,21 @@ struct ScriptResult {
 /// commit order, metrics, and trace, which is what the serializability/
 /// determinism test layer asserts.
 ///
-/// Two dispatch engines produce that schedule. The default runs on the
-/// global sim::EventScheduler (the unified event loop): every runnable
-/// worker keeps exactly one pending event at (busy-until, pri = worker
-/// index), so the scheduler's pop order *is* the legacy argmin rule and
-/// the two engines are byte-identical — but next-worker selection is
-/// O(log workers) heap maintenance instead of an O(workers) rescan of
-/// every lane per dispatched operation, which is what makes GB-scale
-/// multi-worker experiments affordable in host time. The legacy scan
-/// loop is kept as the equivalence baseline (unified_event_loop=false).
-///
-/// The unified loop can additionally interleave the heat-ordered
-/// background recovery sweep (background_sweep=true, post-crash): N
-/// recovery lanes rebuild non-resident partitions as events between
-/// transaction operations on the same heap, installing each partition at
-/// its virtual completion instant, with a periodic maintenance tick
-/// pumping the sort process and checkpointer. Transactions, recovery
-/// lanes, and the sweep then genuinely share one virtual timeline.
+/// The loop can also interleave the heat-ordered background recovery
+/// sweep (background_sweep=true, post-crash): N recovery lanes rebuild
+/// non-resident partitions as sim::EventScheduler events between
+/// transaction operations, installing each partition at its virtual
+/// completion instant, with a periodic maintenance tick pumping the sort
+/// process and checkpointer. A background event runs before the next
+/// worker step only when it is due strictly earlier, so transactions,
+/// recovery lanes, and the sweep share one virtual timeline.
 class ConcurrentExecutor {
  public:
   struct Options {
     /// A script that loses this many deadlocks is abandoned (kAborted).
     uint32_t max_deadlock_retries = 32;
-    /// Dispatch on the global event loop (see class comment). The
-    /// schedule is byte-identical either way; false selects the legacy
-    /// O(workers)-per-operation scan loop, the equivalence baseline.
-    bool unified_event_loop = true;
     /// Interleave the heat-ordered background recovery sweep with
-    /// transaction execution (unified loop only).
+    /// transaction execution.
     bool background_sweep = false;
     /// Sweep recovery lanes; 0 = DatabaseOptions::recovery_parallelism.
     uint32_t sweep_lanes = 0;
@@ -143,8 +130,9 @@ class ConcurrentExecutor {
   uint64_t waits() const { return waits_; }
   uint64_t deadlocks() const { return deadlocks_; }
 
-  /// Unified-loop statistics from the most recent Run() (zero after a
-  /// legacy-loop run).
+  /// Loop statistics from the most recent Run(): worker steps plus
+  /// background events run, and the background event heap's peak depth
+  /// and SmallFn heap fallbacks.
   uint64_t scheduler_events_run() const { return sched_events_run_; }
   size_t scheduler_peak_depth() const { return sched_peak_depth_; }
   uint64_t scheduler_heap_fallbacks() const { return sched_heap_fallbacks_; }
@@ -175,7 +163,7 @@ class ConcurrentExecutor {
   void DrainGrants();
   void UnblockTxn(uint64_t txn_id, uint64_t grant_ns);
   /// Admits pending scripts to free workers, submission order, lowest
-  /// worker index first (the shared round preamble of both engines).
+  /// worker index first.
   void AdmitScripts();
   /// Dispatches one step (Begin+op, op, or Commit) of lane `li`'s script.
   Status DispatchOne(size_t li);
@@ -185,31 +173,19 @@ class ConcurrentExecutor {
   /// Resets lane state so the script retries from scratch.
   void ResetForRetry(Lane* lane);
 
-  // --- unified event loop -----------------------------------------------------
-  Status RunEventLoop();
-  /// The legacy per-operation argmin scan (the equivalence baseline).
-  Status RunLegacy();
-  /// Invalidates lane `li`'s pending dispatch event (its state changed)
-  /// and queues it for rescheduling at the end of the current event.
-  /// No-op outside an event-loop run.
-  void MarkDirty(size_t li);
-  /// Schedules a dispatch event for lane `li` at its (busy-until, index)
-  /// if it is runnable and has none pending.
-  void ScheduleLane(size_t li);
-  /// Reschedules every lane MarkDirty() touched during this event.
-  void FlushDirty();
-  /// One dispatch event: runs lane `li`'s next step, then the round
-  /// postamble (drain grants, admit, reschedule touched lanes).
-  void LaneEvent(size_t li, uint64_t gen, uint64_t now_ns);
+  /// The runnable worker with the smallest (busy-until, index), or
+  /// workers() when none is runnable.
+  size_t NextWorker() const;
   /// Pulls the next sweep item onto sweep lane `lane`: rebuilds it
   /// (Database::RebuildPartition) and schedules the install at its
   /// completion.
   void StartSweep(uint32_t lane, uint64_t now_ns);
   /// Periodic sort-process + checkpointer pump (background_sweep only);
-  /// stops rescheduling once it is the only thing left on the heap.
+  /// stops rescheduling once no worker is runnable and no other
+  /// background event is pending.
   void MaintenanceTick(uint64_t now_ns);
 
-  /// Shared Run() tail: per-worker busy accounting + the epoch fence.
+  /// Run() tail: per-worker busy accounting + the epoch fence.
   Status FinishRun();
 
   /// Records the committed/aborted transaction's phase breakdown into
@@ -232,17 +208,9 @@ class ConcurrentExecutor {
   uint64_t waits_ = 0;
   uint64_t deadlocks_ = 0;
 
-  /// Event-loop state, live only inside RunEventLoop(). `lane_gen_[li]`
-  /// invalidates stale dispatch events (an event captures the generation
-  /// it was scheduled under and returns early on mismatch);
-  /// `lane_live_[li]` says a current-generation event is pending, so a
-  /// runnable lane keeps exactly one.
+  /// Background event heap, live only inside Run().
   sim::EventScheduler* sched_ = nullptr;
-  std::vector<uint64_t> lane_gen_;
-  std::vector<bool> lane_live_;
-  std::vector<size_t> dirty_;
   std::vector<Database::RecoveryLane> sweep_lanes_;
-  uint32_t sweep_inflight_ = 0;
   uint64_t sweep_recovered_ = 0;
   uint64_t last_sweep_install_ns_ = 0;
   uint64_t sched_events_run_ = 0;
@@ -251,7 +219,6 @@ class ConcurrentExecutor {
   obs::Counter* m_waits_ = nullptr;
   obs::Counter* m_deadlocks_ = nullptr;
   obs::Histogram* m_worker_busy_ns_ = nullptr;
-  /// Unified-loop observability (zero after a legacy run).
   obs::Counter* m_sched_events_ = nullptr;
   obs::Gauge* m_sched_peak_depth_ = nullptr;
   /// Per-txn latency percentiles (p50/p95/p99/p999), split by outcome

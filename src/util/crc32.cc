@@ -35,8 +35,6 @@ const std::array<std::array<uint32_t, 256>, 16>& Tables() {
   return kT;
 }
 
-bool g_use_reference = false;
-
 }  // namespace
 
 uint32_t Crc32Reference(const void* data, size_t n, uint32_t seed) {
@@ -49,11 +47,8 @@ uint32_t Crc32Reference(const void* data, size_t n, uint32_t seed) {
   return c ^ 0xFFFFFFFFu;
 }
 
-void UseReferenceCrc32(bool on) { g_use_reference = on; }
-
 uint32_t Crc32(const void* data, size_t n, uint32_t seed) {
   const auto& kT = Tables();
-  if (g_use_reference) return Crc32Reference(data, n, seed);
   const auto* p = static_cast<const unsigned char*>(data);
   uint32_t c = seed ^ 0xFFFFFFFFu;
   // The word-folding path assumes little-endian lane order (every

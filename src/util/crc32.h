@@ -13,14 +13,10 @@ namespace mmdb {
 uint32_t Crc32(const void* data, size_t n, uint32_t seed = 0);
 
 /// Byte-at-a-time reference implementation — the simulator's checksum
-/// hot path before the slicing-by-8 rewrite. Bit-identical to Crc32();
-/// kept for equivalence testing and as the pre-unification baseline in
-/// bench_sim_scale's A/B phases.
+/// hot path before the slicing-by-16 rewrite. Bit-identical to Crc32();
+/// kept as the oracle util_test checks Crc32() against, and as the
+/// baseline of bench_sim_scale's crc32_speedup ratio.
 uint32_t Crc32Reference(const void* data, size_t n, uint32_t seed = 0);
-
-/// Routes Crc32() through the reference implementation (process-wide,
-/// not thread-safe — the simulator is single-threaded). Bench/test only.
-void UseReferenceCrc32(bool on);
 
 }  // namespace mmdb
 

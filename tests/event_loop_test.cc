@@ -1,11 +1,6 @@
-// Unified-event-loop equivalence and interleaved-sweep tests.
-//
-// The tentpole guarantee: dispatching the concurrent executor on the
-// global EventScheduler is *byte-identical* to the legacy per-operation
-// argmin scan — same commit order, same virtual timings, same metrics
-// dump, same trace. The sweep tests then cover the new behavior the
-// unified loop enables: the heat-ordered background recovery sweep
-// running as events between transaction operations.
+// Interleaved-sweep tests: the heat-ordered background recovery sweep
+// running as scheduler events between transaction operations, and the
+// loop statistics that count them.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "concurrency_workload.h"
 #include "core/database.h"
 #include "obs/export.h"
 #include "test_util.h"
@@ -24,85 +18,6 @@
 
 namespace mmdb {
 namespace {
-
-using testing::ConcurrencyWorkload;
-
-struct EngineFingerprint {
-  std::vector<uint64_t> commit_order;
-  uint64_t completion_ns = 0;
-  uint64_t waits = 0;
-  uint64_t deadlocks = 0;
-  std::map<int64_t, int64_t> rows;
-  std::string metrics_json;
-  std::string trace_json;
-};
-
-Status RunEngine(uint64_t seed, uint32_t workers, bool unified,
-                 EngineFingerprint* out) {
-  ConcurrencyWorkload w;
-  MMDB_RETURN_IF_ERROR(w.Setup(workers, /*trace=*/true));
-  ConcurrentExecutor::Options eo;
-  eo.unified_event_loop = unified;
-  ConcurrentExecutor ex(w.db.get(), eo);
-  for (TxnScript& s : w.MakeScripts(seed)) ex.Submit(std::move(s));
-  MMDB_RETURN_IF_ERROR(ex.Run());
-  out->commit_order = ex.commit_order();
-  out->completion_ns = ex.completion_ns();
-  out->waits = ex.waits();
-  out->deadlocks = ex.deadlocks();
-  auto rows = w.LogicalRows();
-  MMDB_RETURN_IF_ERROR(rows.status());
-  out->rows = rows.value();
-  // The scheduler.* metrics are the one intentional difference between
-  // engines (the legacy loop has no event heap); zero them so the dumps
-  // must otherwise match byte for byte.
-  w.db->metrics()
-      .counter("scheduler.events_run", obs::Scope::kVolatile)
-      ->Reset();
-  w.db->metrics()
-      .gauge("scheduler.peak_heap_depth", obs::Scope::kVolatile)
-      ->Reset();
-  out->metrics_json = obs::RegistryToJsonValue(w.db->metrics()).Dump();
-  out->trace_json = w.db->tracer().ToJson();
-  return Status::OK();
-}
-
-/// The unified loop must reproduce the legacy engine's schedule exactly:
-/// any divergence in tie-breaking, grant draining, or admission order
-/// shows up here as a commit-order / timing / trace diff.
-TEST(EventLoopTest, UnifiedMatchesLegacyByteIdentical) {
-  for (uint32_t workers : {1u, 4u, 8u}) {
-    for (uint64_t seed : {3u, 7u}) {
-      SCOPED_TRACE("workers=" + std::to_string(workers) +
-                   " seed=" + std::to_string(seed));
-      EngineFingerprint legacy, unified;
-      ASSERT_OK(RunEngine(seed, workers, /*unified=*/false, &legacy));
-      ASSERT_OK(RunEngine(seed, workers, /*unified=*/true, &unified));
-      EXPECT_EQ(legacy.commit_order, unified.commit_order);
-      EXPECT_EQ(legacy.completion_ns, unified.completion_ns);
-      EXPECT_EQ(legacy.waits, unified.waits);
-      EXPECT_EQ(legacy.deadlocks, unified.deadlocks);
-      EXPECT_EQ(legacy.rows, unified.rows);
-      EXPECT_EQ(legacy.metrics_json, unified.metrics_json);
-      EXPECT_EQ(legacy.trace_json, unified.trace_json);
-    }
-  }
-}
-
-TEST(EventLoopTest, SchedulerStatsExposed) {
-  ConcurrencyWorkload w;
-  ASSERT_OK(w.Setup(4));
-  ConcurrentExecutor ex(w.db.get());  // unified by default
-  for (TxnScript& s : w.MakeScripts(7)) ex.Submit(std::move(s));
-  ASSERT_OK(ex.Run());
-  EXPECT_GT(ex.scheduler_events_run(), 0u);
-  EXPECT_GE(ex.scheduler_peak_depth(), 1u);
-  // The dispatch hot path must be allocation-free: every event callback
-  // fits SmallFn's inline buffer.
-  EXPECT_EQ(ex.scheduler_heap_fallbacks(), 0u);
-  EXPECT_GT(w.db->metrics().counter_value("scheduler.events_run"), 0u);
-  EXPECT_GE(w.db->metrics().gauge_value("scheduler.peak_heap_depth"), 1.0);
-}
 
 // --- interleaved heat-ordered sweep ------------------------------------------
 
@@ -194,6 +109,27 @@ TEST(EventLoopTest, SweepInterleavesWithTransactions) {
   // The executor keeps sweeping after the last commit until the queue
   // drains; everything must be resident by the end.
   EXPECT_TRUE(rig.db->FullyResident());
+}
+
+TEST(EventLoopTest, SchedulerStatsExposed) {
+  constexpr int kScripts = 24;
+  SweepRig rig;
+  ASSERT_OK(rig.Setup(4));
+  ConcurrentExecutor::Options eo;
+  eo.background_sweep = true;
+  ConcurrentExecutor ex(rig.db.get(), eo);
+  for (TxnScript& s : rig.MakeScripts(kScripts)) ex.Submit(std::move(s));
+  ASSERT_OK(ex.Run());
+  // Worker steps count too: each script is three ops plus its commit,
+  // and every sweep install is one more event.
+  EXPECT_GE(ex.scheduler_events_run(), 4u * kScripts + ex.sweep_recovered());
+  EXPECT_GE(ex.scheduler_peak_depth(), 1u);
+  // The background hot path must be allocation-free: every event
+  // callback fits SmallFn's inline buffer.
+  EXPECT_EQ(ex.scheduler_heap_fallbacks(), 0u);
+  EXPECT_EQ(rig.db->metrics().counter_value("scheduler.events_run"),
+            ex.scheduler_events_run());
+  EXPECT_GE(rig.db->metrics().gauge_value("scheduler.peak_heap_depth"), 1.0);
 }
 
 /// Different sweep lane counts change virtual timings but never the

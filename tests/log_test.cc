@@ -120,6 +120,18 @@ TEST(LogRecordTest, PatchIsHeaderPlusOffsetLengthAndSpan) {
   }
 }
 
+TEST(LogRecordTest, InsertAtAnUnfittableSlotIsFull) {
+  // A damaged slot number from the log must not grow the directory past
+  // the partition.
+  Partition p({1, 2}, 4096, 0);
+  const std::vector<uint8_t> before = p.image();
+  EXPECT_TRUE(
+      ApplyLogRecord(MakeInsert(1, {1, 2}, 0, 1u << 29, testing::Bytes({1})),
+                     &p)
+          .IsFull());
+  EXPECT_EQ(p.image(), before);
+}
+
 TEST(LogRecordTest, PatchPastItsEntityIsCorruption) {
   Partition p({1, 2}, 8192, 0);
   ASSERT_OK(ApplyLogRecord(

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 
 #include "storage/partition.h"
@@ -78,6 +79,17 @@ TEST(PartitionTest, InsertAtUsedSlotFails) {
   Partition p({1, 0}, 48 * 1024, 0);
   ASSERT_OK(p.InsertAt(0, testing::Bytes({1})));
   EXPECT_TRUE(p.InsertAt(0, testing::Bytes({2})).IsInvalidArgument());
+}
+
+TEST(PartitionTest, InsertAtSlotPastWhatThePartitionHoldsIsFull) {
+  // The directory entry alone would need 4 GB: the growth must not wrap
+  // in 32 bits into a small, fitting size.
+  Partition p({1, 0}, 4096, 0);
+  const std::vector<uint8_t> before = p.image();
+  EXPECT_TRUE(p.InsertAt(1u << 29, testing::Bytes({1})).IsFull());
+  EXPECT_TRUE(p.InsertAt(0xFFFFFFFFu, testing::Bytes({1})).IsFull());
+  EXPECT_EQ(p.image(), before);
+  EXPECT_EQ(p.slot_count(), 0u);
 }
 
 TEST(PartitionTest, UpdateInPlaceAndRelocating) {
@@ -189,6 +201,12 @@ TEST(PartitionTest, FromImageRejectsCorruptImages) {
   EXPECT_TRUE(Partition::FromImage(img).status().IsCorruption());
   std::vector<uint8_t> truncated(p.image().begin(), p.image().end() - 10);
   EXPECT_TRUE(Partition::FromImage(truncated).status().IsCorruption());
+  // A slot count whose directory wraps 32 bits (2^29 entries of 8 bytes).
+  std::vector<uint8_t> huge_dir = p.image();
+  const uint32_t slot_count = 1u << 29;
+  std::memcpy(huge_dir.data() + 5 * sizeof(uint32_t), &slot_count,
+              sizeof(slot_count));
+  EXPECT_TRUE(Partition::FromImage(huge_dir).status().IsCorruption());
 }
 
 TEST(PartitionTest, EmptyEntitySupported) {

@@ -221,23 +221,15 @@ TEST(EventSchedulerTest, RunsInTimeOrderWithSeqTieBreak) {
   s.At(20, [&](uint64_t) { order.push_back(2); });
   s.At(10, [&](uint64_t) { order.push_back(1); });
   s.At(10, [&](uint64_t) { order.push_back(3); });  // same time: after 1
+  EXPECT_EQ(s.next_ns(), 10u);
+  ASSERT_OK(s.RunNext());
+  EXPECT_EQ(order, (std::vector<int>{1}));
+  EXPECT_EQ(s.next_ns(), 10u);
   ASSERT_OK(s.Run());
+  EXPECT_EQ(s.next_ns(), UINT64_MAX);
   EXPECT_EQ(order, (std::vector<int>{1, 3, 2}));
   EXPECT_EQ(s.now_ns(), 20u);
   EXPECT_EQ(s.events_run(), 3u);
-}
-
-TEST(EventSchedulerTest, PriorityBreaksTimeTiesBeforeSubmissionOrder) {
-  // The unified transaction loop submits worker events with pri = lane
-  // index; at equal ready times the lowest index must win even when it
-  // was submitted last — the legacy argmin's tie-break rule.
-  EventScheduler s;
-  std::vector<uint32_t> order;
-  s.At(10, 3, [&](uint64_t) { order.push_back(3); });
-  s.At(10, 1, [&](uint64_t) { order.push_back(1); });
-  s.At(10, 2, [&](uint64_t) { order.push_back(2); });
-  ASSERT_OK(s.Run());
-  EXPECT_EQ(order, (std::vector<uint32_t>{1, 2, 3}));
 }
 
 TEST(EventSchedulerTest, TracksPeakDepthAndHeapFallbacks) {

@@ -21,8 +21,8 @@ signal, while a denser one is fine.
 A bench may also carry a top-level "host" section of machine-local
 measurements (host seconds, sim-txns-per-host-second from
 bench_sim_scale). Absolute host rates vary with the runner, so they are
-reported as info only; `speedup` keys are within-run ratios (both phases
-run on the same machine) and are gated higher-is-better at a loosened
+reported as info only; `speedup` keys are within-run ratios (both sides
+are timed in the same run) and are gated higher-is-better at a loosened
 tolerance of max(tolerance, 0.25).
 
 Exit status 1 on any regression, so CI can gate on it. Improvements are
