@@ -2,9 +2,14 @@
 
 #include <algorithm>
 
+#include "util/crc32.h"
 #include "util/logging.h"
 
 namespace mmdb {
+
+namespace {
+constexpr uint32_t kRootMagic = 0x4D52424B;  // "MRBK"
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // DiskAllocationMap
@@ -75,11 +80,14 @@ Status DiskAllocationMap::ApplyChunk(std::span<const uint8_t> payload) {
   if (tag != static_cast<uint8_t>(CatalogRowTag::kDiskMapChunk)) {
     return Status::Corruption("not a disk map chunk");
   }
-  if (slots_.size() != total) slots_.assign(total, kFree);
-  pages_per_slot_ = pps;
-  head_ = head;
+  // Restart sizes the map from the options the database was created
+  // with, so a chunk written by this database always matches it.
+  if (total != slots_.size() || pps != pages_per_slot_) {
+    return Status::Corruption("disk map chunk does not match the map");
+  }
   uint64_t begin = static_cast<uint64_t>(chunk) * kChunkSlots;
   if (begin + count > total) return Status::Corruption("chunk out of range");
+  head_ = head;
   for (uint32_t i = 0; i < count; ++i) {
     uint64_t v;
     if (!r.GetU64(&v)) return Status::Corruption("truncated chunk slots");
@@ -142,12 +150,6 @@ Status Catalog::DropRelation(const std::string& name) {
   return Status::OK();
 }
 
-std::vector<const RelationInfo*> Catalog::AllRelations() const {
-  std::vector<const RelationInfo*> out;
-  for (const auto& [_, r] : relations_) out.push_back(&r);
-  return out;
-}
-
 Result<IndexInfo*> Catalog::CreateIndex(std::string name, uint32_t relation_id,
                                         uint32_t column, IndexType type,
                                         SegmentId segment) {
@@ -186,61 +188,145 @@ Status Catalog::DropIndex(const std::string& name) {
   return Status::OK();
 }
 
-std::vector<IndexInfo*> Catalog::RelationIndexes(uint32_t relation_id) {
-  std::vector<IndexInfo*> out;
-  for (auto& [_, idx] : indexes_) {
-    if (idx.relation_id == relation_id) out.push_back(&idx);
+// ---------------------------------------------------------------------------
+// Catalog: partition descriptors
+// ---------------------------------------------------------------------------
+
+Catalog::Owner Catalog::OwnerOf(SegmentId segment) const {
+  for (const auto& [_, r] : relations_) {
+    if (r.segment == segment) return Owner{&r, nullptr};
   }
-  return out;
+  for (const auto& [_, i] : indexes_) {
+    if (i.segment == segment) return Owner{nullptr, &i};
+  }
+  return Owner{};
+}
+
+Result<std::vector<PartitionDescriptor>*> Catalog::PartitionsOf(
+    SegmentId segment) {
+  if (segment == catalog_segment_) return &catalog_partitions_;
+  Owner o = OwnerOf(segment);
+  if (o.relation != nullptr) return &relations_.at(o.relation->name).partitions;
+  if (o.index != nullptr) return &indexes_.at(o.index->name).partitions;
+  return Status::NotFound("no object owns segment " + std::to_string(segment));
 }
 
 Result<PartitionDescriptor*> Catalog::FindDescriptor(PartitionId pid) {
-  for (auto& [_, r] : relations_) {
-    if (r.segment == pid.segment) {
-      for (auto& d : r.partitions) {
-        if (d.id == pid) return &d;
-      }
-      return Status::NotFound("no descriptor for " + pid.ToString());
-    }
+  auto list = PartitionsOf(pid.segment);
+  if (!list.ok()) return list.status();
+  for (PartitionDescriptor& d : *list.value()) {
+    if (d.id == pid) return &d;
   }
-  for (auto& [_, i] : indexes_) {
-    if (i.segment == pid.segment) {
-      for (auto& d : i.partitions) {
-        if (d.id == pid) return &d;
-      }
-      return Status::NotFound("no descriptor for " + pid.ToString());
-    }
-  }
-  return Status::NotFound("no object owns segment " +
-                          std::to_string(pid.segment));
-}
-
-std::string Catalog::SegmentOwnerName(SegmentId segment) const {
-  for (const auto& [name, r] : relations_) {
-    if (r.segment == segment) return "relation " + name;
-  }
-  for (const auto& [name, i] : indexes_) {
-    if (i.segment == segment) return "index " + name;
-  }
-  return "unknown segment " + std::to_string(segment);
+  return Status::NotFound("no descriptor for " + pid.ToString());
 }
 
 Result<RelationInfo*> Catalog::RelationOfSegment(SegmentId segment) {
-  for (auto& [_, r] : relations_) {
-    if (r.segment == segment) return &r;
-  }
-  for (auto& [_, i] : indexes_) {
-    if (i.segment == segment) return GetRelationById(i.relation_id);
-  }
+  Owner o = OwnerOf(segment);
+  if (o.relation != nullptr) return GetRelation(o.relation->name);
+  if (o.index != nullptr) return GetRelationById(o.index->relation_id);
   return Status::NotFound("no relation owns segment " +
                           std::to_string(segment));
 }
 
 Result<IndexInfo*> Catalog::IndexOfSegment(SegmentId segment) {
-  for (auto& [_, i] : indexes_) {
-    if (i.segment == segment) return &i;
+  Owner o = OwnerOf(segment);
+  if (o.index == nullptr) {
+    return Status::NotFound("no index owns segment " +
+                            std::to_string(segment));
   }
-  return Status::NotFound("no index owns segment " + std::to_string(segment));
+  return GetIndex(o.index->name);
+}
+
+void Catalog::AppendRelationPartitions(
+    const RelationInfo& r,
+    std::vector<const PartitionDescriptor*>* out) const {
+  for (const PartitionDescriptor& d : r.partitions) out->push_back(&d);
+  // Rebuild rejects a relation row naming an undefined index, and DDL
+  // changes index_names and indexes_ together, so every name resolves.
+  for (const std::string& iname : r.index_names) {
+    for (const PartitionDescriptor& d : indexes_.at(iname).partitions) {
+      out->push_back(&d);
+    }
+  }
+}
+
+std::vector<const PartitionDescriptor*> Catalog::DataPartitions() const {
+  std::vector<const PartitionDescriptor*> out;
+  for (const auto& [_, r] : relations_) AppendRelationPartitions(r, &out);
+  return out;
+}
+
+Result<std::vector<const PartitionDescriptor*>> Catalog::RelationPartitions(
+    const std::string& name) const {
+  auto rel = GetRelation(name);
+  if (!rel.ok()) return rel.status();
+  std::vector<const PartitionDescriptor*> out;
+  AppendRelationPartitions(*rel.value(), &out);
+  return out;
+}
+
+// ---------------------------------------------------------------------------
+// Root block
+// ---------------------------------------------------------------------------
+
+std::vector<uint8_t> Catalog::RootBlock(uint32_t partition_size) const {
+  std::vector<uint8_t> b;
+  wire::PutU32(&b, kRootMagic);
+  wire::PutU32(&b, catalog_segment_);
+  wire::PutU32(&b, partition_size);
+  wire::PutU32(&b, static_cast<uint32_t>(catalog_partitions_.size()));
+  for (const PartitionDescriptor& d : catalog_partitions_) {
+    wire::PutU32(&b, d.id.segment);
+    wire::PutU32(&b, d.id.number);
+    wire::PutU64(&b, d.checkpoint_page);
+    wire::PutU64(&b, d.checkpoint_slot);
+  }
+  // Trailing CRC over the whole payload: a stable-memory bit flip in one
+  // copy is caught by LoadRoot, and restart falls back to the other copy.
+  wire::PutU32(&b, Crc32(b.data(), b.size()));
+  return b;
+}
+
+Status Catalog::LoadRoot(std::span<const uint8_t> block,
+                         uint32_t partition_size) {
+  if (block.size() < 4) {
+    return Status::Corruption("truncated catalog root block");
+  }
+  const size_t body = block.size() - 4;
+  uint32_t stored_crc;
+  wire::Reader tail(block.subspan(body));
+  MMDB_CHECK(tail.GetU32(&stored_crc));
+  if (Crc32(block.data(), body) != stored_crc) {
+    return Status::Corruption("catalog root block checksum mismatch");
+  }
+  wire::Reader r(block.subspan(0, body));
+  uint32_t magic, segment, size, count;
+  if (!r.GetU32(&magic) || !r.GetU32(&segment) || !r.GetU32(&size) ||
+      !r.GetU32(&count)) {
+    return Status::Corruption("truncated catalog root block");
+  }
+  if (magic != kRootMagic) {
+    return Status::Corruption("catalog root block has bad magic");
+  }
+  if (size != partition_size) {
+    return Status::Corruption("partition size changed across restart");
+  }
+  std::vector<PartitionDescriptor> parts;
+  for (uint32_t i = 0; i < count; ++i) {
+    PartitionDescriptor d;
+    if (!r.GetU32(&d.id.segment) || !r.GetU32(&d.id.number) ||
+        !r.GetU64(&d.checkpoint_page) || !r.GetU64(&d.checkpoint_slot)) {
+      return Status::Corruption("truncated catalog root entry");
+    }
+    if (d.id.segment != segment) {
+      return Status::Corruption("catalog root entry outside its segment");
+    }
+    d.resident = false;
+    parts.push_back(d);
+  }
+  catalog_segment_ = segment;
+  catalog_partitions_ = std::move(parts);
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
@@ -272,24 +358,23 @@ std::vector<uint8_t> Catalog::SerializeIndexRow(const IndexInfo& i) {
   return out;
 }
 
-std::vector<uint8_t> Catalog::SerializePartitionRow(
-    uint32_t owner_relation_id, bool owner_is_index,
-    const std::string& owner_name, const PartitionDescriptor& d) {
+Result<std::vector<uint8_t>> Catalog::PartitionRow(
+    const PartitionDescriptor& d) const {
+  Owner o = OwnerOf(d.id.segment);
+  if (o.relation == nullptr && o.index == nullptr) {
+    return Status::NotFound("no relation or index owns " + d.id.ToString());
+  }
   std::vector<uint8_t> out;
   wire::PutU8(&out, static_cast<uint8_t>(CatalogRowTag::kPartition));
-  wire::PutU32(&out, owner_relation_id);
-  wire::PutU8(&out, owner_is_index ? 1 : 0);
-  wire::PutString(&out, owner_name);
+  wire::PutU32(&out, o.index != nullptr ? o.index->relation_id
+                                        : o.relation->id);
+  wire::PutU8(&out, o.index != nullptr ? 1 : 0);
+  wire::PutString(&out, o.index != nullptr ? o.index->name : o.relation->name);
   wire::PutU32(&out, d.id.segment);
   wire::PutU32(&out, d.id.number);
   wire::PutU64(&out, d.checkpoint_page);
   wire::PutU64(&out, d.checkpoint_slot);
   return out;
-}
-
-std::vector<uint8_t> Catalog::SerializeDiskMapRow(const DiskAllocationMap& m,
-                                                  uint32_t chunk) {
-  return m.SerializeChunk(chunk);
 }
 
 Status Catalog::Rebuild(
@@ -366,6 +451,15 @@ Status Catalog::Rebuild(
         break;  // pass 2
       default:
         return Status::Corruption("unknown catalog row tag");
+    }
+  }
+
+  for (const auto& [_, rel] : relations_) {
+    for (const std::string& iname : rel.index_names) {
+      if (indexes_.count(iname) == 0) {
+        return Status::Corruption("relation " + rel.name +
+                                  " names unknown index " + iname);
+      }
     }
   }
 

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -128,7 +129,9 @@ class DiskAllocationMap {
 
   /// Serializes chunk `chunk` as a catalog row payload.
   std::vector<uint8_t> SerializeChunk(uint32_t chunk) const;
-  /// Applies a deserialized chunk row (recovery rebuild).
+  /// Applies a deserialized chunk row (recovery rebuild). Corruption when
+  /// the row is damaged, out of range, or written by a map with another
+  /// slot count or pages per slot.
   Status ApplyChunk(std::span<const uint8_t> payload);
 
   /// Volatile bookkeeping: catalog row address per chunk.
@@ -144,9 +147,30 @@ class DiskAllocationMap {
 /// segment's entities. Pure bookkeeping: persistence of rows is driven by
 /// the Database, which writes serialized rows through the ordinary
 /// logged-entity path.
+///
+/// The catalog also owns its own segment's partition descriptors. Those
+/// are never catalog rows (that would be self-referential): they live
+/// here and in the root block (RootBlock / LoadRoot), which the Database
+/// keeps twice in stable memory (paper §2.5: restart reads "the catalog
+/// partition list from its well-known stable location").
 class Catalog {
  public:
   Catalog() = default;
+
+  // --- the catalog segment and its root block ----------------------------
+  SegmentId catalog_segment() const { return catalog_segment_; }
+  void set_catalog_segment(SegmentId segment) { catalog_segment_ = segment; }
+  /// Serializes the root block: magic, the catalog segment,
+  /// `partition_size`, every catalog partition's descriptor (id,
+  /// checkpoint page and slot) and a trailing CRC over all of it.
+  std::vector<uint8_t> RootBlock(uint32_t partition_size) const;
+  /// Loads a block written by RootBlock: sets the catalog segment and
+  /// registers its partitions' descriptors as non-resident, to be made
+  /// resident by their restart-phase-1 rebuild. A bad checksum, bad
+  /// magic, a truncated block, an entry outside the catalog segment or a
+  /// block written with another partition size is Corruption and changes
+  /// nothing.
+  Status LoadRoot(std::span<const uint8_t> block, uint32_t partition_size);
 
   // --- relations ----------------------------------------------------------
   Result<RelationInfo*> CreateRelation(std::string name, Schema schema,
@@ -155,7 +179,6 @@ class Catalog {
   Result<RelationInfo*> GetRelationById(uint32_t id);
   Result<const RelationInfo*> GetRelation(const std::string& name) const;
   Status DropRelation(const std::string& name);
-  std::vector<const RelationInfo*> AllRelations() const;
 
   // --- indexes ------------------------------------------------------------
   Result<IndexInfo*> CreateIndex(std::string name, uint32_t relation_id,
@@ -163,31 +186,40 @@ class Catalog {
                                  SegmentId segment);
   Result<IndexInfo*> GetIndex(const std::string& name);
   Status DropIndex(const std::string& name);
-  std::vector<IndexInfo*> RelationIndexes(uint32_t relation_id);
 
   // --- partition descriptors ----------------------------------------------
-  /// Finds the descriptor for `pid` in whichever relation or index owns
-  /// that segment.
+  /// The descriptor list of whichever object owns `segment`: a relation,
+  /// an index, or the catalog itself.
+  Result<std::vector<PartitionDescriptor>*> PartitionsOf(SegmentId segment);
+  /// Finds the descriptor for `pid`, catalog partitions included.
   Result<PartitionDescriptor*> FindDescriptor(PartitionId pid);
-  /// The object (relation or index) owning `segment`, as an opaque name
-  /// for diagnostics.
-  std::string SegmentOwnerName(SegmentId segment) const;
   /// Relation owning `segment` directly or via one of its indexes.
   Result<RelationInfo*> RelationOfSegment(SegmentId segment);
   /// Index owning `segment`; NotFound for relation segments.
   Result<IndexInfo*> IndexOfSegment(SegmentId segment);
+  /// Every relation's and index's descriptors (the catalog's own are not
+  /// data): relations in name order, each one's descriptors followed by
+  /// each of its indexes' in index_names order.
+  std::vector<const PartitionDescriptor*> DataPartitions() const;
+  /// One relation's descriptors, then its indexes' in index_names order.
+  Result<std::vector<const PartitionDescriptor*>> RelationPartitions(
+      const std::string& name) const;
 
   // --- row serialization (shared by Database persistence + recovery) -------
   static std::vector<uint8_t> SerializeRelationRow(const RelationInfo& r);
   static std::vector<uint8_t> SerializeIndexRow(const IndexInfo& i);
-  static std::vector<uint8_t> SerializePartitionRow(
-      uint32_t owner_relation_id, bool owner_is_index,
-      const std::string& owner_name, const PartitionDescriptor& d);
-  static std::vector<uint8_t> SerializeDiskMapRow(const DiskAllocationMap& m,
-                                                  uint32_t chunk);
+  /// The catalog row of a relation's or index's descriptor, naming its
+  /// owner. NotFound when no relation or index owns the segment.
+  Result<std::vector<uint8_t>> PartitionRow(
+      const PartitionDescriptor& d) const;
 
-  /// Rebuilds the catalog (and `*disk_map`) from all entities found in the
-  /// catalog segment; `rows` is (entity address, bytes) pairs.
+  /// Rebuilds the relations, indexes and their descriptors (and
+  /// `*disk_map`, which must be sized like the map that wrote the rows)
+  /// from all entities found in the catalog segment; `rows` is (entity
+  /// address, bytes) pairs. The catalog segment and its descriptors are
+  /// left alone. Corruption for a damaged row, a descriptor row naming an
+  /// unknown owner, or a relation row naming an index that no index row
+  /// defines.
   Status Rebuild(
       const std::vector<std::pair<EntityAddr, std::vector<uint8_t>>>& rows,
       DiskAllocationMap* disk_map);
@@ -196,10 +228,23 @@ class Catalog {
   SegmentId max_segment_seen() const { return max_segment_seen_; }
 
  private:
+  /// The relation or index owning a segment (both null: neither does).
+  struct Owner {
+    const RelationInfo* relation = nullptr;
+    const IndexInfo* index = nullptr;
+  };
+  Owner OwnerOf(SegmentId segment) const;
+  /// Appends `r`'s descriptors, then its indexes', to `out`.
+  void AppendRelationPartitions(
+      const RelationInfo& r,
+      std::vector<const PartitionDescriptor*>* out) const;
+
   void NoteSegment(SegmentId s) {
     if (s > max_segment_seen_) max_segment_seen_ = s;
   }
 
+  SegmentId catalog_segment_ = 0;
+  std::vector<PartitionDescriptor> catalog_partitions_;
   std::map<std::string, RelationInfo> relations_;
   std::unordered_map<uint32_t, std::string> relation_names_;
   std::map<std::string, IndexInfo> indexes_;

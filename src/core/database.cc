@@ -6,14 +6,9 @@
 
 #include "recovery/checkpointer.h"
 #include "recovery/restart_manager.h"
-#include "util/crc32.h"
 #include "util/logging.h"
 
 namespace mmdb {
-
-namespace {
-constexpr uint32_t kRootMagic = 0x4D52424B;  // "MRBK"
-}  // namespace
 
 Database::Database(DatabaseOptions opts)
     : opts_(opts),
@@ -85,7 +80,7 @@ Database::Database(DatabaseOptions opts)
   resilver_->SetFaultInjector(fault_.get());
 
   v_ = std::make_unique<Volatile>(opts_);
-  v_->catalog_segment = v_->pm.AllocateSegment();
+  v_->catalog.set_catalog_segment(v_->pm.AllocateSegment());
 
   checkpointer_ = std::make_unique<Checkpointer>(this);
   restarter_ = std::make_unique<RestartManager>(this);
@@ -293,10 +288,7 @@ void Database::ApplyCommitDurability(uint64_t redo_bytes) {
             sim::SeekClass::kSequential);
       }
       WaitUntil(done);
-      ++log_forces_;
       m_log_forces_->Add(1);
-      commit_wait_ms_total_ += static_cast<double>(done - start) * 1e-6;
-      ++commits_waited_;
       m_commit_wait_ns_->Record(static_cast<double>(done - start));
       return;
     }
@@ -327,13 +319,10 @@ void Database::FlushCommitGroup() {
                                         sim::SeekClass::kSequential);
   }
   WaitUntil(done);
-  ++log_forces_;
   m_log_forces_->Add(1);
   for (uint64_t since : group_pending_since_ns_) {
     // A member from a worker ahead of the flusher's timeline waited 0.
     uint64_t waited = done > since ? done - since : 0;
-    commit_wait_ms_total_ += static_cast<double>(waited) * 1e-6;
-    ++commits_waited_;
     m_commit_wait_ns_->Record(static_cast<double>(waited));
   }
   group_pending_since_ns_.clear();
@@ -623,18 +612,9 @@ Result<Partition*> Database::ResidentPartition(PartitionId pid) {
 
   // On-demand recovery (paper §2.5 method 2): a reference to an
   // unrecovered partition generates a restore.
-  PartitionDescriptor* d = nullptr;
-  if (pid.segment == v_->catalog_segment) {
-    for (auto& cd : v_->catalog_partitions) {
-      if (cd.id == pid) d = &cd;
-    }
-  } else {
-    auto dr = v_->catalog.FindDescriptor(pid);
-    if (dr.ok()) d = dr.value();
-  }
-  if (d == nullptr) {
-    return Status::NotFound("no partition " + pid.ToString());
-  }
+  auto dr = v_->catalog.FindDescriptor(pid);
+  if (!dr.ok()) return Status::NotFound("no partition " + pid.ToString());
+  PartitionDescriptor* d = dr.value();
   if (d->resident) {
     return Status::Corruption("descriptor resident but partition missing");
   }
@@ -702,41 +682,22 @@ Result<Partition*> Database::CreatePartitionInSegment(SegmentId segment,
   Partition* p = created.value();
   MMDB_CHECK(p->id() == pid);
 
+  // Register the descriptor with its owner. A catalog partition's goes
+  // to the stable root block. Any other's row is persisted in its own
+  // system transaction (partition allocation, like file growth, is not
+  // undone by user-transaction aborts) — except for an index under
+  // construction, whose rows commit or vanish with it.
+  auto list = v_->catalog.PartitionsOf(segment);
+  if (!list.ok()) return list.status();
   PartitionDescriptor d;
   d.id = pid;
   d.resident = true;
-
-  if (segment == v_->catalog_segment) {
-    v_->catalog_partitions.push_back(d);
+  list.value()->push_back(d);
+  if (segment == v_->catalog.catalog_segment()) {
     MMDB_RETURN_IF_ERROR(WriteCatalogRootBlock());
     return p;
   }
-
-  // Register the descriptor with its owner and persist the descriptor
-  // row in its own system transaction (partition allocation, like file
-  // growth, is not undone by user-transaction aborts) — except for an
-  // index under construction, whose rows commit or vanish with it.
-  std::vector<PartitionDescriptor>* list = nullptr;
-  for (const RelationInfo* rc : v_->catalog.AllRelations()) {
-    auto rel = v_->catalog.GetRelation(rc->name);
-    if (rel.value()->segment == segment) list = &rel.value()->partitions;
-  }
-  if (list == nullptr) {
-    for (auto* rc : v_->catalog.AllRelations()) {
-      auto rel = v_->catalog.GetRelation(rc->name);
-      for (const std::string& iname : rel.value()->index_names) {
-        auto idx = v_->catalog.GetIndex(iname);
-        if (idx.ok() && idx.value()->segment == segment) {
-          list = &idx.value()->partitions;
-        }
-      }
-    }
-  }
-  if (list == nullptr) {
-    return Status::InvalidArgument("segment has no owning object");
-  }
-  list->push_back(d);
-  PartitionDescriptor* stored = &list->back();
+  PartitionDescriptor* stored = &list.value()->back();
 
   if (segment == v_->building_segment) {
     MMDB_RETURN_IF_ERROR(PersistDescriptorRow(txn, stored));
@@ -759,54 +720,36 @@ Result<Partition*> Database::CreatePartitionInSegment(SegmentId segment,
 
 Status Database::PersistDescriptorRow(Transaction* txn,
                                       PartitionDescriptor* d) {
-  // Identify the owner (relation or index) of the descriptor's segment.
-  uint32_t rel_id = 0;
-  bool is_index = false;
-  std::string owner_name;
-  for (const RelationInfo* rc : v_->catalog.AllRelations()) {
-    if (rc->segment == d->id.segment) {
-      rel_id = rc->id;
-      owner_name = rc->name;
-    }
-    for (const std::string& iname : rc->index_names) {
-      auto idx = v_->catalog.GetIndex(iname);
-      if (idx.ok() && idx.value()->segment == d->id.segment) {
-        rel_id = rc->id;
-        is_index = true;
-        owner_name = iname;
-      }
-    }
-  }
-  if (owner_name.empty()) {
-    return Status::InvalidArgument("descriptor segment has no owner");
-  }
-  std::vector<uint8_t> row =
-      Catalog::SerializePartitionRow(rel_id, is_index, owner_name, *d);
+  auto row = v_->catalog.PartitionRow(*d);
+  if (!row.ok()) return row.status();
   if (d->row_addr.IsNull()) {
-    auto addr = InsertEntity(txn, v_->catalog_segment, row);
+    auto addr = InsertEntity(txn, v_->catalog.catalog_segment(), row.value());
     if (!addr.ok()) return addr.status();
     d->row_addr = addr.value();
     return Status::OK();
   }
-  return UpdateEntity(txn, d->row_addr, row);
+  return UpdateEntity(txn, d->row_addr, row.value());
+}
+
+Status Database::PersistDiskMapChunks(Transaction* txn,
+                                      const std::set<uint32_t>& chunks) {
+  auto& addrs = v_->disk_map.chunk_row_addrs;
+  for (uint32_t chunk : chunks) {
+    if (addrs.size() <= chunk) addrs.resize(chunk + 1);
+    std::vector<uint8_t> row = v_->disk_map.SerializeChunk(chunk);
+    if (addrs[chunk].IsNull()) {
+      auto a = InsertEntity(txn, v_->catalog.catalog_segment(), row);
+      if (!a.ok()) return a.status();
+      addrs[chunk] = a.value();
+    } else {
+      MMDB_RETURN_IF_ERROR(UpdateEntity(txn, addrs[chunk], row));
+    }
+  }
+  return Status::OK();
 }
 
 Status Database::WriteCatalogRootBlock() {
-  std::vector<uint8_t> b;
-  wire::PutU32(&b, kRootMagic);
-  wire::PutU32(&b, v_->catalog_segment);
-  wire::PutU32(&b, opts_.partition_size_bytes);
-  wire::PutU32(&b, static_cast<uint32_t>(v_->catalog_partitions.size()));
-  for (const PartitionDescriptor& d : v_->catalog_partitions) {
-    wire::PutU32(&b, d.id.segment);
-    wire::PutU32(&b, d.id.number);
-    wire::PutU64(&b, d.checkpoint_page);
-    wire::PutU64(&b, d.checkpoint_slot);
-  }
-  // Trailing CRC over the whole payload: restart verifies it and falls
-  // back to the other stable copy on mismatch (e.g. a stable-memory bit
-  // flip), not only when a copy is missing.
-  wire::PutU32(&b, Crc32(b.data(), b.size()));
+  std::vector<uint8_t> b = v_->catalog.RootBlock(opts_.partition_size_bytes);
   meter_->ChargeWrite(2 * b.size());
   streams_[0].slb->SetCatalogRoot(b);
   streams_[0].slt->SetCatalogRoot(std::move(b));
@@ -829,7 +772,7 @@ Status Database::CreateRelation(const std::string& name, Schema schema) {
 
   auto txn = Begin(TxnKind::kSystem);
   if (!txn.ok()) return txn.status();
-  auto addr = InsertEntity(txn.value(), v_->catalog_segment,
+  auto addr = InsertEntity(txn.value(), v_->catalog.catalog_segment(),
                            Catalog::SerializeRelationRow(*rel.value()));
   if (!addr.ok()) {
     Status ab = Abort(txn.value());
@@ -917,7 +860,7 @@ Status Database::CreateIndex(const std::string& index_name,
   }
 
   if (st.ok()) {
-    auto addr = InsertEntity(t, v_->catalog_segment,
+    auto addr = InsertEntity(t, v_->catalog.catalog_segment(),
                              Catalog::SerializeIndexRow(*idx.value()));
     if (!addr.ok()) {
       st = addr.status();
@@ -963,19 +906,7 @@ Status Database::LogObjectDrop(
       MMDB_RETURN_IF_ERROR(DeleteEntity(txn, d.row_addr));
     }
   }
-  auto& addrs = v_->disk_map.chunk_row_addrs;
-  for (uint32_t chunk : chunks) {
-    if (addrs.size() <= chunk) addrs.resize(chunk + 1);
-    std::vector<uint8_t> row = Catalog::SerializeDiskMapRow(v_->disk_map, chunk);
-    if (addrs[chunk].IsNull()) {
-      auto a = InsertEntity(txn, v_->catalog_segment, row);
-      if (!a.ok()) return a.status();
-      addrs[chunk] = a.value();
-    } else {
-      MMDB_RETURN_IF_ERROR(UpdateEntity(txn, addrs[chunk], row));
-    }
-  }
-  return Status::OK();
+  return PersistDiskMapChunks(txn, chunks);
 }
 
 void Database::ReleaseSegmentStorage(
@@ -1706,18 +1637,11 @@ Status Database::RunCheckpoints() {
 
 Status Database::ForceCheckpointRelation(const std::string& relation) {
   if (crashed_) return Status::InvalidArgument("crashed; call Restart()");
-  auto rel = v_->catalog.GetRelation(relation);
-  if (!rel.ok()) return rel.status();
+  auto parts = v_->catalog.RelationPartitions(relation);
+  if (!parts.ok()) return parts.status();
   MMDB_RETURN_IF_ERROR(DrainAllStreams(clock_.now_ns()));
-  for (const PartitionDescriptor& d : rel.value()->partitions) {
-    streams_[0].slb->RequestCheckpoint(d.id, CheckpointTrigger::kForced);
-  }
-  for (const std::string& iname : rel.value()->index_names) {
-    auto idx = v_->catalog.GetIndex(iname);
-    if (!idx.ok()) return idx.status();
-    for (const PartitionDescriptor& d : idx.value()->partitions) {
-      streams_[0].slb->RequestCheckpoint(d.id, CheckpointTrigger::kForced);
-    }
+  for (const PartitionDescriptor* d : parts.value()) {
+    streams_[0].slb->RequestCheckpoint(d->id, CheckpointTrigger::kForced);
   }
   return RunCheckpoints();
 }
@@ -1730,7 +1654,7 @@ Status Database::CheckpointEverything() {
   // its log, where restart phase 1 would replay them.
   std::vector<PartitionId> catalog;
   for (Partition* p : v_->pm.AllPartitions()) {
-    if (p->id().segment == v_->catalog_segment) {
+    if (p->id().segment == v_->catalog.catalog_segment()) {
       catalog.push_back(p->id());
     } else {
       streams_[0].slb->RequestCheckpoint(p->id(), CheckpointTrigger::kForced);
@@ -1814,22 +1738,13 @@ Status Database::Restart() {
 
 Status Database::RecoverRelation(const std::string& relation) {
   if (crashed_) return Status::InvalidArgument("crashed; call Restart()");
-  auto rel = v_->catalog.GetRelation(relation);
-  if (!rel.ok()) return rel.status();
+  auto parts = v_->catalog.RelationPartitions(relation);
+  if (!parts.ok()) return parts.status();
   // Predeclared recovery restores the whole relation in one batch, so all
   // recovery lanes can work on its partitions concurrently.
   std::vector<RecoveryWorkItem> work;
-  for (PartitionDescriptor& d : rel.value()->partitions) {
-    if (!d.resident) work.push_back(RecoveryWorkItem{d.id, d.checkpoint_page});
-  }
-  for (const std::string& iname : rel.value()->index_names) {
-    auto idx = v_->catalog.GetIndex(iname);
-    if (!idx.ok()) return idx.status();
-    for (PartitionDescriptor& d : idx.value()->partitions) {
-      if (!d.resident) {
-        work.push_back(RecoveryWorkItem{d.id, d.checkpoint_page});
-      }
-    }
+  for (const PartitionDescriptor* d : parts.value()) {
+    if (!d->resident) work.push_back({d->id, d->checkpoint_page});
   }
   return RecoverPartitionsParallel(work, RecoverySource::kBackground, nullptr);
 }
@@ -1853,36 +1768,20 @@ Status Database::BackgroundRecoveryStep(bool* done) {
   return Status::OK();
 }
 
+namespace {
+bool AllResident(const std::vector<const PartitionDescriptor*>& parts) {
+  return std::all_of(parts.begin(), parts.end(),
+                     [](const PartitionDescriptor* d) { return d->resident; });
+}
+}  // namespace
+
 bool Database::FullyResident() {
-  for (const RelationInfo* rc : v_->catalog.AllRelations()) {
-    for (const PartitionDescriptor& d : rc->partitions) {
-      if (!d.resident) return false;
-    }
-    for (const std::string& iname : rc->index_names) {
-      auto idx = v_->catalog.GetIndex(iname);
-      if (!idx.ok()) return false;
-      for (const PartitionDescriptor& d : idx.value()->partitions) {
-        if (!d.resident) return false;
-      }
-    }
-  }
-  return true;
+  return AllResident(v_->catalog.DataPartitions());
 }
 
 bool Database::IsRelationResident(const std::string& relation) {
-  auto rel = v_->catalog.GetRelation(relation);
-  if (!rel.ok()) return false;
-  for (const PartitionDescriptor& d : rel.value()->partitions) {
-    if (!d.resident) return false;
-  }
-  for (const std::string& iname : rel.value()->index_names) {
-    auto idx = v_->catalog.GetIndex(iname);
-    if (!idx.ok()) return false;
-    for (const PartitionDescriptor& d : idx.value()->partitions) {
-      if (!d.resident) return false;
-    }
-  }
-  return true;
+  auto parts = v_->catalog.RelationPartitions(relation);
+  return parts.ok() && AllResident(parts.value());
 }
 
 Status Database::StartLogDiskResilver(int member) {
@@ -1952,12 +1851,8 @@ DatabaseStats Database::GetStats() const {
   s.stable_memory_high_water = meter_->high_water_bytes();
   s.lock_conflicts = metrics_.counter_value("lock.conflicts");
   s.log_forces = metrics_.counter_value("log.forces");
-  s.commit_wait_ms_total = commit_wait_ms_total_;
-  s.commits_waited = commits_waited_;
-  if (const obs::Histogram* h = metrics_.find_histogram("commit.wait_ns")) {
-    s.commit_wait_ms_total = h->sum() * 1e-6;
-    s.commits_waited = h->count();
-  }
+  s.commit_wait_ms_total = m_commit_wait_ns_->sum() * 1e-6;
+  s.commits_waited = m_commit_wait_ns_->count();
   return s;
 }
 

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -380,11 +381,11 @@ class Database {
   Result<RebuiltPartition> RebuildPartition(const RecoveryWorkItem& item,
                                             uint64_t ready_ns,
                                             RecoveryLane* lane, LogReads reads);
-  /// Installs a rebuilt partition at its completion time and records
-  /// the progress, metrics and lane span for `source`. Returns false —
-  /// dropping the copy — when an on-demand fault made the partition
-  /// resident or DDL dropped it while the rebuild was in flight. Catalog
-  /// partitions (no descriptor during restart phase 1) always install.
+  /// Installs a rebuilt partition at its completion time, marks its
+  /// descriptor resident and records the progress, metrics and lane span
+  /// for `source`. Returns false — dropping the copy — when an on-demand
+  /// fault made the partition resident or DDL dropped it while the
+  /// rebuild was in flight.
   Result<bool> Install(RebuiltPartition rebuilt, RecoverySource source);
 
   // --- media failure ----------------------------------------------------------
@@ -519,7 +520,6 @@ class Database {
     UndoSpace undo;
     TransactionManager txns;
     VersionStore versions;
-    SegmentId catalog_segment = 0;
     /// First-fit insert accelerator: InsertEntity's scan proved every
     /// partition of the segment before `idx` unable to fit `need` bytes
     /// as of `epoch`, so a later insert of >= `need` bytes may resume
@@ -542,9 +542,6 @@ class Database {
     /// committing on their own, so a crash or failure before the index
     /// commits leaves no descriptor behind.
     SegmentId building_segment = 0;
-    /// Catalog partitions' descriptors (kept here, mirrored in the stable
-    /// root block, never as catalog rows — avoids self-reference).
-    std::vector<PartitionDescriptor> catalog_partitions;
     std::map<std::string, TTree> ttrees;
     std::map<std::string, LinearHash> hashes;
   };
@@ -586,6 +583,10 @@ class Database {
                                               Transaction* txn);
 
   Status PersistDescriptorRow(Transaction* txn, PartitionDescriptor* d);
+  /// Writes the disk-allocation-map rows of `chunks` inside `txn`,
+  /// inserting the rows of chunks that have none yet.
+  Status PersistDiskMapChunks(Transaction* txn,
+                              const std::set<uint32_t>& chunks);
 
   /// Logs the deletion of an object's catalog rows and the freeing of
   /// its checkpoint slots inside `txn`; the non-logged teardown (bins,
@@ -595,8 +596,9 @@ class Database {
                        const std::vector<PartitionDescriptor>& descriptors);
   void ReleaseSegmentStorage(
       const std::vector<PartitionDescriptor>& descriptors);
+  /// Writes the catalog's root block to both stable copies (stream 0's
+  /// SLB and SLT).
   Status WriteCatalogRootBlock();
-  Status EnsureCatalogPartitionExists();
 
   /// Rebuilds and installs `work` on up to recovery_parallelism lanes:
   /// each lane takes the next item when its previous install lands.
@@ -759,17 +761,11 @@ class Database {
   /// accumulated across crashes. std::map: deterministic order.
   std::map<uint64_t, uint64_t> partition_heat_;
 
-  // stats not covered by components
-  uint64_t checkpoints_completed_ = 0;
-
   // Commit-mode baseline state (timing model; durability itself always
   // comes from the stable SLB).
   uint64_t wal_page_counter_ = 0;
   uint64_t group_pending_bytes_ = 0;
   std::vector<uint64_t> group_pending_since_ns_;
-  uint64_t log_forces_ = 0;
-  double commit_wait_ms_total_ = 0;
-  uint64_t commits_waited_ = 0;
 
   // Cached registry handles (resolved once in AttachStableObservers).
   obs::Counter* m_log_forces_ = nullptr;

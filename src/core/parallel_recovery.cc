@@ -222,20 +222,14 @@ Result<Database::RebuiltPartition> Database::RebuildPartition(
 Result<bool> Database::Install(RebuiltPartition rebuilt,
                                RecoverySource source) {
   const PartitionId pid = rebuilt.part->id();
-  // Catalog partitions recover before the catalog exists (restart phase
-  // 1); their descriptors live in the stable root instead.
-  PartitionDescriptor* d = nullptr;
-  if (pid.segment != v_->catalog_segment) {
-    auto found = v_->catalog.FindDescriptor(pid);
-    // An on-demand fault recovered the partition (or DDL dropped it)
-    // while this copy was in flight. The resident copy has seen every
-    // update since; this one would be stale, so it is dropped.
-    if (!found.ok() || found.value()->resident) return false;
-    d = found.value();
-  }
+  auto found = v_->catalog.FindDescriptor(pid);
+  // An on-demand fault recovered the partition (or DDL dropped it) while
+  // this copy was in flight. The resident copy has seen every update
+  // since; this one would be stale, so it is dropped.
+  if (!found.ok() || found.value()->resident) return false;
   MMDB_RETURN_IF_ERROR(v_->pm.InstallRecovered(std::move(rebuilt.part)));
   NoteSpaceFreed();
-  if (d != nullptr) d->resident = true;
+  found.value()->resident = true;
 
   const uint64_t took_ns = rebuilt.done_ns - rebuilt.start_ns;
   if (source == RecoverySource::kOnDemand) {

@@ -34,19 +34,10 @@ void Database::EnsureSweepQueue() {
     auto it = partition_heat_.find(pid.Pack());
     return it == partition_heat_.end() ? 0 : it->second;
   };
-  auto add_chain = [&](const std::vector<PartitionDescriptor>& parts) {
-    for (const PartitionDescriptor& d : parts) {
-      if (d.resident) continue;
-      entries.push_back(Entry{RecoveryWorkItem{d.id, d.checkpoint_page},
-                              heat_of(d.id), d.id.Pack()});
-    }
-  };
-  for (const RelationInfo* rc : v_->catalog.AllRelations()) {
-    add_chain(rc->partitions);
-    for (const std::string& iname : rc->index_names) {
-      auto idx = v_->catalog.GetIndex(iname);
-      if (idx.ok()) add_chain(idx.value()->partitions);
-    }
+  for (const PartitionDescriptor* d : v_->catalog.DataPartitions()) {
+    if (d->resident) continue;
+    entries.push_back(Entry{RecoveryWorkItem{d->id, d->checkpoint_page},
+                            heat_of(d->id), d->id.Pack()});
   }
   std::stable_sort(entries.begin(), entries.end(),
                    [](const Entry& a, const Entry& b) {

@@ -368,23 +368,12 @@ Status CrashExplorer::RecoverFully(Database* db, uint64_t* crashes) {
 Status CrashExplorer::CollectImages(
     Database* db, std::map<uint64_t, std::vector<uint8_t>>* out) {
   out->clear();
-  auto rel = db->catalog().GetRelation("r");
-  if (!rel.ok()) return rel.status();
-  auto add = [&](const PartitionDescriptor& d) -> Status {
-    auto p = db->partitions().Get(d.id);
+  auto parts = db->catalog().RelationPartitions("r");
+  if (!parts.ok()) return parts.status();
+  for (const PartitionDescriptor* d : parts.value()) {
+    auto p = db->partitions().Get(d->id);
     if (!p.ok()) return p.status();
-    (*out)[d.id.Pack()] = p.value()->image();
-    return Status::OK();
-  };
-  for (const PartitionDescriptor& d : rel.value()->partitions) {
-    MMDB_RETURN_IF_ERROR(add(d));
-  }
-  for (const std::string& iname : rel.value()->index_names) {
-    auto idx = db->catalog().GetIndex(iname);
-    if (!idx.ok()) return idx.status();
-    for (const PartitionDescriptor& d : idx.value()->partitions) {
-      MMDB_RETURN_IF_ERROR(add(d));
-    }
+    (*out)[d->id.Pack()] = p.value()->image();
   }
   return Status::OK();
 }

@@ -38,28 +38,20 @@ Status Checkpointer::Poll() {
 Status Checkpointer::RunOne(CheckpointRequest* req, uint32_t stream) {
   Database& db = *db_;
   PartitionId pid = req->partition;
-  bool is_catalog = pid.segment == db.v_->catalog_segment;
+  bool is_catalog = pid.segment == db.v_->catalog.catalog_segment();
   uint64_t ckpt_start_ns = db.clock_.now_ns();
 
-  // Locate the partition's descriptor.
-  PartitionDescriptor* d = nullptr;
-  RelationInfo* rel = nullptr;
-  if (is_catalog) {
-    for (PartitionDescriptor& cd : db.v_->catalog_partitions) {
-      if (cd.id == pid) d = &cd;
-    }
-  } else {
-    auto dr = db.v_->catalog.FindDescriptor(pid);
-    if (dr.ok()) d = dr.value();
-    auto relr = db.v_->catalog.RelationOfSegment(pid.segment);
-    if (relr.ok()) rel = relr.value();
-  }
-  if (d == nullptr) {
+  auto dr = db.v_->catalog.FindDescriptor(pid);
+  if (!dr.ok()) {
     // The partition was dropped since the request: nothing to do.
     req->state = CheckpointState::kFinished;
     db.streams_[stream].slb->ClearFinished(pid);
     return Status::OK();
   }
+  PartitionDescriptor* d = dr.value();
+  // Catalog partitions have no relation to lock.
+  auto relr = db.v_->catalog.RelationOfSegment(pid.segment);
+  RelationInfo* rel = relr.ok() ? relr.value() : nullptr;
 
   auto pr = db.v_->pm.Get(pid);
   if (!pr.ok()) return pr.status();  // kNotResident: retry later
@@ -119,30 +111,11 @@ Status Checkpointer::RunOne(CheckpointRequest* req, uint32_t stream) {
   // Step 5: log the catalog-entry and disk-allocation-map updates before
   // the partition is written. Catalog partitions keep their locations in
   // the stable root block instead (duplicated in stable memory).
-  Status st = Status::OK();
-  if (!is_catalog) {
-    st = db.PersistDescriptorRow(txn, d);
-  }
+  Status st = is_catalog ? Status::OK() : db.PersistDescriptorRow(txn, d);
   if (st.ok()) {
     std::set<uint32_t> chunks{DiskAllocationMap::ChunkOf(slot)};
     if (had_old) chunks.insert(DiskAllocationMap::ChunkOf(old_slot));
-    auto& addrs = db.v_->disk_map.chunk_row_addrs;
-    for (uint32_t chunk : chunks) {
-      if (addrs.size() <= chunk) addrs.resize(chunk + 1);
-      std::vector<uint8_t> row =
-          Catalog::SerializeDiskMapRow(db.v_->disk_map, chunk);
-      if (addrs[chunk].IsNull()) {
-        auto a = db.InsertEntity(txn, db.v_->catalog_segment, row);
-        if (!a.ok()) {
-          st = a.status();
-          break;
-        }
-        addrs[chunk] = a.value();
-      } else {
-        st = db.UpdateEntity(txn, addrs[chunk], row);
-        if (!st.ok()) break;
-      }
-    }
+    st = db.PersistDiskMapChunks(txn, chunks);
   }
   auto rollback_install = [&](Status why) {
     // Roll back the in-memory install; the row updates are undone by the
@@ -192,7 +165,6 @@ Status Checkpointer::RunOne(CheckpointRequest* req, uint32_t stream) {
   // the commit (new image durable) and the bin reset would make restart
   // replay the bin's full chain onto the already-updated image — and
   // REDO replay is not idempotent.
-  CheckpointTrigger trigger;
   {
     fault::AtomicSection atomic(db.fault_.get());
     MMDB_RETURN_IF_ERROR(db.Commit(txn));
@@ -204,7 +176,6 @@ Status Checkpointer::RunOne(CheckpointRequest* req, uint32_t stream) {
       MMDB_RETURN_IF_ERROR(
           ls.recovery->OnCheckpointFinished(bin_index, db.clock_.now_ns()));
     }
-    trigger = req->trigger;
     db.streams_[stream].slb->ClearFinished(pid);  // `req` dangles after this
     req = nullptr;
   }
@@ -214,13 +185,6 @@ Status Checkpointer::RunOne(CheckpointRequest* req, uint32_t stream) {
     MMDB_RETURN_IF_ERROR(db.audit_->Append(AuditRecord{
         0, db.clock_.now_ns(), AuditKind::kCheckpoint, pid.ToString()}));
   }
-  ++completed_;
-  switch (trigger) {
-    case CheckpointTrigger::kUpdateCount: ++completed_update_; break;
-    case CheckpointTrigger::kAge: ++completed_age_; break;
-    case CheckpointTrigger::kForced: ++completed_forced_; break;
-  }
-  ++db.checkpoints_completed_;
   db.m_ckpt_completed_->Add(1);
   db.m_ckpt_duration_ns_->Record(
       static_cast<double>(db.clock_.now_ns() - ckpt_start_ns));

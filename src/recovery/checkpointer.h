@@ -37,11 +37,6 @@ class Checkpointer {
   /// run yet (lock conflict, partition not resident) stay queued.
   Status Poll();
 
-  uint64_t completed() const { return completed_; }
-  uint64_t completed_update_count() const { return completed_update_; }
-  uint64_t completed_age() const { return completed_age_; }
-  uint64_t completed_forced() const { return completed_forced_; }
-
  private:
   /// Runs one request from `stream`'s SLB queue. In partitioned-log mode
   /// a partition's records are spread across every stream, so the bin
@@ -50,10 +45,6 @@ class Checkpointer {
   Status RunOne(CheckpointRequest* req, uint32_t stream);
 
   Database* db_;
-  uint64_t completed_ = 0;
-  uint64_t completed_update_ = 0;
-  uint64_t completed_age_ = 0;
-  uint64_t completed_forced_ = 0;
 };
 
 }  // namespace mmdb

@@ -54,14 +54,7 @@ Result<uint64_t> RecoveryManager::Pump(uint64_t max_records, uint64_t now_ns,
 }
 
 Status RecoveryManager::Drain(uint64_t now_ns, uint32_t max_epoch) {
-  while (slb_->HasCommittedRecords(max_epoch)) {
-    MMDB_RETURN_IF_ERROR(fault::Barrier(fault_));
-    fault::AtomicSection atomic(fault_);
-    auto rec = slb_->PopCommitted(max_epoch);
-    if (!rec.ok()) return rec.status();
-    MMDB_RETURN_IF_ERROR(SortOne(rec.value(), now_ns));
-  }
-  return Status::OK();
+  return Pump(~0ull, now_ns, max_epoch).status();
 }
 
 Status RecoveryManager::SortOne(const LogRecord& rec, uint64_t now_ns) {

@@ -3,59 +3,8 @@
 #include <unordered_set>
 
 #include "core/database.h"
-#include "util/crc32.h"
-#include "util/logging.h"
 
 namespace mmdb {
-
-namespace {
-constexpr uint32_t kRootMagic = 0x4D52424B;  // "MRBK"
-
-struct RootEntry {
-  PartitionId pid;
-  uint64_t ckpt_page;
-  uint64_t ckpt_slot;
-};
-
-Status ParseRoot(std::span<const uint8_t> root, SegmentId* catalog_segment,
-                 uint32_t* partition_size, std::vector<RootEntry>* entries) {
-  // The block ends with a CRC over everything before it; a stable-memory
-  // bit flip anywhere in the copy is caught here, and the caller falls
-  // back to the other stable copy.
-  if (root.size() < 4) {
-    return Status::Corruption("truncated catalog root block");
-  }
-  size_t body = root.size() - 4;
-  uint32_t stored_crc;
-  {
-    wire::Reader tail(root.subspan(body));
-    MMDB_CHECK(tail.GetU32(&stored_crc));
-  }
-  if (Crc32(root.data(), body) != stored_crc) {
-    return Status::Corruption("catalog root block checksum mismatch");
-  }
-  wire::Reader r(root.subspan(0, body));
-  uint32_t magic, count;
-  if (!r.GetU32(&magic) || !r.GetU32(catalog_segment) ||
-      !r.GetU32(partition_size) || !r.GetU32(&count)) {
-    return Status::Corruption("truncated catalog root block");
-  }
-  if (magic != kRootMagic) {
-    return Status::Corruption("catalog root block has bad magic");
-  }
-  entries->clear();
-  for (uint32_t i = 0; i < count; ++i) {
-    RootEntry e;
-    if (!r.GetU32(&e.pid.segment) || !r.GetU32(&e.pid.number) ||
-        !r.GetU64(&e.ckpt_page) || !r.GetU64(&e.ckpt_slot)) {
-      return Status::Corruption("truncated catalog root entry");
-    }
-    entries->push_back(e);
-  }
-  return Status::OK();
-}
-
-}  // namespace
 
 Status RestartManager::Restart(RestartReport* report) {
   Database& db = *db_;
@@ -83,72 +32,63 @@ Status RestartManager::Restart(RestartReport* report) {
   std::vector<uint8_t> root = db.streams_[0].slb->catalog_root();
   const std::vector<uint8_t>& root2 = db.streams_[0].slt->catalog_root();
   db.meter_->ChargeRead(root.size() + root2.size());
+  Catalog& catalog = db.v_->catalog;
   if (root.empty() && root2.empty()) {
     // The database never had catalog data: a fresh start.
-    db.v_->catalog_segment = db.v_->pm.AllocateSegment();
+    catalog.set_catalog_segment(db.v_->pm.AllocateSegment());
     db.crashed_ = false;
     db.recovery_progress_.BeginTracking(0, db.clock_.now_ns());
     return Status::OK();
   }
-  SegmentId catalog_segment = 0;
-  uint32_t partition_size = 0;
-  std::vector<RootEntry> entries;
-  // The root is stored twice (SLB + SLT). Prefer the SLB copy but fall
-  // back to the SLT copy whenever the first fails to *parse* (checksum,
-  // magic, truncation), not only when it is missing; surface Corruption
-  // only when both copies are bad.
+  // Prefer the SLB copy but fall back to the SLT copy whenever the first
+  // fails to load (checksum, magic, truncation, partition size), not only
+  // when it is missing; surface Corruption only when both copies are bad.
+  const uint32_t partition_size = db.opts_.partition_size_bytes;
   Status ps = root.empty()
                   ? Status::Corruption("missing SLB catalog root copy")
-                  : ParseRoot(root, &catalog_segment, &partition_size,
-                              &entries);
+                  : catalog.LoadRoot(root, partition_size);
   if (!ps.ok()) {
     Status ps2 = root2.empty()
                      ? Status::Corruption("missing SLT catalog root copy")
-                     : ParseRoot(root2, &catalog_segment, &partition_size,
-                                 &entries);
+                     : catalog.LoadRoot(root2, partition_size);
     if (!ps2.ok()) {
       return Status::Corruption("catalog root bad in both stable copies: " +
                                 ps.ToString() + " / " + ps2.ToString());
     }
   }
-  if (partition_size != db.opts_.partition_size_bytes) {
-    return Status::Corruption("partition size changed across restart");
-  }
-  db.v_->catalog_segment = catalog_segment;
+  const SegmentId catalog_segment = catalog.catalog_segment();
   db.v_->pm.BumpCounters(catalog_segment + 1,
                          PartitionId{catalog_segment, 0});
+  // The root's descriptors, non-resident until phase 1 installs them.
+  auto loaded = catalog.PartitionsOf(catalog_segment);
+  if (!loaded.ok()) return loaded.status();
+  const std::vector<PartitionDescriptor>& catalog_parts = *loaded.value();
 
   // Phase 1: restore the catalogs right away (paper §2.5), with all
   // recovery lanes working on the catalog partitions concurrently.
   std::vector<Database::RecoveryWorkItem> catalog_work;
-  for (const RootEntry& e : entries) {
-    catalog_work.push_back(Database::RecoveryWorkItem{e.pid, e.ckpt_page});
+  for (const PartitionDescriptor& d : catalog_parts) {
+    catalog_work.push_back(Database::RecoveryWorkItem{d.id, d.checkpoint_page});
   }
   MMDB_RETURN_IF_ERROR(db.RecoverPartitionsParallel(
       catalog_work, RecoverySource::kRestart, report));
-  for (const RootEntry& e : entries) {
-    PartitionDescriptor d;
-    d.id = e.pid;
-    d.checkpoint_page = e.ckpt_page;
-    d.checkpoint_slot = e.ckpt_slot;
-    d.resident = true;
-    db.v_->catalog_partitions.push_back(d);
-    db.v_->pm.BumpCounters(catalog_segment + 1, e.pid);
+  for (const PartitionDescriptor& d : catalog_parts) {
+    db.v_->pm.BumpCounters(catalog_segment + 1, d.id);
   }
-  report->catalog_partitions = entries.size();
+  report->catalog_partitions = catalog_parts.size();
 
   // Rebuild the in-memory catalog and disk allocation map from the
   // recovered catalog entities.
   std::vector<std::pair<EntityAddr, std::vector<uint8_t>>> rows;
-  for (const PartitionDescriptor& cd : db.v_->catalog_partitions) {
-    auto pr = db.v_->pm.Get(cd.id);
+  for (const PartitionDescriptor& d : catalog_parts) {
+    auto pr = db.v_->pm.Get(d.id);
     if (!pr.ok()) return pr.status();
     Partition* p = pr.value();
     for (uint32_t s = 0; s < p->slot_count(); ++s) {
       if (!p->SlotUsed(s)) continue;
       auto bytes = p->Read(s);
       if (!bytes.ok()) return bytes.status();
-      rows.emplace_back(EntityAddr{cd.id, s},
+      rows.emplace_back(EntityAddr{d.id, s},
                         std::vector<uint8_t>(bytes.value().begin(),
                                              bytes.value().end()));
     }
@@ -156,29 +96,21 @@ Status RestartManager::Restart(RestartReport* report) {
   db.v_->disk_map = DiskAllocationMap(
       db.opts_.checkpoint_disk_slots,
       db.opts_.partition_size_bytes / db.opts_.log_page_bytes);
-  MMDB_RETURN_IF_ERROR(db.v_->catalog.Rebuild(rows, &db.v_->disk_map));
+  MMDB_RETURN_IF_ERROR(catalog.Rebuild(rows, &db.v_->disk_map));
 
   // Reconcile allocation counters so new segments/partitions never
-  // collide with recovered ones.
-  db.v_->pm.BumpCounters(db.v_->catalog.max_segment_seen() + 1,
+  // collide with recovered ones, and count the data partitions now
+  // awaiting recovery (on-demand, background, or the kFullReload sweep
+  // below — each path reports back to the progress tracker).
+  db.v_->pm.BumpCounters(catalog.max_segment_seen() + 1,
                          PartitionId{catalog_segment, 0});
   std::unordered_set<PartitionId> described;
-  for (const PartitionDescriptor& cd : db.v_->catalog_partitions) {
-    described.insert(cd.id);
-  }
-  for (const RelationInfo* rc : db.v_->catalog.AllRelations()) {
-    for (const PartitionDescriptor& d : rc->partitions) {
-      db.v_->pm.BumpCounters(d.id.segment + 1, d.id);
-      described.insert(d.id);
-    }
-    for (const std::string& iname : rc->index_names) {
-      auto idx = db.v_->catalog.GetIndex(iname);
-      if (!idx.ok()) return idx.status();
-      for (const PartitionDescriptor& d : idx.value()->partitions) {
-        db.v_->pm.BumpCounters(d.id.segment + 1, d.id);
-        described.insert(d.id);
-      }
-    }
+  for (const PartitionDescriptor& d : catalog_parts) described.insert(d.id);
+  uint64_t data_partitions = 0;
+  for (const PartitionDescriptor* d : catalog.DataPartitions()) {
+    db.v_->pm.BumpCounters(d->id.segment + 1, d->id);
+    described.insert(d->id);
+    if (!d->resident) ++data_partitions;
   }
   // A bin no catalog row describes belongs to a partition of an index
   // whose CreateIndex never committed; nothing will replay it. Every
@@ -198,22 +130,7 @@ Status RestartManager::Restart(RestartReport* report) {
   }
   db.v_->txns.SeedNextId(max_txn + 1);
 
-  // Catalogs are usable: fix the ready-fraction denominator at the data
-  // partitions now awaiting recovery (on-demand, background, or the
-  // kFullReload sweep below — each path reports back to the tracker).
-  uint64_t data_partitions = 0;
-  for (const RelationInfo* rc : db.v_->catalog.AllRelations()) {
-    for (const PartitionDescriptor& d : rc->partitions) {
-      if (!d.resident) ++data_partitions;
-    }
-    for (const std::string& iname : rc->index_names) {
-      auto idx = db.v_->catalog.GetIndex(iname);
-      if (!idx.ok()) return idx.status();
-      for (const PartitionDescriptor& d : idx.value()->partitions) {
-        if (!d.resident) ++data_partitions;
-      }
-    }
-  }
+  // Catalogs are usable: fix the ready-fraction denominator.
   db.recovery_progress_.BeginTracking(data_partitions, db.clock_.now_ns());
 
   report->catalog_ms =

@@ -7,6 +7,12 @@
 
 namespace mmdb {
 
+namespace {
+/// Maintenance tick period (background_sweep only): pumps the recovery
+/// CPU's sort process and pending checkpoints as events.
+constexpr uint64_t kMaintenanceTickNs = 1'000'000;
+}  // namespace
+
 ConcurrentExecutor::ConcurrentExecutor(Database* db, Options opts)
     : db_(db), opts_(opts) {
   uint32_t n = db->options().txn_workers;
@@ -362,7 +368,7 @@ void ConcurrentExecutor::MaintenanceTick(uint64_t now_ns) {
   // Keep ticking only while something else can run: once no worker is
   // runnable and every sweep lane has drained, the loop winds down.
   if (sched_->depth() > 0 || NextWorker() < lanes_.size()) {
-    sched_->At(now_ns + opts_.maintenance_tick_ns,
+    sched_->At(now_ns + kMaintenanceTickNs,
                [this](uint64_t t) { MaintenanceTick(t); });
   }
 }
@@ -401,7 +407,7 @@ Status ConcurrentExecutor::Run() {
       sweep_lanes_.emplace_back(s);
       sched.At(t0, [this, s](uint64_t t) { StartSweep(s, t); });
     }
-    sched.At(t0 + opts_.maintenance_tick_ns,
+    sched.At(t0 + kMaintenanceTickNs,
              [this](uint64_t t) { MaintenanceTick(t); });
   }
 

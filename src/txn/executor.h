@@ -99,9 +99,6 @@ class ConcurrentExecutor {
     bool background_sweep = false;
     /// Sweep recovery lanes; 0 = DatabaseOptions::recovery_parallelism.
     uint32_t sweep_lanes = 0;
-    /// Maintenance tick period (background_sweep only): pumps the
-    /// recovery CPU's sort process and pending checkpoints as events.
-    uint64_t maintenance_tick_ns = 1'000'000;
   };
 
   explicit ConcurrentExecutor(Database* db) : ConcurrentExecutor(db, {}) {}
