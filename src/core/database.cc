@@ -839,10 +839,9 @@ Status Database::CreateIndex(const std::string& index_name,
     if (!st.ok()) break;
   }
 
-  // A hash is built over the keys in one pass; a T-tree starts empty and
-  // takes them one by one once the catalog rows are in.
   if (st.ok() && type == IndexType::kTTree) {
-    auto tree = TTree::Create(store, seg, opts_.ttree_node_capacity);
+    auto tree =
+        TTree::Build(store, seg, existing, opts_.ttree_node_capacity);
     if (!tree.ok()) {
       st = tree.status();
     } else {
@@ -868,14 +867,6 @@ Status Database::CreateIndex(const std::string& index_name,
       idx.value()->row_addr = addr.value();
       st = UpdateEntity(t, rel.value()->row_addr,
                         Catalog::SerializeRelationRow(*rel.value()));
-    }
-  }
-
-  if (st.ok() && type == IndexType::kTTree) {
-    TTree& tree = v_->ttrees.at(index_name);
-    for (const node::Entry& e : existing) {
-      st = tree.Insert(store, e.key, e.value);
-      if (!st.ok()) break;
     }
   }
 

@@ -90,6 +90,9 @@ Result<TTreeNode> TTreeNode::Parse(std::span<const uint8_t> bytes) {
     return Status::Corruption("truncated T-Tree header");
   }
   n.height = static_cast<int32_t>(height);
+  if (count > n.capacity) {
+    return Status::Corruption("T-Tree node count above its capacity");
+  }
   if (!GetEntries(&r, count, &n.entries)) {
     return Status::Corruption("truncated T-Tree entries");
   }
@@ -125,6 +128,9 @@ Result<HashNode> HashNode::Parse(std::span<const uint8_t> bytes) {
   if (!r.GetU32(&n.next.partition.segment) ||
       !r.GetU32(&n.next.partition.number) || !r.GetU32(&n.next.slot)) {
     return Status::Corruption("truncated hash header");
+  }
+  if (count > n.capacity) {
+    return Status::Corruption("hash node count above its capacity");
   }
   if (!GetEntries(&r, count, &n.entries)) {
     return Status::Corruption("truncated hash entries");

@@ -1,6 +1,7 @@
 #include "index/ttree.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "catalog/schema.h"  // wire helpers
 #include "util/logging.h"
@@ -42,14 +43,59 @@ Status ParseMetaPayload(std::span<const uint8_t> payload, uint16_t* capacity,
 
 Result<TTree> TTree::Create(EntityStore& store, SegmentId segment,
                             uint16_t node_capacity) {
+  return Build(store, segment, {}, node_capacity);
+}
+
+Result<TTree> TTree::Build(EntityStore& store, SegmentId segment,
+                           std::span<const node::Entry> entries,
+                           uint16_t node_capacity) {
   if (node_capacity < 2) {
     return Status::InvalidArgument("T-Tree node capacity must be >= 2");
   }
-  std::vector<uint8_t> meta =
-      node::SerializeMeta(MetaPayload(node_capacity, EntityAddr::Null()));
-  auto addr = store.Insert(segment, meta);
-  if (!addr.ok()) return addr.status();
-  return TTree(segment, addr.value(), node_capacity);
+  // Reserve the meta first: it must be the segment's first entity.
+  auto meta_addr = store.Insert(
+      segment,
+      node::SerializeMeta(MetaPayload(node_capacity, EntityAddr::Null())));
+  if (!meta_addr.ok()) return meta_addr.status();
+  if (meta_addr.value() != EntityAddr{{segment, 0}, 0}) {
+    return Status::InvalidArgument("T-Tree segment is not empty");
+  }
+  TTree t(segment, meta_addr.value(), node_capacity);
+  if (entries.empty()) return t;
+
+  std::vector<node::Entry> sorted(entries.begin(), entries.end());
+  std::sort(sorted.begin(), sorted.end(), Less);
+  const size_t nodes = (sorted.size() + node_capacity - 1) / node_capacity;
+  auto root = t.BuildSubtree(store, sorted, nodes, 0, nodes);
+  if (!root.ok()) return root.status();
+  MMDB_RETURN_IF_ERROR(t.SetRoot(store, root.value()));
+  return t;
+}
+
+Result<EntityAddr> TTree::BuildSubtree(EntityStore& store,
+                                       std::span<const node::Entry> sorted,
+                                       size_t nodes, size_t lo,
+                                       size_t hi) const {
+  if (lo == hi) return EntityAddr::Null();
+  const size_t mid = lo + (hi - lo) / 2;
+  auto left = BuildSubtree(store, sorted, nodes, lo, mid);
+  if (!left.ok()) return left.status();
+  auto right = BuildSubtree(store, sorted, nodes, mid + 1, hi);
+  if (!right.ok()) return right.status();
+  node::TTreeNode n;
+  n.capacity = node_capacity_;
+  n.left = left.value();
+  n.right = right.value();
+  // A median split of m nodes has height bit_width(m): its larger child
+  // holds floor(m / 2) nodes.
+  n.height = static_cast<int32_t>(std::bit_width(hi - lo));
+  // Node i of k holds sorted entries [i·s/k, (i+1)·s/k) of s: ⌊s/k⌋ or
+  // ⌈s/k⌉ of them, at most the capacity.
+  const size_t begin = mid * sorted.size() / nodes;
+  const size_t end = (mid + 1) * sorted.size() / nodes;
+  n.entries.assign(sorted.begin() + static_cast<std::ptrdiff_t>(begin),
+                   sorted.begin() + static_cast<std::ptrdiff_t>(end));
+  return store.Insert(segment_, n.Serialize());
 }
 
 Result<TTree> TTree::Attach(EntityStore& store, SegmentId segment) {

@@ -2,6 +2,7 @@
 #define MMDB_INDEX_TTREE_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "index/node_format.h"
@@ -35,10 +36,20 @@ class TTree {
  public:
   static constexpr uint16_t kDefaultNodeCapacity = 10;
 
-  /// Creates a fresh index in `segment`: allocates the metadata entity at
-  /// the well-known address.
+  /// An empty index: Build over no entries, which writes only the meta.
   static Result<TTree> Create(EntityStore& store, SegmentId segment,
                               uint16_t node_capacity = kDefaultNodeCapacity);
+
+  /// Builds an index over `entries` in one pass into the empty `segment`.
+  /// The entries are sorted by (key, value) and spread evenly over
+  /// ⌈n / node_capacity⌉ nodes, which form a median-split tree: sibling
+  /// subtrees differ by at most one node, so the tree is AVL-balanced.
+  /// Nodes are written children first, so each is written once with its
+  /// children and height. The meta is reserved first, so it lands at
+  /// (segment, 0, 0), and its root is filled in once at the end.
+  static Result<TTree> Build(EntityStore& store, SegmentId segment,
+                             std::span<const node::Entry> entries,
+                             uint16_t node_capacity = kDefaultNodeCapacity);
 
   /// Attaches to an existing index (e.g. after recovery).
   static Result<TTree> Attach(EntityStore& store, SegmentId segment);
@@ -81,6 +92,13 @@ class TTree {
 
   /// Allocates a new single-entry leaf node.
   Result<EntityAddr> NewLeaf(EntityStore& store, const node::Entry& e) const;
+
+  /// Writes the median-split subtree over nodes [lo, hi) of a build that
+  /// spreads `sorted` over `nodes` nodes, children first. Returns its
+  /// root (null for an empty range).
+  Result<EntityAddr> BuildSubtree(EntityStore& store,
+                                  std::span<const node::Entry> sorted,
+                                  size_t nodes, size_t lo, size_t hi) const;
 
   /// AVL rotations; return the new subtree root.
   Result<EntityAddr> RotateRight(EntityStore& store, EntityAddr x) const;

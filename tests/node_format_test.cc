@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "index/node_format.h"
 #include "test_util.h"
 
@@ -122,6 +125,140 @@ TEST(NodeFormatTest, EntryOpsOnMetaRejected) {
   auto meta = SerializeMeta(testing::Bytes({1}));
   EXPECT_TRUE(InsertEntry(&meta, E(1, 1)).IsInvalidArgument());
   EXPECT_TRUE(RemoveEntry(&meta, E(1, 1)).IsInvalidArgument());
+}
+
+TEST(NodeFormatTest, CountAboveCapacityIsCorruption) {
+  // A node re-serializes at its capacity's size, so one whose count reads
+  // above its capacity would lose entries on its next entry op.
+  TTreeNode t;
+  t.capacity = 10;
+  for (uint32_t i = 0; i < 10; ++i) t.entries.push_back(E(i, i));
+  auto tb = t.Serialize();
+  tb[4] = 2;  // capacity, low byte
+  EXPECT_TRUE(TTreeNode::Parse(tb).status().IsCorruption());
+  auto before = tb;
+  EXPECT_TRUE(RemoveEntry(&tb, E(0, 0)).IsCorruption());
+  EXPECT_TRUE(InsertEntry(&tb, E(20, 20)).IsCorruption());
+  EXPECT_EQ(tb, before);
+
+  HashNode h;
+  h.capacity = 8;
+  for (uint32_t i = 0; i < 8; ++i) h.entries.push_back(E(i, i));
+  auto hb = h.Serialize();
+  hb[4] = 1;
+  EXPECT_TRUE(HashNode::Parse(hb).status().IsCorruption());
+  EXPECT_TRUE(RemoveEntry(&hb, E(0, 0)).IsCorruption());
+
+  // Count equal to capacity still parses.
+  hb[4] = 8;
+  ASSERT_OK_AND_ASSIGN(HashNode back, HashNode::Parse(hb));
+  EXPECT_EQ(back.entries, h.entries);
+}
+
+bool EntryLess(const Entry& a, const Entry& b) {
+  return a.key != b.key ? a.key < b.key : a.value < b.value;
+}
+
+/// The entries of a T-tree or hash node image, sorted.
+Result<std::vector<Entry>> SortedEntries(std::span<const uint8_t> bytes) {
+  auto kind = KindOf(bytes);
+  if (!kind.ok()) return kind.status();
+  std::vector<Entry> out;
+  if (kind.value() == NodeKind::kTTree) {
+    auto n = TTreeNode::Parse(bytes);
+    if (!n.ok()) return n.status();
+    out = n.value().entries;
+  } else {
+    auto n = HashNode::Parse(bytes);
+    if (!n.ok()) return n.status();
+    out = n.value().entries;
+  }
+  std::sort(out.begin(), out.end(), EntryLess);
+  return out;
+}
+
+/// A damaged image must be refused (Corruption, or InvalidArgument for
+/// an entry op on a meta node, leaving the bytes as they were) or parse
+/// to a node on which an insert adds only its entry and a remove takes
+/// only its own.
+void CheckMutatedImage(const std::vector<uint8_t>& img) {
+  const Entry fresh = E(1000, 1000);
+  auto kind = KindOf(img);
+  if (!kind.ok()) {
+    EXPECT_TRUE(kind.status().IsCorruption());
+    return;
+  }
+  auto inserted = img;
+  Status ins = InsertEntry(&inserted, fresh);
+  auto removed = img;
+  Status rm = RemoveEntry(&removed, fresh);
+  if (kind.value() == NodeKind::kMeta) {
+    EXPECT_TRUE(ins.IsInvalidArgument()) << ins.ToString();
+    EXPECT_TRUE(rm.IsInvalidArgument()) << rm.ToString();
+    EXPECT_EQ(inserted, img);
+    EXPECT_EQ(removed, img);
+    return;
+  }
+  auto before = SortedEntries(img);
+  if (!before.ok()) {
+    EXPECT_TRUE(before.status().IsCorruption()) << before.status().ToString();
+    EXPECT_TRUE(ins.IsCorruption()) << ins.ToString();
+    EXPECT_TRUE(rm.IsCorruption()) << rm.ToString();
+    EXPECT_EQ(inserted, img);
+    EXPECT_EQ(removed, img);
+    return;
+  }
+  if (ins.ok()) {
+    std::vector<Entry> want = before.value();
+    want.insert(std::upper_bound(want.begin(), want.end(), fresh, EntryLess),
+                fresh);
+    auto after = SortedEntries(inserted);
+    ASSERT_TRUE(after.ok()) << after.status().ToString();
+    EXPECT_EQ(after.value(), want);
+  } else {
+    EXPECT_TRUE(ins.IsFull()) << ins.ToString();
+    EXPECT_EQ(inserted, img);
+  }
+  EXPECT_TRUE(rm.IsNotFound()) << rm.ToString();
+  for (const Entry& victim : before.value()) {
+    removed = img;
+    ASSERT_OK(RemoveEntry(&removed, victim));
+    std::vector<Entry> want = before.value();
+    want.erase(std::find(want.begin(), want.end(), victim));
+    auto after = SortedEntries(removed);
+    ASSERT_TRUE(after.ok()) << after.status().ToString();
+    EXPECT_EQ(after.value(), want);
+  }
+}
+
+TEST(NodeFormatTest, MutatedNodesParseOrReportCorruption) {
+  // Capacities a mask can lower below the count: 12 ^ 0x04 = 8 < 10
+  // entries, 5 ^ 0x04 = 1 < 4.
+  TTreeNode t;
+  t.capacity = 12;
+  t.height = 2;
+  t.left = {{9, 2}, 3};
+  t.right = {{9, 2}, 4};
+  for (uint32_t i = 0; i < 10; ++i) t.entries.push_back(E(i * 3, i));
+  HashNode h;
+  h.capacity = 5;
+  h.next = {{9, 3}, 1};
+  for (uint32_t i = 0; i < 4; ++i) h.entries.push_back(E(7, i));
+  std::vector<uint8_t> payload = {10, 0};  // a T-tree meta: capacity, root
+  PutAddr(&payload, {{9, 1}, 5});
+  const std::vector<std::vector<uint8_t>> images = {
+      t.Serialize(), h.Serialize(), SerializeMeta(payload)};
+  for (size_t which = 0; which < images.size(); ++which) {
+    for (size_t i = 0; i < images[which].size(); ++i) {
+      for (uint8_t mask : {0x01, 0x04, 0x10, 0x80, 0xFF}) {
+        SCOPED_TRACE("image " + std::to_string(which) + " byte " +
+                     std::to_string(i) + " mask " + std::to_string(mask));
+        std::vector<uint8_t> img = images[which];
+        img[i] ^= mask;
+        ASSERT_NO_FATAL_FAILURE(CheckMutatedImage(img));
+      }
+    }
+  }
 }
 
 TEST(NodeFormatTest, AddrRoundTrip) {

@@ -5,6 +5,7 @@
 
 #include "core/database.h"
 #include "fault/fault.h"
+#include "index/ttree.h"
 #include "test_util.h"
 
 namespace mmdb {
@@ -349,7 +350,7 @@ TEST_F(RecoveryTest, LotsOfPartitionsRecoverCorrectly) {
   EXPECT_EQ(Snapshot(&db_, "acct"), before);
 }
 
-// --- bulk-built linear hash index ------------------------------------------
+// --- bulk-built indexes ----------------------------------------------------
 
 /// Inserts accounts [from, to) in 100-row transactions.
 void Populate(Database* db, int from, int to) {
@@ -362,8 +363,8 @@ void Populate(Database* db, int from, int to) {
   }
 }
 
-/// Key -> the single address its hash lookup returns, for keys [0, n).
-std::map<int64_t, EntityAddr> HashLookups(Database* db, int n) {
+/// Key -> the single address its index lookup returns, for keys [0, n).
+std::map<int64_t, EntityAddr> IndexLookups(Database* db, int n) {
   std::map<int64_t, EntityAddr> out;
   auto t = db->Begin();
   EXPECT_TRUE(t.ok());
@@ -376,17 +377,21 @@ std::map<int64_t, EntityAddr> HashLookups(Database* db, int n) {
   return out;
 }
 
-class HashRecoveryTest : public ::testing::TestWithParam<RestartPolicy> {};
+class BulkBuildRecoveryTest
+    : public ::testing::TestWithParam<std::tuple<IndexType, RestartPolicy>> {
+};
 
-TEST_P(HashRecoveryTest, BulkBuiltHashSurvivesCrash) {
+TEST_P(BulkBuildRecoveryTest, BulkBuiltIndexSurvivesCrash) {
+  const auto [type, policy] = GetParam();
   DatabaseOptions o = SmallOptions();
-  o.restart_policy = GetParam();
+  o.restart_policy = policy;
   Database db(o);
   ASSERT_OK(db.CreateRelation("acct", AccountSchema()));
   Populate(&db, 0, 2000);
-  ASSERT_OK(db.CreateIndex("by_id", "acct", "id", IndexType::kLinearHash));
+  ASSERT_OK(db.CreateIndex("by_id", "acct", "id", type));
   ASSERT_OK(db.CheckpointEverything());
-  // Past the images: inserts that split buckets, and deletes.
+  // Past the images: inserts that split buckets or overflow the packed
+  // T-tree nodes, and deletes.
   Populate(&db, 2000, 2600);
   {
     ASSERT_OK_AND_ASSIGN(Transaction * t, db.Begin());
@@ -397,20 +402,32 @@ TEST_P(HashRecoveryTest, BulkBuiltHashSurvivesCrash) {
     }
     ASSERT_OK(db.Commit(t));
   }
-  auto before = HashLookups(&db, 2600);
+  auto before = IndexLookups(&db, 2600);
   ASSERT_EQ(before.size(), 2600u - 52u);
   auto rows = Snapshot(&db, "acct");
 
   db.Crash();
   ASSERT_OK(db.Restart());
-  EXPECT_EQ(db.FullyResident(), GetParam() == RestartPolicy::kFullReload);
-  EXPECT_EQ(HashLookups(&db, 2600), before);
+  EXPECT_EQ(db.FullyResident(), policy == RestartPolicy::kFullReload);
+  EXPECT_EQ(IndexLookups(&db, 2600), before);
   EXPECT_EQ(Snapshot(&db, "acct"), rows);
+  if (type == IndexType::kTTree) {
+    // The restored tree is still a valid T-tree.
+    ASSERT_OK_AND_ASSIGN(auto* idx, db.catalog().GetIndex("by_id"));
+    TxnEntityStore store(&db, nullptr);
+    ASSERT_OK_AND_ASSIGN(TTree tree, TTree::Attach(store, idx->segment));
+    EXPECT_OK(tree.CheckInvariants(store));
+    ASSERT_OK_AND_ASSIGN(size_t n, tree.Size(store));
+    EXPECT_EQ(n, before.size());
+  }
 }
 
-INSTANTIATE_TEST_SUITE_P(Policies, HashRecoveryTest,
-                         ::testing::Values(RestartPolicy::kOnDemand,
-                                           RestartPolicy::kFullReload));
+INSTANTIATE_TEST_SUITE_P(
+    TypesAndPolicies, BulkBuildRecoveryTest,
+    ::testing::Combine(::testing::Values(IndexType::kLinearHash,
+                                         IndexType::kTTree),
+                       ::testing::Values(RestartPolicy::kOnDemand,
+                                         RestartPolicy::kFullReload)));
 
 class WholeIndexFaultTest : public RecoveryTest,
                             public ::testing::WithParamInterface<IndexType> {};
@@ -459,7 +476,10 @@ INSTANTIATE_TEST_SUITE_P(IndexTypes, WholeIndexFaultTest,
                          ::testing::Values(IndexType::kLinearHash,
                                            IndexType::kTTree));
 
-TEST_F(RecoveryTest, CrashInsideIndexBuildLeavesNoIndex) {
+class IndexBuildCrashTest : public RecoveryTest,
+                            public ::testing::WithParamInterface<IndexType> {};
+
+TEST_P(IndexBuildCrashTest, CrashInsideIndexBuildLeavesNoIndex) {
   ASSERT_OK(db_.CreateRelation("acct", AccountSchema()));
   Populate(&db_, 0, 2000);
   // The same build in a twin database, counting the stable-memory
@@ -472,7 +492,7 @@ TEST_F(RecoveryTest, CrashInsideIndexBuildLeavesNoIndex) {
     ASSERT_OK(twin.CreateRelation("acct", AccountSchema()));
     Populate(&twin, 0, 2000);
     twin.ArmFaultPlan(fault::FaultPlan{});
-    ASSERT_OK(twin.CreateIndex("by_id", "acct", "id", IndexType::kLinearHash));
+    ASSERT_OK(twin.CreateIndex("by_id", "acct", "id", GetParam()));
     build_visits = twin.fault_injector().visits(fault::Site::kStableMemAccess);
     ASSERT_OK_AND_ASSIGN(auto* idx, twin.catalog().GetIndex("by_id"));
     ASSERT_GT(idx->partitions.size(), 2u);
@@ -484,7 +504,7 @@ TEST_F(RecoveryTest, CrashInsideIndexBuildLeavesNoIndex) {
   fault::FaultPlan plan;
   plan.CrashAtVisit(fault::Site::kStableMemAccess, build_visits / 2);
   db_.ArmFaultPlan(plan);
-  Status st = db_.CreateIndex("by_id", "acct", "id", IndexType::kLinearHash);
+  Status st = db_.CreateIndex("by_id", "acct", "id", GetParam());
   ASSERT_TRUE(st.IsFault()) << st.ToString();
 
   db_.Crash();
@@ -500,9 +520,13 @@ TEST_F(RecoveryTest, CrashInsideIndexBuildLeavesNoIndex) {
   ASSERT_OK(db_.Commit(t));
   EXPECT_EQ(Snapshot(&db_, "acct"), rows);
   // The name is free again and a fresh build works.
-  ASSERT_OK(db_.CreateIndex("by_id", "acct", "id", IndexType::kLinearHash));
-  EXPECT_EQ(HashLookups(&db_, 2000).size(), 2000u);
+  ASSERT_OK(db_.CreateIndex("by_id", "acct", "id", GetParam()));
+  EXPECT_EQ(IndexLookups(&db_, 2000).size(), 2000u);
 }
+
+INSTANTIATE_TEST_SUITE_P(IndexTypes, IndexBuildCrashTest,
+                         ::testing::Values(IndexType::kLinearHash,
+                                           IndexType::kTTree));
 
 // --- byte-range REDO records ------------------------------------------------
 
@@ -565,7 +589,7 @@ TEST_P(PatchRecoveryTest, CrashAfterPatchedUpdatesRebuildsTheSameBytes) {
   while (!done) ASSERT_OK(db.BackgroundRecoveryStep(&done));
   ASSERT_TRUE(db.FullyResident());
   EXPECT_EQ(Snapshot(&db, "acct"), after);
-  EXPECT_EQ(HashLookups(&db, 700).size(), 700u);
+  EXPECT_EQ(IndexLookups(&db, 700).size(), 700u);
   auto recovered = ImageMap(&db);
   ASSERT_EQ(recovered.size(), images.size());
   for (const auto& [pid, bytes] : images) {

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <set>
+#include <string>
 
 #include "index/ttree.h"
 #include "test_util.h"
@@ -156,6 +158,199 @@ TEST_F(TTreeTest, NegativeAndExtremeKeys) {
       [](const node::Entry& a, const node::Entry& b) { return a.key < b.key; }));
 }
 
+// --- bulk build ----------------------------------------------------------------
+
+using Reference = std::multimap<int64_t, EntityAddr>;
+
+/// `n` entries over about n/3 distinct even keys, so most keys repeat and
+/// odd keys are absent, in a seeded random order; every value differs.
+std::vector<node::Entry> RandomEntries(size_t n, uint64_t seed) {
+  Random rng(seed);
+  const int64_t distinct = static_cast<int64_t>(n / 6) + 1;
+  std::vector<node::Entry> out;
+  for (size_t i = 0; i < n; ++i) {
+    out.push_back({2 * rng.UniformRange(-distinct, distinct),
+                   Addr(static_cast<uint32_t>(i))});
+  }
+  return out;
+}
+
+Reference ReferenceOf(const std::vector<node::Entry>& entries) {
+  Reference model;
+  for (const node::Entry& e : entries) model.emplace(e.key, e.value);
+  return model;
+}
+
+/// Checks `t` against `model`: invariants, size, the lookup of every key
+/// and of the key after it, and a range over the middle of the keys.
+void ExpectMatchesReference(PlainEntityStore& store, const TTree& t,
+                            const Reference& model) {
+  ASSERT_OK(t.CheckInvariants(store));
+  ASSERT_OK_AND_ASSIGN(size_t n, t.Size(store));
+  ASSERT_EQ(n, model.size());
+  for (auto it = model.begin(); it != model.end();
+       it = model.upper_bound(it->first)) {
+    const int64_t key = it->first;
+    std::vector<EntityAddr> want;
+    for (auto [b, e] = model.equal_range(key); b != e; ++b) {
+      want.push_back(b->second);
+    }
+    std::sort(want.begin(), want.end());
+    ASSERT_OK_AND_ASSIGN(auto got, t.Lookup(store, key));
+    ASSERT_EQ(got, want) << "key " << key;
+    ASSERT_OK_AND_ASSIGN(auto next, t.Lookup(store, key + 1));
+    ASSERT_EQ(next.size(), model.count(key + 1)) << "key " << key + 1;
+  }
+  const int64_t lo = model.empty() ? 0 : model.begin()->first / 2;
+  const int64_t hi = model.empty() ? 0 : model.rbegin()->first / 2;
+  std::vector<node::Entry> want;
+  for (auto it = model.lower_bound(lo); it != model.end() && it->first <= hi;
+       ++it) {
+    want.push_back({it->first, it->second});
+  }
+  std::sort(want.begin(), want.end(),
+            [](const node::Entry& a, const node::Entry& b) {
+              return a.key != b.key ? a.key < b.key : a.value < b.value;
+            });
+  ASSERT_OK_AND_ASSIGN(auto got, t.Range(store, lo, hi));
+  ASSERT_EQ(got, want);
+}
+
+/// A PlainEntityStore that counts the entities written to each address.
+class CountingStore : public PlainEntityStore {
+ public:
+  Result<EntityAddr> Insert(SegmentId segment,
+                            std::span<const uint8_t> data) override {
+    auto a = PlainEntityStore::Insert(segment, data);
+    if (a.ok()) ++inserts[a.value()];
+    return a;
+  }
+  Status Update(const EntityAddr& addr,
+                std::span<const uint8_t> data) override {
+    ++updates[addr];
+    return PlainEntityStore::Update(addr, data);
+  }
+
+  std::map<EntityAddr, int> inserts;
+  std::map<EntityAddr, int> updates;
+};
+
+struct BuildCase {
+  uint16_t capacity;
+  size_t size;
+};
+
+std::vector<BuildCase> BuildCases() {
+  std::vector<BuildCase> out;
+  for (uint16_t cap : {2, 4, 10}) {
+    std::set<size_t> sizes = {0, 1, size_t{cap} - 1, cap, size_t{cap} + 1,
+                              1000, 8192};
+    for (size_t n : sizes) out.push_back({cap, n});
+  }
+  return out;
+}
+
+class TTreeBuildTest : public ::testing::TestWithParam<BuildCase> {};
+
+TEST_P(TTreeBuildTest, MatchesMultimapReference) {
+  const BuildCase c = GetParam();
+  CountingStore store;
+  SegmentId seg = store.NewSegment();
+  const auto entries = RandomEntries(c.size, c.size * 31 + c.capacity);
+  ASSERT_OK_AND_ASSIGN(TTree t, TTree::Build(store, seg, entries, c.capacity));
+  EXPECT_EQ(t.meta_addr(), (EntityAddr{{seg, 0}, 0}));
+  // One insert per node and for the meta; one update, the meta's root.
+  const size_t nodes = (c.size + c.capacity - 1) / c.capacity;
+  EXPECT_EQ(store.inserts.size(), nodes + 1);
+  for (const auto& [addr, times] : store.inserts) EXPECT_EQ(times, 1);
+  EXPECT_EQ(store.updates.size(), c.size == 0 ? 0u : 1u);
+  for (const auto& [addr, times] : store.updates) {
+    EXPECT_EQ(addr, t.meta_addr());
+    EXPECT_EQ(times, 1);
+  }
+  ASSERT_NO_FATAL_FAILURE(
+      ExpectMatchesReference(store, t, ReferenceOf(entries)));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sizes, TTreeBuildTest, ::testing::ValuesIn(BuildCases()),
+    [](const ::testing::TestParamInfo<BuildCase>& info) {
+      return "cap" + std::to_string(info.param.capacity) + "_n" +
+             std::to_string(info.param.size);
+    });
+
+TEST(TTreeBuild, InsertsAndRemovesAfterBuildKeepInvariants) {
+  // Every node of a build starts full, so the first inserts overflow
+  // into new leaves and rotations.
+  for (uint16_t cap : {2, 4, 10}) {
+    SCOPED_TRACE(cap);
+    PlainEntityStore store;
+    SegmentId seg = store.NewSegment();
+    auto entries = RandomEntries(1000, cap);
+    ASSERT_OK_AND_ASSIGN(TTree t, TTree::Build(store, seg, entries, cap));
+    Reference model = ReferenceOf(entries);
+    Random rng(cap * 7 + 1);
+    uint32_t next_addr = static_cast<uint32_t>(entries.size());
+    for (int step = 0; step < 600; ++step) {
+      if (step < 300 ? rng.Bernoulli(0.8) : rng.Bernoulli(0.2)) {
+        const int64_t key = rng.UniformRange(-200, 200);
+        ASSERT_OK(t.Insert(store, key, Addr(next_addr)));
+        model.emplace(key, Addr(next_addr++));
+      } else {
+        auto it = model.begin();
+        std::advance(it, rng.Uniform(model.size()));
+        ASSERT_OK(t.Remove(store, it->first, it->second));
+        model.erase(it);
+      }
+      if (step < 20 || step % 25 == 0) ASSERT_OK(t.CheckInvariants(store));
+    }
+    ASSERT_NO_FATAL_FAILURE(ExpectMatchesReference(store, t, model));
+  }
+}
+
+TEST(TTreeBuild, AttachSeesBuiltTree) {
+  PlainEntityStore store;
+  SegmentId seg = store.NewSegment();
+  auto entries = RandomEntries(500, 3);
+  ASSERT_OK(TTree::Build(store, seg, entries, 4).status());
+  ASSERT_OK_AND_ASSIGN(TTree t, TTree::Attach(store, seg));
+  Reference model = ReferenceOf(entries);
+  ASSERT_NO_FATAL_FAILURE(ExpectMatchesReference(store, t, model));
+  ASSERT_OK(t.Insert(store, 1, Addr(9999)));
+  model.emplace(1, Addr(9999));
+  ASSERT_NO_FATAL_FAILURE(ExpectMatchesReference(store, t, model));
+}
+
+TEST(TTreeBuild, NonEmptySegmentRejected) {
+  PlainEntityStore store;
+  SegmentId seg = store.NewSegment();
+  ASSERT_OK(TTree::Create(store, seg, 4).status());
+  EXPECT_TRUE(TTree::Build(store, seg, RandomEntries(10, 1), 4)
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(TTree::Create(store, seg, 4).status().IsInvalidArgument());
+  EXPECT_TRUE(
+      TTree::Build(store, store.NewSegment(), {}, 1).status().IsInvalidArgument());
+}
+
+TEST(TTreeBuild, EmptyBuildWritesOnlyTheMeta) {
+  // The bytes the index has always created: a kMeta node whose payload
+  // is the u16 node capacity and a null root.
+  const std::vector<uint8_t> meta = node::SerializeMeta(
+      testing::Bytes({10, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}));
+  for (bool create : {false, true}) {
+    CountingStore store;
+    SegmentId seg = store.NewSegment();
+    ASSERT_OK_AND_ASSIGN(TTree t, create ? TTree::Create(store, seg, 10)
+                                         : TTree::Build(store, seg, {}, 10));
+    ASSERT_EQ(store.inserts.size(), 1u);
+    EXPECT_EQ(store.inserts.begin()->first, (EntityAddr{{seg, 0}, 0}));
+    EXPECT_TRUE(store.updates.empty());
+    ASSERT_OK_AND_ASSIGN(auto bytes, store.Read(t.meta_addr()));
+    EXPECT_EQ(bytes, meta);
+  }
+}
+
 struct TTreePropertyParam {
   uint64_t seed;
   uint16_t capacity;
@@ -163,48 +358,66 @@ struct TTreePropertyParam {
 };
 
 class TTreePropertyTest
-    : public ::testing::TestWithParam<TTreePropertyParam> {};
-
-TEST_P(TTreePropertyTest, MatchesMultimapReference) {
-  const TTreePropertyParam param = GetParam();
-  Random rng(param.seed);
-  PlainEntityStore store;
-  SegmentId seg = store.NewSegment();
-  ASSERT_OK_AND_ASSIGN(TTree t, TTree::Create(store, seg, param.capacity));
-  std::multimap<int64_t, EntityAddr> model;
-  uint32_t next_addr = 0;
-
-  for (int step = 0; step < param.operations; ++step) {
-    int64_t key = rng.UniformRange(-50, 50);
-    if (model.empty() || rng.Bernoulli(0.6)) {
-      EntityAddr a = Addr(next_addr++);
-      ASSERT_OK(t.Insert(store, key, a));
-      model.emplace(key, a);
-    } else {
-      auto it = model.begin();
-      std::advance(it, rng.Uniform(model.size()));
-      ASSERT_OK(t.Remove(store, it->first, it->second));
-      model.erase(it);
-    }
-    if (step % 100 == 99) {
-      ASSERT_OK(t.CheckInvariants(store));
-      ASSERT_OK_AND_ASSIGN(size_t n, t.Size(store));
-      ASSERT_EQ(n, model.size());
-      // Spot-check a few keys.
-      for (int64_t k = -50; k <= 50; k += 17) {
-        ASSERT_OK_AND_ASSIGN(auto vals, t.Lookup(store, k));
-        ASSERT_EQ(vals.size(), model.count(k)) << "key " << k;
+    : public ::testing::TestWithParam<TTreePropertyParam> {
+ protected:
+  /// Random inserts and removes against a multimap reference. With
+  /// `bulk`, the reference first takes `operations / 2` random entries
+  /// and the tree starts bulk-built over them.
+  void Run(bool bulk) {
+    const TTreePropertyParam param = GetParam();
+    Random rng(param.seed);
+    PlainEntityStore store;
+    SegmentId seg = store.NewSegment();
+    std::multimap<int64_t, EntityAddr> model;
+    uint32_t next_addr = 0;
+    std::vector<node::Entry> initial;
+    if (bulk) {
+      for (int i = 0; i < param.operations / 2; ++i) {
+        initial.push_back({rng.UniformRange(-50, 50), Addr(next_addr++)});
+        model.emplace(initial.back().key, initial.back().value);
       }
     }
+    ASSERT_OK_AND_ASSIGN(TTree t,
+                         TTree::Build(store, seg, initial, param.capacity));
+
+    for (int step = 0; step < param.operations; ++step) {
+      int64_t key = rng.UniformRange(-50, 50);
+      if (model.empty() || rng.Bernoulli(0.6)) {
+        EntityAddr a = Addr(next_addr++);
+        ASSERT_OK(t.Insert(store, key, a));
+        model.emplace(key, a);
+      } else {
+        auto it = model.begin();
+        std::advance(it, rng.Uniform(model.size()));
+        ASSERT_OK(t.Remove(store, it->first, it->second));
+        model.erase(it);
+      }
+      if (step % 100 == 99) {
+        ASSERT_OK(t.CheckInvariants(store));
+        ASSERT_OK_AND_ASSIGN(size_t n, t.Size(store));
+        ASSERT_EQ(n, model.size());
+        // Spot-check a few keys.
+        for (int64_t k = -50; k <= 50; k += 17) {
+          ASSERT_OK_AND_ASSIGN(auto vals, t.Lookup(store, k));
+          ASSERT_EQ(vals.size(), model.count(k)) << "key " << k;
+        }
+      }
+    }
+    // Full verification at the end via range scan.
+    ASSERT_OK_AND_ASSIGN(auto all, t.Range(store, -100, 100));
+    ASSERT_EQ(all.size(), model.size());
+    auto it = model.begin();
+    for (const node::Entry& e : all) {
+      ASSERT_EQ(e.key, it->first);
+      ++it;
+    }
   }
-  // Full verification at the end via range scan.
-  ASSERT_OK_AND_ASSIGN(auto all, t.Range(store, -100, 100));
-  ASSERT_EQ(all.size(), model.size());
-  auto it = model.begin();
-  for (const node::Entry& e : all) {
-    ASSERT_EQ(e.key, it->first);
-    ++it;
-  }
+};
+
+TEST_P(TTreePropertyTest, MatchesMultimapReference) { Run(/*bulk=*/false); }
+
+TEST_P(TTreePropertyTest, MatchesMultimapReferenceFromBulkBuild) {
+  Run(/*bulk=*/true);
 }
 
 INSTANTIATE_TEST_SUITE_P(
