@@ -38,6 +38,28 @@ size_t HeadOffset(uint32_t bucket) {
          (bucket % LinearHash::kSegmentBuckets) * kAddrBytes;
 }
 
+// Nodes one chain walk may read. Real chains stay near the chain target
+// (longer only past kMaxBuckets or under one much-duplicated key), so a
+// walk this long has met a chain that loops.
+constexpr uint32_t kMaxChainWalk = 1u << 20;
+
+// Reads the next node of a chain walk that has read `*walked` nodes so
+// far. Every chain node holds entries: Remove unlinks a node it empties.
+Result<node::HashNode> ReadChainNode(EntityStore& store, EntityAddr addr,
+                                     uint32_t* walked) {
+  if (++*walked > kMaxChainWalk) {
+    return Status::Corruption("hash chain loops");
+  }
+  auto bytes = store.Read(addr);
+  if (!bytes.ok()) return bytes.status();
+  auto n = node::HashNode::Parse(bytes.value());
+  if (!n.ok()) return n.status();
+  if (n.value().entries.empty()) {
+    return Status::Corruption("empty hash chain node");
+  }
+  return n;
+}
+
 }  // namespace
 
 uint64_t LinearHash::HashKey(int64_t key) {
@@ -201,7 +223,7 @@ Result<LinearHash> LinearHash::Build(EntityStore& store, SegmentId segment,
   }
   LinearHash h(segment, meta_addr.value());
 
-  // Group the entries by bucket (counting sort, stable within a bucket).
+  // Group the entries by bucket (counting sort).
   std::vector<uint32_t> bucket_of(entries.size());
   std::vector<size_t> begin(static_cast<size_t>(buckets) + 1, 0);
   for (size_t i = 0; i < entries.size(); ++i) {
@@ -219,11 +241,10 @@ Result<LinearHash> LinearHash::Build(EntityStore& store, SegmentId segment,
     DirSegment seg = DirSegment::Empty();
     const uint32_t end = std::min(buckets, first + kSegmentBuckets);
     for (uint32_t b = first; b < end; ++b) {
-      auto head = h.BuildChain(
-          store,
-          std::span<const node::Entry>(sorted).subspan(
-              begin[b], begin[b + 1] - begin[b]),
-          node_capacity);
+      std::span<node::Entry> chain = std::span<node::Entry>(sorted).subspan(
+          begin[b], begin[b + 1] - begin[b]);
+      std::sort(chain.begin(), chain.end());
+      auto head = h.BuildChain(store, chain, node_capacity);
       if (!head.ok()) return head.status();
       seg.SetHead(b, head.value());
     }
@@ -268,43 +289,62 @@ Status LinearHash::Insert(EntityStore& store, int64_t key, EntityAddr value) {
   if (!pr.ok()) return pr.status();
   auto& [meta, bucket, seg] = pr.value();
   const node::Entry e{key, value};
-
-  // Walk the chain looking for a node with room.
-  EntityAddr cur = seg.Head(bucket);
-  EntityAddr last = EntityAddr::Null();
-  node::HashNode last_node;
-  uint32_t chain_nodes = 0;
-  while (!cur.IsNull()) {
-    auto bytes = store.Read(cur);
-    if (!bytes.ok()) return bytes.status();
-    auto nr = node::HashNode::Parse(bytes.value());
-    if (!nr.ok()) return nr.status();
-    ++chain_nodes;
-    if (nr.value().entries.size() < nr.value().capacity) {
-      return store.NodeInsertEntry(cur, e);
-    }
-    last = cur;
-    last_node = std::move(nr).value();
-    cur = last_node.next;
-  }
-
-  // Chain full (or empty): append a new node.
   node::HashNode fresh;
   fresh.capacity = meta.node_capacity;
-  fresh.entries.push_back(e);
-  auto addr = store.Insert(segment_, fresh.Serialize());
-  if (!addr.ok()) return addr.status();
-  ++chain_nodes;
-  if (last.IsNull()) {
+
+  EntityAddr cur = seg.Head(bucket);
+  if (cur.IsNull()) {
+    // Empty bucket: the entry opens its chain.
+    fresh.entries.push_back(e);
+    auto addr = store.Insert(segment_, fresh.Serialize());
+    if (!addr.ok()) return addr.status();
     seg.SetHead(bucket, addr.value());
-    MMDB_RETURN_IF_ERROR(store.Update(seg.addr, seg.bytes));
-  } else {
-    last_node.next = addr.value();
-    MMDB_RETURN_IF_ERROR(store.Update(last, last_node.Serialize()));
+    return store.Update(seg.addr, seg.bytes);
   }
 
-  // Modified-linear-hashing trigger: chain grew past the threshold.
-  if (chain_nodes > meta.max_chain_nodes) return SplitOne(store, &meta);
+  // The entry belongs in the first node whose last entry does not precede
+  // it, or in the tail when every entry does.
+  uint32_t walked = 0;
+  node::HashNode n;
+  while (true) {
+    auto nr = ReadChainNode(store, cur, &walked);
+    if (!nr.ok()) return nr.status();
+    n = std::move(nr).value();
+    if (!(n.entries.back() < e) || n.next.IsNull()) break;
+    cur = n.next;
+  }
+  if (n.entries.size() < n.capacity) return store.NodeInsertEntry(cur, e);
+
+  // The node is full. An entry past the tail's last one opens a new tail
+  // alone, so ascending keys keep packing nodes full. Otherwise the upper
+  // half of the node's entries, the new one included, moves into a new
+  // node linked after it.
+  fresh.next = n.next;
+  if (n.entries.back() < e) {
+    fresh.entries.push_back(e);
+  } else {
+    n.entries.insert(std::lower_bound(n.entries.begin(), n.entries.end(), e),
+                     e);
+    const auto upper = n.entries.begin() +
+                       static_cast<std::ptrdiff_t>(n.entries.size() / 2);
+    fresh.entries.assign(upper, n.entries.end());
+    n.entries.erase(upper, n.entries.end());
+  }
+  auto addr = store.Insert(segment_, fresh.Serialize());
+  if (!addr.ok()) return addr.status();
+  n.next = addr.value();
+  MMDB_RETURN_IF_ERROR(store.Update(cur, n.Serialize()));
+
+  // Modified-linear-hashing trigger: split when the chain (the `walked`
+  // nodes read so far plus the new one) is longer than the target. The
+  // nodes after the new one are read only until the count decides it.
+  for (EntityAddr rest = fresh.next;
+       !rest.IsNull() && walked + 1 <= meta.max_chain_nodes;) {
+    auto nr = ReadChainNode(store, rest, &walked);
+    if (!nr.ok()) return nr.status();
+    rest = nr.value().next;
+  }
+  if (walked + 1 > meta.max_chain_nodes) return SplitOne(store, &meta);
   return Status::OK();
 }
 
@@ -321,10 +361,9 @@ Status LinearHash::SplitOne(EntityStore& store, Meta* meta) {
   // after the new chains and directory are in place.
   std::vector<node::Entry> entries;
   std::vector<EntityAddr> old_nodes;
+  uint32_t walked = 0;
   for (EntityAddr cur = victim_seg.Head(victim); !cur.IsNull();) {
-    auto bytes = store.Read(cur);
-    if (!bytes.ok()) return bytes.status();
-    auto nr = node::HashNode::Parse(bytes.value());
+    auto nr = ReadChainNode(store, cur, &walked);
     if (!nr.ok()) return nr.status();
     entries.insert(entries.end(), nr.value().entries.begin(),
                    nr.value().entries.end());
@@ -332,7 +371,8 @@ Status LinearHash::SplitOne(EntityStore& store, Meta* meta) {
     cur = nr.value().next;
   }
 
-  // Advance split state first so BucketOf reflects the new round.
+  // Advance split state first so BucketOf reflects the new round. Both
+  // halves keep the chain's (key, value) order.
   if (++meta->next == (meta->base_buckets << meta->level)) {
     ++meta->level;
     meta->next = 0;
@@ -385,15 +425,20 @@ Status LinearHash::Remove(EntityStore& store, int64_t key, EntityAddr value) {
   auto& [_, bucket, seg] = pr.value();
   const node::Entry e{key, value};
 
+  // The first node whose last entry does not precede the entry holds it,
+  // or no node does.
+  uint32_t walked = 0;
   EntityAddr prev = EntityAddr::Null();
   node::HashNode prev_node;
   for (EntityAddr cur = seg.Head(bucket); !cur.IsNull();) {
-    auto bytes = store.Read(cur);
-    if (!bytes.ok()) return bytes.status();
-    auto nr = node::HashNode::Parse(bytes.value());
+    auto nr = ReadChainNode(store, cur, &walked);
     if (!nr.ok()) return nr.status();
     node::HashNode n = std::move(nr).value();
-    if (std::find(n.entries.begin(), n.entries.end(), e) != n.entries.end()) {
+    if (!(n.entries.back() < e)) {
+      if (std::find(n.entries.begin(), n.entries.end(), e) ==
+          n.entries.end()) {
+        break;
+      }
       MMDB_RETURN_IF_ERROR(store.NodeRemoveEntry(cur, e));
       if (n.entries.size() == 1) {
         // Node emptied: unlink it from the chain.
@@ -422,16 +467,18 @@ Result<std::vector<EntityAddr>> LinearHash::Lookup(EntityStore& store,
   auto pr = ProbeKey(store, key);
   if (!pr.ok()) return pr.status();
   std::vector<EntityAddr> out;
+  uint32_t walked = 0;
   for (EntityAddr cur = pr.value().seg.Head(pr.value().bucket);
        !cur.IsNull();) {
-    auto bytes = store.Read(cur);
-    if (!bytes.ok()) return bytes.status();
-    auto nr = node::HashNode::Parse(bytes.value());
+    auto nr = ReadChainNode(store, cur, &walked);
     if (!nr.ok()) return nr.status();
-    for (const node::Entry& e : nr.value().entries) {
+    const node::HashNode& n = nr.value();
+    for (const node::Entry& e : n.entries) {
       if (e.key == key) out.push_back(e.value);
     }
-    cur = nr.value().next;
+    // Every later node's entries lie past this node's last one.
+    if (n.entries.back().key > key) break;
+    cur = n.next;
   }
   return out;
 }
@@ -446,12 +493,9 @@ Status LinearHash::VisitNodes(
     if (!sr.ok()) return sr.status();
     const uint32_t end = std::min(buckets, first + kSegmentBuckets);
     for (uint32_t b = first; b < end; ++b) {
-      size_t guard = 0;
+      uint32_t walked = 0;
       for (EntityAddr cur = sr.value().Head(b); !cur.IsNull();) {
-        if (++guard > 1u << 20) return Status::Corruption("chain cycle");
-        auto bytes = store.Read(cur);
-        if (!bytes.ok()) return bytes.status();
-        auto nr = node::HashNode::Parse(bytes.value());
+        auto nr = ReadChainNode(store, cur, &walked);
         if (!nr.ok()) return nr.status();
         MMDB_RETURN_IF_ERROR(visit(b, nr.value()));
         cur = nr.value().next;
@@ -497,16 +541,26 @@ Status LinearHash::CheckInvariants(EntityStore& store) const {
       return Status::Corruption("bucket head past the last bucket");
     }
   }
+  // The last entry of the previous node visited and its bucket.
+  uint32_t prev_bucket = buckets;
+  node::Entry prev_last;
   return VisitNodes(
       store, meta, [&](uint32_t b, const node::HashNode& n) -> Status {
         if (n.entries.size() > n.capacity) {
           return Status::Corruption("overfull hash node");
         }
+        const node::Entry* before = b == prev_bucket ? &prev_last : nullptr;
         for (const node::Entry& e : n.entries) {
           if (meta.BucketOf(HashKey(e.key)) != b) {
             return Status::Corruption("entry hashed to wrong bucket");
           }
+          if (before != nullptr && e < *before) {
+            return Status::Corruption("hash chain out of (key, value) order");
+          }
+          before = &e;
         }
+        prev_bucket = b;
+        prev_last = n.entries.back();
         return Status::OK();
       });
 }

@@ -24,16 +24,27 @@ namespace mmdb {
 /// from a fixed-size meta entity at the well-known address (segment,
 /// partition 0, slot 0) that holds the split state (level, next pointer)
 /// and the segment table. A lookup reads the meta, one directory segment
-/// and the bucket's chain; a split rewrites the meta and at most two
-/// segments. Every directory entity keeps its size for life, so growth
-/// never needs room next to the meta — the whole index is recoverable from
-/// checkpoint images plus log records.
+/// and the bucket's chain as far as the key (below); a split rewrites the
+/// meta and at most two segments. Every directory entity keeps its size
+/// for life, so growth never needs room next to the meta — the whole
+/// index is recoverable from checkpoint images plus log records.
 ///
 /// Split policy: classic linear hashing's split pointer, advanced
 /// whenever an insert lengthens a chain beyond `max_chain_nodes`. This is
 /// the "performance monitor" flavour of Modified Linear Hashing: splits
 /// are triggered by observed chain growth rather than a global load
 /// factor, so the split trigger needs no per-insert metadata updates.
+///
+/// Chain order: each bucket chain keeps its entries in ascending (key,
+/// value) order, within a node and from node to node, as T-tree nodes do.
+/// A lookup stops after the first node whose last key lies past the probe
+/// key, and a remove after the first node whose last entry does not
+/// precede the pair. An insert goes into that same first node (the tail if
+/// there is none). A full node takes the entry, keeps the lower half and
+/// moves the upper half into a new node linked after it. The exception is
+/// an entry past the last entry of a full tail node: it opens a new tail
+/// alone, so ascending keys pack nodes full. A chain walk that reads more
+/// than 2^20 nodes takes the chain for a loop and returns Corruption.
 ///
 /// Duplicate keys are supported; removal requires the exact (key, value)
 /// pair. The directory holds at most kMaxBuckets buckets (the segment
@@ -60,10 +71,10 @@ class LinearHash {
   /// Builds an index over `entries` in one pass into the empty `segment`.
   /// The directory is the smallest full round, initial_buckets × 2^level
   /// buckets (at most kMaxBuckets), that holds node_capacity ×
-  /// max_chain_nodes entries per bucket. Each chain is packed full, and
-  /// every node and directory segment is written once. The meta is
-  /// reserved first, so it lands at (segment, 0, 0), and filled in at the
-  /// end.
+  /// max_chain_nodes entries per bucket. Each chain is sorted by (key,
+  /// value) and packed full, and every node and directory segment is
+  /// written once. The meta is reserved first, so it lands at (segment,
+  /// 0, 0), and filled in at the end.
   static Result<LinearHash> Build(EntityStore& store, SegmentId segment,
                                   std::span<const node::Entry> entries,
                                   uint32_t initial_buckets = 8,
@@ -79,6 +90,7 @@ class LinearHash {
 
   Status Insert(EntityStore& store, int64_t key, EntityAddr value);
   Status Remove(EntityStore& store, int64_t key, EntityAddr value);
+  /// All values stored under `key`, in ascending order.
   Result<std::vector<EntityAddr>> Lookup(EntityStore& store,
                                          int64_t key) const;
 
@@ -86,8 +98,8 @@ class LinearHash {
   Result<size_t> Size(EntityStore& store) const;
 
   /// Verifies: the segment table matches the split state; every entry
-  /// hashes to the bucket holding it; chain structure well formed; node
-  /// fill within capacity.
+  /// hashes to the bucket holding it; every chain is in (key, value) order;
+  /// chain structure well formed; node fill within capacity.
   Status CheckInvariants(EntityStore& store) const;
 
   /// Current bucket count (reads metadata).
@@ -140,9 +152,9 @@ class LinearHash {
                                  uint32_t bucket) const;
   Result<Probe> ProbeKey(EntityStore& store, int64_t key) const;
 
-  /// Packs `entries` into a fresh chain, tail first so every node is
-  /// written once with its chain pointer. Returns the head (null if
-  /// `entries` is empty).
+  /// Packs `entries`, in chain order, into a fresh chain, tail first so
+  /// every node is written once with its chain pointer. Returns the head
+  /// (null if `entries` is empty).
   Result<EntityAddr> BuildChain(EntityStore& store,
                                 std::span<const node::Entry> entries,
                                 uint16_t node_capacity) const;

@@ -45,9 +45,34 @@ bool GetEntries(wire::Reader* r, uint16_t count, std::vector<Entry>* out) {
   return true;
 }
 
-bool EntryLess(const Entry& a, const Entry& b) {
-  if (a.key != b.key) return a.key < b.key;
-  return a.value < b.value;
+// The entry ops on a T-tree or hash node: both keep their entries in
+// (key, value) order.
+template <typename Node>
+Status InsertSorted(std::vector<uint8_t>* node_bytes, const Entry& e) {
+  auto n = Node::Parse(*node_bytes);
+  if (!n.ok()) return n.status();
+  Node& node = n.value();
+  if (node.entries.size() >= node.capacity) {
+    return Status::Full("index node full");
+  }
+  node.entries.insert(
+      std::lower_bound(node.entries.begin(), node.entries.end(), e), e);
+  *node_bytes = node.Serialize();
+  return Status::OK();
+}
+
+template <typename Node>
+Status RemoveExact(std::vector<uint8_t>* node_bytes, const Entry& e) {
+  auto n = Node::Parse(*node_bytes);
+  if (!n.ok()) return n.status();
+  Node& node = n.value();
+  auto it = std::find(node.entries.begin(), node.entries.end(), e);
+  if (it == node.entries.end()) {
+    return Status::NotFound("entry not in index node");
+  }
+  node.entries.erase(it);
+  *node_bytes = node.Serialize();
+  return Status::OK();
 }
 
 }  // namespace
@@ -166,30 +191,10 @@ Status InsertEntry(std::vector<uint8_t>* node_bytes, const Entry& e) {
   auto kind = KindOf(*node_bytes);
   if (!kind.ok()) return kind.status();
   switch (kind.value()) {
-    case NodeKind::kTTree: {
-      auto n = TTreeNode::Parse(*node_bytes);
-      if (!n.ok()) return n.status();
-      TTreeNode& node = n.value();
-      if (node.entries.size() >= node.capacity) {
-        return Status::Full("T-Tree node full");
-      }
-      auto it = std::lower_bound(node.entries.begin(), node.entries.end(), e,
-                                 EntryLess);
-      node.entries.insert(it, e);
-      *node_bytes = node.Serialize();
-      return Status::OK();
-    }
-    case NodeKind::kHashBucket: {
-      auto n = HashNode::Parse(*node_bytes);
-      if (!n.ok()) return n.status();
-      HashNode& node = n.value();
-      if (node.entries.size() >= node.capacity) {
-        return Status::Full("hash node full");
-      }
-      node.entries.push_back(e);
-      *node_bytes = node.Serialize();
-      return Status::OK();
-    }
+    case NodeKind::kTTree:
+      return InsertSorted<TTreeNode>(node_bytes, e);
+    case NodeKind::kHashBucket:
+      return InsertSorted<HashNode>(node_bytes, e);
     case NodeKind::kMeta:
       return Status::InvalidArgument("entry op on meta node");
   }
@@ -200,30 +205,10 @@ Status RemoveEntry(std::vector<uint8_t>* node_bytes, const Entry& e) {
   auto kind = KindOf(*node_bytes);
   if (!kind.ok()) return kind.status();
   switch (kind.value()) {
-    case NodeKind::kTTree: {
-      auto n = TTreeNode::Parse(*node_bytes);
-      if (!n.ok()) return n.status();
-      TTreeNode& node = n.value();
-      auto it = std::find(node.entries.begin(), node.entries.end(), e);
-      if (it == node.entries.end()) {
-        return Status::NotFound("entry not in T-Tree node");
-      }
-      node.entries.erase(it);
-      *node_bytes = node.Serialize();
-      return Status::OK();
-    }
-    case NodeKind::kHashBucket: {
-      auto n = HashNode::Parse(*node_bytes);
-      if (!n.ok()) return n.status();
-      HashNode& node = n.value();
-      auto it = std::find(node.entries.begin(), node.entries.end(), e);
-      if (it == node.entries.end()) {
-        return Status::NotFound("entry not in hash node");
-      }
-      node.entries.erase(it);
-      *node_bytes = node.Serialize();
-      return Status::OK();
-    }
+    case NodeKind::kTTree:
+      return RemoveExact<TTreeNode>(node_bytes, e);
+    case NodeKind::kHashBucket:
+      return RemoveExact<HashNode>(node_bytes, e);
     case NodeKind::kMeta:
       return Status::InvalidArgument("entry op on meta node");
   }

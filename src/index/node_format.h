@@ -33,11 +33,14 @@ enum class NodeKind : uint8_t {
   kMeta = 3,
 };
 
+/// Index entries order by (key, value), in T-tree nodes and along hash
+/// bucket chains alike.
 struct Entry {
   int64_t key = 0;
   EntityAddr value;
 
   friend bool operator==(const Entry&, const Entry&) = default;
+  friend auto operator<=>(const Entry&, const Entry&) = default;
 };
 
 inline constexpr size_t kEntrySize = 8 + 12;
@@ -64,7 +67,7 @@ struct TTreeNode {
 struct HashNode {
   EntityAddr next;  // overflow chain
   uint16_t capacity = 0;
-  std::vector<Entry> entries;  // unordered
+  std::vector<Entry> entries;  // sorted by (key, value)
 
   std::vector<uint8_t> Serialize() const;
   static Result<HashNode> Parse(std::span<const uint8_t> bytes);
@@ -78,8 +81,8 @@ Result<NodeKind> KindOf(std::span<const uint8_t> bytes);
 
 /// Applies the small logged entry operations directly to serialized node
 /// bytes (used both by the live index code and by REDO/UNDO apply).
-/// For kTTree the entry is inserted in (key, value) order; for
-/// kHashBucket it is appended. Fails with Full when count == capacity.
+/// Either kind of node takes the entry at its (key, value) position.
+/// Fails with Full when count == capacity.
 Status InsertEntry(std::vector<uint8_t>* node_bytes, const Entry& e);
 
 /// Removes the entry matching (key, value) exactly. NotFound if absent.

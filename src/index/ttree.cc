@@ -10,9 +10,22 @@ namespace mmdb {
 
 namespace {
 
-bool Less(const node::Entry& a, const node::Entry& b) {
-  if (a.key != b.key) return a.key < b.key;
-  return a.value < b.value;
+// Taller than any tree that fits in memory: an AVL tree of height h
+// holds at least Fib(h + 2) - 1 nodes.
+constexpr int32_t kMaxHeight = 64;
+
+/// Checks a node that a descent reached from a parent of height `above`
+/// (kMaxHeight + 1 for the root). Every node of a tree holds entries and
+/// stands lower than its parent, so an empty node is Corruption, and so
+/// is a child pointer that loops back: no loop can keep descending.
+Status CheckDescent(const node::TTreeNode& n, int32_t above) {
+  if (n.entries.empty()) {
+    return Status::Corruption("empty T-Tree node on a descent");
+  }
+  if (n.height < 1 || n.height >= above) {
+    return Status::Corruption("T-Tree node not below its parent");
+  }
+  return Status::OK();
 }
 
 node::Entry LowFence(int64_t key) {
@@ -64,7 +77,7 @@ Result<TTree> TTree::Build(EntityStore& store, SegmentId segment,
   if (entries.empty()) return t;
 
   std::vector<node::Entry> sorted(entries.begin(), entries.end());
-  std::sort(sorted.begin(), sorted.end(), Less);
+  std::sort(sorted.begin(), sorted.end());
   const size_t nodes = (sorted.size() + node_capacity - 1) / node_capacity;
   auto root = t.BuildSubtree(store, sorted, nodes, 0, nodes);
   if (!root.ok()) return root.status();
@@ -301,18 +314,19 @@ Status TTree::Insert(EntityStore& store, int64_t key, EntityAddr value) {
   bool found_bounding = false;
   int fell_dir = 0;
   node::TTreeNode cur_node;
-  while (true) {
+  for (int32_t above = kMaxHeight + 1;; above = cur_node.height) {
     auto nr = ReadNode(store, cur);
     if (!nr.ok()) return nr.status();
     cur_node = std::move(nr).value();
+    MMDB_RETURN_IF_ERROR(CheckDescent(cur_node, above));
     path.push_back(cur);
-    if (Less(e, cur_node.entries.front())) {
+    if (e < cur_node.entries.front()) {
       if (cur_node.left.IsNull()) {
         fell_dir = -1;
         break;
       }
       cur = cur_node.left;
-    } else if (Less(cur_node.entries.back(), e)) {
+    } else if (cur_node.entries.back() < e) {
       if (cur_node.right.IsNull()) {
         fell_dir = +1;
         break;
@@ -345,10 +359,11 @@ Status TTree::Insert(EntityStore& store, int64_t key, EntityAddr value) {
     // Greatest-lower-bound node: rightmost node of the left subtree.
     EntityAddr d = cur_node.left;
     node::TTreeNode dn;
-    while (true) {
+    for (int32_t above = cur_node.height;; above = dn.height) {
       auto dr = ReadNode(store, d);
       if (!dr.ok()) return dr.status();
       dn = std::move(dr).value();
+      MMDB_RETURN_IF_ERROR(CheckDescent(dn, above));
       path.push_back(d);
       if (dn.right.IsNull()) break;
       d = dn.right;
@@ -387,15 +402,16 @@ Status TTree::Remove(EntityStore& store, int64_t key, EntityAddr value) {
 
   std::vector<EntityAddr> path;
   node::TTreeNode cur_node;
-  while (true) {
+  for (int32_t above = kMaxHeight + 1;; above = cur_node.height) {
     auto nr = ReadNode(store, cur);
     if (!nr.ok()) return nr.status();
     cur_node = std::move(nr).value();
+    MMDB_RETURN_IF_ERROR(CheckDescent(cur_node, above));
     path.push_back(cur);
-    if (Less(e, cur_node.entries.front())) {
+    if (e < cur_node.entries.front()) {
       if (cur_node.left.IsNull()) return Status::NotFound("entry not in tree");
       cur = cur_node.left;
-    } else if (Less(cur_node.entries.back(), e)) {
+    } else if (cur_node.entries.back() < e) {
       if (cur_node.right.IsNull()) {
         return Status::NotFound("entry not in tree");
       }
@@ -416,10 +432,11 @@ Status TTree::Remove(EntityStore& store, int64_t key, EntityAddr value) {
     // Empty internal node: refill with its greatest lower bound.
     EntityAddr d = cur_node.left;
     node::TTreeNode dn;
-    while (true) {
+    for (int32_t above = cur_node.height;; above = dn.height) {
       auto dr = ReadNode(store, d);
       if (!dr.ok()) return dr.status();
       dn = std::move(dr).value();
+      MMDB_RETURN_IF_ERROR(CheckDescent(dn, above));
       path.push_back(d);
       if (dn.right.IsNull()) break;
       d = dn.right;
@@ -476,7 +493,9 @@ Status TTree::Remove(EntityStore& store, int64_t key, EntityAddr value) {
 
 namespace {
 
-Status Collect(EntityStore& store, const TTree& tree, EntityAddr a,
+/// Appends the entries of the subtree at `a` within [lo, hi], in order;
+/// `above` is the height of the node `a` hangs from.
+Status Collect(EntityStore& store, EntityAddr a, int32_t above,
                const node::Entry& lo, const node::Entry& hi,
                std::vector<node::Entry>* out);
 
@@ -497,14 +516,14 @@ Result<std::vector<node::Entry>> TTree::Range(EntityStore& store, int64_t lo,
   auto root_r = root(store);
   if (!root_r.ok()) return root_r.status();
   std::vector<node::Entry> out;
-  MMDB_RETURN_IF_ERROR(
-      Collect(store, *this, root_r.value(), LowFence(lo), HighFence(hi), &out));
+  MMDB_RETURN_IF_ERROR(Collect(store, root_r.value(), kMaxHeight + 1,
+                               LowFence(lo), HighFence(hi), &out));
   return out;
 }
 
 namespace {
 
-Status Collect(EntityStore& store, const TTree& tree, EntityAddr a,
+Status Collect(EntityStore& store, EntityAddr a, int32_t above,
                const node::Entry& lo, const node::Entry& hi,
                std::vector<node::Entry>* out) {
   if (a.IsNull()) return Status::OK();
@@ -513,29 +532,32 @@ Status Collect(EntityStore& store, const TTree& tree, EntityAddr a,
   auto nr = node::TTreeNode::Parse(bytes.value());
   if (!nr.ok()) return nr.status();
   const node::TTreeNode& n = nr.value();
-  if (Less(lo, n.entries.front())) {
-    MMDB_RETURN_IF_ERROR(Collect(store, tree, n.left, lo, hi, out));
+  MMDB_RETURN_IF_ERROR(CheckDescent(n, above));
+  if (lo < n.entries.front()) {
+    MMDB_RETURN_IF_ERROR(Collect(store, n.left, n.height, lo, hi, out));
   }
   for (const node::Entry& e : n.entries) {
-    if (!Less(e, lo) && !Less(hi, e)) out->push_back(e);
+    if (!(e < lo) && !(hi < e)) out->push_back(e);
   }
-  if (Less(n.entries.back(), hi)) {
-    MMDB_RETURN_IF_ERROR(Collect(store, tree, n.right, lo, hi, out));
+  if (n.entries.back() < hi) {
+    MMDB_RETURN_IF_ERROR(Collect(store, n.right, n.height, lo, hi, out));
   }
   return Status::OK();
 }
 
-Result<size_t> CountSubtree(EntityStore& store, EntityAddr a) {
+Result<size_t> CountSubtree(EntityStore& store, EntityAddr a, int32_t above) {
   if (a.IsNull()) return size_t{0};
   auto bytes = store.Read(a);
   if (!bytes.ok()) return bytes.status();
   auto nr = node::TTreeNode::Parse(bytes.value());
   if (!nr.ok()) return nr.status();
-  auto l = CountSubtree(store, nr.value().left);
+  const node::TTreeNode& n = nr.value();
+  MMDB_RETURN_IF_ERROR(CheckDescent(n, above));
+  auto l = CountSubtree(store, n.left, n.height);
   if (!l.ok()) return l.status();
-  auto r = CountSubtree(store, nr.value().right);
+  auto r = CountSubtree(store, n.right, n.height);
   if (!r.ok()) return r.status();
-  return l.value() + r.value() + nr.value().entries.size();
+  return l.value() + r.value() + n.entries.size();
 }
 
 }  // namespace
@@ -543,7 +565,7 @@ Result<size_t> CountSubtree(EntityStore& store, EntityAddr a) {
 Result<size_t> TTree::Size(EntityStore& store) const {
   auto root_r = root(store);
   if (!root_r.ok()) return root_r.status();
-  return CountSubtree(store, root_r.value());
+  return CountSubtree(store, root_r.value(), kMaxHeight + 1);
 }
 
 Status TTree::CheckSubtree(EntityStore& store, EntityAddr a, bool has_lo,
@@ -561,14 +583,14 @@ Status TTree::CheckSubtree(EntityStore& store, EntityAddr a, bool has_lo,
     return Status::Corruption("overfull T-Tree node");
   }
   for (size_t i = 1; i < n.entries.size(); ++i) {
-    if (!Less(n.entries[i - 1], n.entries[i])) {
+    if (!(n.entries[i - 1] < n.entries[i])) {
       return Status::Corruption("unsorted/duplicate entries in node");
     }
   }
-  if (has_lo && !Less(lo, n.entries.front())) {
+  if (has_lo && !(lo < n.entries.front())) {
     return Status::Corruption("BST lower bound violated");
   }
-  if (has_hi && !Less(n.entries.back(), hi)) {
+  if (has_hi && !(n.entries.back() < hi)) {
     return Status::Corruption("BST upper bound violated");
   }
   int32_t hl, hr;

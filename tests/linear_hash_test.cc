@@ -10,9 +10,39 @@
 namespace mmdb {
 namespace {
 
+using testing::CountingStore;
 using testing::PlainEntityStore;
 
 EntityAddr Addr(uint32_t n) { return EntityAddr{{200, 0}, n}; }
+
+/// The head of `bucket`'s chain, read through the meta's segment table,
+/// which follows the 18 bytes of split state.
+EntityAddr ChainHead(PlainEntityStore& store, const LinearHash& h,
+                     uint32_t bucket) {
+  EntityAddr seg, head;
+  auto meta = store.Read(h.meta_addr());
+  EXPECT_TRUE(meta.ok());
+  EXPECT_TRUE(node::GetAddr(
+      meta.value(),
+      node::kCommonHeaderSize + 18 + bucket / LinearHash::kSegmentBuckets * 12,
+      &seg));
+  auto dir = store.Read(seg);
+  EXPECT_TRUE(dir.ok());
+  EXPECT_TRUE(node::GetAddr(
+      dir.value(),
+      node::kCommonHeaderSize + bucket % LinearHash::kSegmentBuckets * 12,
+      &head));
+  return head;
+}
+
+/// Rewrites the hash node at `addr` through `edit`.
+template <typename Edit>
+void EditNode(PlainEntityStore& store, const EntityAddr& addr, Edit edit) {
+  ASSERT_OK_AND_ASSIGN(auto bytes, store.Read(addr));
+  ASSERT_OK_AND_ASSIGN(node::HashNode n, node::HashNode::Parse(bytes));
+  edit(n);
+  ASSERT_OK(store.Update(addr, n.Serialize()));
+}
 
 class LinearHashTest : public ::testing::Test {
  protected:
@@ -249,6 +279,127 @@ TEST_F(LinearHashTest, NegativeKeys) {
   ASSERT_OK(h.CheckInvariants(store_));
 }
 
+// --- ordered chains ----------------------------------------------------------
+
+TEST(LinearHashOrderTest, LookupStopsAtTheFirstNodePastTheKey) {
+  // One bucket: Build sorts keys 99..0 and packs them four to a node, so
+  // node i holds keys 4i..4i+3.
+  CountingStore store;
+  SegmentId seg = store.NewSegment();
+  std::vector<node::Entry> entries;
+  for (uint32_t i = 100; i-- > 0;) entries.push_back({i, Addr(i)});
+  ASSERT_OK_AND_ASSIGN(LinearHash h,
+                       LinearHash::Build(store, seg, entries, 1, 4, 64));
+  ASSERT_OK_AND_ASSIGN(uint32_t buckets, h.BucketCount(store));
+  ASSERT_EQ(buckets, 1u);
+  for (int64_t k = -1; k <= 100; ++k) {
+    store.reads.clear();
+    ASSERT_OK_AND_ASSIGN(auto vals, h.Lookup(store, k));
+    if (k >= 0 && k < 100) {
+      ASSERT_EQ(vals, std::vector<EntityAddr>{Addr(static_cast<uint32_t>(k))});
+    } else {
+      ASSERT_TRUE(vals.empty()) << "key " << k;
+    }
+    // The meta, the segment, then nodes 0..(k + 1) / 4: the last of them
+    // is the first whose last key exceeds k (or the tail).
+    const int64_t nodes = std::min<int64_t>(25, (k + 1) / 4 + 1);
+    int reads = 0;
+    for (const auto& [addr, times] : store.reads) reads += times;
+    EXPECT_EQ(reads, 2 + nodes) << "key " << k;
+    EXPECT_EQ(store.reads[h.meta_addr()], 1);
+  }
+}
+
+TEST(LinearHashOrderTest, AscendingKeysPackNodesAndInsertsSplitFullNodes) {
+  PlainEntityStore store;
+  SegmentId seg = store.NewSegment();
+  ASSERT_OK_AND_ASSIGN(LinearHash h, LinearHash::Create(store, seg, 1, 4, 64));
+  auto nodes = [&] {
+    size_t live = 0;
+    for (Partition* p : store.pm().SegmentPartitions(seg)) {
+      live += p->live_count();
+    }
+    return live - 2;  // the meta and the one directory segment
+  };
+  // Past the tail, a full tail opens a new node: 100 even keys, 25 nodes.
+  for (uint32_t i = 0; i < 100; ++i) ASSERT_OK(h.Insert(store, 2 * i, Addr(i)));
+  EXPECT_EQ(nodes(), 25u);
+  // Key 1 belongs in the full head {0, 2, 4, 6}: the head keeps {0, 1}
+  // and {2, 4, 6} moves into a new node after it.
+  ASSERT_OK(h.Insert(store, 1, Addr(1000)));
+  EXPECT_EQ(nodes(), 26u);
+  EntityAddr head = ChainHead(store, h, 0);
+  ASSERT_OK_AND_ASSIGN(auto bytes, store.Read(head));
+  ASSERT_OK_AND_ASSIGN(node::HashNode n, node::HashNode::Parse(bytes));
+  EXPECT_EQ(n.entries,
+            (std::vector<node::Entry>{{0, Addr(0)}, {1, Addr(1000)}}));
+  // Key 3 now fits in the second node, which has room.
+  ASSERT_OK(h.Insert(store, 3, Addr(1001)));
+  EXPECT_EQ(nodes(), 26u);
+  ASSERT_OK(h.CheckInvariants(store));
+  for (int64_t k = 0; k <= 8; ++k) {
+    ASSERT_OK_AND_ASSIGN(auto vals, h.Lookup(store, k));
+    EXPECT_EQ(vals.size(), k % 2 == 0 || k < 4 ? 1u : 0u) << "key " << k;
+  }
+}
+
+TEST_F(LinearHashTest, CheckInvariantsReportsEntriesOutOfOrder) {
+  LinearHash h = Make(1, 4, 8);
+  for (uint32_t i = 0; i < 8; ++i) ASSERT_OK(h.Insert(store_, i, Addr(i)));
+  ASSERT_OK(h.CheckInvariants(store_));
+  const EntityAddr head = ChainHead(store_, h, 0);
+  ASSERT_OK_AND_ASSIGN(auto head_bytes, store_.Read(head));
+  ASSERT_OK_AND_ASSIGN(node::HashNode first, node::HashNode::Parse(head_bytes));
+  ASSERT_EQ(first.entries.size(), 4u);
+  ASSERT_FALSE(first.next.IsNull());
+  ASSERT_OK_AND_ASSIGN(auto next_bytes, store_.Read(first.next));
+
+  // Two entries of one node swapped.
+  EditNode(store_, head, [](node::HashNode& n) {
+    std::swap(n.entries[1], n.entries[2]);
+  });
+  EXPECT_TRUE(h.CheckInvariants(store_).IsCorruption());
+  ASSERT_OK(store_.Update(head, head_bytes));
+  ASSERT_OK(h.CheckInvariants(store_));
+
+  // Each node sorted, but the head's last entry past the next node's first.
+  EditNode(store_, head,
+           [](node::HashNode& n) { n.entries[3] = {4, Addr(4)}; });
+  EditNode(store_, first.next,
+           [](node::HashNode& n) { n.entries[0] = {3, Addr(3)}; });
+  EXPECT_TRUE(h.CheckInvariants(store_).IsCorruption());
+  ASSERT_OK(store_.Update(head, head_bytes));
+  ASSERT_OK(store_.Update(first.next, next_bytes));
+  ASSERT_OK(h.CheckInvariants(store_));
+}
+
+TEST_F(LinearHashTest, SelfLoopedChainIsCorruption) {
+  // A node whose next pointer is its own address: every walk past its
+  // entries would go round it forever.
+  LinearHash h = Make(1, 4, 8);
+  for (uint32_t i = 0; i < 3; ++i) ASSERT_OK(h.Insert(store_, i, Addr(i)));
+  const EntityAddr head = ChainHead(store_, h, 0);
+  EditNode(store_, head, [&](node::HashNode& n) { n.next = head; });
+  EXPECT_TRUE(h.Lookup(store_, 10).status().IsCorruption());
+  EXPECT_TRUE(h.Insert(store_, 10, Addr(10)).IsCorruption());
+  EXPECT_TRUE(h.Remove(store_, 10, Addr(10)).IsCorruption());
+  EXPECT_TRUE(h.CheckInvariants(store_).IsCorruption());
+  // Entries before the loop are still reachable.
+  ASSERT_OK_AND_ASSIGN(auto vals, h.Lookup(store_, 1));
+  EXPECT_EQ(vals, std::vector<EntityAddr>{Addr(1)});
+}
+
+TEST_F(LinearHashTest, EmptyChainNodeIsCorruption) {
+  LinearHash h = Make(1, 4, 8);
+  for (uint32_t i = 0; i < 6; ++i) ASSERT_OK(h.Insert(store_, i, Addr(i)));
+  EditNode(store_, ChainHead(store_, h, 0),
+           [](node::HashNode& n) { n.entries.clear(); });
+  EXPECT_TRUE(h.Lookup(store_, 5).status().IsCorruption());
+  EXPECT_TRUE(h.Insert(store_, 9, Addr(9)).IsCorruption());
+  EXPECT_TRUE(h.Remove(store_, 5, Addr(5)).IsCorruption());
+  EXPECT_TRUE(h.CheckInvariants(store_).IsCorruption());
+}
+
 struct HashPropertyParam {
   uint64_t seed;
   uint32_t buckets;
@@ -258,42 +409,77 @@ struct HashPropertyParam {
 };
 
 class LinearHashPropertyTest
-    : public ::testing::TestWithParam<HashPropertyParam> {};
+    : public ::testing::TestWithParam<HashPropertyParam> {
+ protected:
+  using Reference = std::multimap<int64_t, EntityAddr>;
 
-TEST_P(LinearHashPropertyTest, MatchesMultimapReference) {
-  const HashPropertyParam param = GetParam();
-  Random rng(param.seed);
-  PlainEntityStore store;
-  SegmentId seg = store.NewSegment();
-  ASSERT_OK_AND_ASSIGN(
-      LinearHash h,
-      LinearHash::Create(store, seg, param.buckets, param.node_capacity,
-                         param.max_chain));
-  std::multimap<int64_t, EntityAddr> model;
-  uint32_t next_addr = 0;
-
-  for (int step = 0; step < param.operations; ++step) {
-    int64_t key = rng.UniformRange(-40, 40);
-    if (model.empty() || rng.Bernoulli(0.65)) {
-      EntityAddr a = Addr(next_addr++);
-      ASSERT_OK(h.Insert(store, key, a));
-      model.emplace(key, a);
-    } else {
-      auto it = model.begin();
-      std::advance(it, rng.Uniform(model.size()));
-      ASSERT_OK(h.Remove(store, it->first, it->second));
-      model.erase(it);
-    }
-    if (step % 200 == 199) {
-      ASSERT_OK(h.CheckInvariants(store));
-      ASSERT_OK_AND_ASSIGN(size_t n, h.Size(store));
-      ASSERT_EQ(n, model.size());
-      for (int64_t k = -40; k <= 40; k += 13) {
-        ASSERT_OK_AND_ASSIGN(auto vals, h.Lookup(store, k));
-        ASSERT_EQ(vals.size(), model.count(k)) << "key " << k;
+  /// Invariants, size, and the lookup of every key in [-41, 41], absent
+  /// keys included: the values come back in value order.
+  static void ExpectMatches(PlainEntityStore& store, const LinearHash& h,
+                            const Reference& model) {
+    ASSERT_OK(h.CheckInvariants(store));
+    ASSERT_OK_AND_ASSIGN(size_t n, h.Size(store));
+    ASSERT_EQ(n, model.size());
+    for (int64_t k = -41; k <= 41; ++k) {
+      std::vector<EntityAddr> want;
+      for (auto [b, e] = model.equal_range(k); b != e; ++b) {
+        want.push_back(b->second);
       }
+      std::sort(want.begin(), want.end());
+      ASSERT_OK_AND_ASSIGN(auto got, h.Lookup(store, k));
+      ASSERT_EQ(got, want) << "key " << k;
     }
   }
+
+  /// Random inserts and removes against a multimap reference. With
+  /// `bulk`, the reference first takes `operations / 2` random entries
+  /// and the index starts built over them.
+  void Run(bool bulk) {
+    const HashPropertyParam param = GetParam();
+    Random rng(param.seed);
+    PlainEntityStore store;
+    SegmentId seg = store.NewSegment();
+    Reference model;
+    uint32_t next_addr = 0;
+    std::vector<node::Entry> initial;
+    if (bulk) {
+      for (int i = 0; i < param.operations / 2; ++i) {
+        initial.push_back({rng.UniformRange(-40, 40), Addr(next_addr++)});
+        model.emplace(initial.back().key, initial.back().value);
+      }
+    }
+    ASSERT_OK_AND_ASSIGN(
+        LinearHash h,
+        LinearHash::Build(store, seg, initial, param.buckets,
+                          param.node_capacity, param.max_chain));
+    ASSERT_NO_FATAL_FAILURE(ExpectMatches(store, h, model));
+
+    for (int step = 0; step < param.operations; ++step) {
+      int64_t key = rng.UniformRange(-40, 40);
+      if (model.empty() || rng.Bernoulli(0.65)) {
+        EntityAddr a = Addr(next_addr++);
+        ASSERT_OK(h.Insert(store, key, a));
+        model.emplace(key, a);
+      } else {
+        auto it = model.begin();
+        std::advance(it, rng.Uniform(model.size()));
+        ASSERT_OK(h.Remove(store, it->first, it->second));
+        model.erase(it);
+      }
+      if (step % 200 == 199) {
+        ASSERT_NO_FATAL_FAILURE(ExpectMatches(store, h, model));
+      }
+    }
+    ASSERT_NO_FATAL_FAILURE(ExpectMatches(store, h, model));
+  }
+};
+
+TEST_P(LinearHashPropertyTest, MatchesMultimapReference) {
+  Run(/*bulk=*/false);
+}
+
+TEST_P(LinearHashPropertyTest, MatchesMultimapReferenceFromBulkBuild) {
+  Run(/*bulk=*/true);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <numeric>
 #include <tuple>
 
 #include "core/database.h"
 #include "fault/fault.h"
+#include "index/linear_hash.h"
 #include "index/ttree.h"
 #include "test_util.h"
+#include "util/random.h"
 
 namespace mmdb {
 namespace {
@@ -352,23 +355,32 @@ TEST_F(RecoveryTest, LotsOfPartitionsRecoverCorrectly) {
 
 // --- bulk-built indexes ----------------------------------------------------
 
-/// Inserts accounts [from, to) in 100-row transactions.
-void Populate(Database* db, int from, int to) {
-  for (int next = from; next < to;) {
+/// Ids [from, to).
+std::vector<int64_t> Ids(int64_t from, int64_t to) {
+  std::vector<int64_t> ids(static_cast<size_t>(to - from));
+  std::iota(ids.begin(), ids.end(), from);
+  return ids;
+}
+
+/// Inserts accounts with `ids`, in that order, in 100-row transactions.
+void Populate(Database* db, const std::vector<int64_t>& ids) {
+  for (size_t next = 0; next < ids.size();) {
     ASSERT_OK_AND_ASSIGN(Transaction * t, db->Begin());
-    for (int k = 0; k < 100 && next < to; ++k, ++next) {
-      ASSERT_OK(db->Insert(t, "acct", Account(next, next * 10, "u")).status());
+    for (int k = 0; k < 100 && next < ids.size(); ++k, ++next) {
+      const int64_t id = ids[next];
+      ASSERT_OK(db->Insert(t, "acct", Account(id, id * 10, "u")).status());
     }
     ASSERT_OK(db->Commit(t));
   }
 }
 
-/// Key -> the single address its index lookup returns, for keys [0, n).
-std::map<int64_t, EntityAddr> IndexLookups(Database* db, int n) {
+/// Key -> the single address its index lookup returns, for keys [lo, hi).
+std::map<int64_t, EntityAddr> IndexLookups(Database* db, int64_t lo,
+                                           int64_t hi) {
   std::map<int64_t, EntityAddr> out;
   auto t = db->Begin();
   EXPECT_TRUE(t.ok());
-  for (int64_t k = 0; k < n; ++k) {
+  for (int64_t k = lo; k < hi; ++k) {
     auto hits = db->IndexLookup(t.value(), "by_id", k);
     EXPECT_TRUE(hits.ok()) << hits.status().ToString();
     if (hits.ok() && hits.value().size() == 1) out[k] = hits.value()[0];
@@ -387,38 +399,53 @@ TEST_P(BulkBuildRecoveryTest, BulkBuiltIndexSurvivesCrash) {
   o.restart_policy = policy;
   Database db(o);
   ASSERT_OK(db.CreateRelation("acct", AccountSchema()));
-  Populate(&db, 0, 2000);
+  Populate(&db, Ids(0, 2000));
   ASSERT_OK(db.CreateIndex("by_id", "acct", "id", type));
   ASSERT_OK(db.CheckpointEverything());
-  // Past the images: inserts that split buckets or overflow the packed
-  // T-tree nodes, and deletes.
-  Populate(&db, 2000, 2600);
+  // Past the images: keys below and above the built range in a shuffled
+  // order, so inserts land inside full hash chains and split their nodes
+  // and buckets, or overflow the packed T-tree nodes; then deletes.
+  std::vector<int64_t> later = Ids(-300, 0);
+  for (int64_t id : Ids(2000, 2300)) later.push_back(id);
+  Random rng(7);
+  for (size_t i = later.size(); i > 1; --i) {
+    std::swap(later[i - 1], later[rng.Uniform(i)]);
+  }
+  Populate(&db, later);
   {
     ASSERT_OK_AND_ASSIGN(Transaction * t, db.Begin());
-    for (int64_t k = 0; k < 2600; k += 50) {
+    for (int64_t k = -300; k < 2300; k += 50) {
       ASSERT_OK_AND_ASSIGN(auto hits, db.IndexLookup(t, "by_id", k));
       ASSERT_EQ(hits.size(), 1u);
       ASSERT_OK(db.Delete(t, "acct", hits[0]));
     }
     ASSERT_OK(db.Commit(t));
   }
-  auto before = IndexLookups(&db, 2600);
+  auto before = IndexLookups(&db, -300, 2300);
   ASSERT_EQ(before.size(), 2600u - 52u);
   auto rows = Snapshot(&db, "acct");
 
   db.Crash();
   ASSERT_OK(db.Restart());
   EXPECT_EQ(db.FullyResident(), policy == RestartPolicy::kFullReload);
-  EXPECT_EQ(IndexLookups(&db, 2600), before);
+  EXPECT_EQ(IndexLookups(&db, -300, 2300), before);
   EXPECT_EQ(Snapshot(&db, "acct"), rows);
-  if (type == IndexType::kTTree) {
-    // The restored tree is still a valid T-tree.
-    ASSERT_OK_AND_ASSIGN(auto* idx, db.catalog().GetIndex("by_id"));
-    TxnEntityStore store(&db, nullptr);
-    ASSERT_OK_AND_ASSIGN(TTree tree, TTree::Attach(store, idx->segment));
-    EXPECT_OK(tree.CheckInvariants(store));
-    ASSERT_OK_AND_ASSIGN(size_t n, tree.Size(store));
+  // The restored index still holds its invariants (a hash's chain order
+  // included) and every entry.
+  ASSERT_OK_AND_ASSIGN(auto* idx, db.catalog().GetIndex("by_id"));
+  TxnEntityStore store(&db, nullptr);
+  auto expect_intact = [&](const auto& index) {
+    EXPECT_OK(index.CheckInvariants(store));
+    ASSERT_OK_AND_ASSIGN(size_t n, index.Size(store));
     EXPECT_EQ(n, before.size());
+  };
+  if (type == IndexType::kTTree) {
+    ASSERT_OK_AND_ASSIGN(TTree tree, TTree::Attach(store, idx->segment));
+    expect_intact(tree);
+  } else {
+    ASSERT_OK_AND_ASSIGN(LinearHash hash,
+                         LinearHash::Attach(store, idx->segment));
+    expect_intact(hash);
   }
 }
 
@@ -439,11 +466,11 @@ TEST_P(WholeIndexFaultTest, FirstLookupAfterCrashRestoresTheWholeIndex) {
   const int rows = hash ? 2000 : 10000;
   const int64_t scale = hash ? 1 : 10;
   ASSERT_OK(db_.CreateRelation("acct", AccountSchema()));
-  Populate(&db_, 0, rows);
+  Populate(&db_, Ids(0, rows));
   ASSERT_OK(db_.CreateIndex("by_key", "acct", hash ? "id" : "balance",
                             GetParam()));
   ASSERT_OK(db_.CheckpointEverything());
-  Populate(&db_, rows, rows + 100);
+  Populate(&db_, Ids(rows, rows + 100));
   ASSERT_OK_AND_ASSIGN(auto* idx, db_.catalog().GetIndex("by_key"));
   const size_t index_partitions = idx->partitions.size();
   ASSERT_GT(index_partitions, hash ? 2u : 12u);
@@ -481,7 +508,7 @@ class IndexBuildCrashTest : public RecoveryTest,
 
 TEST_P(IndexBuildCrashTest, CrashInsideIndexBuildLeavesNoIndex) {
   ASSERT_OK(db_.CreateRelation("acct", AccountSchema()));
-  Populate(&db_, 0, 2000);
+  Populate(&db_, Ids(0, 2000));
   // The same build in a twin database, counting the stable-memory
   // charges of its log appends; the crash lands half-way through them,
   // once the build has spread over several index partitions.
@@ -490,7 +517,7 @@ TEST_P(IndexBuildCrashTest, CrashInsideIndexBuildLeavesNoIndex) {
   {
     Database twin(SmallOptions());
     ASSERT_OK(twin.CreateRelation("acct", AccountSchema()));
-    Populate(&twin, 0, 2000);
+    Populate(&twin, Ids(0, 2000));
     twin.ArmFaultPlan(fault::FaultPlan{});
     ASSERT_OK(twin.CreateIndex("by_id", "acct", "id", GetParam()));
     build_visits = twin.fault_injector().visits(fault::Site::kStableMemAccess);
@@ -521,7 +548,7 @@ TEST_P(IndexBuildCrashTest, CrashInsideIndexBuildLeavesNoIndex) {
   EXPECT_EQ(Snapshot(&db_, "acct"), rows);
   // The name is free again and a fresh build works.
   ASSERT_OK(db_.CreateIndex("by_id", "acct", "id", GetParam()));
-  EXPECT_EQ(IndexLookups(&db_, 2000).size(), 2000u);
+  EXPECT_EQ(IndexLookups(&db_, 0, 2000).size(), 2000u);
 }
 
 INSTANTIATE_TEST_SUITE_P(IndexTypes, IndexBuildCrashTest,
@@ -554,7 +581,7 @@ TEST_P(PatchRecoveryTest, CrashAfterPatchedUpdatesRebuildsTheSameBytes) {
   o.log_streams = streams;
   Database db(o);
   ASSERT_OK(db.CreateRelation("acct", AccountSchema()));
-  Populate(&db, 0, 600);
+  Populate(&db, Ids(0, 600));
   ASSERT_OK(db.CreateIndex("by_id", "acct", "id", IndexType::kLinearHash));
   ASSERT_OK(db.CreateIndex("by_balance", "acct", "balance", IndexType::kTTree));
   ASSERT_OK(db.CheckpointEverything());
@@ -578,7 +605,7 @@ TEST_P(PatchRecoveryTest, CrashAfterPatchedUpdatesRebuildsTheSameBytes) {
     }
     ASSERT_OK(db.Commit(t));
   }
-  Populate(&db, 600, 700);
+  Populate(&db, Ids(600, 700));
   auto after = Snapshot(&db, "acct");
   EXPECT_NE(after, rows);
   auto images = ImageMap(&db);
@@ -589,7 +616,7 @@ TEST_P(PatchRecoveryTest, CrashAfterPatchedUpdatesRebuildsTheSameBytes) {
   while (!done) ASSERT_OK(db.BackgroundRecoveryStep(&done));
   ASSERT_TRUE(db.FullyResident());
   EXPECT_EQ(Snapshot(&db, "acct"), after);
-  EXPECT_EQ(IndexLookups(&db, 700).size(), 700u);
+  EXPECT_EQ(IndexLookups(&db, 0, 700).size(), 700u);
   auto recovered = ImageMap(&db);
   ASSERT_EQ(recovered.size(), images.size());
   for (const auto& [pid, bytes] : images) {

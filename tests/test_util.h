@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <span>
 #include <vector>
 
@@ -102,6 +103,31 @@ class PlainEntityStore : public EntityStore {
  private:
   PartitionManager pm_;
   uint32_t next_bin_ = 0;
+};
+
+/// A PlainEntityStore that counts the entities read, inserted and updated
+/// at each address.
+class CountingStore : public PlainEntityStore {
+ public:
+  Result<EntityAddr> Insert(SegmentId segment,
+                            std::span<const uint8_t> data) override {
+    auto a = PlainEntityStore::Insert(segment, data);
+    if (a.ok()) ++inserts[a.value()];
+    return a;
+  }
+  Status Update(const EntityAddr& addr,
+                std::span<const uint8_t> data) override {
+    ++updates[addr];
+    return PlainEntityStore::Update(addr, data);
+  }
+  Result<std::vector<uint8_t>> Read(const EntityAddr& addr) override {
+    ++reads[addr];
+    return PlainEntityStore::Read(addr);
+  }
+
+  std::map<EntityAddr, int> reads;
+  std::map<EntityAddr, int> inserts;
+  std::map<EntityAddr, int> updates;
 };
 
 inline std::vector<uint8_t> Bytes(std::initializer_list<int> xs) {

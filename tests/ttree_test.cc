@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 
@@ -13,6 +14,7 @@
 namespace mmdb {
 namespace {
 
+using testing::CountingStore;
 using testing::PlainEntityStore;
 
 EntityAddr Addr(uint32_t n) { return EntityAddr{{100, 0}, n}; }
@@ -216,25 +218,6 @@ void ExpectMatchesReference(PlainEntityStore& store, const TTree& t,
   ASSERT_EQ(got, want);
 }
 
-/// A PlainEntityStore that counts the entities written to each address.
-class CountingStore : public PlainEntityStore {
- public:
-  Result<EntityAddr> Insert(SegmentId segment,
-                            std::span<const uint8_t> data) override {
-    auto a = PlainEntityStore::Insert(segment, data);
-    if (a.ok()) ++inserts[a.value()];
-    return a;
-  }
-  Status Update(const EntityAddr& addr,
-                std::span<const uint8_t> data) override {
-    ++updates[addr];
-    return PlainEntityStore::Update(addr, data);
-  }
-
-  std::map<EntityAddr, int> inserts;
-  std::map<EntityAddr, int> updates;
-};
-
 struct BuildCase {
   uint16_t capacity;
   size_t size;
@@ -349,6 +332,88 @@ TEST(TTreeBuild, EmptyBuildWritesOnlyTheMeta) {
     ASSERT_OK_AND_ASSIGN(auto bytes, store.Read(t.meta_addr()));
     EXPECT_EQ(bytes, meta);
   }
+}
+
+// --- damaged nodes -------------------------------------------------------------
+
+/// A tree built over keys 0..99 in nodes of 4, and its leftmost path from
+/// the root (read through the meta: a u16 capacity, then the root).
+class TTreeDamageTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    seg_ = store_.NewSegment();
+    std::vector<node::Entry> entries;
+    for (uint32_t i = 0; i < 100; ++i) entries.push_back({i, Addr(i)});
+    ASSERT_OK_AND_ASSIGN(TTree t, TTree::Build(store_, seg_, entries, 4));
+    tree_.emplace(t);
+    ASSERT_OK_AND_ASSIGN(auto meta, store_.Read(t.meta_addr()));
+    ASSERT_OK_AND_ASSIGN(auto payload, node::ParseMeta(meta));
+    EntityAddr a;
+    ASSERT_TRUE(node::GetAddr(payload, 2, &a));
+    while (!a.IsNull()) {
+      path_.push_back(a);
+      ASSERT_OK_AND_ASSIGN(node::TTreeNode n, Node(a));
+      a = n.left;
+    }
+    ASSERT_GE(path_.size(), 3u);
+  }
+
+  Result<node::TTreeNode> Node(const EntityAddr& a) {
+    auto bytes = store_.Read(a);
+    if (!bytes.ok()) return bytes.status();
+    return node::TTreeNode::Parse(bytes.value());
+  }
+
+  template <typename Edit>
+  void EditNode(const EntityAddr& a, Edit edit) {
+    ASSERT_OK_AND_ASSIGN(node::TTreeNode n, Node(a));
+    edit(n);
+    ASSERT_OK(store_.Update(a, n.Serialize()));
+  }
+
+  /// Every operation whose descent reaches the leftmost leaf (key 0, or
+  /// key -5 below every entry) reports Corruption.
+  void ExpectDescentsReportCorruption() {
+    TTree& t = *tree_;
+    EXPECT_TRUE(t.Lookup(store_, 0).status().IsCorruption());
+    EXPECT_TRUE(t.Lookup(store_, -5).status().IsCorruption());
+    EXPECT_TRUE(t.Range(store_, -10, 50).status().IsCorruption());
+    EXPECT_TRUE(t.Size(store_).status().IsCorruption());
+    EXPECT_TRUE(t.CheckInvariants(store_).IsCorruption());
+    EXPECT_TRUE(t.Insert(store_, -5, Addr(500)).IsCorruption());
+    EXPECT_TRUE(t.Remove(store_, -5, Addr(500)).IsCorruption());
+  }
+
+  PlainEntityStore store_;
+  SegmentId seg_ = 0;
+  std::optional<TTree> tree_;
+  std::vector<EntityAddr> path_;  // root first
+};
+
+TEST_F(TTreeDamageTest, EmptyNodeOnADescentIsCorruption) {
+  EditNode(path_.back(), [](node::TTreeNode& n) { n.entries.clear(); });
+  ASSERT_NO_FATAL_FAILURE(ExpectDescentsReportCorruption());
+  // An empty node inside the tree, with children below it.
+  EditNode(path_[1], [](node::TTreeNode& n) { n.entries.clear(); });
+  ASSERT_NO_FATAL_FAILURE(ExpectDescentsReportCorruption());
+  // Descents that stay right of the damage still work.
+  ASSERT_OK_AND_ASSIGN(auto vals, tree_->Lookup(store_, 99));
+  EXPECT_EQ(vals, std::vector<EntityAddr>{Addr(99)});
+}
+
+TEST_F(TTreeDamageTest, ChildPointerThatLoopsIsCorruption) {
+  // The leftmost leaf's left child points back at the root.
+  EditNode(path_.back(), [&](node::TTreeNode& n) { n.left = path_.front(); });
+  ASSERT_NO_FATAL_FAILURE(ExpectDescentsReportCorruption());
+  // ... and at itself.
+  EditNode(path_.back(), [&](node::TTreeNode& n) { n.left = path_.back(); });
+  ASSERT_NO_FATAL_FAILURE(ExpectDescentsReportCorruption());
+  // A child whose stored height matches its parent's loops as well as
+  // far as a descent can tell.
+  EditNode(path_.back(), [](node::TTreeNode& n) { n.left = {}; });
+  ASSERT_OK_AND_ASSIGN(node::TTreeNode parent, Node(path_[path_.size() - 2]));
+  EditNode(path_.back(), [&](node::TTreeNode& n) { n.height = parent.height; });
+  ASSERT_NO_FATAL_FAILURE(ExpectDescentsReportCorruption());
 }
 
 struct TTreePropertyParam {
