@@ -4,8 +4,6 @@
 #include <set>
 #include <utility>
 
-#include "recovery/checkpointer.h"
-#include "recovery/restart_manager.h"
 #include "util/logging.h"
 
 namespace mmdb {
@@ -14,6 +12,9 @@ Database::Database(DatabaseOptions opts)
     : opts_(opts),
       main_cpu_("main", opts.main_cpu_mips),
       recovery_cpu_("recovery", opts.recovery_cpu_mips) {
+  // Checked before any division by them.
+  MMDB_CHECK(opts_.log_page_bytes > 0);
+  MMDB_CHECK(opts_.log_streams <= 1 || opts_.epoch_interval_ns > 0);
   MMDB_CHECK(opts_.partition_size_bytes % opts_.log_page_bytes == 0);
   MMDB_CHECK(opts_.partition_size_bytes >= 4096);
   opts_.log_disk_params.page_size_bytes = opts_.log_page_bytes;
@@ -31,43 +32,9 @@ Database::Database(DatabaseOptions opts)
   meter_ = std::make_unique<sim::StableMemoryMeter>(opts_.stable_memory_bytes);
   meter_->SetFaultInjector(fault_.get());
 
-  // Every log stream gets its own SLB block pool, SLT bin table, duplexed
-  // log-disk pair, writer, sort process and allocation gate, all drawing
-  // from the shared stable-memory meter and the one recovery CPU.
-  streams_.reserve(opts_.log_streams);
-  for (uint32_t s = 0; s < opts_.log_streams; ++s) {
-    const std::string tag = s == 0 ? "" : std::to_string(s);
-    LogStream& ls = streams_.emplace_back(s == 0 ? "" : "." + tag);
-    ls.slb = std::make_unique<StableLogBuffer>(
-        StableLogBuffer::Config{opts_.slb_block_bytes,
-                                opts_.slb_capacity_bytes},
-        meter_.get());
-    ls.slt = std::make_unique<StableLogTail>(
-        StableLogTail::Config{opts_.directory_entries, 50,
-                              opts_.log_page_bytes},
-        meter_.get());
-    ls.disks = std::make_unique<sim::DuplexedDisk>("log" + tag,
-                                                   opts_.log_disk_params);
-    ls.writer = std::make_unique<LogDiskWriter>(
-        LogDiskWriter::Config{opts_.log_page_bytes, opts_.log_window_pages,
-                              opts_.grace_pages},
-        ls.disks.get());
-    ls.recovery = std::make_unique<RecoveryManager>(
-        RecoveryManager::Config{opts_.costs, opts_.n_update,
-                                opts_.log_streams > 1},
-        ls.slb.get(), ls.slt.get(), ls.writer.get(), &recovery_cpu_);
-    ls.slb->SetFaultInjector(fault_.get());
-    ls.slt->SetFaultInjector(fault_.get());
-    ls.disks->SetFaultInjector(fault_.get());
-    ls.writer->SetFaultInjector(fault_.get());
-    ls.recovery->SetFaultInjector(fault_.get());
-    ls.slb->AttachMetrics(&metrics_, ls.suffix);
-    ls.slt->AttachMetrics(&metrics_, ls.suffix);
-    ls.disks->AttachMetrics(&metrics_);
-    ls.writer->AttachMetrics(&metrics_, ls.suffix);
-    ls.writer->AttachTracer(&tracer_, obs::LogDiskTrack(s));
-    ls.recovery->AttachMetrics(&metrics_, ls.suffix);
-  }
+  log_ = std::make_unique<LogStreams>(opts_, main_cpu_, &recovery_cpu_,
+                                      meter_.get(), fault_.get(), &metrics_,
+                                      &tracer_);
 
   checkpoint_disk_ =
       std::make_unique<sim::Disk>("ckpt", opts_.checkpoint_disk_params);
@@ -75,15 +42,12 @@ Database::Database(DatabaseOptions opts)
   archive_ = std::make_unique<ArchiveManager>();
   audit_ = std::make_unique<AuditLog>(
       AuditLog::Config{opts_.audit_buffer_bytes}, meter_.get());
-  resilver_ = std::make_unique<Resilverer>(
-      Resilverer::Config{}, streams_[0].disks.get(), archive_.get());
+  resilver_ = std::make_unique<Resilverer>(Resilverer::Config{},
+                                           &log_disks(), archive_.get());
   resilver_->SetFaultInjector(fault_.get());
 
   v_ = std::make_unique<Volatile>(opts_);
   v_->catalog.set_catalog_segment(v_->pm.AllocateSegment());
-
-  checkpointer_ = std::make_unique<Checkpointer>(this);
-  restarter_ = std::make_unique<RestartManager>(this);
 
   tracer_.set_enabled(opts_.enable_tracing);
   AttachStableObservers();
@@ -96,12 +60,10 @@ void Database::AttachStableObservers() {
   resilver_->AttachMetrics(&metrics_);
   resilver_->AttachTracer(&tracer_);
 
-  m_log_forces_ = metrics_.counter("log.forces");
   m_disk_retries_ = metrics_.counter("disk.retries_total");
   m_ckpt_completed_ = metrics_.counter("checkpoint.completed");
   m_ondemand_count_ = metrics_.counter("recovery.on_demand");
   m_background_count_ = metrics_.counter("recovery.background");
-  m_commit_wait_ns_ = metrics_.histogram("commit.wait_ns");
   m_txn_latency_ns_ =
       metrics_.histogram("txn.latency_ns", obs::Scope::kVolatile);
   m_ckpt_duration_ns_ = metrics_.histogram("checkpoint.duration_ns");
@@ -170,10 +132,6 @@ void Database::BindExecContext(ExecContext* ctx) {
   }
 }
 
-uint64_t Database::vnow() const {
-  return exec_ != nullptr ? exec_->cpu->busy_until_ns() : clock_.now_ns();
-}
-
 Status Database::LockForTxn(Transaction* txn, const LockResource& res,
                             LockMode mode) {
   if (exec_ == nullptr || txn->kind() != TxnKind::kUser) {
@@ -209,145 +167,78 @@ std::vector<std::pair<uint64_t, uint64_t>> Database::TakePendingGrants() {
   return std::exchange(pending_grants_, {});
 }
 
-void Database::SlbAllocationGate(LogStream& ls) {
-  if (exec_ == nullptr) return;
-  uint64_t svc = static_cast<uint64_t>(opts_.lock_instructions *
-                                       main_cpu_.ns_per_instruction());
-  uint64_t ready = vnow();
-  uint64_t done = ls.gate.Occupy(ready, svc);
-  // The allocation bookkeeping itself is already charged through the
-  // copy-cost instructions; only the queueing delay behind another
-  // worker inside the critical section costs extra. A single stream
-  // therefore never pays anything here.
-  if (done > ready + svc) exec_->cpu->Stall(done - ready - svc);
-}
-
 Database::OpMark Database::MarkOperation(Transaction* txn) const {
   OpMark m;
   m.undo_depth = v_->undo.Depth(txn->id());
-  m.slb = StreamOf(txn).slb->Mark(txn->id());
+  m.slb = log_->of(txn).slb->Mark(txn->id());
   m.redo = txn->redo_mark();
   return m;
 }
 
-Status Database::RollbackOperation(Transaction* txn, const OpMark& mark) {
-  std::vector<LogRecord> undo =
-      v_->undo.TakeReversedFrom(txn->id(), mark.undo_depth);
+Status Database::ApplyUndo(const Transaction* txn,
+                           const std::vector<LogRecord>& undo) {
   for (const LogRecord& rec : undo) {
     auto pr = v_->pm.Get(rec.partition);
     if (!pr.ok()) return pr.status();
-    MMDB_RETURN_IF_ERROR(ApplyLogRecord(rec, pr.value()));
+    Status st = ApplyLogRecord(rec, pr.value());
+    if (!st.ok()) return Status::Corruption("UNDO failed: " + st.ToString());
     MainWork(opts_.apply_instructions_per_record);
   }
-  if (!undo.empty()) {
-    // An address fully reverted by this rollback (no earlier write from
-    // the same transaction survives in the UNDO chain) again matches its
-    // committed image, so its version chain can release the dirty mark.
-    const std::vector<LogRecord>* remaining = v_->undo.Peek(txn->id());
-    for (const LogRecord& rec : undo) {
-      bool still_written = false;
-      if (remaining != nullptr) {
-        for (const LogRecord& r : *remaining) {
-          if (r.partition == rec.partition && r.slot == rec.slot) {
-            still_written = true;
-            break;
-          }
-        }
-      }
-      if (!still_written) v_->versions.OnUndone({rec.partition, rec.slot});
-    }
-    NoteSpaceFreed();
+  if (undo.empty()) return Status::OK();
+  // An address fully reverted (no earlier write from the same transaction
+  // survives in the UNDO chain) again matches its committed image, so its
+  // version chain can release the dirty mark.
+  const std::vector<LogRecord>* remaining = v_->undo.Peek(txn->id());
+  for (const LogRecord& rec : undo) {
+    bool still_written =
+        remaining != nullptr &&
+        std::any_of(remaining->begin(), remaining->end(),
+                    [&](const LogRecord& r) {
+                      return r.partition == rec.partition && r.slot == rec.slot;
+                    });
+    if (!still_written) v_->versions.OnUndone({rec.partition, rec.slot});
   }
-  StreamOf(txn).slb->Rewind(txn->id(), mark.slb);
-  txn->RestoreRedo(mark.redo);
+  NoteSpaceFreed();
   return Status::OK();
 }
 
-namespace {
-// WAL pages written by the disk-force / group-commit baselines use a
-// private page namespace on the log disks so they never collide with
-// bin-chain LSNs.
-constexpr uint64_t kWalPageBase = 1ull << 62;
-}  // namespace
-
-void Database::ApplyCommitDurability(uint64_t redo_bytes) {
-  switch (opts_.commit_mode) {
-    case CommitMode::kStableMemory:
-      // Instant: the REDO records already sit in stable memory.
-      return;
-    case CommitMode::kDiskForce: {
-      if (redo_bytes == 0) return;  // read-only
-      uint64_t pages =
-          (redo_bytes + opts_.log_page_bytes - 1) / opts_.log_page_bytes;
-      uint64_t start = vnow();
-      uint64_t done = start;
-      std::vector<uint8_t> marker(16, 0);
-      for (uint64_t p = 0; p < pages; ++p) {
-        done = streams_[0].disks->WritePage(
-            kWalPageBase + wal_page_counter_++, marker, done,
-            sim::SeekClass::kSequential);
-      }
-      WaitUntil(done);
-      m_log_forces_->Add(1);
-      m_commit_wait_ns_->Record(static_cast<double>(done - start));
-      return;
-    }
-    case CommitMode::kGroupCommit: {
-      group_pending_bytes_ += redo_bytes;
-      group_pending_since_ns_.push_back(vnow());
-      if (group_pending_since_ns_.size() >= opts_.group_commit_txns) {
-        FlushCommitGroup();
-      }
-      return;
-    }
-  }
-}
-
-void Database::FlushCommitGroup() {
-  if (group_pending_since_ns_.empty()) return;
-  uint64_t pages = (group_pending_bytes_ + opts_.log_page_bytes - 1) /
-                   opts_.log_page_bytes;
-  if (pages == 0) pages = 1;
-  // Under concurrent execution the group's flush starts no earlier than
-  // the flushing worker's own time; members from other workers recorded
-  // their precommit times above (`since`) and wait the difference.
-  uint64_t done = vnow();
-  std::vector<uint8_t> marker(16, 0);
-  for (uint64_t p = 0; p < pages; ++p) {
-    done = streams_[0].disks->WritePage(kWalPageBase + wal_page_counter_++,
-                                        marker, done,
-                                        sim::SeekClass::kSequential);
-  }
-  WaitUntil(done);
-  m_log_forces_->Add(1);
-  for (uint64_t since : group_pending_since_ns_) {
-    // A member from a worker ahead of the flusher's timeline waited 0.
-    uint64_t waited = done > since ? done - since : 0;
-    m_commit_wait_ns_->Record(static_cast<double>(waited));
-  }
-  group_pending_since_ns_.clear();
-  group_pending_bytes_ = 0;
+Status Database::RollbackOperation(Transaction* txn, const OpMark& mark) {
+  MMDB_RETURN_IF_ERROR(
+      ApplyUndo(txn, v_->undo.TakeReversedFrom(txn->id(), mark.undo_depth)));
+  log_->of(txn).slb->Rewind(txn->id(), mark.slb);
+  txn->RestoreRedo(mark.redo);
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
 // Logged entity operations (paper §2.3: regular logging)
 // ---------------------------------------------------------------------------
 
+namespace {
+LogRecord RedoRecord(LogOp op, const Transaction* txn, const Partition& p,
+                     uint32_t slot) {
+  LogRecord redo;
+  redo.op = op;
+  redo.bin_index = p.bin_index();
+  redo.txn_id = txn->id();
+  redo.partition = p.id();
+  redo.slot = slot;
+  return redo;
+}
+}  // namespace
+
+Status Database::CheckWritable(const Transaction* txn) {
+  if (txn == nullptr) return Status::InvalidArgument("mutation needs a txn");
+  if (!txn->active()) return Status::Aborted("transaction not active");
+  if (txn->read_only()) {
+    return Status::InvalidArgument("read-only transaction cannot write");
+  }
+  return Status::OK();
+}
+
 Status Database::AppendRedo(Transaction* txn, const LogRecord& redo,
                             const LogRecord& undo) {
-  LogStream& ls = StreamOf(txn);
-  StableLogBuffer* slb = ls.slb.get();
-  uint64_t blocks_before = slb->blocks_allocated();
-  Status st = slb->Append(txn->id(), redo);
-  if (st.IsFull()) {
-    // Let the recovery CPU's sort process free committed blocks, then
-    // retry once. In partitioned-log mode unfenced epochs pin their
-    // blocks, so fence + drain every stream.
-    MMDB_RETURN_IF_ERROR(DrainAllStreams(vnow()));
-    st = slb->Append(txn->id(), redo);
-  }
-  if (!st.ok()) return st;
-  if (slb->blocks_allocated() != blocks_before) SlbAllocationGate(ls);
+  MMDB_RETURN_IF_ERROR(log_->Append(txn, redo, worker_cpu(), vnow()));
   v_->undo.Push(txn->id(), undo);
   txn->NoteRedo(redo.SerializedSize());
   MainWork(opts_.costs.i_copy_fixed +
@@ -358,11 +249,7 @@ Status Database::AppendRedo(Transaction* txn, const LogRecord& redo,
 
 Result<EntityAddr> Database::InsertEntity(Transaction* txn, SegmentId segment,
                                           std::span<const uint8_t> data) {
-  if (txn == nullptr) return Status::InvalidArgument("mutation needs a txn");
-  if (!txn->active()) return Status::Aborted("transaction not active");
-  if (txn->read_only()) {
-    return Status::InvalidArgument("read-only transaction cannot write");
-  }
+  MMDB_RETURN_IF_ERROR(CheckWritable(txn));
   if (data.size() > 0xFFFF) {
     return Status::InvalidArgument("entity larger than 64KB");
   }
@@ -412,12 +299,7 @@ Result<EntityAddr> Database::InsertEntity(Transaction* txn, SegmentId segment,
   }
   v_->versions.NoteWrite(addr, /*deleted=*/true, {});
 
-  LogRecord redo;
-  redo.op = LogOp::kInsert;
-  redo.bin_index = target->bin_index();
-  redo.txn_id = txn->id();
-  redo.partition = addr.partition;
-  redo.slot = slot;
+  LogRecord redo = RedoRecord(LogOp::kInsert, txn, *target, slot);
   redo.data.assign(data.begin(), data.end());
   Status st = AppendRedo(txn, redo, MakeUndo(redo, {}));
   if (!st.ok()) {
@@ -428,39 +310,37 @@ Result<EntityAddr> Database::InsertEntity(Transaction* txn, SegmentId segment,
   return addr;
 }
 
-Status Database::UpdateEntity(Transaction* txn, const EntityAddr& addr,
-                              std::span<const uint8_t> data) {
-  if (txn == nullptr) return Status::InvalidArgument("mutation needs a txn");
-  if (!txn->active()) return Status::Aborted("transaction not active");
-  if (txn->read_only()) {
-    return Status::InvalidArgument("read-only transaction cannot write");
-  }
-  if (data.size() > 0xFFFF) {
-    return Status::InvalidArgument("entity larger than 64KB");
-  }
+Result<Partition*> Database::LockForWrite(Transaction* txn,
+                                          const EntityAddr& addr,
+                                          std::vector<uint8_t>* pre) {
   MainWork(opts_.dml_instructions);
   auto pr = ResidentPartition(addr.partition);
   if (!pr.ok()) return pr.status();
-  Partition* p = pr.value();
-
   MMDB_RETURN_IF_ERROR(
       LockForTxn(txn, LockResource::Entity(addr), LockMode::kX));
   MainWork(opts_.lock_instructions);
+  auto bytes = pr.value()->Read(addr.slot);
+  if (!bytes.ok()) return bytes.status();
+  pre->assign(bytes.value().begin(), bytes.value().end());
+  return pr.value();
+}
 
-  auto pre_r = p->Read(addr.slot);
-  if (!pre_r.ok()) return pre_r.status();
-  std::vector<uint8_t> pre(pre_r.value().begin(), pre_r.value().end());
+Status Database::UpdateEntity(Transaction* txn, const EntityAddr& addr,
+                              std::span<const uint8_t> data) {
+  MMDB_RETURN_IF_ERROR(CheckWritable(txn));
+  if (data.size() > 0xFFFF) {
+    return Status::InvalidArgument("entity larger than 64KB");
+  }
+  std::vector<uint8_t> pre;
+  auto pr = LockForWrite(txn, addr, &pre);
+  if (!pr.ok()) return pr.status();
+  Partition* p = pr.value();
 
   v_->versions.NoteWrite(addr, /*deleted=*/false, pre);
   MMDB_RETURN_IF_ERROR(p->Update(addr.slot, data));
   NoteSpaceFreed();
 
-  LogRecord redo;
-  redo.op = LogOp::kUpdate;
-  redo.bin_index = p->bin_index();
-  redo.txn_id = txn->id();
-  redo.partition = addr.partition;
-  redo.slot = addr.slot;
+  LogRecord redo = RedoRecord(LogOp::kUpdate, txn, *p, addr.slot);
   if (data.size() == pre.size()) {
     // Same length: the REDO record carries only the span from the first
     // to the last changed byte. Each scan also compares the byte that
@@ -486,34 +366,17 @@ Status Database::UpdateEntity(Transaction* txn, const EntityAddr& addr,
 }
 
 Status Database::DeleteEntity(Transaction* txn, const EntityAddr& addr) {
-  if (txn == nullptr) return Status::InvalidArgument("mutation needs a txn");
-  if (!txn->active()) return Status::Aborted("transaction not active");
-  if (txn->read_only()) {
-    return Status::InvalidArgument("read-only transaction cannot write");
-  }
-  MainWork(opts_.dml_instructions);
-  auto pr = ResidentPartition(addr.partition);
+  MMDB_RETURN_IF_ERROR(CheckWritable(txn));
+  std::vector<uint8_t> pre;
+  auto pr = LockForWrite(txn, addr, &pre);
   if (!pr.ok()) return pr.status();
   Partition* p = pr.value();
-
-  MMDB_RETURN_IF_ERROR(
-      LockForTxn(txn, LockResource::Entity(addr), LockMode::kX));
-  MainWork(opts_.lock_instructions);
-
-  auto pre_r = p->Read(addr.slot);
-  if (!pre_r.ok()) return pre_r.status();
-  std::vector<uint8_t> pre(pre_r.value().begin(), pre_r.value().end());
 
   v_->versions.NoteWrite(addr, /*deleted=*/false, pre);
   MMDB_RETURN_IF_ERROR(p->Delete(addr.slot));
   NoteSpaceFreed();
 
-  LogRecord redo;
-  redo.op = LogOp::kDelete;
-  redo.bin_index = p->bin_index();
-  redo.txn_id = txn->id();
-  redo.partition = addr.partition;
-  redo.slot = addr.slot;
+  LogRecord redo = RedoRecord(LogOp::kDelete, txn, *p, addr.slot);
   Status st = AppendRedo(txn, redo, MakeUndo(redo, pre));
   if (!st.ok()) {
     MMDB_CHECK(p->InsertAt(addr.slot, pre).ok());
@@ -555,23 +418,11 @@ Result<std::vector<uint8_t>> Database::ReadEntity(Transaction* txn,
 
 Status Database::NodeEntryOp(Transaction* txn, const EntityAddr& addr,
                              LogOp op, const node::Entry& e) {
-  if (txn == nullptr) return Status::InvalidArgument("mutation needs a txn");
-  if (!txn->active()) return Status::Aborted("transaction not active");
-  if (txn->read_only()) {
-    return Status::InvalidArgument("read-only transaction cannot write");
-  }
-  MainWork(opts_.dml_instructions);
-  auto pr = ResidentPartition(addr.partition);
+  MMDB_RETURN_IF_ERROR(CheckWritable(txn));
+  std::vector<uint8_t> pre;
+  auto pr = LockForWrite(txn, addr, &pre);
   if (!pr.ok()) return pr.status();
   Partition* p = pr.value();
-
-  MMDB_RETURN_IF_ERROR(
-      LockForTxn(txn, LockResource::Entity(addr), LockMode::kX));
-  MainWork(opts_.lock_instructions);
-
-  auto pre_r = p->Read(addr.slot);
-  if (!pre_r.ok()) return pre_r.status();
-  std::vector<uint8_t> pre(pre_r.value().begin(), pre_r.value().end());
   std::vector<uint8_t> post = pre;
   Status st = op == LogOp::kNodeInsertEntry ? node::InsertEntry(&post, e)
                                             : node::RemoveEntry(&post, e);
@@ -580,12 +431,7 @@ Status Database::NodeEntryOp(Transaction* txn, const EntityAddr& addr,
   MMDB_RETURN_IF_ERROR(p->Update(addr.slot, post));
   NoteSpaceFreed();
 
-  LogRecord redo;
-  redo.op = op;
-  redo.bin_index = p->bin_index();
-  redo.txn_id = txn->id();
-  redo.partition = addr.partition;
-  redo.slot = addr.slot;
+  LogRecord redo = RedoRecord(op, txn, *p, addr.slot);
   redo.key = e.key;
   redo.child = e.value;
   st = AppendRedo(txn, redo, MakeUndo(redo, {}));
@@ -659,24 +505,11 @@ Result<Partition*> Database::CreatePartitionInSegment(SegmentId segment,
                                                      Transaction* txn) {
   uint32_t number = v_->pm.PeekNextNumber(segment);
   PartitionId pid{segment, number};
-  // Register the partition in every stream's SLT. All streams' bin
-  // free-lists evolve identically, so the partition gets the same bin
-  // index everywhere and a record's bin_index addresses the right bin no
-  // matter which stream carried it.
-  uint32_t bin = 0;
-  for (uint32_t s = 0; s < streams_.size(); ++s) {
-    auto b = streams_[s].slt->RegisterPartition(pid);
-    if (!b.ok()) return b.status();
-    MMDB_CHECK(s == 0 || b.value() == bin);
-    bin = b.value();
-  }
-  auto created = v_->pm.CreatePartition(segment, bin);
+  auto bin = log_->RegisterPartition(pid);
+  if (!bin.ok()) return bin.status();
+  auto created = v_->pm.CreatePartition(segment, bin.value());
   if (!created.ok()) {
-    // A pending injected crash keeps the bins; restart releases them.
-    for (LogStream& ls : streams_) {
-      Status rb = ls.slt->ReleaseBin(bin);
-      MMDB_CHECK(rb.ok() || rb.IsFault());
-    }
+    log_->ReleaseBin(bin.value());
     return created.status();
   }
   Partition* p = created.value();
@@ -749,10 +582,7 @@ Status Database::PersistDiskMapChunks(Transaction* txn,
 }
 
 Status Database::WriteCatalogRootBlock() {
-  std::vector<uint8_t> b = v_->catalog.RootBlock(opts_.partition_size_bytes);
-  meter_->ChargeWrite(2 * b.size());
-  streams_[0].slb->SetCatalogRoot(b);
-  streams_[0].slt->SetCatalogRoot(std::move(b));
+  log_->SetCatalogRoot(v_->catalog.RootBlock(opts_.partition_size_bytes));
   return Status::OK();
 }
 
@@ -886,7 +716,11 @@ Status Database::CreateIndex(const std::string& index_name,
 }
 
 Status Database::LogObjectDrop(
-    Transaction* txn, const std::vector<PartitionDescriptor>& descriptors) {
+    Transaction* txn, uint32_t relation_id,
+    const std::vector<PartitionDescriptor>& descriptors, EntityAddr row) {
+  MMDB_RETURN_IF_ERROR(v_->locks.Acquire(
+      txn->id(), LockResource::Relation(relation_id), LockMode::kX));
+  MMDB_RETURN_IF_ERROR(log_->Drain(clock_.now_ns()));
   std::set<uint32_t> chunks;
   for (const PartitionDescriptor& d : descriptors) {
     if (d.has_checkpoint()) {
@@ -897,20 +731,28 @@ Status Database::LogObjectDrop(
       MMDB_RETURN_IF_ERROR(DeleteEntity(txn, d.row_addr));
     }
   }
-  return PersistDiskMapChunks(txn, chunks);
+  MMDB_RETURN_IF_ERROR(PersistDiskMapChunks(txn, chunks));
+  return row.IsNull() ? Status::OK() : DeleteEntity(txn, row);
+}
+
+Status Database::AbortObjectDrop(
+    Transaction* txn, const std::vector<PartitionDescriptor>& descriptors,
+    Status why) {
+  for (const PartitionDescriptor& d : descriptors) {
+    if (d.has_checkpoint()) {
+      Status rc = v_->disk_map.Reclaim(d.checkpoint_slot, d.id.Pack());
+      (void)rc;
+    }
+  }
+  Status ab = Abort(txn);
+  (void)ab;
+  return why;
 }
 
 void Database::ReleaseSegmentStorage(
     const std::vector<PartitionDescriptor>& descriptors) {
   for (const PartitionDescriptor& d : descriptors) {
-    auto bin = streams_[0].slt->FindBin(d.id);
-    if (bin.ok()) {
-      for (LogStream& ls : streams_) {
-        ls.recovery->OnPartitionDropped(bin.value());
-        Status st = ls.slt->ReleaseBin(bin.value());
-        (void)st;
-      }
-    }
+    log_->DropPartition(d.id);
     Status st = v_->pm.DropPartition(d.id);
     NoteSpaceFreed();
     (void)st;  // non-resident partitions are fine
@@ -928,14 +770,9 @@ Status Database::DropIndex(const std::string& index_name) {
   auto txn_r = Begin(TxnKind::kSystem);
   if (!txn_r.ok()) return txn_r.status();
   Transaction* txn = txn_r.value();
-  Status st = v_->locks.Acquire(
-      txn->id(), LockResource::Relation(rel.value()->id), LockMode::kX);
-  if (st.ok()) st = DrainAllStreams(clock_.now_ns());
   std::vector<PartitionDescriptor> descriptors = idx.value()->partitions;
-  if (st.ok()) st = LogObjectDrop(txn, descriptors);
-  if (st.ok() && !idx.value()->row_addr.IsNull()) {
-    st = DeleteEntity(txn, idx.value()->row_addr);
-  }
+  Status st = LogObjectDrop(txn, rel.value()->id, descriptors,
+                            idx.value()->row_addr);
   if (st.ok()) {
     // Reflect the removal in the relation's persisted row.
     auto& names = rel.value()->index_names;
@@ -945,13 +782,6 @@ Status Database::DropIndex(const std::string& index_name) {
                       Catalog::SerializeRelationRow(*rel.value()));
   }
   if (!st.ok()) {
-    // Roll back: the abort reverts the rows; reclaim the freed slots.
-    for (const PartitionDescriptor& d : descriptors) {
-      if (d.has_checkpoint()) {
-        Status rc = v_->disk_map.Reclaim(d.checkpoint_slot, d.id.Pack());
-        (void)rc;
-      }
-    }
     if (v_->catalog.GetIndex(index_name).ok()) {
       // Restore the in-memory index_names if we removed it.
       auto& names = rel.value()->index_names;
@@ -959,9 +789,7 @@ Status Database::DropIndex(const std::string& index_name) {
         names.push_back(index_name);
       }
     }
-    Status ab = Abort(txn);
-    (void)ab;
-    return st;
+    return AbortObjectDrop(txn, descriptors, st);
   }
   MMDB_RETURN_IF_ERROR(Commit(txn));
   // Non-logged teardown after the commit point (crash before this leaves
@@ -986,25 +814,10 @@ Status Database::DropRelation(const std::string& relation_name) {
   auto txn_r = Begin(TxnKind::kSystem);
   if (!txn_r.ok()) return txn_r.status();
   Transaction* txn = txn_r.value();
-  Status st = v_->locks.Acquire(
-      txn->id(), LockResource::Relation(rel.value()->id), LockMode::kX);
-  if (st.ok()) st = DrainAllStreams(clock_.now_ns());
   std::vector<PartitionDescriptor> descriptors = rel.value()->partitions;
-  if (st.ok()) st = LogObjectDrop(txn, descriptors);
-  if (st.ok() && !rel.value()->row_addr.IsNull()) {
-    st = DeleteEntity(txn, rel.value()->row_addr);
-  }
-  if (!st.ok()) {
-    for (const PartitionDescriptor& d : descriptors) {
-      if (d.has_checkpoint()) {
-        Status rc = v_->disk_map.Reclaim(d.checkpoint_slot, d.id.Pack());
-        (void)rc;
-      }
-    }
-    Status ab = Abort(txn);
-    (void)ab;
-    return st;
-  }
+  Status st = LogObjectDrop(txn, rel.value()->id, descriptors,
+                            rel.value()->row_addr);
+  if (!st.ok()) return AbortObjectDrop(txn, descriptors, st);
   MMDB_RETURN_IF_ERROR(Commit(txn));
   ReleaseSegmentStorage(descriptors);
   return v_->catalog.DropRelation(relation_name);
@@ -1027,18 +840,12 @@ Result<Transaction*> Database::Begin(TxnKind kind,
     // Snapshot acquisition: the newest commit stamp is the snapshot csn;
     // everything committed up to here is visible, nothing after. The
     // registration keeps the reclaimer from pruning past this reader.
-    txn->SetReadOnly(epoch_csn_last_);
-    v_->versions.BeginSnapshot(epoch_csn_last_);
+    txn->SetReadOnly(log_->last_csn());
+    v_->versions.BeginSnapshot(log_->last_csn());
   }
-  // Partitioned-log routing: executor-bound user transactions spread
-  // across the streams by worker; everything else stays on stream 0.
-  if (kind == TxnKind::kUser && exec_ != nullptr) {
-    txn->set_log_stream(exec_->worker % log_streams());
-  }
-  if (opts_.audit_logging && kind == TxnKind::kUser) {
-    MMDB_RETURN_IF_ERROR(audit_->Append(AuditRecord{
-        txn->id(), vnow(), AuditKind::kBegin, user_data}));
-  }
+  if (exec_ != nullptr) txn->set_log_stream(log_->Route(kind, exec_->worker));
+  MMDB_RETURN_IF_ERROR(
+      AuditUserTxn(kind, txn->id(), AuditKind::kBegin, user_data));
   return txn;
 }
 
@@ -1050,48 +857,13 @@ Status Database::Commit(Transaction* txn) {
   MainWork(100);
   uint64_t id = txn->id();
   TxnKind kind = txn->kind();
-  uint64_t redo_bytes = txn->redo_bytes();
   uint64_t begin_ns = txn->begin_ns();
-  uint32_t stamp_epoch = 0;
-  uint64_t stamp_csn = 0;
-  // Moving the chain to the committed list touches the SLB's shared
-  // lists — the same critical section as block allocation (§2.3.1).
-  LogStream& ls = StreamOf(txn);
-  SlbAllocationGate(ls);
-  if (streams_.size() == 1) {
-    MMDB_RETURN_IF_ERROR(ls.slb->Commit(id));
-    // Single-stream commits carry no group-commit stamp (the mirrors
-    // stay zero — exact parity with the legacy logger), but the version
-    // store still needs a total commit order, so the csn latch advances
-    // here too. Bumped only after the SLB commit succeeds: a crash-
-    // faulted commit must never install versions.
-    stamp_csn = ++epoch_csn_last_;
-  } else {
-    // Epoch group commit: stamp (epoch, csn) before moving the chain.
-    // The csn latch makes (epoch, csn) a total order consistent with
-    // commit order; a crash inside slb Commit's entry barrier leaves the
-    // chain uncommitted while the harmless ledger advance stands.
-    uint32_t e = std::max<uint32_t>(
-        static_cast<uint32_t>(vnow() / opts_.epoch_interval_ns) + 1,
-        epoch_stamped_last_);
-    epoch_stamped_last_ = e;
-    uint64_t csn = ++epoch_csn_last_;
-    last_commit_epoch_ = e;
-    last_commit_csn_ = csn;
-    stamp_epoch = e;
-    stamp_csn = csn;
-    MMDB_RETURN_IF_ERROR(ls.slb->Commit(id, e, csn));
-    if (kind != TxnKind::kUser) {
-      // Checkpoint / system / DDL commits are fenced durable on the
-      // spot: their effects (catalog rows, descriptor updates) must
-      // never be discarded by the cross-stream epoch rule.
-      MMDB_RETURN_IF_ERROR(FenceEpochs());
-    }
-  }
-  if (kind == TxnKind::kUser) ApplyCommitDurability(redo_bytes);
+  auto stamp = log_->Commit(txn, worker_cpu(), vnow());
+  if (!stamp.ok()) return stamp.status();
   if (kind == TxnKind::kUser) {
-    obs::Track track = exec_ != nullptr ? obs::WorkerTrack(exec_->worker)
-                                        : obs::Track::kMainCpu;
+    uint64_t until = log_->ApplyCommitDurability(txn->redo_bytes(), vnow());
+    if (until != 0) WaitUntil(until);
+    const obs::Track track = TxnTrack();
     m_txn_latency_ns_->Record(static_cast<double>(vnow() - begin_ns));
     m_commit_series_->Add(vnow());
     tracer_.Span(track, "txn", "txn " + std::to_string(id), begin_ns,
@@ -1100,6 +872,7 @@ Status Database::Commit(Transaction* txn) {
       // Counter tracks: Perfetto renders these as stepped curves next to
       // the swimlanes. Sampled at commit points — the natural cadence of
       // the simulation's observable state; one curve per stream.
+      const LogStream& ls = log_->of(txn);
       tracer_.Counter(obs::Track::kSystem, "gauge",
                       "slb.occupancy_bytes" + ls.suffix, vnow(),
                       static_cast<double>(ls.slb->occupancy_bytes()));
@@ -1107,11 +880,8 @@ Status Database::Commit(Transaction* txn) {
                       vnow(), static_cast<double>(v_->locks.waiting_count()));
     }
   }
-  if (opts_.audit_logging && kind == TxnKind::kUser) {
-    MMDB_RETURN_IF_ERROR(audit_->Append(
-        AuditRecord{id, vnow(), AuditKind::kCommit, ""}));
-  }
-  InstallCommittedVersions(txn, stamp_epoch, stamp_csn);
+  MMDB_RETURN_IF_ERROR(AuditUserTxn(kind, id, AuditKind::kCommit));
+  InstallCommittedVersions(txn, stamp.value().epoch, stamp.value().csn);
   v_->undo.Discard(id);
   NoteGrants(v_->locks.ReleaseAll(id));
   txn->set_state(TxnState::kCommitted);
@@ -1122,6 +892,12 @@ Status Database::Commit(Transaction* txn) {
     MMDB_RETURN_IF_ERROR(PostCommitMaintenance());
   }
   return Status::OK();
+}
+
+Status Database::AuditUserTxn(TxnKind kind, uint64_t id, AuditKind what,
+                              const std::string& data) {
+  if (!opts_.audit_logging || kind != TxnKind::kUser) return Status::OK();
+  return audit_->Append(AuditRecord{id, vnow(), what, data});
 }
 
 Status Database::PostCommitMaintenance() {
@@ -1163,32 +939,12 @@ Status Database::Abort(Transaction* txn) {
   }
   if (txn->read_only()) return AbortReadOnly(txn);
   uint64_t id = txn->id();
-  std::vector<LogRecord> undo = v_->undo.TakeReversed(id);
-  for (const LogRecord& rec : undo) {
-    auto pr = v_->pm.Get(rec.partition);
-    if (!pr.ok()) return pr.status();
-    Status st = ApplyLogRecord(rec, pr.value());
-    if (!st.ok()) {
-      return Status::Corruption("UNDO failed: " + st.ToString());
-    }
-    MainWork(opts_.apply_instructions_per_record);
-  }
-  if (!undo.empty()) {
-    // Every written address is back at its committed image: chains that
-    // held nothing beyond the captured pre-image are redundant now.
-    for (const LogRecord& rec : undo) {
-      v_->versions.OnUndone({rec.partition, rec.slot});
-    }
-    NoteSpaceFreed();
-  }
-  LogStream& ls = StreamOf(txn);
-  SlbAllocationGate(ls);
-  MMDB_RETURN_IF_ERROR(ls.slb->Discard(id));
+  MMDB_RETURN_IF_ERROR(ApplyUndo(txn, v_->undo.TakeReversed(id)));
+  MMDB_RETURN_IF_ERROR(log_->Discard(txn, worker_cpu()));
   NoteGrants(v_->locks.ReleaseAll(id));
   TxnKind kind = txn->kind();
   if (kind == TxnKind::kUser) {
-    obs::Track track = exec_ != nullptr ? obs::WorkerTrack(exec_->worker)
-                                        : obs::Track::kMainCpu;
+    const obs::Track track = TxnTrack();
     m_abort_series_->Add(vnow());
     tracer_.Span(track, "txn", "txn " + std::to_string(id) + " (abort)",
                  txn->begin_ns(), vnow() - txn->begin_ns());
@@ -1196,11 +952,7 @@ Status Database::Abort(Transaction* txn) {
   txn->set_state(TxnState::kAborted);
   v_->txns.NoteAbort();
   v_->txns.Finish(id);
-  if (opts_.audit_logging && kind == TxnKind::kUser) {
-    MMDB_RETURN_IF_ERROR(audit_->Append(
-        AuditRecord{id, vnow(), AuditKind::kAbort, ""}));
-  }
-  return Status::OK();
+  return AuditUserTxn(kind, id, AuditKind::kAbort);
 }
 
 void Database::InstallCommittedVersions(Transaction* txn, uint32_t epoch,
@@ -1244,17 +996,13 @@ Status Database::CommitReadOnly(Transaction* txn) {
   uint64_t id = txn->id();
   uint64_t begin_ns = txn->begin_ns();
   if (txn->kind() == TxnKind::kUser) {
-    obs::Track track = exec_ != nullptr ? obs::WorkerTrack(exec_->worker)
-                                        : obs::Track::kMainCpu;
+    const obs::Track track = TxnTrack();
     m_txn_latency_ns_->Record(static_cast<double>(vnow() - begin_ns));
     m_commit_series_->Add(vnow());
     tracer_.Span(track, "txn", "txn " + std::to_string(id) + " (snapshot)",
                  begin_ns, vnow() - begin_ns);
   }
-  if (opts_.audit_logging && txn->kind() == TxnKind::kUser) {
-    MMDB_RETURN_IF_ERROR(audit_->Append(
-        AuditRecord{id, vnow(), AuditKind::kCommit, ""}));
-  }
+  MMDB_RETURN_IF_ERROR(AuditUserTxn(txn->kind(), id, AuditKind::kCommit));
   v_->versions.EndSnapshot(txn->snapshot_csn());
   v_->versions.Prune();
   txn->set_state(TxnState::kCommitted);
@@ -1265,9 +1013,9 @@ Status Database::CommitReadOnly(Transaction* txn) {
 
 Status Database::AbortReadOnly(Transaction* txn) {
   uint64_t id = txn->id();
-  if (txn->kind() == TxnKind::kUser) {
-    obs::Track track = exec_ != nullptr ? obs::WorkerTrack(exec_->worker)
-                                        : obs::Track::kMainCpu;
+  TxnKind kind = txn->kind();  // `txn` is freed by Finish below
+  if (kind == TxnKind::kUser) {
+    const obs::Track track = TxnTrack();
     m_abort_series_->Add(vnow());
     tracer_.Span(track, "txn", "txn " + std::to_string(id) + " (abort)",
                  txn->begin_ns(), vnow() - txn->begin_ns());
@@ -1277,11 +1025,7 @@ Status Database::AbortReadOnly(Transaction* txn) {
   txn->set_state(TxnState::kAborted);
   v_->txns.NoteAbort();
   v_->txns.Finish(id);
-  if (opts_.audit_logging && txn->kind() == TxnKind::kUser) {
-    MMDB_RETURN_IF_ERROR(audit_->Append(
-        AuditRecord{id, vnow(), AuditKind::kAbort, ""}));
-  }
-  return Status::OK();
+  return AuditUserTxn(kind, id, AuditKind::kAbort);
 }
 
 // ---------------------------------------------------------------------------
@@ -1289,7 +1033,11 @@ Status Database::AbortReadOnly(Transaction* txn) {
 // ---------------------------------------------------------------------------
 
 Result<RelationInfo*> Database::LookupRelation(Transaction* txn,
-                                               const std::string& name) {
+                                               const std::string& name,
+                                               bool write) {
+  if (write && txn != nullptr && txn->read_only()) {
+    return Status::InvalidArgument("read-only transaction cannot write");
+  }
   if (crashed_) return Status::InvalidArgument("crashed; call Restart()");
   if (txn == nullptr || !txn->active()) {
     return Status::InvalidArgument("inactive transaction");
@@ -1297,78 +1045,59 @@ Result<RelationInfo*> Database::LookupRelation(Transaction* txn,
   return v_->catalog.GetRelation(name);
 }
 
-Result<TTree*> Database::GetTTree(const std::string& name) {
-  auto it = v_->ttrees.find(name);
-  if (it != v_->ttrees.end()) return &it->second;
+template <typename Index>
+Result<Index*> Database::AttachIndex(std::map<std::string, Index>* attached,
+                                     const std::string& name, IndexType type,
+                                     const std::string& what) {
+  auto it = attached->find(name);
+  if (it != attached->end()) return &it->second;
   auto idx = v_->catalog.GetIndex(name);
   if (!idx.ok()) return idx.status();
-  if (idx.value()->type != IndexType::kTTree) {
-    return Status::InvalidArgument(name + " is not a T-Tree");
+  if (idx.value()->type != type) {
+    return Status::InvalidArgument(name + " is not a " + what);
   }
   MMDB_RETURN_IF_ERROR(
       ResidentPartition(PartitionId{idx.value()->segment, 0}).status());
   TxnEntityStore store(this, nullptr);
-  auto tree = TTree::Attach(store, idx.value()->segment);
-  if (!tree.ok()) return tree.status();
-  auto [it2, _] = v_->ttrees.emplace(name, tree.value());
-  return &it2->second;
+  auto index = Index::Attach(store, idx.value()->segment);
+  if (!index.ok()) return index.status();
+  return &attached->emplace(name, index.value()).first->second;
+}
+
+Result<TTree*> Database::GetTTree(const std::string& name) {
+  return AttachIndex(&v_->ttrees, name, IndexType::kTTree, "T-Tree");
 }
 
 Result<LinearHash*> Database::GetLinearHash(const std::string& name) {
-  auto it = v_->hashes.find(name);
-  if (it != v_->hashes.end()) return &it->second;
-  auto idx = v_->catalog.GetIndex(name);
-  if (!idx.ok()) return idx.status();
-  if (idx.value()->type != IndexType::kLinearHash) {
-    return Status::InvalidArgument(name + " is not a linear hash index");
-  }
-  MMDB_RETURN_IF_ERROR(
-      ResidentPartition(PartitionId{idx.value()->segment, 0}).status());
-  TxnEntityStore store(this, nullptr);
-  auto hash = LinearHash::Attach(store, idx.value()->segment);
-  if (!hash.ok()) return hash.status();
-  auto [it2, _] = v_->hashes.emplace(name, hash.value());
-  return &it2->second;
+  return AttachIndex(&v_->hashes, name, IndexType::kLinearHash,
+                     "linear hash index");
 }
 
-Status Database::MaintainIndexesOnInsert(Transaction* txn, RelationInfo* rel,
-                                         const Tuple& tuple,
-                                         const EntityAddr& addr) {
+Status Database::MaintainIndexes(Transaction* txn, RelationInfo* rel,
+                                 const Tuple* before, const Tuple* after,
+                                 const EntityAddr& addr) {
   TxnEntityStore store(this, txn);
   for (const std::string& iname : rel->index_names) {
     auto idx = v_->catalog.GetIndex(iname);
     if (!idx.ok()) return idx.status();
-    int64_t key = std::get<int64_t>(tuple[idx.value()->column]);
-    if (idx.value()->type == IndexType::kTTree) {
-      auto tree = GetTTree(iname);
-      if (!tree.ok()) return tree.status();
-      MMDB_RETURN_IF_ERROR(tree.value()->Insert(store, key, addr));
-    } else {
-      auto hash = GetLinearHash(iname);
-      if (!hash.ok()) return hash.status();
-      MMDB_RETURN_IF_ERROR(hash.value()->Insert(store, key, addr));
+    auto key = [&](const Tuple* t) {
+      return std::get<int64_t>((*t)[idx.value()->column]);
+    };
+    if (before != nullptr && after != nullptr && key(before) == key(after)) {
+      continue;
     }
-  }
-  return Status::OK();
-}
-
-Status Database::MaintainIndexesOnDelete(Transaction* txn, RelationInfo* rel,
-                                         const Tuple& tuple,
-                                         const EntityAddr& addr) {
-  TxnEntityStore store(this, txn);
-  for (const std::string& iname : rel->index_names) {
-    auto idx = v_->catalog.GetIndex(iname);
-    if (!idx.ok()) return idx.status();
-    int64_t key = std::get<int64_t>(tuple[idx.value()->column]);
-    if (idx.value()->type == IndexType::kTTree) {
-      auto tree = GetTTree(iname);
-      if (!tree.ok()) return tree.status();
-      MMDB_RETURN_IF_ERROR(tree.value()->Remove(store, key, addr));
-    } else {
-      auto hash = GetLinearHash(iname);
-      if (!hash.ok()) return hash.status();
-      MMDB_RETURN_IF_ERROR(hash.value()->Remove(store, key, addr));
-    }
+    // Remove the old entry, then insert the new one.
+    auto apply = [&](auto index) -> Status {
+      if (!index.ok()) return index.status();
+      if (before != nullptr) {
+        MMDB_RETURN_IF_ERROR(index.value()->Remove(store, key(before), addr));
+      }
+      if (after == nullptr) return Status::OK();
+      return index.value()->Insert(store, key(after), addr);
+    };
+    MMDB_RETURN_IF_ERROR(idx.value()->type == IndexType::kTTree
+                             ? apply(GetTTree(iname))
+                             : apply(GetLinearHash(iname)));
   }
   return Status::OK();
 }
@@ -1376,10 +1105,7 @@ Status Database::MaintainIndexesOnDelete(Transaction* txn, RelationInfo* rel,
 Result<EntityAddr> Database::Insert(Transaction* txn,
                                     const std::string& relation,
                                     const Tuple& tuple) {
-  if (txn != nullptr && txn->read_only()) {
-    return Status::InvalidArgument("read-only transaction cannot write");
-  }
-  auto rel = LookupRelation(txn, relation);
+  auto rel = LookupRelation(txn, relation, /*write=*/true);
   if (!rel.ok()) return rel.status();
   MMDB_RETURN_IF_ERROR(rel.value()->schema.Validate(tuple));
   MMDB_RETURN_IF_ERROR(
@@ -1389,16 +1115,13 @@ Result<EntityAddr> Database::Insert(Transaction* txn,
   auto addr = InsertEntity(txn, rel.value()->segment, bytes.value());
   if (!addr.ok()) return addr.status();
   MMDB_RETURN_IF_ERROR(
-      MaintainIndexesOnInsert(txn, rel.value(), tuple, addr.value()));
+      MaintainIndexes(txn, rel.value(), nullptr, &tuple, addr.value()));
   return addr;
 }
 
 Status Database::Update(Transaction* txn, const std::string& relation,
                         const EntityAddr& addr, const Tuple& tuple) {
-  if (txn != nullptr && txn->read_only()) {
-    return Status::InvalidArgument("read-only transaction cannot write");
-  }
-  auto rel = LookupRelation(txn, relation);
+  auto rel = LookupRelation(txn, relation, /*write=*/true);
   if (!rel.ok()) return rel.status();
   MMDB_RETURN_IF_ERROR(rel.value()->schema.Validate(tuple));
   MMDB_RETURN_IF_ERROR(
@@ -1411,36 +1134,12 @@ Status Database::Update(Transaction* txn, const std::string& relation,
   auto bytes = rel.value()->schema.Encode(tuple);
   if (!bytes.ok()) return bytes.status();
   MMDB_RETURN_IF_ERROR(UpdateEntity(txn, addr, bytes.value()));
-
-  // Index maintenance for changed keys.
-  TxnEntityStore store(this, txn);
-  for (const std::string& iname : rel.value()->index_names) {
-    auto idx = v_->catalog.GetIndex(iname);
-    if (!idx.ok()) return idx.status();
-    int64_t old_key = std::get<int64_t>(old_tuple.value()[idx.value()->column]);
-    int64_t new_key = std::get<int64_t>(tuple[idx.value()->column]);
-    if (old_key == new_key) continue;
-    if (idx.value()->type == IndexType::kTTree) {
-      auto tree = GetTTree(iname);
-      if (!tree.ok()) return tree.status();
-      MMDB_RETURN_IF_ERROR(tree.value()->Remove(store, old_key, addr));
-      MMDB_RETURN_IF_ERROR(tree.value()->Insert(store, new_key, addr));
-    } else {
-      auto hash = GetLinearHash(iname);
-      if (!hash.ok()) return hash.status();
-      MMDB_RETURN_IF_ERROR(hash.value()->Remove(store, old_key, addr));
-      MMDB_RETURN_IF_ERROR(hash.value()->Insert(store, new_key, addr));
-    }
-  }
-  return Status::OK();
+  return MaintainIndexes(txn, rel.value(), &old_tuple.value(), &tuple, addr);
 }
 
 Status Database::Delete(Transaction* txn, const std::string& relation,
                         const EntityAddr& addr) {
-  if (txn != nullptr && txn->read_only()) {
-    return Status::InvalidArgument("read-only transaction cannot write");
-  }
-  auto rel = LookupRelation(txn, relation);
+  auto rel = LookupRelation(txn, relation, /*write=*/true);
   if (!rel.ok()) return rel.status();
   MMDB_RETURN_IF_ERROR(
       LockForTxn(txn, LockResource::Relation(rel.value()->id), LockMode::kIX));
@@ -1449,7 +1148,7 @@ Status Database::Delete(Transaction* txn, const std::string& relation,
   auto old_tuple = rel.value()->schema.Decode(old_bytes.value());
   if (!old_tuple.ok()) return old_tuple.status();
   MMDB_RETURN_IF_ERROR(DeleteEntity(txn, addr));
-  return MaintainIndexesOnDelete(txn, rel.value(), old_tuple.value(), addr);
+  return MaintainIndexes(txn, rel.value(), &old_tuple.value(), nullptr, addr);
 }
 
 Result<Tuple> Database::Read(Transaction* txn, const std::string& relation,
@@ -1513,66 +1212,51 @@ Result<std::vector<std::pair<EntityAddr, Tuple>>> Database::Scan(
     Transaction* txn, const std::string& relation) {
   auto rel = LookupRelation(txn, relation);
   if (!rel.ok()) return rel.status();
-  if (txn != nullptr && txn->read_only()) {
-    // Snapshot scan: no relation S-lock — writers keep committing while
-    // the scan runs. Every slot with a version chain resolves through
-    // the chain (which covers deleted-then-reused slots and uncommitted
-    // in-place writes); chainless slots are committed as stored.
-    const uint64_t snap = txn->snapshot_csn();
-    std::vector<std::pair<EntityAddr, Tuple>> out;
-    for (const PartitionDescriptor& d : rel.value()->partitions) {
-      auto pr = ResidentPartition(d.id);
-      if (!pr.ok()) return pr.status();
-      Partition* p = pr.value();
-      std::map<uint32_t, const VersionStore::Version*> resolved =
-          v_->versions.ResolvePartition(d.id, snap);
-      auto emit = [&](uint32_t s,
-                      std::span<const uint8_t> bytes) -> Status {
-        auto tuple = rel.value()->schema.Decode(bytes);
-        if (!tuple.ok()) return tuple.status();
-        out.emplace_back(EntityAddr{d.id, s}, std::move(tuple).value());
-        MainWork(10);
-        v_->versions.NoteSnapshotRead();
-        return Status::OK();
-      };
-      for (uint32_t s = 0; s < p->slot_count(); ++s) {
-        auto it = resolved.find(s);
-        if (it != resolved.end()) {
-          if (!it->second->deleted) {
-            MMDB_RETURN_IF_ERROR(emit(s, it->second->data));
-          }
-          continue;
-        }
-        if (!p->SlotUsed(s)) continue;
-        auto bytes = p->Read(s);
-        if (!bytes.ok()) return bytes.status();
-        MMDB_RETURN_IF_ERROR(emit(s, bytes.value()));
-      }
-      // Chains can outlive their slot range only if the partition never
-      // grew to cover them; emit any live stragglers for completeness.
-      for (const auto& [s, ver] : resolved) {
-        if (s >= p->slot_count() && !ver->deleted) {
-          MMDB_RETURN_IF_ERROR(emit(s, ver->data));
-        }
-      }
-    }
-    return out;
+  // A snapshot scan takes no relation S-lock: writers keep committing
+  // while it runs. Every slot with a version chain resolves through the
+  // chain (which covers deleted-then-reused slots and uncommitted
+  // in-place writes); chainless slots are committed as stored.
+  const bool snapshot = txn != nullptr && txn->read_only();
+  if (!snapshot) {
+    MMDB_RETURN_IF_ERROR(LockForTxn(
+        txn, LockResource::Relation(rel.value()->id), LockMode::kS));
   }
-  MMDB_RETURN_IF_ERROR(
-      LockForTxn(txn, LockResource::Relation(rel.value()->id), LockMode::kS));
   std::vector<std::pair<EntityAddr, Tuple>> out;
   for (const PartitionDescriptor& d : rel.value()->partitions) {
     auto pr = ResidentPartition(d.id);
     if (!pr.ok()) return pr.status();
     Partition* p = pr.value();
-    for (uint32_t s = 0; s < p->slot_count(); ++s) {
-      if (!p->SlotUsed(s)) continue;
-      auto bytes = p->Read(s);
-      if (!bytes.ok()) return bytes.status();
-      auto tuple = rel.value()->schema.Decode(bytes.value());
+    std::map<uint32_t, const VersionStore::Version*> resolved;
+    if (snapshot) {
+      resolved = v_->versions.ResolvePartition(d.id, txn->snapshot_csn());
+    }
+    auto emit = [&](uint32_t s, std::span<const uint8_t> bytes) -> Status {
+      auto tuple = rel.value()->schema.Decode(bytes);
       if (!tuple.ok()) return tuple.status();
       out.emplace_back(EntityAddr{d.id, s}, std::move(tuple).value());
       MainWork(10);
+      if (snapshot) v_->versions.NoteSnapshotRead();
+      return Status::OK();
+    };
+    for (uint32_t s = 0; s < p->slot_count(); ++s) {
+      auto it = resolved.find(s);
+      if (it != resolved.end()) {
+        if (!it->second->deleted) {
+          MMDB_RETURN_IF_ERROR(emit(s, it->second->data));
+        }
+        continue;
+      }
+      if (!p->SlotUsed(s)) continue;
+      auto bytes = p->Read(s);
+      if (!bytes.ok()) return bytes.status();
+      MMDB_RETURN_IF_ERROR(emit(s, bytes.value()));
+    }
+    // Chains can outlive their slot range only if the partition never
+    // grew to cover them; emit any live stragglers for completeness.
+    for (const auto& [s, ver] : resolved) {
+      if (s >= p->slot_count() && !ver->deleted) {
+        MMDB_RETURN_IF_ERROR(emit(s, ver->data));
+      }
     }
   }
   return out;
@@ -1581,151 +1265,6 @@ Result<std::vector<std::pair<EntityAddr, Tuple>>> Database::Scan(
 // ---------------------------------------------------------------------------
 // Recovery control
 // ---------------------------------------------------------------------------
-
-Status Database::PumpRecovery(uint64_t max_records) {
-  // Partitioned-log mode: fence first so every stamped epoch becomes
-  // durable, then let each stream's sort process consume up to its own
-  // flush marker. With a single stream the fence is a no-op and the pump
-  // bound is unbounded — the legacy path exactly.
-  MMDB_RETURN_IF_ERROR(FenceEpochs());
-  for (LogStream& ls : streams_) {
-    auto n = ls.recovery->Pump(max_records, clock_.now_ns(), PumpBound(ls));
-    if (!n.ok()) return n.status();
-  }
-  return Status::OK();
-}
-
-Status Database::FenceEpochs() {
-  if (streams_.size() == 1) return Status::OK();
-  for (LogStream& ls : streams_) {
-    if (ls.flushed_epoch == epoch_stamped_last_) continue;
-    // The per-stream epoch flush marker is one small stable-memory write.
-    // A crash landing between two streams' markers is exactly the group-
-    // commit window: the epoch is acknowledged on a prefix of streams
-    // only, and the next restart's frontier discards it everywhere.
-    meter_->ChargeWrite(8);
-    MMDB_RETURN_IF_ERROR(fault::Barrier(fault_.get()));
-    ls.flushed_epoch = epoch_stamped_last_;
-  }
-  return Status::OK();
-}
-
-Status Database::DrainAllStreams(uint64_t now_ns) {
-  MMDB_RETURN_IF_ERROR(FenceEpochs());
-  for (LogStream& ls : streams_) {
-    MMDB_RETURN_IF_ERROR(ls.recovery->Drain(now_ns, PumpBound(ls)));
-  }
-  return Status::OK();
-}
-
-Status Database::RunCheckpoints() {
-  if (in_maintenance_) return Status::OK();
-  in_maintenance_ = true;
-  Status st = checkpointer_->Poll();
-  in_maintenance_ = false;
-  return st;
-}
-
-Status Database::ForceCheckpointRelation(const std::string& relation) {
-  if (crashed_) return Status::InvalidArgument("crashed; call Restart()");
-  auto parts = v_->catalog.RelationPartitions(relation);
-  if (!parts.ok()) return parts.status();
-  MMDB_RETURN_IF_ERROR(DrainAllStreams(clock_.now_ns()));
-  for (const PartitionDescriptor* d : parts.value()) {
-    streams_[0].slb->RequestCheckpoint(d->id, CheckpointTrigger::kForced);
-  }
-  return RunCheckpoints();
-}
-
-Status Database::CheckpointEverything() {
-  if (crashed_) return Status::InvalidArgument("crashed; call Restart()");
-  MMDB_RETURN_IF_ERROR(DrainAllStreams(clock_.now_ns()));
-  // The catalog goes last: every other checkpoint rewrites a descriptor
-  // row and a disk-map chunk row, which then land in its image instead of
-  // its log, where restart phase 1 would replay them.
-  std::vector<PartitionId> catalog;
-  for (Partition* p : v_->pm.AllPartitions()) {
-    if (p->id().segment == v_->catalog.catalog_segment()) {
-      catalog.push_back(p->id());
-    } else {
-      streams_[0].slb->RequestCheckpoint(p->id(), CheckpointTrigger::kForced);
-    }
-  }
-  for (PartitionId pid : catalog) {
-    streams_[0].slb->RequestCheckpoint(pid, CheckpointTrigger::kForced);
-  }
-  return RunCheckpoints();
-}
-
-void Database::Crash() {
-  // Harvest access heat before the primary copy disappears: the
-  // heat-ordered background sweep uses these counts to restore the
-  // hottest partitions first after restart. Accumulates across crashes
-  // (partitions recovered mid-epoch restart their in-memory counter).
-  for (Partition* p : v_->pm.AllPartitions()) {
-    if (p->heat() != 0) partition_heat_[p->id().Pack()] += p->heat();
-  }
-  // Volatile state is gone: the primary copy, locks, UNDO space,
-  // in-flight transactions, in-memory catalogs.
-  v_ = std::make_unique<Volatile>(opts_);
-  if (streams_.size() > 1) {
-    // Cross-stream discard invariant: an epoch not acknowledged durable
-    // on EVERY stream at the crash is discarded on every stream, so no
-    // committed transaction can survive on one stream while a conflicting
-    // earlier one vanishes on another. A crash inside a previous
-    // restart's end fence may have advanced a subset of the markers past
-    // epochs that earlier crash discarded; the latched frontier (stable
-    // restart record) never moves forward until a restart durably
-    // completes.
-    for (const LogStream& ls : streams_) {
-      epoch_discard_frontier_ =
-          std::min(epoch_discard_frontier_, ls.flushed_epoch);
-    }
-    for (LogStream& ls : streams_) {
-      ls.slb->DiscardCommittedAfter(epoch_discard_frontier_);
-    }
-  }
-  for (LogStream& ls : streams_) ls.slb->OnCrash();
-  v_->undo.Clear();
-  for (LogStream& ls : streams_) ls.recovery->RebuildFirstLsnList();
-  resilver_->OnCrash();
-  fault_->OnCrashDelivered();
-  crashed_ = true;
-  ++ddl_epoch_;  // the sweep queue indexed the lost catalog
-  // Volatile metrics reset with the state they measured; the new lock
-  // table / txn manager get fresh handle hookups.
-  metrics_.ResetVolatile();
-  AttachVolatileObservers();
-  recovery_progress_.OnCrash(clock_.now_ns());
-  tracer_.Instant(obs::Track::kSystem, "lifecycle", "crash", clock_.now_ns());
-  MMDB_LOG(INFO, "crash at %llu vns: volatile store and metrics dropped",
-           static_cast<unsigned long long>(clock_.now_ns()));
-}
-
-Status Database::Restart() {
-  if (!crashed_) return Status::InvalidArgument("Restart() without a crash");
-  last_restart_ = RestartReport{};
-  uint64_t start_ns = clock_.now_ns();
-  Status st = restarter_->Restart(&last_restart_);
-  if (st.ok()) {
-    m_restart_catalog_ns_->Record(last_restart_.catalog_ms * 1e6);
-    m_restart_total_ns_->Record(last_restart_.total_ms * 1e6);
-    tracer_.Span(obs::Track::kSystem, "lifecycle", "restart: catalogs",
-                 start_ns, static_cast<uint64_t>(last_restart_.catalog_ms * 1e6));
-    tracer_.Span(obs::Track::kSystem, "lifecycle", "restart", start_ns,
-                 clock_.now_ns() - start_ns);
-    MMDB_LOG(INFO,
-             "restart: catalogs %.2f vms, total %.2f vms, %llu partitions",
-             last_restart_.catalog_ms, last_restart_.total_ms,
-             static_cast<unsigned long long>(
-                 last_restart_.partitions_recovered));
-  }
-  if (st.ok() && opts_.audit_logging) {
-    MMDB_RETURN_IF_ERROR(audit_->Append(
-        AuditRecord{0, clock_.now_ns(), AuditKind::kRestart, ""}));
-  }
-  return st;
-}
 
 Status Database::RecoverRelation(const std::string& relation) {
   if (crashed_) return Status::InvalidArgument("crashed; call Restart()");
@@ -1779,7 +1318,7 @@ Status Database::StartLogDiskResilver(int member) {
   if (member != 0 && member != 1) {
     return Status::InvalidArgument("re-silver member must be 0 or 1");
   }
-  sim::Disk& target = streams_[0].disks->member(member);
+  sim::Disk& target = log_disks().member(member);
   if (target.media_failed()) target.RepairMedia();
   MMDB_RETURN_IF_ERROR(resilver_->Start(member, clock_.now_ns()));
   tracer_.Instant(obs::Track::kSystem, "resilver",
@@ -1816,24 +1355,18 @@ DatabaseStats Database::GetStats() const {
   // A view over the metrics registry for everything counter-backed;
   // genuinely live state (residency, CPU timelines, stable high-water)
   // is sampled from the hardware models directly.
-  auto every_stream = [&](const std::string& name) {
-    uint64_t total = 0;
-    for (const LogStream& ls : streams_) {
-      total += metrics_.counter_value(name + ls.suffix);
-    }
-    return total;
-  };
   DatabaseStats s;
   s.txns_committed = metrics_.counter_value("txn.committed");
   s.txns_aborted = metrics_.counter_value("txn.aborted");
-  s.records_logged = every_stream("slb.records_appended");
-  s.bytes_logged = every_stream("slb.bytes_appended");
-  s.records_sorted = every_stream("recovery.records_sorted");
-  s.log_pages_flushed = every_stream("log.pages_flushed");
+  s.records_logged = log_->CounterTotal(metrics_, "slb.records_appended");
+  s.bytes_logged = log_->CounterTotal(metrics_, "slb.bytes_appended");
+  s.records_sorted = log_->CounterTotal(metrics_, "recovery.records_sorted");
+  s.log_pages_flushed = log_->CounterTotal(metrics_, "log.pages_flushed");
   s.checkpoints_completed = metrics_.counter_value("checkpoint.completed");
   s.checkpoints_update_count =
-      every_stream("recovery.ckpt_requests_update_count");
-  s.checkpoints_age = every_stream("recovery.ckpt_requests_age");
+      log_->CounterTotal(metrics_, "recovery.ckpt_requests_update_count");
+  s.checkpoints_age =
+      log_->CounterTotal(metrics_, "recovery.ckpt_requests_age");
   s.partitions_resident = v_->pm.resident_count();
   s.on_demand_recoveries = metrics_.counter_value("recovery.on_demand");
   s.background_recoveries = metrics_.counter_value("recovery.background");
@@ -1842,8 +1375,9 @@ DatabaseStats Database::GetStats() const {
   s.stable_memory_high_water = meter_->high_water_bytes();
   s.lock_conflicts = metrics_.counter_value("lock.conflicts");
   s.log_forces = metrics_.counter_value("log.forces");
-  s.commit_wait_ms_total = m_commit_wait_ns_->sum() * 1e-6;
-  s.commits_waited = m_commit_wait_ns_->count();
+  const obs::Histogram* wait = metrics_.find_histogram("commit.wait_ns");
+  s.commit_wait_ms_total = wait->sum() * 1e-6;
+  s.commits_waited = wait->count();
   return s;
 }
 

@@ -11,6 +11,7 @@
 #include "analysis/model.h"
 #include "catalog/catalog.h"
 #include "catalog/schema.h"
+#include "core/log_streams.h"
 #include "core/version_store.h"
 #include "fault/fault.h"
 #include "index/linear_hash.h"
@@ -23,7 +24,6 @@
 #include "obs/tracer.h"
 #include "recovery/archive.h"
 #include "recovery/progress.h"
-#include "recovery/recovery_manager.h"
 #include "recovery/resilver.h"
 #include "sim/clock.h"
 #include "sim/cpu.h"
@@ -38,9 +38,6 @@
 #include "util/status.h"
 
 namespace mmdb {
-
-class Checkpointer;
-class RestartManager;
 
 /// Commit durability strategy. The paper's design commits *instantly*
 /// because REDO records are already in stable memory (§2.3.1); the other
@@ -293,21 +290,21 @@ class Database {
   // --- recovery control -------------------------------------------------------
   /// Lets the recovery CPU sort up to `max_records` committed records
   /// (per stream in partitioned-log mode, after fencing epochs).
-  Status PumpRecovery(uint64_t max_records = ~0ull);
+  Status PumpRecovery(uint64_t max_records = ~0ull) {
+    return log_->Drain(clock_.now_ns(), max_records);
+  }
   /// Partitioned-log mode: writes every stream's epoch flush marker so
   /// all epochs stamped so far become externally durable (the group-
   /// commit fence). A crash between the per-stream markers leaves the
   /// fenced epoch acknowledged on some streams only — restart discards
   /// it everywhere. No-op with a single stream.
-  Status FenceEpochs();
+  Status FenceEpochs() { return log_->Fence(); }
   /// Group-commit stamp of the most recent commit (partitioned-log mode;
   /// zero with a single stream). The concurrent executor samples these
   /// right after each successful Commit.
-  uint32_t last_commit_epoch() const { return last_commit_epoch_; }
-  uint64_t last_commit_csn() const { return last_commit_csn_; }
-  uint32_t log_streams() const {
-    return static_cast<uint32_t>(streams_.size());
-  }
+  uint32_t last_commit_epoch() const { return log_->last_commit().epoch; }
+  uint64_t last_commit_csn() const { return log_->last_commit().csn; }
+  uint32_t log_streams() const { return log_->size(); }
   /// Main CPU processes pending checkpoint requests (between
   /// transactions).
   Status RunCheckpoints();
@@ -435,8 +432,6 @@ class Database {
   };
   /// Binds (nullptr: unbinds) the executor's per-operation context.
   void BindExecContext(ExecContext* ctx);
-  /// Current virtual time of the bound worker, or the global clock.
-  uint64_t vnow() const;
 
   /// Statement-level rollback bracket for block-and-replay: the executor
   /// marks before dispatching an operation; if the operation blocks on a
@@ -473,11 +468,10 @@ class Database {
   const sim::CpuModel& main_cpu() const { return main_cpu_; }
   const sim::CpuModel& recovery_cpu() const { return recovery_cpu_; }
   // Log stream 0's components.
-  RecoveryManager& recovery_manager() { return *streams_[0].recovery; }
-  StableLogBuffer& slb() { return *streams_[0].slb; }
-  StableLogTail& slt() { return *streams_[0].slt; }
-  LogDiskWriter& log_writer() { return *streams_[0].writer; }
-  sim::DuplexedDisk& log_disks() { return *streams_[0].disks; }
+  StableLogBuffer& slb() { return *log_->stream(0).slb; }
+  StableLogTail& slt() { return *log_->stream(0).slt; }
+  LogDiskWriter& log_writer() { return *log_->stream(0).writer; }
+  sim::DuplexedDisk& log_disks() { return *log_->stream(0).disks; }
   sim::Disk& checkpoint_disk() { return *checkpoint_disk_; }
   ArchiveManager& archive() { return *archive_; }
   AuditLog& audit_log() { return *audit_; }
@@ -500,11 +494,12 @@ class Database {
     return recovery_progress_;
   }
 
- private:
-  friend class Checkpointer;
-  friend class RestartManager;
-  friend class TxnEntityStore;
+  /// EntityStore adapter binding a transaction to the logged entity
+  /// operations (locking + REDO/UNDO). A null transaction gives unlogged
+  /// read-only access (used to attach index metadata).
+  class TxnEntityStore;
 
+ private:
   /// Everything destroyed by Crash(): the primary memory copy of the
   /// database plus all per-transaction volatile structures.
   struct Volatile {
@@ -550,11 +545,17 @@ class Database {
   void NoteSpaceFreed() { ++v_->space_epoch; }
 
   // --- logged entity operations (the heart of regular logging, §2.3) ----------
+  /// A mutation needs an active read-write transaction.
+  Status CheckWritable(const Transaction* txn);
   Result<EntityAddr> InsertEntity(Transaction* txn, SegmentId segment,
                                   std::span<const uint8_t> data);
   Status UpdateEntity(Transaction* txn, const EntityAddr& addr,
                       std::span<const uint8_t> data);
   Status DeleteEntity(Transaction* txn, const EntityAddr& addr);
+  /// The resident partition holding `addr`, X-locked for `txn`, and the
+  /// entity's pre-image in `*pre`.
+  Result<Partition*> LockForWrite(Transaction* txn, const EntityAddr& addr,
+                                  std::vector<uint8_t>* pre);
   Result<std::vector<uint8_t>> ReadEntity(Transaction* txn,
                                           const EntityAddr& addr);
   Status NodeEntryOp(Transaction* txn, const EntityAddr& addr, LogOp op,
@@ -571,6 +572,11 @@ class Database {
 
   Status AppendRedo(Transaction* txn, const LogRecord& redo,
                     const LogRecord& undo);
+  /// Applies `undo` (most recent first) to the primary copy.
+  Status ApplyUndo(const Transaction* txn, const std::vector<LogRecord>& undo);
+  /// A user transaction's audit-trail record (§2.3.2), when enabled.
+  Status AuditUserTxn(TxnKind kind, uint64_t id, AuditKind what,
+                      const std::string& data = "");
 
   /// Resident partition lookup with on-demand post-crash recovery.
   Result<Partition*> ResidentPartition(PartitionId pid);
@@ -588,12 +594,18 @@ class Database {
   Status PersistDiskMapChunks(Transaction* txn,
                               const std::set<uint32_t>& chunks);
 
-  /// Logs the deletion of an object's catalog rows and the freeing of
-  /// its checkpoint slots inside `txn`; the non-logged teardown (bins,
+  /// Logs an object's drop inside `txn`: its relation's X lock, a log
+  /// drain, its partitions' catalog rows and checkpoint slots (with the
+  /// disk-map rows), then its own `row`. The non-logged teardown (bins,
   /// resident partitions) must happen after commit via
-  /// ReleaseSegmentStorage.
-  Status LogObjectDrop(Transaction* txn,
-                       const std::vector<PartitionDescriptor>& descriptors);
+  /// ReleaseSegmentStorage; a failed drop goes to AbortObjectDrop.
+  Status LogObjectDrop(Transaction* txn, uint32_t relation_id,
+                       const std::vector<PartitionDescriptor>& descriptors,
+                       EntityAddr row);
+  /// Reclaims the slots a failed drop freed, aborts `txn`, returns `why`.
+  Status AbortObjectDrop(Transaction* txn,
+                         const std::vector<PartitionDescriptor>& descriptors,
+                         Status why);
   void ReleaseSegmentStorage(
       const std::vector<PartitionDescriptor>& descriptors);
   /// Writes the catalog's root block to both stable copies (stream 0's
@@ -608,51 +620,24 @@ class Database {
                                    RecoverySource source,
                                    RestartReport* report);
 
+  /// A relation for a statement of an active transaction (`write`: a
+  /// read-write one).
   Result<RelationInfo*> LookupRelation(Transaction* txn,
-                                       const std::string& name);
-  Status MaintainIndexesOnInsert(Transaction* txn, RelationInfo* rel,
-                                 const Tuple& tuple, const EntityAddr& addr);
-  Status MaintainIndexesOnDelete(Transaction* txn, RelationInfo* rel,
-                                 const Tuple& tuple, const EntityAddr& addr);
+                                       const std::string& name,
+                                       bool write = false);
+  /// Moves `addr`'s entries in `rel`'s indexes from the keys of `before`
+  /// to those of `after` (null: no entry), skipping unchanged keys.
+  Status MaintainIndexes(Transaction* txn, RelationInfo* rel,
+                         const Tuple* before, const Tuple* after,
+                         const EntityAddr& addr);
 
+  /// An index's in-memory handle, attached from its meta on first use.
+  template <typename Index>
+  Result<Index*> AttachIndex(std::map<std::string, Index>* attached,
+                             const std::string& name, IndexType type,
+                             const std::string& what);
   Result<TTree*> GetTTree(const std::string& name);
   Result<LinearHash*> GetLinearHash(const std::string& name);
-
-  // --- partitioned-log plumbing ----------------------------------------------
-  /// One log stream: the paper's logger (§2.2-2.3) once over. Stable:
-  /// survives Crash(). Stream 0's series and disks carry the single-stream
-  /// names; stream s > 0 appends `suffix` (".<s>") to its series, names
-  /// its disk pair "log<s>" and traces to its own log-disk track.
-  struct LogStream {
-    explicit LogStream(std::string sfx)
-        : suffix(std::move(sfx)), gate("slb.alloc_gate" + suffix) {}
-    std::string suffix;
-    std::unique_ptr<StableLogBuffer> slb;
-    std::unique_ptr<StableLogTail> slt;
-    std::unique_ptr<sim::DuplexedDisk> disks;
-    std::unique_ptr<LogDiskWriter> writer;
-    /// The stream's sort process, on the one shared recovery CPU.
-    std::unique_ptr<RecoveryManager> recovery;
-    /// SLB block-allocation gate shared by the stream's workers.
-    sim::DeviceTimeline gate;
-    /// Epoch group-commit marker: the last epoch whose flush marker this
-    /// stream persisted (multi-stream only).
-    uint32_t flushed_epoch = 0;
-  };
-  /// The stream a transaction logs on.
-  LogStream& StreamOf(const Transaction* txn) {
-    return streams_[txn->log_stream()];
-  }
-  const LogStream& StreamOf(const Transaction* txn) const {
-    return streams_[txn->log_stream()];
-  }
-  /// Epoch bound for a stream's sort process (UINT32_MAX when single-
-  /// stream: no gating).
-  uint32_t PumpBound(const LogStream& ls) const {
-    return streams_.size() == 1 ? UINT32_MAX : ls.flushed_epoch;
-  }
-  /// Fences epochs, then drains every stream's committed backlog.
-  Status DrainAllStreams(uint64_t now_ns);
 
   void MainWork(double instructions);
   /// Waits for virtual time `t_ns` (I/O completion): advances the global
@@ -665,25 +650,39 @@ class Database {
   /// Records waiter grants produced at a lock-release point, stamped
   /// with the releasing side's current virtual time.
   void NoteGrants(std::vector<uint64_t> granted);
-  /// Models the SLB's block-allocation critical section (§2.3.1: "a
-  /// critical section is needed only for block allocation"): concurrent
-  /// workers queue on the stream's gate and pay only the queueing delay,
-  /// so a single stream is timing-identical to the legacy path.
-  void SlbAllocationGate(LogStream& ls);
   /// Runs sort-process pump + pending checkpoint transactions after a
   /// user commit, on the shared system clock when a worker context is
   /// bound (checkpointing is the main CPU's serial between-transactions
   /// duty, §2.4).
   Status PostCommitMaintenance();
+  /// Current virtual time of the bound worker, or the global clock.
+  uint64_t vnow() const {
+    return exec_ != nullptr ? exec_->cpu->busy_until_ns() : clock_.now_ns();
+  }
+  /// The bound worker's CPU timeline, or null.
+  sim::CpuModel* worker_cpu() const {
+    return exec_ != nullptr ? exec_->cpu : nullptr;
+  }
+  /// The trace track of the bound worker, or the main CPU's.
+  obs::Track TxnTrack() const {
+    return exec_ != nullptr ? obs::WorkerTrack(exec_->worker)
+                            : obs::Track::kMainCpu;
+  }
 
-  /// Commit-mode timing: models the log-force I/O a commit must wait for
-  /// under kDiskForce / kGroupCommit (the paper's baselines).
-  void ApplyCommitDurability(uint64_t redo_bytes);
-  void FlushCommitGroup();
+  // --- checkpointing (checkpoint.cc) and restart (restart.cc) ---------------
+  /// Runs pending checkpoint requests until one cannot run yet (lock
+  /// conflict, partition not resident); it stays queued.
+  Status PollCheckpoints();
+  /// Runs one request from `stream`'s SLB queue as a checkpoint
+  /// transaction (§2.4).
+  Status RunCheckpoint(CheckpointRequest* req, uint32_t stream);
+  /// Restores the catalogs, and under kFullReload every partition, from
+  /// the stable store (§2.5).
+  Status RestartFromStableStore(RestartReport* report);
 
   /// Resolves the Database's own metric handles and attaches the stable
-  /// components outside the log streams, which the constructor's stream
-  /// loop attaches (constructor only; handles outlive every crash).
+  /// components outside the log streams, which attach themselves
+  /// (constructor only; handles outlive every crash).
   void AttachStableObservers();
   /// Attaches the freshly built Volatile's components (constructor and
   /// every Crash(): the new lock table / txn manager need new hookups).
@@ -703,38 +702,14 @@ class Database {
   // every stable component holds a raw pointer to it.
   std::unique_ptr<fault::FaultInjector> fault_;
   std::unique_ptr<sim::StableMemoryMeter> meter_;
-  /// Every log stream, stream 0 first; never empty. Stream 0 alone also
-  /// carries system, checkpoint and DDL commits, both catalog-root
-  /// copies, forced checkpoint requests, the WAL baselines' writes, the
-  /// archive roll and log-disk re-silvering.
-  std::vector<LogStream> streams_;
+  std::unique_ptr<LogStreams> log_;
   std::unique_ptr<sim::Disk> checkpoint_disk_;
   std::unique_ptr<ArchiveManager> archive_;
   std::unique_ptr<AuditLog> audit_;
   std::unique_ptr<Resilverer> resilver_;
 
-  /// Epoch group-commit ledger (stable; zero in single-stream mode):
-  /// `epoch_stamped_last_` is the highest epoch any commit carries;
-  /// `epoch_csn_last_` the commit-sequence latch giving (epoch, csn) a
-  /// total order consistent with commit order.
-  uint32_t epoch_stamped_last_ = 0;
-  uint64_t epoch_csn_last_ = 0;
-  /// Stable restart record: the discard frontier latched by Crash() and
-  /// cleared only when a restart durably completes. A crash inside the
-  /// end-of-restart fence may have advanced a subset of the per-stream
-  /// markers past epochs the original crash already discarded; retries
-  /// must keep reporting the original frontier, never the min of the
-  /// partially-advanced markers.
-  uint32_t epoch_discard_frontier_ = UINT32_MAX;
-  /// Volatile convenience mirrors of the most recent commit's stamp.
-  uint32_t last_commit_epoch_ = 0;
-  uint64_t last_commit_csn_ = 0;
-
   // Volatile state: destroyed by Crash(), rebuilt by Restart().
   std::unique_ptr<Volatile> v_;
-
-  std::unique_ptr<Checkpointer> checkpointer_;
-  std::unique_ptr<RestartManager> restarter_;
 
   bool crashed_ = false;
   bool in_maintenance_ = false;  // guards checkpoint/pump recursion
@@ -761,20 +736,12 @@ class Database {
   /// accumulated across crashes. std::map: deterministic order.
   std::map<uint64_t, uint64_t> partition_heat_;
 
-  // Commit-mode baseline state (timing model; durability itself always
-  // comes from the stable SLB).
-  uint64_t wal_page_counter_ = 0;
-  uint64_t group_pending_bytes_ = 0;
-  std::vector<uint64_t> group_pending_since_ns_;
-
   // Cached registry handles (resolved once in AttachStableObservers).
-  obs::Counter* m_log_forces_ = nullptr;
   /// Shared with every retrying read path (log writer, restart).
   obs::Counter* m_disk_retries_ = nullptr;
   obs::Counter* m_ckpt_completed_ = nullptr;
   obs::Counter* m_ondemand_count_ = nullptr;
   obs::Counter* m_background_count_ = nullptr;
-  obs::Histogram* m_commit_wait_ns_ = nullptr;
   obs::Histogram* m_txn_latency_ns_ = nullptr;
   obs::Histogram* m_ckpt_duration_ns_ = nullptr;
   obs::Histogram* m_ondemand_ns_ = nullptr;
@@ -792,10 +759,7 @@ class Database {
   RecoveryProgressTracker recovery_progress_;
 };
 
-/// EntityStore adapter binding a transaction to the database's logged
-/// entity operations (locking + REDO/UNDO). A null transaction gives
-/// unlogged read-only access (used to attach index metadata).
-class TxnEntityStore : public EntityStore {
+class Database::TxnEntityStore : public EntityStore {
  public:
   TxnEntityStore(Database* db, Transaction* txn) : db_(db), txn_(txn) {}
 

@@ -19,6 +19,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -28,25 +29,12 @@
 
 namespace mmdb {
 
-namespace {
-
-/// One log stream's share of a partition's log: its records in stream
-/// order, the page ("chunk") whose arrival completes each record, and
-/// each chunk's arrival time.
-struct StreamLog {
-  std::vector<LogRecord> records;
-  std::vector<uint32_t> chunk_of;    // per record
-  std::vector<uint64_t> arrived_ns;  // per chunk
-};
-
-}  // namespace
-
 Result<Database::RebuiltPartition> Database::RebuildPartition(
     const RecoveryWorkItem& item, uint64_t ready_ns, RecoveryLane* lane,
     LogReads reads) {
   const obs::Track track = obs::LaneTrack(lane->index);
   const std::string name = item.pid.ToString();
-  auto bin_index = streams_[0].slt->FindBin(item.pid);
+  auto bin_index = log_->FindBin(item.pid);
   if (!bin_index.ok()) {
     return Status::Corruption("no Stable Log Tail bin for " + name);
   }
@@ -90,56 +78,20 @@ Result<Database::RebuiltPartition> Database::RebuildPartition(
                  image_ns - ready_ns);
   }
 
-  // The log chain, each stream on its own duplexed pair: walk the anchors
-  // back to the bin's first page, read every page forward, then append
-  // the bin's stable active page (a stable-memory read, no disk time).
-  // Without pipelining the walk waits for the image.
+  // The log chain, each stream on its own duplexed pair. Without
+  // pipelining the walk waits for the image.
   const uint64_t walk_ns = opts_.pipelined_recovery ? ready_ns : image_ns;
-  const bool fanned = reads == LogReads::kFanned;
   const uint32_t streams = log_streams();
-  std::vector<StreamLog> logs(streams);
+  std::vector<LogStreams::ChainLog> logs;
+  logs.reserve(streams);
   uint64_t reads_ns = walk_ns;  // the last page's arrival, every stream
   for (uint32_t s = 0; s < streams; ++s) {
-    LogStream& ls = streams_[s];
-    StreamLog& log = logs[s];
-    std::vector<uint64_t> lsns;
-    uint64_t backward = 0, walked_ns = walk_ns;
-    MMDB_RETURN_IF_ERROR(ls.recovery->CollectPageList(
-        bin_index.value(), walk_ns, &lsns, &backward, &walked_ns, fanned));
-    std::vector<uint8_t> bytes;
-    std::vector<size_t> chunk_end;  // stream offset after each chunk
-    uint64_t arrived_ns = walked_ns;
-    for (uint64_t lsn : lsns) {
-      ParsedLogPage page;
-      uint64_t done_ns = 0;
-      MMDB_RETURN_IF_ERROR(ls.writer->ReadPage(
-          lsn, walked_ns, sim::SeekClass::kNear, &page, &done_ns, fanned));
-      bytes.insert(bytes.end(), page.payload.begin(), page.payload.end());
-      // The stream is consumed in LSN order, so a page's bytes are usable
-      // only once every earlier page has arrived too: prefix max.
-      arrived_ns = std::max(arrived_ns, done_ns);
-      chunk_end.push_back(bytes.size());
-      log.arrived_ns.push_back(arrived_ns);
-    }
-    out.pages_read += lsns.size();
-    reads_ns = std::max(reads_ns, arrived_ns);
-    auto bin = ls.slt->bin(bin_index.value());
-    if (!bin.ok()) return bin.status();
-    const std::vector<uint8_t>& active = bin.value()->active_page;
-    if (!active.empty()) {
-      meter_->ChargeRead(active.size());
-      bytes.insert(bytes.end(), active.begin(), active.end());
-      chunk_end.push_back(bytes.size());
-      log.arrived_ns.push_back(arrived_ns);
-    }
-    std::vector<size_t> ends;
-    MMDB_RETURN_IF_ERROR(
-        ParseLogStream(bytes, &log.records, /*with_epoch=*/streams > 1, &ends));
-    uint32_t c = 0;
-    for (size_t end : ends) {
-      while (end > chunk_end[c]) ++c;
-      log.chunk_of.push_back(c);
-    }
+    auto log = log_->ReadChain(s, bin_index.value(), walk_ns,
+                               reads == LogReads::kFanned);
+    if (!log.ok()) return log.status();
+    out.pages_read += log.value().pages_read;
+    reads_ns = std::max(reads_ns, log.value().read_ns);
+    logs.push_back(std::move(log).value());
   }
   if (out.pages_read > 0) {
     tracer_.Span(track, "recovery", "log " + name, walk_ns,
@@ -169,13 +121,11 @@ Result<Database::RebuiltPartition> Database::RebuildPartition(
     uint32_t best = streams;
     for (uint32_t s = 0; s < streams; ++s) {
       if (cursor[s] >= logs[s].records.size()) continue;
+      const LogRecord& a = logs[s].records[cursor[s]];
       if (best == streams) {
         best = s;
-        continue;
-      }
-      const LogRecord& a = logs[s].records[cursor[s]];
-      const LogRecord& b = logs[best].records[cursor[best]];
-      if (std::make_pair(a.epoch, a.csn) < std::make_pair(b.epoch, b.csn)) {
+      } else if (const LogRecord& b = logs[best].records[cursor[best]];
+                 std::tie(a.epoch, a.csn) < std::tie(b.epoch, b.csn)) {
         best = s;
       }
     }
@@ -186,7 +136,7 @@ Result<Database::RebuiltPartition> Database::RebuildPartition(
   uint64_t apply_ns = image_ns;
   uint64_t first_apply_ns = 0;
   for (uint32_t s = next_stream(); s < streams;) {
-    StreamLog& log = logs[s];
+    const LogStreams::ChainLog& log = logs[s];
     const uint32_t c = log.chunk_of[cursor[s]];
     uint64_t n = 0;
     uint32_t following = s;

@@ -78,7 +78,6 @@ class VersionStore {
   }
   bool tracking() const { return !snapshots_.empty(); }
   uint64_t oldest_snapshot() const { return *snapshots_.begin(); }
-  size_t live_snapshots() const { return snapshots_.size(); }
 
   // ---- Write-side hooks --------------------------------------------------
 

@@ -62,10 +62,6 @@ void LogRecord::AppendEpochFrame(std::vector<uint8_t>* out) const {
   wire::PutU64(out, csn);
 }
 
-bool LogRecord::ParseEpochFrame(wire::Reader* r) {
-  return r->GetU32(&epoch) && r->GetU64(&csn);
-}
-
 bool LogRecord::PeekSize(std::span<const uint8_t> buf, size_t* size) {
   if (buf.empty()) return false;
   switch (static_cast<LogOp>(buf[0])) {

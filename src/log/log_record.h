@@ -75,9 +75,6 @@ struct LogRecord {
   /// Writes the multi-stream epoch frame prefix ([epoch u32 | csn u64]).
   void AppendEpochFrame(std::vector<uint8_t>* out) const;
 
-  /// Reads an epoch frame prefix into `epoch`/`csn`.
-  bool ParseEpochFrame(wire::Reader* r);
-
   void AppendTo(std::vector<uint8_t>* out) const;
 
   /// Parses one record at the reader's cursor.

@@ -189,10 +189,10 @@ Result<LogRecord> StableLogBuffer::PopCommitted(uint32_t max_epoch) {
   return Status::NotFound("no committed records");
 }
 
-void StableLogBuffer::DiscardCommittedAfter(uint32_t flushed_epoch) {
+void StableLogBuffer::DiscardCommittedAfter(uint32_t frontier) {
   // Unacknowledged chains form a suffix of the committed list (epochs are
   // monotone in commit order); pop them back to front.
-  while (!committed_.empty() && committed_.back().epoch > flushed_epoch) {
+  while (!committed_.empty() && committed_.back().epoch > frontier) {
     ReleaseChain(&committed_.back());
     committed_.pop_back();
   }

@@ -134,11 +134,11 @@ class StableLogBuffer {
   /// stable-memory budget. The record carries its chain's epoch/csn.
   Result<LogRecord> PopCommitted(uint32_t max_epoch = UINT32_MAX);
 
-  /// Crash semantics for partitioned-log mode: committed chains whose
-  /// epoch was not yet persisted by this chain's stream (`epoch >
-  /// flushed`) lose their committed status — the group-commit rule never
-  /// acknowledged them. Their blocks are released.
-  void DiscardCommittedAfter(uint32_t flushed_epoch);
+  /// Crash semantics for partitioned-log mode: committed chains stamped
+  /// past the discard frontier (`epoch > frontier`) lose their committed
+  /// status — the group-commit rule never acknowledged them. Their
+  /// blocks are released.
+  void DiscardCommittedAfter(uint32_t frontier);
 
   // --- communication buffer ------------------------------------------------
 

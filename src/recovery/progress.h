@@ -10,7 +10,7 @@ namespace mmdb {
 
 /// Which recovery path brought a partition back.
 enum class RecoverySource : uint8_t {
-  kRestart = 0,    // phase-1 catalog recovery inside RestartManager
+  kRestart = 0,    // phase-1 catalog recovery inside Database::Restart
   kOnDemand = 1,   // first-touch ResidentPartition during normal work
   kBackground = 2  // background sweep / explicit RecoverRelation
 };

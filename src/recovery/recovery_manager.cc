@@ -186,7 +186,6 @@ Status RecoveryManager::OnCheckpointFinished(uint32_t bin_index,
           std::span<const uint8_t>(combine_buf_.data() + off, capacity),
           now_ns, &done_ns);
       if (!lsn.ok()) return lsn.status();
-      ++archive_pages_;
       off += capacity;
     }
     if (off != 0) {

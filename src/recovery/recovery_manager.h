@@ -106,7 +106,6 @@ class RecoveryManager {
     return ckpt_update_count_;
   }
   uint64_t checkpoints_requested_age() const { return ckpt_age_; }
-  uint64_t archive_pages_written() const { return archive_pages_; }
 
   const std::map<uint64_t, uint32_t>& first_lsn_list() const {
     return first_lsn_list_;
@@ -144,7 +143,6 @@ class RecoveryManager {
   uint64_t pages_flushed_ = 0;
   uint64_t ckpt_update_count_ = 0;
   uint64_t ckpt_age_ = 0;
-  uint64_t archive_pages_ = 0;
 
   // Optional registry series (null until AttachMetrics).
   obs::Counter* m_records_sorted_ = nullptr;

@@ -55,10 +55,6 @@ class PartitionManager {
   /// memory (e.g. not yet recovered after a crash).
   Result<Partition*> Get(PartitionId id) const;
 
-  bool IsResident(PartitionId id) const {
-    return partitions_.find(id) != partitions_.end();
-  }
-
   /// All resident partitions of a segment, in partition-number order.
   /// Backed by an eagerly maintained per-segment index — the insert
   /// path's first-fit scan calls this once per tuple, and rebuilding

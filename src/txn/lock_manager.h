@@ -153,7 +153,6 @@ class LockManager {
   /// replayed operation does not duplicate its events.
   void EnableHistory(bool on = true) { history_on_ = on; }
   const std::vector<LockEvent>& history() const { return history_; }
-  void ClearHistory() { history_.clear(); }
 
  private:
   struct Holder {

@@ -7,7 +7,6 @@ namespace mmdb {
 void UndoSpace::Push(uint64_t txn_id, LogRecord undo) {
   bytes_in_use_ += undo.SerializedSize();
   high_water_bytes_ = std::max(high_water_bytes_, bytes_in_use_);
-  ++records_pushed_;
   chains_[txn_id].push_back(std::move(undo));
 }
 

@@ -58,7 +58,6 @@ class UndoSpace {
 
   uint64_t bytes_in_use() const { return bytes_in_use_; }
   uint64_t high_water_bytes() const { return high_water_bytes_; }
-  uint64_t records_pushed() const { return records_pushed_; }
 
   /// Crash: everything volatile vanishes.
   void Clear() {
@@ -71,7 +70,6 @@ class UndoSpace {
   std::unordered_map<uint64_t, std::vector<LogRecord>> chains_;
   uint64_t bytes_in_use_ = 0;
   uint64_t high_water_bytes_ = 0;
-  uint64_t records_pushed_ = 0;
 };
 
 }  // namespace mmdb

@@ -396,6 +396,27 @@ TEST(DatabaseOptionsTest, ZeroLogStreamsReadsAsOne) {
   ASSERT_OK(db.Commit(t.value()));
 }
 
+// Options a constructor divides by are checked before the first division:
+// a zero log page size would divide inside the constructor's own
+// partition-size check, and a zero epoch interval at the first commit of
+// a multi-stream database.
+TEST(DatabaseOptionsDeathTest, ZeroLogPageBytesIsRejected) {
+  DatabaseOptions o = SmallOptions();
+  o.log_page_bytes = 0;
+  EXPECT_DEATH({ Database db(o); }, "log_page_bytes > 0");
+}
+
+TEST(DatabaseOptionsDeathTest, ZeroEpochIntervalWithSeveralStreamsIsRejected) {
+  DatabaseOptions o = SmallOptions();
+  o.log_streams = 2;
+  o.epoch_interval_ns = 0;
+  EXPECT_DEATH({ Database db(o); }, "epoch_interval_ns > 0");
+  // One stream never stamps epochs, so the interval is unused there.
+  o.log_streams = 1;
+  Database db(o);
+  ASSERT_OK(db.CreateRelation("acct", AccountSchema()));
+}
+
 TEST_F(DatabaseTest, ForceCheckpointRelationCoversIndexes) {
   ASSERT_OK(db_.CreateRelation("acct", AccountSchema()));
   ASSERT_OK(db_.CreateIndex("acct_id", "acct", "id", IndexType::kTTree));

@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "concurrency_workload.h"
 #include "core/database.h"
+#include "core/log_streams.h"
 #include "obs/export.h"
 #include "obs/json.h"
 #include "test_util.h"
@@ -267,6 +269,198 @@ TEST(LogStreamsTest, MultiStreamCrashRestartPreservesCommittedState) {
   auto after = w.LogicalRows();
   ASSERT_OK(after.status());
   EXPECT_EQ(before.value(), after.value());
+}
+
+/// LogStreams on its own, with the options, CPUs, stable-memory meter,
+/// fault injector and registries a Database would lend it.
+struct StreamsRig {
+  explicit StreamsRig(uint32_t streams) {
+    opts.log_streams = streams;
+    opts.log_disk_params.page_size_bytes = opts.log_page_bytes;
+    meter.SetFaultInjector(&fault);
+    log = std::make_unique<LogStreams>(opts, main_cpu, &recovery_cpu, &meter,
+                                       &fault, &metrics, &tracer);
+  }
+
+  /// Logs one record for a fresh transaction on stream `s` and commits it
+  /// at `now_ns`.
+  Result<LogStreams::Stamp> CommitOne(uint32_t s, uint64_t now_ns,
+                                      TxnKind kind = TxnKind::kUser) {
+    Transaction txn(next_txn++, kind);
+    txn.set_log_stream(s);
+    LogRecord rec;
+    rec.op = LogOp::kInsert;
+    rec.txn_id = txn.id();
+    rec.partition = PartitionId{1, 0};
+    rec.data = {1, 2, 3};
+    MMDB_RETURN_IF_ERROR(log->Append(&txn, rec, nullptr, now_ns));
+    return log->Commit(&txn, nullptr, now_ns);
+  }
+
+  std::vector<uint32_t> Markers() {
+    std::vector<uint32_t> out;
+    for (uint32_t s = 0; s < log->size(); ++s) {
+      out.push_back(log->stream(s).flushed_epoch);
+    }
+    return out;
+  }
+
+  /// Arms a crash at the `nth` stable-memory charge from now on.
+  void CrashAtCharge(uint64_t nth) {
+    fault::FaultPlan plan;
+    plan.CrashAtVisit(fault::Site::kStableMemAccess, nth);
+    fault.Arm(plan);
+  }
+
+  /// Delivers a crash to the streams, as Database::Crash() does.
+  void Crash() {
+    log->OnCrash();
+    fault.OnCrashDelivered();
+  }
+
+  DatabaseOptions opts;
+  sim::CpuModel main_cpu{"main", 6.0};
+  sim::CpuModel recovery_cpu{"recovery", 1.0};
+  sim::StableMemoryMeter meter{16ull * 1024 * 1024};
+  fault::FaultInjector fault;
+  obs::MetricsRegistry metrics;
+  obs::Tracer tracer;
+  std::unique_ptr<LogStreams> log;
+  uint64_t next_txn = 1;
+};
+
+/// One stream: commits carry no stamp, but the csn latch the version
+/// store orders by still advances; there is no marker to fence, and the
+/// sort process is not bounded by one.
+TEST(LogStreamsLedgerTest, SingleStreamOnlyAdvancesTheCsnLatch) {
+  StreamsRig rig(1);
+  for (uint64_t i = 1; i <= 3; ++i) {
+    ASSERT_OK_AND_ASSIGN(LogStreams::Stamp st, rig.CommitOne(0, i * 250'000));
+    EXPECT_EQ(st.epoch, 0u);
+    EXPECT_EQ(st.csn, i);
+    EXPECT_EQ(rig.log->last_csn(), i);
+  }
+  ASSERT_OK_AND_ASSIGN(LogStreams::Stamp sys,
+                       rig.CommitOne(0, 900'000, TxnKind::kSystem));
+  EXPECT_EQ(sys.epoch, 0u);
+  EXPECT_EQ(sys.csn, 4u);
+  EXPECT_EQ(rig.log->last_commit().epoch, 0u);
+  EXPECT_EQ(rig.log->last_commit().csn, 0u);
+
+  const uint64_t written = rig.meter.bytes_written();
+  ASSERT_OK(rig.log->Fence());
+  EXPECT_EQ(rig.meter.bytes_written(), written);
+  EXPECT_EQ(rig.Markers(), std::vector<uint32_t>{0});
+  EXPECT_EQ(rig.log->PumpBound(rig.log->stream(0)), UINT32_MAX);
+
+  rig.Crash();
+  EXPECT_EQ(rig.log->discard_frontier(), UINT32_MAX);
+  EXPECT_EQ(rig.log->stream(0).slb->committed_backlog_records(), 4u);
+}
+
+/// Several streams: epoch = max(now / interval + 1, last stamped), so
+/// commits from workers whose clocks lag never lower it, and the csn
+/// strictly increases across streams. User commits leave the markers
+/// behind; the fence moves every marker to the stamp high-water, and a
+/// non-user commit fences on the spot.
+TEST(LogStreamsLedgerTest, StampsOrderCommitsAcrossStreams) {
+  StreamsRig rig(3);
+  const uint64_t interval = rig.opts.epoch_interval_ns;
+  const uint64_t times[] = {250'000, 120'000, 900'000, 400'000, 50'000};
+  LogStreams::Stamp prev;
+  for (uint32_t i = 0; i < 5; ++i) {
+    SCOPED_TRACE("commit " + std::to_string(i));
+    ASSERT_OK_AND_ASSIGN(LogStreams::Stamp st, rig.CommitOne(i % 3, times[i]));
+    EXPECT_EQ(st.epoch, std::max<uint32_t>(
+                            static_cast<uint32_t>(times[i] / interval) + 1,
+                            prev.epoch));
+    EXPECT_GE(st.epoch, prev.epoch);
+    EXPECT_GT(st.csn, prev.csn);
+    EXPECT_EQ(rig.log->last_commit().epoch, st.epoch);
+    EXPECT_EQ(rig.log->last_commit().csn, st.csn);
+    EXPECT_EQ(rig.log->last_csn(), st.csn);
+    prev = st;
+  }
+  EXPECT_EQ(prev.epoch, 10u);
+  EXPECT_EQ(rig.Markers(), (std::vector<uint32_t>{0, 0, 0}));
+  ASSERT_OK(rig.log->Fence());
+  EXPECT_EQ(rig.Markers(), (std::vector<uint32_t>{10, 10, 10}));
+  for (uint32_t s = 0; s < 3; ++s) {
+    EXPECT_EQ(rig.log->PumpBound(rig.log->stream(s)), 10u);
+  }
+
+  ASSERT_OK_AND_ASSIGN(LogStreams::Stamp sys,
+                       rig.CommitOne(1, 1'300'000, TxnKind::kSystem));
+  EXPECT_EQ(sys.epoch, 14u);
+  EXPECT_EQ(rig.Markers(), (std::vector<uint32_t>{14, 14, 14}));
+}
+
+/// The discard frontier: a crash inside a fence latches the minimum
+/// marker, and every stream drops its commits stamped past it. Later
+/// crashes keep that frontier even once the markers have moved past it,
+/// until a completed restart retires it.
+TEST(LogStreamsLedgerTest, CrashLatchesTheFrontierUntilRestartRetiresIt) {
+  StreamsRig rig(3);
+  ASSERT_OK_AND_ASSIGN(LogStreams::Stamp first, rig.CommitOne(0, 100'000));
+  ASSERT_OK(rig.log->Fence());
+  ASSERT_OK_AND_ASSIGN(LogStreams::Stamp second, rig.CommitOne(1, 500'000));
+  ASSERT_EQ(first.epoch, 2u);
+  ASSERT_EQ(second.epoch, 6u);
+
+  // The crash lands on stream 1's marker write: only stream 0 has
+  // acknowledged epoch 6.
+  rig.CrashAtCharge(2);
+  EXPECT_TRUE(rig.log->Fence().IsFault());
+  EXPECT_EQ(rig.Markers(), (std::vector<uint32_t>{6, 2, 2}));
+  rig.Crash();
+  EXPECT_EQ(rig.log->discard_frontier(), 2u);
+  EXPECT_EQ(rig.log->stream(0).slb->committed_backlog_records(), 1u);
+  EXPECT_EQ(rig.log->stream(1).slb->committed_backlog_records(), 0u);
+
+  // A crash inside the restart's closing fence keeps the first frontier.
+  rig.CrashAtCharge(2);
+  EXPECT_TRUE(rig.log->RetireFrontier().IsFault());
+  EXPECT_EQ(rig.Markers(), (std::vector<uint32_t>{6, 6, 2}));
+  rig.Crash();
+  EXPECT_EQ(rig.log->discard_frontier(), 2u);
+
+  // So does a crash after every marker has passed the frontier.
+  for (uint32_t s = 0; s < 3; ++s) rig.log->stream(s).flushed_epoch = 6;
+  rig.Crash();
+  EXPECT_EQ(rig.log->discard_frontier(), 2u);
+
+  // A restart that completes retires it.
+  rig.fault.Disarm();
+  ASSERT_OK(rig.log->RetireFrontier());
+  EXPECT_EQ(rig.log->discard_frontier(), UINT32_MAX);
+  EXPECT_EQ(rig.Markers(), (std::vector<uint32_t>{6, 6, 6}));
+}
+
+/// A partition gets one bin index on every stream. When a later stream
+/// cannot fit the info block, the earlier streams give theirs back, so
+/// the bin tables never disagree.
+TEST(LogStreamsBinTest, FailedRegistrationLeavesNoStreamHoldingABin) {
+  StreamsRig rig(3);
+  const uint32_t info_block = 50;
+  const uint64_t ballast = rig.meter.capacity_bytes() -
+                           rig.meter.allocated_bytes() - info_block;
+  rig.meter.Allocate(ballast);
+  const PartitionId pid{7, 0};
+  auto failed = rig.log->RegisterPartition(pid);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_TRUE(failed.status().IsFull()) << failed.status().ToString();
+  for (uint32_t s = 0; s < 3; ++s) {
+    EXPECT_FALSE(rig.log->stream(s).slt->FindBin(pid).ok()) << "stream " << s;
+  }
+
+  rig.meter.Release(ballast);
+  for (PartitionId p : {pid, PartitionId{7, 1}}) {
+    ASSERT_OK_AND_ASSIGN(uint32_t bin, rig.log->RegisterPartition(p));
+    for (uint32_t s = 0; s < 3; ++s) {
+      ASSERT_OK_AND_ASSIGN(uint32_t got, rig.log->stream(s).slt->FindBin(p));
+      EXPECT_EQ(got, bin) << "stream " << s;
+    }
+  }
 }
 
 }  // namespace

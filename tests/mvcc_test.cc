@@ -168,6 +168,22 @@ TEST(MvccTest, ReadOnlyTransactionsRejectWrites) {
   ASSERT_OK(rig.db->Commit(ro));
 }
 
+// Aborting a snapshot reader ends its snapshot and appends its abort to
+// the audit trail; the transaction is freed when it finishes, so the
+// abort must not read it afterwards (an ASan build checks that).
+TEST(MvccTest, AbortedSnapshotReaderIsAudited) {
+  Rig rig;
+  ASSERT_OK(rig.Setup());
+  ASSERT_OK_AND_ASSIGN(Transaction * ro, rig.BeginSnapshot());
+  const uint64_t id = ro->id();
+  ASSERT_OK(rig.db->Read(ro, "r", rig.addrs.at(0)).status());
+  ASSERT_OK(rig.db->Abort(ro));
+  std::vector<AuditRecord> recent = rig.db->audit_log().Recent(1);
+  ASSERT_EQ(recent.size(), 1u);
+  EXPECT_EQ(recent[0].txn_id, id);
+  EXPECT_EQ(recent[0].kind, AuditKind::kAbort);
+}
+
 TEST(MvccTest, OnDemandRecoveryServesSnapshotReadersMidRestart) {
   // Committed state, then a crash recovered under the on-demand policy:
   // a read-only snapshot scan issued before the background sweep has

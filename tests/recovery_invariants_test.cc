@@ -68,7 +68,7 @@ TEST_F(RecoveryInvariantsTest, RecoveredTTreeSatisfiesAllInvariants) {
 
   // Validate the recovered T-Tree's structural invariants directly.
   ASSERT_OK_AND_ASSIGN(auto* idx, db_.catalog().GetIndex("r_id"));
-  TxnEntityStore store(&db_, nullptr);
+  Database::TxnEntityStore store(&db_, nullptr);
   ASSERT_OK_AND_ASSIGN(TTree tree, TTree::Attach(store, idx->segment));
   ASSERT_OK(tree.CheckInvariants(store));
 
@@ -96,7 +96,7 @@ TEST_F(RecoveryInvariantsTest, RecoveredHashSatisfiesAllInvariants) {
   ASSERT_OK(db_.RecoverRelation("r"));
 
   ASSERT_OK_AND_ASSIGN(auto* idx, db_.catalog().GetIndex("r_id"));
-  TxnEntityStore store(&db_, nullptr);
+  Database::TxnEntityStore store(&db_, nullptr);
   ASSERT_OK_AND_ASSIGN(LinearHash hash,
                        LinearHash::Attach(store, idx->segment));
   ASSERT_OK(hash.CheckInvariants(store));

@@ -433,7 +433,7 @@ TEST_P(BulkBuildRecoveryTest, BulkBuiltIndexSurvivesCrash) {
   // The restored index still holds its invariants (a hash's chain order
   // included) and every entry.
   ASSERT_OK_AND_ASSIGN(auto* idx, db.catalog().GetIndex("by_id"));
-  TxnEntityStore store(&db, nullptr);
+  Database::TxnEntityStore store(&db, nullptr);
   auto expect_intact = [&](const auto& index) {
     EXPECT_OK(index.CheckInvariants(store));
     ASSERT_OK_AND_ASSIGN(size_t n, index.Size(store));
