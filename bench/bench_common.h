@@ -17,13 +17,17 @@
 #include "log/log_record.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
+#include "util/logging.h"
 #include "util/random.h"
 
 namespace mmdb::bench {
 
-/// A synthetic log record whose serialized size is exactly `bytes`
-/// (>= the 27-byte kInsert envelope). Used to drive the sort process at
-/// controlled record sizes.
+/// A synthetic kInsert log record whose serialized size is exactly
+/// `bytes`. Its varint header depends on `txn`, `bin` and `slot`, and its
+/// length field grows a byte at 128 image bytes; a size no image length
+/// reaches, or one below the empty record's, aborts rather than drive
+/// the sort process at a size nobody asked for. Used to drive the sort
+/// process at controlled record sizes.
 inline LogRecord SyntheticRecord(uint64_t txn, PartitionId pid, uint32_t bin,
                                  uint32_t slot, size_t bytes) {
   LogRecord r;
@@ -32,8 +36,11 @@ inline LogRecord SyntheticRecord(uint64_t txn, PartitionId pid, uint32_t bin,
   r.txn_id = txn;
   r.partition = pid;
   r.slot = slot;
-  size_t envelope = r.SerializedSize();  // header + length field
-  if (bytes > envelope) r.data.assign(bytes - envelope, 0xAB);
+  const size_t envelope = r.SerializedSize();  // header + length field
+  MMDB_CHECK(bytes >= envelope);
+  r.data.assign(bytes - envelope, 0xAB);
+  if (r.SerializedSize() > bytes) r.data.pop_back();
+  MMDB_CHECK(r.SerializedSize() == bytes);
   return r;
 }
 

@@ -7,13 +7,16 @@
 // copy costs dominate) and rises slightly with page size (page-write
 // costs amortize over more records).
 
+#include <array>
+#include <iterator>
+
 #include "analysis/model.h"
 #include "bench_common.h"
 
 namespace mmdb::bench {
 namespace {
 
-const size_t kRecordSizes[] = {28, 32, 40, 48, 64, 96, 128};
+const size_t kRecordSizes[] = {16, 20, 24, 28, 32, 40, 48, 64, 96, 128};
 const uint32_t kPageSizes[] = {4096, 8192, 16384};
 
 bool PrintGraph1() {
@@ -26,9 +29,13 @@ bool PrintGraph1() {
     std::printf("  model@%-6u meas@%-6u", page, page);
   }
   std::printf("\n");
+  constexpr size_t kPages = std::size(kPageSizes);
+  std::vector<std::array<double, kPages>> measured_at;
   for (size_t rec : kRecordSizes) {
     std::printf("%10zu", rec);
-    for (uint32_t page : kPageSizes) {
+    measured_at.emplace_back();
+    for (size_t pi = 0; pi < kPages; ++pi) {
+      const uint32_t page = kPageSizes[pi];
       analysis::Table2 t;
       t.s_log_record = static_cast<double>(rec);
       t.s_log_page = static_cast<double>(page);
@@ -40,6 +47,7 @@ bool PrintGraph1() {
         return false;
       }
       double measured = rig.RecordsPerSecond();
+      measured_at.back()[pi] = measured;
       std::printf("  %11.0f %11.0f", t.RRecordsLogged(), measured);
       obs::JsonValue point;
       point["record_bytes"] = static_cast<uint64_t>(rec);
@@ -54,6 +62,17 @@ bool PrintGraph1() {
       "\n(model = paper's analysis; meas = executable sort process on the\n"
       " simulated 1-MIPS recovery CPU. Shape: capacity falls with record\n"
       " size, rises with page size.)\n");
+  for (size_t ri = 0; ri < measured_at.size(); ++ri) {
+    for (size_t pi = 0; pi < kPages; ++pi) {
+      const double m = measured_at[ri][pi];
+      if ((ri > 0 && m >= measured_at[ri - 1][pi]) ||
+          (pi > 0 && m <= measured_at[ri][pi - 1])) {
+        std::printf("ERROR: shape broken at %zu B records, %u B pages\n",
+                    kRecordSizes[ri], kPageSizes[pi]);
+        return false;
+      }
+    }
+  }
 
   // Headline: the paper's environs (24B debit/credit records, 8K pages)
   // via a metrics-attached run, so the registry dump covers one series.

@@ -34,6 +34,14 @@ void PutString(std::vector<uint8_t>* out, const std::string& v) {
   out->insert(out->end(), v.begin(), v.end());
 }
 
+void PutVarint(std::vector<uint8_t>* out, uint64_t v) {
+  while (v >= 0x80) {
+    out->push_back(static_cast<uint8_t>(v | 0x80));
+    v >>= 7;
+  }
+  out->push_back(static_cast<uint8_t>(v));
+}
+
 bool Reader::GetU8(uint8_t* v) {
   if (remaining() < 1) return false;
   *v = data_[pos_++];
@@ -85,6 +93,36 @@ bool Reader::GetString(std::string* v) {
   if (remaining() < len) return false;
   v->assign(reinterpret_cast<const char*>(data_.data() + pos_), len);
   pos_ += len;
+  return true;
+}
+
+bool Reader::GetVarint(uint64_t* v) {
+  uint64_t r = 0;
+  for (int shift = 0; shift < 64; shift += 7) {
+    if (remaining() < 1) return false;
+    const uint8_t b = data_[pos_++];
+    // The tenth byte holds bit 63 alone.
+    if (shift == 63 && b > 1) return false;
+    r |= static_cast<uint64_t>(b & 0x7F) << shift;
+    if ((b & 0x80) == 0) {
+      *v = r;
+      return true;
+    }
+  }
+  return false;
+}
+
+bool Reader::GetVarint(uint32_t* v) {
+  uint64_t r;
+  if (!GetVarint(&r) || r > UINT32_MAX) return false;
+  *v = static_cast<uint32_t>(r);
+  return true;
+}
+
+bool Reader::GetVarint(uint16_t* v) {
+  uint64_t r;
+  if (!GetVarint(&r) || r > UINT16_MAX) return false;
+  *v = static_cast<uint16_t>(r);
   return true;
 }
 

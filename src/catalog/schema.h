@@ -1,6 +1,7 @@
 #ifndef MMDB_CATALOG_SCHEMA_H_
 #define MMDB_CATALOG_SCHEMA_H_
 
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -78,6 +79,23 @@ void PutI64(std::vector<uint8_t>* out, int64_t v);
 void PutBytes(std::vector<uint8_t>* out, std::span<const uint8_t> v);
 void PutString(std::vector<uint8_t>* out, const std::string& v);
 
+/// Unsigned LEB128: seven bits per byte, least significant group first,
+/// the high bit set on every byte but the last. 1 byte below 2^7, at
+/// most 10 for a u64.
+void PutVarint(std::vector<uint8_t>* out, uint64_t v);
+/// Bytes PutVarint writes for `v`: one per started group of seven bits.
+inline size_t VarintSize(uint64_t v) {
+  return (static_cast<size_t>(std::bit_width(v | 1)) + 6) / 7;
+}
+/// Zigzag maps signed to unsigned so small magnitudes stay short:
+/// 0, -1, 1, -2, ... -> 0, 1, 2, 3, ...
+inline uint64_t ZigZag(int64_t v) {
+  return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
+}
+inline int64_t UnZigZag(uint64_t v) {
+  return static_cast<int64_t>((v >> 1) ^ (~(v & 1) + 1));
+}
+
 /// Cursor-style reader; every Get checks bounds and returns false on
 /// truncation so decoders can surface Corruption.
 class Reader {
@@ -90,6 +108,11 @@ class Reader {
   bool GetI64(int64_t* v);
   bool GetBytes(size_t n, std::span<const uint8_t>* v);
   bool GetString(std::string* v);
+  /// Reads a PutVarint value. False when it is truncated, runs past 10
+  /// bytes, or does not fit the destination's type.
+  bool GetVarint(uint64_t* v);
+  bool GetVarint(uint32_t* v);
+  bool GetVarint(uint16_t* v);
   size_t remaining() const { return data_.size() - pos_; }
   size_t pos() const { return pos_; }
 

@@ -64,6 +64,7 @@ void Database::AttachStableObservers() {
   m_ckpt_completed_ = metrics_.counter("checkpoint.completed");
   m_ondemand_count_ = metrics_.counter("recovery.on_demand");
   m_background_count_ = metrics_.counter("recovery.background");
+  m_stale_rebuilds_ = metrics_.counter("recovery.stale_rebuilds");
   m_txn_latency_ns_ =
       metrics_.histogram("txn.latency_ns", obs::Scope::kVolatile);
   m_ckpt_duration_ns_ = metrics_.histogram("checkpoint.duration_ns");

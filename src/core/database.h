@@ -382,7 +382,7 @@ class Database {
   /// descriptor resident and records the progress, metrics and lane span
   /// for `source`. Returns false — dropping the copy — when an on-demand
   /// fault made the partition resident or DDL dropped it while the
-  /// rebuild was in flight.
+  /// rebuild was in flight; `recovery.stale_rebuilds` counts those.
   Result<bool> Install(RebuiltPartition rebuilt, RecoverySource source);
 
   // --- media failure ----------------------------------------------------------
@@ -742,6 +742,7 @@ class Database {
   obs::Counter* m_ckpt_completed_ = nullptr;
   obs::Counter* m_ondemand_count_ = nullptr;
   obs::Counter* m_background_count_ = nullptr;
+  obs::Counter* m_stale_rebuilds_ = nullptr;
   obs::Histogram* m_txn_latency_ns_ = nullptr;
   obs::Histogram* m_ckpt_duration_ns_ = nullptr;
   obs::Histogram* m_ondemand_ns_ = nullptr;

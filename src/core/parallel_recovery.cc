@@ -176,7 +176,10 @@ Result<bool> Database::Install(RebuiltPartition rebuilt,
   // An on-demand fault recovered the partition (or DDL dropped it) while
   // this copy was in flight. The resident copy has seen every update
   // since; this one would be stale, so it is dropped.
-  if (!found.ok() || found.value()->resident) return false;
+  if (!found.ok() || found.value()->resident) {
+    m_stale_rebuilds_->Add(1);
+    return false;
+  }
   MMDB_RETURN_IF_ERROR(v_->pm.InstallRecovered(std::move(rebuilt.part)));
   NoteSpaceFreed();
   found.value()->resident = true;

@@ -60,7 +60,7 @@ Status CrashExplorer::RunScript(Database* db, Ledger* led) {
   // the middle of the stream. There are enough transactions for their
   // small records to fill many log pages, so the sweep has SLB flushes
   // and log disk writes to crash inside.
-  const int kTxns = 48;
+  const int kTxns = 96;
   const int kOpsPerTxn = 4;
   int64_t next_key = 0;
   for (int ti = 0; ti < kTxns; ++ti) {
@@ -188,7 +188,7 @@ Status CrashExplorer::RunConcurrentScript(Database* db, Ledger* led) const {
   // Each script's effect is state-independent (private keys derived from
   // the script index, hot-row values derived from the script index), so
   // commit order alone determines the expected rows.
-  const int kScripts = 12;
+  const int kScripts = 32;
   struct Effect {
     std::map<int64_t, int64_t> ups;
     std::vector<int64_t> dels;

@@ -14,8 +14,8 @@ Status ParseLogStream(std::span<const uint8_t> stream,
   while (r.remaining() > 0) {
     uint32_t epoch = 0;
     uint64_t csn = 0;
-    if (with_epoch && (!r.GetU32(&epoch) || !r.GetU64(&csn))) {
-      return Status::Corruption("truncated epoch frame");
+    if (with_epoch && (!r.GetVarint(&epoch) || !r.GetVarint(&csn))) {
+      return Status::Corruption("malformed epoch frame");
     }
     auto rec = LogRecord::Parse(&r);
     if (!rec.ok()) return rec.status();

@@ -39,8 +39,8 @@ struct ParsedLogPage {
 };
 
 /// Parses a complete record stream (concatenated page payloads). With
-/// `with_epoch` set, every record is preceded by the 12-byte epoch frame
-/// (multi-stream log format) and the parsed records carry epoch/csn.
+/// `with_epoch` set, every record is preceded by its [epoch | csn] varint
+/// frame (multi-stream log format) and the parsed records carry epoch/csn.
 /// `ends`, if given, receives each parsed record's end offset in the
 /// stream (so a caller can tell which page completes which record).
 Status ParseLogStream(std::span<const uint8_t> stream,

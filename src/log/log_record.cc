@@ -8,123 +8,90 @@
 namespace mmdb {
 
 namespace {
-// Common header: op(1) + bin(4) + txn(8) + partition(8) + slot(4).
-constexpr size_t kHeaderSize = 1 + 4 + 8 + 8 + 4;
+
+// Walks a record's fields after its op byte, in wire order: `varint` for
+// each integer field, `bytes` for the payload. SerializedSize and AppendTo
+// both walk it, so the layout is written down once; Parse reads it back.
+//
+//   header             bin | txn | segment | partition number | slot
+//   kInsert, kUpdate   length | image
+//   kPatch             offset | length | span
+//   kNode*             zigzag(key) | segment | number | slot
+template <typename Varint, typename Bytes>
+void WalkFields(const LogRecord& r, Varint&& varint, Bytes&& bytes) {
+  varint(r.bin_index);
+  varint(r.txn_id);
+  varint(r.partition.segment);
+  varint(r.partition.number);
+  varint(r.slot);
+  switch (r.op) {
+    case LogOp::kInsert:
+    case LogOp::kUpdate:
+      varint(r.data.size());
+      bytes(r.data);
+      break;
+    case LogOp::kPatch:
+      varint(r.offset);
+      varint(r.data.size());
+      bytes(r.data);
+      break;
+    case LogOp::kDelete:
+      break;
+    case LogOp::kNodeInsertEntry:
+    case LogOp::kNodeRemoveEntry:
+      varint(wire::ZigZag(r.key));
+      varint(r.child.partition.segment);
+      varint(r.child.partition.number);
+      varint(r.child.slot);
+      break;
+  }
+}
+
 }  // namespace
 
 size_t LogRecord::SerializedSize() const {
-  switch (op) {
-    case LogOp::kInsert:
-    case LogOp::kUpdate:
-      return kHeaderSize + 2 + data.size();
-    case LogOp::kPatch:
-      return kHeaderSize + 2 + 2 + data.size();
-    case LogOp::kDelete:
-      return kHeaderSize;
-    case LogOp::kNodeInsertEntry:
-    case LogOp::kNodeRemoveEntry:
-      return kHeaderSize + 8 + 12;
-  }
-  return kHeaderSize;
+  size_t n = 1;  // op
+  WalkFields(
+      *this, [&n](uint64_t v) { n += wire::VarintSize(v); },
+      [&n](std::span<const uint8_t> b) { n += b.size(); });
+  return n;
 }
 
 void LogRecord::AppendTo(std::vector<uint8_t>* out) const {
+  MMDB_CHECK(offset + data.size() <= 0xFFFF);
   wire::PutU8(out, static_cast<uint8_t>(op));
-  wire::PutU32(out, bin_index);
-  wire::PutU64(out, txn_id);
-  wire::PutU64(out, partition.Pack());
-  wire::PutU32(out, slot);
-  switch (op) {
-    case LogOp::kInsert:
-    case LogOp::kUpdate:
-      MMDB_CHECK(data.size() <= 0xFFFF);
-      wire::PutU16(out, static_cast<uint16_t>(data.size()));
-      wire::PutBytes(out, data);
-      break;
-    case LogOp::kPatch:
-      MMDB_CHECK(offset + data.size() <= 0xFFFF);
-      wire::PutU16(out, offset);
-      wire::PutU16(out, static_cast<uint16_t>(data.size()));
-      wire::PutBytes(out, data);
-      break;
-    case LogOp::kDelete:
-      break;
-    case LogOp::kNodeInsertEntry:
-    case LogOp::kNodeRemoveEntry:
-      wire::PutI64(out, key);
-      node::PutAddr(out, child);
-      break;
-  }
+  WalkFields(
+      *this, [out](uint64_t v) { wire::PutVarint(out, v); },
+      [out](std::span<const uint8_t> b) { wire::PutBytes(out, b); });
 }
 
 void LogRecord::AppendEpochFrame(std::vector<uint8_t>* out) const {
-  wire::PutU32(out, epoch);
-  wire::PutU64(out, csn);
-}
-
-bool LogRecord::PeekSize(std::span<const uint8_t> buf, size_t* size) {
-  if (buf.empty()) return false;
-  switch (static_cast<LogOp>(buf[0])) {
-    case LogOp::kInsert:
-    case LogOp::kUpdate: {
-      if (buf.size() < kHeaderSize + 2) return false;
-      uint16_t len = static_cast<uint16_t>(
-          buf[kHeaderSize] | (buf[kHeaderSize + 1] << 8));
-      *size = kHeaderSize + 2 + len;
-      return true;
-    }
-    case LogOp::kPatch: {
-      if (buf.size() < kHeaderSize + 4) return false;
-      uint16_t len = static_cast<uint16_t>(
-          buf[kHeaderSize + 2] | (buf[kHeaderSize + 3] << 8));
-      *size = kHeaderSize + 4 + len;
-      return true;
-    }
-    case LogOp::kDelete:
-      *size = kHeaderSize;
-      return true;
-    case LogOp::kNodeInsertEntry:
-    case LogOp::kNodeRemoveEntry:
-      *size = kHeaderSize + 8 + 12;
-      return true;
-  }
-  // Unknown op: report the header size so the caller's Parse sees (and
-  // rejects) the same bytes instead of stalling forever.
-  *size = kHeaderSize;
-  return true;
+  wire::PutVarint(out, epoch);
+  wire::PutVarint(out, csn);
 }
 
 Result<LogRecord> LogRecord::Parse(wire::Reader* r) {
   LogRecord rec;
   uint8_t op;
-  uint64_t part;
-  if (!r->GetU8(&op) || !r->GetU32(&rec.bin_index) || !r->GetU64(&rec.txn_id) ||
-      !r->GetU64(&part) || !r->GetU32(&rec.slot)) {
-    return Status::Corruption("truncated log record header");
+  if (!r->GetU8(&op) || !r->GetVarint(&rec.bin_index) ||
+      !r->GetVarint(&rec.txn_id) || !r->GetVarint(&rec.partition.segment) ||
+      !r->GetVarint(&rec.partition.number) || !r->GetVarint(&rec.slot)) {
+    return Status::Corruption("malformed log record header");
   }
   if (op < 1 || op > 6) return Status::Corruption("unknown log op");
   rec.op = static_cast<LogOp>(op);
-  rec.partition = PartitionId::Unpack(part);
   switch (rec.op) {
     case LogOp::kInsert:
-    case LogOp::kUpdate: {
+    case LogOp::kUpdate:
+    case LogOp::kPatch: {
       uint16_t len;
-      if (!r->GetU16(&len)) return Status::Corruption("truncated log record");
+      if ((rec.op == LogOp::kPatch && !r->GetVarint(&rec.offset)) ||
+          !r->GetVarint(&len)) {
+        return Status::Corruption("malformed log record length");
+      }
       std::span<const uint8_t> bytes;
       if (!r->GetBytes(len, &bytes)) {
         return Status::Corruption("truncated log record payload");
-      }
-      rec.data.assign(bytes.begin(), bytes.end());
-      break;
-    }
-    case LogOp::kPatch: {
-      uint16_t len;
-      if (!r->GetU16(&rec.offset) || !r->GetU16(&len)) {
-        return Status::Corruption("truncated patch record");
-      }
-      std::span<const uint8_t> bytes;
-      if (!r->GetBytes(len, &bytes)) {
-        return Status::Corruption("truncated patch record payload");
       }
       rec.data.assign(bytes.begin(), bytes.end());
       break;
@@ -133,11 +100,13 @@ Result<LogRecord> LogRecord::Parse(wire::Reader* r) {
       break;
     case LogOp::kNodeInsertEntry:
     case LogOp::kNodeRemoveEntry: {
-      if (!r->GetI64(&rec.key) || !r->GetU32(&rec.child.partition.segment) ||
-          !r->GetU32(&rec.child.partition.number) ||
-          !r->GetU32(&rec.child.slot)) {
-        return Status::Corruption("truncated index log record");
+      uint64_t key;
+      if (!r->GetVarint(&key) || !r->GetVarint(&rec.child.partition.segment) ||
+          !r->GetVarint(&rec.child.partition.number) ||
+          !r->GetVarint(&rec.child.slot)) {
+        return Status::Corruption("malformed index log record");
       }
+      rec.key = wire::UnZigZag(key);
       break;
     }
   }

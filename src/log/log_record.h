@@ -59,34 +59,24 @@ struct LogRecord {
   /// Commit-epoch stamp (partitioned-log mode, DatabaseOptions::
   /// log_streams > 1): the group-commit epoch the owning transaction
   /// committed in, and its global commit sequence number. Not part of the
-  /// legacy wire format — multi-stream log pages carry both in a 12-byte
-  /// [epoch u32 | csn u64] frame prefix before each record, so the
-  /// single-stream on-disk format stays byte-identical.
+  /// record itself: multi-stream log pages carry both in an
+  /// [epoch | csn] varint frame before each record.
   uint32_t epoch = 0;
   uint64_t csn = 0;
 
-  /// Size of the epoch frame prefix in multi-stream log pages.
-  static constexpr size_t kEpochFrameBytes = 4 + 8;
-
   /// Exact on-wire size in bytes (header + payload), excluding any epoch
-  /// frame prefix.
+  /// frame.
   size_t SerializedSize() const;
 
-  /// Writes the multi-stream epoch frame prefix ([epoch u32 | csn u64]).
+  /// Writes the multi-stream epoch frame ([epoch | csn], two varints).
   void AppendEpochFrame(std::vector<uint8_t>* out) const;
 
   void AppendTo(std::vector<uint8_t>* out) const;
 
-  /// Parses one record at the reader's cursor.
+  /// Parses one record at the reader's cursor. A truncated record, a
+  /// varint longer than 10 bytes, or a value too large for its field
+  /// (u32 ids, u16 lengths and offsets) is Corruption.
   static Result<LogRecord> Parse(wire::Reader* r);
-
-  /// Determines the on-wire size of the record starting at `buf` without
-  /// parsing it. Records are self-delimiting, so a stream arriving one
-  /// log page at a time can be consumed incrementally: returns false when
-  /// `buf` is too short to even hold the size information (the record's
-  /// tail is on a later page), true with `*size` (which may still exceed
-  /// buf.size()) otherwise.
-  static bool PeekSize(std::span<const uint8_t> buf, size_t* size);
 
   std::string ToString() const;
 };

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "index/node_format.h"
 #include "log/log_disk.h"
 #include "log/log_record.h"
 #include "log/slb.h"
@@ -65,6 +66,20 @@ TEST(LogRecordTest, SerializeParseRoundTripAllOps) {
     recs.push_back(r);
   }
   recs.push_back(MakePatch(17, {18, 19}, 20, 21, 300, testing::Bytes({6, 5})));
+  // Every varint at its widest, and both ends of the zigzag key range.
+  for (int64_t key : {INT64_MIN, INT64_MAX}) {
+    LogRecord r;
+    r.op = LogOp::kNodeRemoveEntry;
+    r.bin_index = UINT32_MAX;
+    r.txn_id = UINT64_MAX;
+    r.partition = {UINT32_MAX, UINT32_MAX};
+    r.slot = UINT32_MAX;
+    r.key = key;
+    r.child = EntityAddr{{UINT32_MAX, UINT32_MAX}, UINT32_MAX};
+    recs.push_back(r);
+  }
+  recs.push_back(MakePatch(UINT64_MAX, {0, 0}, 0, 0, 0xFFFF - 2,
+                           testing::Bytes({1, 2})));
 
   std::vector<uint8_t> buf;
   for (const LogRecord& r : recs) {
@@ -89,10 +104,12 @@ TEST(LogRecordTest, SerializeParseRoundTripAllOps) {
 }
 
 TEST(LogRecordTest, PatchIsHeaderPlusOffsetLengthAndSpan) {
+  // The op byte, five one-byte header varints, a one-byte offset and
+  // length, and the span.
   LogRecord r = MakePatch(1, {2, 3}, 4, 5, 7, testing::Bytes({1, 2, 3}));
   std::vector<uint8_t> buf;
   r.AppendTo(&buf);
-  ASSERT_EQ(r.SerializedSize(), 25u + 2 + 2 + 3);
+  ASSERT_EQ(r.SerializedSize(), 1u + 5 + 2 + 3);
   ASSERT_EQ(buf.size(), r.SerializedSize());
   wire::Reader whole(buf);
   ASSERT_OK_AND_ASSIGN(LogRecord got, LogRecord::Parse(&whole));
@@ -100,24 +117,139 @@ TEST(LogRecordTest, PatchIsHeaderPlusOffsetLengthAndSpan) {
   const PartitionId part{2, 3};
   EXPECT_EQ(got.ToString(), "PATCH txn=1 part=" + part.ToString() + " slot=5");
 
-  // PeekSize needs the header and both u16 fields; a buffer that ends
-  // inside the header or the length field defers to the next page.
-  const std::span<const uint8_t> bytes(buf);
-  size_t size = 0;
-  for (size_t cut = 1; cut < 25 + 4; ++cut) {
-    EXPECT_FALSE(LogRecord::PeekSize(bytes.first(cut), &size)) << "cut " << cut;
-  }
-  for (size_t cut = 25 + 4; cut <= buf.size(); ++cut) {
-    ASSERT_TRUE(LogRecord::PeekSize(bytes.first(cut), &size));
-    EXPECT_EQ(size, buf.size());
-  }
-
   // Every proper prefix parses as Corruption.
+  const std::span<const uint8_t> bytes(buf);
   for (size_t cut = 0; cut < buf.size(); ++cut) {
     wire::Reader reader(bytes.first(cut));
     EXPECT_TRUE(LogRecord::Parse(&reader).status().IsCorruption())
         << "cut " << cut;
   }
+}
+
+TEST(WireVarintTest, RoundTripsAtEveryWidth) {
+  std::vector<uint64_t> values = {0, UINT32_MAX, UINT64_MAX};
+  for (int k = 1; k <= 9; ++k) {
+    values.push_back((uint64_t{1} << (7 * k)) - 1);
+    values.push_back(uint64_t{1} << (7 * k));
+  }
+  for (uint64_t v : values) {
+    std::vector<uint8_t> buf;
+    wire::PutVarint(&buf, v);
+    EXPECT_EQ(buf.size(), wire::VarintSize(v)) << v;
+    wire::Reader r(buf);
+    uint64_t got = 0;
+    ASSERT_TRUE(r.GetVarint(&got)) << v;
+    EXPECT_EQ(got, v);
+    EXPECT_EQ(r.remaining(), 0u);
+  }
+  EXPECT_EQ(wire::VarintSize(127), 1u);
+  EXPECT_EQ(wire::VarintSize(128), 2u);
+  EXPECT_EQ(wire::VarintSize(UINT64_MAX), 10u);
+  EXPECT_EQ(wire::ZigZag(0), 0u);
+  EXPECT_EQ(wire::ZigZag(-1), 1u);
+  EXPECT_EQ(wire::ZigZag(1), 2u);
+  for (int64_t v : {int64_t{0}, int64_t{-1}, int64_t{1}, int64_t{-64},
+                    int64_t{64}, INT64_MIN, INT64_MAX}) {
+    EXPECT_EQ(wire::UnZigZag(wire::ZigZag(v)), v);
+  }
+}
+
+// A kPatch record with every integer field given as raw varint bytes, and
+// `payload` zero bytes after them.
+std::vector<uint8_t> RawPatch(std::vector<std::vector<uint8_t>> fields,
+                              size_t payload) {
+  std::vector<uint8_t> out = {static_cast<uint8_t>(LogOp::kPatch)};
+  for (const auto& f : fields) out.insert(out.end(), f.begin(), f.end());
+  out.resize(out.size() + payload, 0);
+  return out;
+}
+
+std::vector<uint8_t> Varint(uint64_t v) {
+  std::vector<uint8_t> out;
+  wire::PutVarint(&out, v);
+  return out;
+}
+
+Status ParseOne(const std::vector<uint8_t>& bytes) {
+  wire::Reader r(bytes);
+  return LogRecord::Parse(&r).status();
+}
+
+TEST(LogRecordTest, MalformedVarintsAreCorruption) {
+  // Fields: bin, txn, segment, partition number, slot, offset, length.
+  const auto fields = [](size_t i, std::vector<uint8_t> v) {
+    std::vector<std::vector<uint8_t>> f = {Varint(1), Varint(2), Varint(3),
+                                           Varint(4), Varint(5), Varint(6),
+                                           Varint(2)};
+    f[i] = std::move(v);
+    return f;
+  };
+  ASSERT_OK(ParseOne(RawPatch(fields(0, Varint(1)), 2)));
+
+  // A varint whose continuation bit runs past the end of the buffer, and
+  // one whose continuation bit swallows the next field, leaving the
+  // record short.
+  EXPECT_TRUE(ParseOne({static_cast<uint8_t>(LogOp::kDelete), 0x81, 0x80})
+                  .IsCorruption());
+  EXPECT_TRUE(ParseOne(RawPatch(fields(4, {0x80}), 0)).IsCorruption());
+
+  // Ten bytes is the widest u64; an eleventh, or a tenth byte above 1,
+  // is Corruption.
+  const std::vector<uint8_t> widest = {0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+                                       0xFF, 0xFF, 0xFF, 0xFF, 0x01};
+  ASSERT_OK(ParseOne(RawPatch(fields(1, widest), 2)));
+  std::vector<uint8_t> eleven(10, 0x80);
+  eleven.push_back(0x00);
+  EXPECT_TRUE(ParseOne(RawPatch(fields(1, eleven), 2)).IsCorruption());
+  std::vector<uint8_t> overflow = widest;
+  overflow.back() = 0x02;
+  EXPECT_TRUE(ParseOne(RawPatch(fields(1, overflow), 2)).IsCorruption());
+
+  // The u32 ids: bin, segment, partition number and slot.
+  for (size_t i : {0, 2, 3, 4}) {
+    SCOPED_TRACE(i);
+    ASSERT_OK(ParseOne(RawPatch(fields(i, Varint(UINT32_MAX)), 2)));
+    EXPECT_TRUE(ParseOne(RawPatch(fields(i, Varint(uint64_t{1} << 32)), 2))
+                    .IsCorruption());
+  }
+  // The u16 offset and length, each with its full payload present.
+  ASSERT_OK(ParseOne(RawPatch(fields(5, Varint(0xFFFF)), 2)));
+  EXPECT_TRUE(
+      ParseOne(RawPatch(fields(5, Varint(0x10000)), 2)).IsCorruption());
+  ASSERT_OK(ParseOne(RawPatch(fields(6, Varint(0xFFFF)), 0xFFFF)));
+  EXPECT_TRUE(ParseOne(RawPatch(fields(6, Varint(0x10000)), 0x10000))
+                  .IsCorruption());
+  // A kInsert's length is the field after the header.
+  std::vector<uint8_t> insert = RawPatch(fields(5, Varint(0x10000)), 0x10000);
+  insert[0] = static_cast<uint8_t>(LogOp::kInsert);
+  EXPECT_TRUE(ParseOne(insert).IsCorruption());
+
+  // An index entry's child address holds u32 ids too.
+  const auto node = [](uint64_t child_slot) {
+    std::vector<uint8_t> out = {
+        static_cast<uint8_t>(LogOp::kNodeInsertEntry)};
+    // Header, zigzag(key), child segment and number.
+    for (uint64_t v : {1, 2, 3, 4, 5, 6, 7, 8}) wire::PutVarint(&out, v);
+    wire::PutVarint(&out, child_slot);
+    return out;
+  };
+  ASSERT_OK(ParseOne(node(UINT32_MAX)));
+  EXPECT_TRUE(ParseOne(node(uint64_t{1} << 32)).IsCorruption());
+
+  // The multi-stream frame: epoch is a u32, csn a u64.
+  std::vector<uint8_t> record;
+  MakeInsert(1, {1, 2}, 3, 4, {}).AppendTo(&record);
+  const auto framed = [&record](std::vector<uint8_t> epoch,
+                                std::vector<uint8_t> csn) {
+    std::vector<uint8_t> s = std::move(epoch);
+    s.insert(s.end(), csn.begin(), csn.end());
+    s.insert(s.end(), record.begin(), record.end());
+    std::vector<LogRecord> out;
+    return ParseLogStream(s, &out, /*with_epoch=*/true);
+  };
+  ASSERT_OK(framed(Varint(UINT32_MAX), widest));
+  EXPECT_TRUE(framed(Varint(uint64_t{1} << 32), Varint(1)).IsCorruption());
+  EXPECT_TRUE(framed(Varint(1), eleven).IsCorruption());
 }
 
 TEST(LogRecordTest, InsertAtAnUnfittableSlotIsFull) {
@@ -168,6 +300,8 @@ TEST(LogRecordTest, MutatedStreamsParseOrReportCorruption) {
   // One record of each op, in the single-stream and the epoch-framed
   // format. Flipping any bits of any byte, or cutting the stream short,
   // yields OK or Corruption — never a crash or an out-of-bounds read.
+  // Every record a damaged stream still yields is applied to a scratch
+  // partition, as recovery would: each apply returns a Status, OK or not.
   std::vector<LogRecord> recs;
   recs.push_back(MakeInsert(1, {1, 2}, 3, 4, testing::FilledBytes(9, 1)));
   recs.push_back(MakeInsert(2, {1, 2}, 3, 5, {}));
@@ -181,6 +315,25 @@ TEST(LogRecordTest, MutatedStreamsParseOrReportCorruption) {
     recs.back().child = EntityAddr{{5, 6}, 8};
   }
   recs.push_back(MakePatch(5, {1, 2}, 3, 4, 3, testing::Bytes({4, 5, 6})));
+
+  // The partition the records were logged against: slot 4 free for the
+  // insert and the patch, entities at 5 and 6 to delete and update, and
+  // an empty hash node at 7 for the entry ops.
+  Partition base({1, 2}, 4096, 0);
+  ASSERT_OK(base.InsertAt(5, testing::FilledBytes(4, 3)));
+  ASSERT_OK(base.InsertAt(6, testing::FilledBytes(12, 4)));
+  node::HashNode bucket;
+  bucket.capacity = 4;
+  ASSERT_OK(base.InsertAt(7, bucket.Serialize()));
+  size_t applied_ok = 0;
+  const auto apply_all = [&](const std::vector<LogRecord>& records) {
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<Partition> scratch,
+                         Partition::FromImage(base.image()));
+    for (const LogRecord& rec : records) {
+      if (ApplyLogRecord(rec, scratch.get()).ok()) ++applied_ok;
+    }
+  };
+
   for (bool with_epoch : {false, true}) {
     SCOPED_TRACE(with_epoch ? "epoch frames" : "single stream");
     std::vector<uint8_t> stream;
@@ -191,6 +344,9 @@ TEST(LogRecordTest, MutatedStreamsParseOrReportCorruption) {
     std::vector<LogRecord> parsed;
     ASSERT_OK(ParseLogStream(stream, &parsed, with_epoch));
     ASSERT_EQ(parsed.size(), recs.size());
+    applied_ok = 0;
+    apply_all(parsed);
+    ASSERT_EQ(applied_ok, recs.size());
     size_t corrupt = 0;
     for (size_t i = 0; i < stream.size(); ++i) {
       for (uint8_t mask : {0x01, 0x04, 0x10, 0x80, 0xFF}) {
@@ -201,11 +357,13 @@ TEST(LogRecordTest, MutatedStreamsParseOrReportCorruption) {
         ASSERT_TRUE(st.ok() || st.IsCorruption())
             << "byte " << i << " mask " << int{mask} << ": " << st.ToString();
         if (!st.ok()) ++corrupt;
+        apply_all(parsed);
       }
       parsed.clear();
       Status st = ParseLogStream(std::span<const uint8_t>(stream).first(i),
                                  &parsed, with_epoch);
       ASSERT_TRUE(st.ok() || st.IsCorruption()) << "cut " << i;
+      apply_all(parsed);
     }
     EXPECT_GT(corrupt, 0u);
   }

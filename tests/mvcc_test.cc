@@ -139,7 +139,12 @@ TEST(MvccTest, SnapshotBeforeAPatchedUpdateSeesThePreImage) {
   ASSERT_OK_AND_ASSIGN(Transaction * reader, rig.BeginSnapshot());
   ASSERT_OK_AND_ASSIGN(Transaction * w, rig.db->Begin());
   ASSERT_OK(rig.db->Update(w, "r", rig.addrs.at(3), Tuple{3, 301}));
-  EXPECT_EQ(w->redo_bytes(), 25u + 4 + 1);
+  ASSERT_OK_AND_ASSIGN(Partition * part,
+                       rig.db->partitions().Get(rig.addrs.at(3).partition));
+  EXPECT_EQ(w->redo_bytes(),
+            testing::RedoSize(LogOp::kPatch, w->id(), *part,
+                              rig.addrs.at(3).slot, /*offset=*/8,
+                              /*payload=*/1));
   ASSERT_OK_AND_ASSIGN(auto row, rig.db->Read(reader, "r", rig.addrs.at(3)));
   EXPECT_EQ(row, (Tuple{3, 300}));
   ASSERT_OK(rig.db->Commit(w));

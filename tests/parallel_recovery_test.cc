@@ -278,11 +278,16 @@ TEST(ParallelRecoveryTest, InstallDropsCopyMadeStaleByOnDemandFault) {
   ASSERT_OK(db.Commit(t.value()));
   ASSERT_OK_AND_ASSIGN(Partition * faulted, db.partitions().Get(item.pid));
 
-  // The rebuilt copy predates the update: Install must drop it.
+  // The rebuilt copy predates the update: Install must drop it, and
+  // counts the wasted rebuild.
+  const uint64_t stale_before =
+      db.metrics().counter_value("recovery.stale_rebuilds");
   ASSERT_OK_AND_ASSIGN(
       bool installed,
       db.Install(std::move(rebuilt), RecoverySource::kBackground));
   EXPECT_FALSE(installed);
+  EXPECT_EQ(db.metrics().counter_value("recovery.stale_rebuilds"),
+            stale_before + 1);
   ASSERT_OK_AND_ASSIGN(Partition * resident, db.partitions().Get(item.pid));
   EXPECT_EQ(resident, faulted);
   auto t2 = db.Begin();

@@ -594,7 +594,11 @@ TEST_P(PatchRecoveryTest, CrashAfterPatchedUpdatesRebuildsTheSameBytes) {
     // A one-letter owner change touches no index: one record, one byte.
     ASSERT_OK(db.Update(t, "acct", hits[0],
                         Account(7, 70, round % 2 == 0 ? "v" : "u")));
-    EXPECT_EQ(t->redo_bytes(), 25u + 4 + 1);
+    ASSERT_OK_AND_ASSIGN(Partition * part,
+                         db.partitions().Get(hits[0].partition));
+    EXPECT_EQ(t->redo_bytes(),
+              testing::RedoSize(LogOp::kPatch, t->id(), *part, hits[0].slot,
+                                /*offset=*/20, /*payload=*/1));
     // Balance bumps also move their keys in the T-tree.
     for (int k = 100 + round; k < 600; k += 37) {
       ASSERT_OK_AND_ASSIGN(auto h, db.IndexLookup(t, "by_id", k));
@@ -645,7 +649,9 @@ TEST_F(RecoveryTest, LengthChangingUpdateLogsTheFullImageAndSurvivesRestart) {
   ASSERT_OK_AND_ASSIGN(auto* rel, db_.catalog().GetRelation("acct"));
   ASSERT_OK_AND_ASSIGN(auto image, rel->schema.Encode(longer));
   ASSERT_OK(db_.Update(t, "acct", addr, longer));
-  EXPECT_EQ(t->redo_bytes(), 25u + 2 + image.size());  // a kUpdate
+  ASSERT_OK_AND_ASSIGN(Partition * part, db_.partitions().Get(addr.partition));
+  EXPECT_EQ(t->redo_bytes(), testing::RedoSize(LogOp::kUpdate, t->id(), *part,
+                                               addr.slot, 0, image.size()));
   ASSERT_OK(db_.Commit(t));
   rows[id] = longer;
 

@@ -7,6 +7,7 @@
 #include <span>
 #include <vector>
 
+#include "log/log_record.h"
 #include "storage/entity_store.h"
 #include "storage/partition_manager.h"
 #include "util/status.h"
@@ -134,6 +135,22 @@ inline std::vector<uint8_t> Bytes(std::initializer_list<int> xs) {
   std::vector<uint8_t> out;
   for (int x : xs) out.push_back(static_cast<uint8_t>(x));
   return out;
+}
+
+/// On-wire size of the `op` REDO record transaction `txn_id` logs against
+/// `slot` of `p` with a `payload`-byte image or span: the record's varint
+/// header depends on those ids.
+inline size_t RedoSize(LogOp op, uint64_t txn_id, const Partition& p,
+                       uint32_t slot, uint16_t offset, size_t payload) {
+  LogRecord r;
+  r.op = op;
+  r.bin_index = p.bin_index();
+  r.txn_id = txn_id;
+  r.partition = p.id();
+  r.slot = slot;
+  r.offset = offset;
+  r.data.resize(payload);
+  return r.SerializedSize();
 }
 
 inline std::vector<uint8_t> FilledBytes(size_t n, uint8_t seed) {
