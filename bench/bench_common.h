@@ -44,76 +44,39 @@ inline LogRecord SyntheticRecord(uint64_t txn, PartitionId pid, uint32_t bin,
   return r;
 }
 
-/// A harness around the recovery-CPU components alone (SLB -> sort ->
-/// SLT -> log disk), for logging-capacity measurements without the full
-/// database on top.
+/// One log stream on its own (SLB -> sort -> SLT -> log disk), for
+/// logging-capacity measurements without the full database on top.
+/// `metrics`, when given, receives the stream's series.
 class LoggingRig {
  public:
-  /// All knobs in one place; `costs` is derived from the sizing fields
-  /// before RecoveryManager copies it (it takes Config by value at
-  /// construction, so post-hoc fixes never reach the sort process).
-  struct Config {
-    uint32_t page_bytes = 8 * 1024;
-    uint64_t n_update = 1000;
-    uint64_t window_pages = 1ull << 30;
-    uint64_t grace_pages = 64;
-    uint64_t stable_memory_bytes = 256ull << 20;
-    uint32_t slb_block_bytes = 2048;
-    uint64_t slb_capacity_bytes = 64ull << 20;
-    uint32_t directory_entries = 8;
-    uint32_t max_bins = 50;
-    double recovery_mips = 1.0;
-    analysis::Table2 costs;  // derived sizes overwritten by Derive()
-  };
-
-  explicit LoggingRig(Config cfg)
-      : cfg_(Derive(cfg)),
-        meter_(cfg_.stable_memory_bytes),
-        slb_({cfg_.slb_block_bytes, cfg_.slb_capacity_bytes}, &meter_),
-        slt_({cfg_.directory_entries, cfg_.max_bins, cfg_.page_bytes},
-             &meter_),
-        disks_("log", MakeParams(cfg_.page_bytes)),
-        writer_({cfg_.page_bytes, cfg_.window_pages, cfg_.grace_pages},
-                &disks_),
-        cpu_("recovery", cfg_.recovery_mips),
-        recovery_({cfg_.costs, cfg_.n_update}, &slb_, &slt_, &writer_,
-                  &cpu_) {}
-
-  /// Positional form kept for the table/figure benches.
   LoggingRig(uint32_t page_bytes, uint64_t n_update,
-             uint64_t window_pages = 1ull << 30)
-      : LoggingRig(MakeConfig(page_bytes, n_update, window_pages)) {}
-
-  /// Registers the rig's components (SLB, SLT, log disk, sort process)
-  /// with `reg` so a bench can dump them into its BENCH_<name>.json.
-  void AttachMetrics(obs::MetricsRegistry* reg) {
-    slb_.AttachMetrics(reg);
-    slt_.AttachMetrics(reg);
-    disks_.AttachMetrics(reg);
-    writer_.AttachMetrics(reg);
-    recovery_.AttachMetrics(reg);
-  }
+             obs::MetricsRegistry* metrics = nullptr)
+      : opts_(Options(page_bytes, n_update)),
+        meter_(opts_.stable_memory_bytes),
+        cpu_("recovery", opts_.recovery_cpu_mips),
+        stream_(opts_, 0, &meter_, &cpu_, nullptr, metrics) {}
 
   /// Feeds `n` committed records of `record_bytes` each, spread over
   /// `partitions` bins, and drains the sort process.
   Status Run(uint64_t n, size_t record_bytes, uint32_t partitions) {
+    std::vector<uint32_t> bins;
     for (uint32_t p = 0; p < partitions; ++p) {
-      auto bin = slt_.RegisterPartition({1, p});
+      auto bin = stream_.slt().RegisterPartition({1, p});
       if (!bin.ok()) return bin.status();
-      bins_.push_back(bin.value());
+      bins.push_back(bin.value());
     }
     uint64_t txn = 1;
     const uint64_t batch = 64;
     for (uint64_t i = 0; i < n;) {
       for (uint64_t k = 0; k < batch && i < n; ++k, ++i) {
         uint32_t p = static_cast<uint32_t>(i % partitions);
-        MMDB_RETURN_IF_ERROR(slb_.Append(
-            txn, SyntheticRecord(txn, {1, p}, bins_[p],
+        MMDB_RETURN_IF_ERROR(stream_.slb().Append(
+            txn, SyntheticRecord(txn, {1, p}, bins[p],
                                  static_cast<uint32_t>(i), record_bytes)));
       }
-      MMDB_RETURN_IF_ERROR(slb_.Commit(txn));
+      MMDB_RETURN_IF_ERROR(stream_.slb().Commit(txn));
       ++txn;
-      MMDB_RETURN_IF_ERROR(recovery_.Drain(0));
+      MMDB_RETURN_IF_ERROR(stream_.Drain(0));
     }
     return Status::OK();
   }
@@ -121,7 +84,7 @@ class LoggingRig {
   /// Measured sort throughput in records/second of recovery-CPU time.
   double RecordsPerSecond() const {
     double seconds = cpu_.total_instructions() / 1e6;  // 1 MIPS
-    return seconds > 0 ? static_cast<double>(recovery_.records_sorted()) /
+    return seconds > 0 ? static_cast<double>(stream_.records_sorted()) /
                              seconds
                        : 0.0;
   }
@@ -129,43 +92,20 @@ class LoggingRig {
     return RecordsPerSecond() * static_cast<double>(record_bytes);
   }
 
-  RecoveryManager& recovery() { return recovery_; }
-  StableLogBuffer& slb() { return slb_; }
-  sim::CpuModel& cpu() { return cpu_; }
-  const Config& config() const { return cfg_; }
-
  private:
-  static sim::DiskParams MakeParams(uint32_t page_bytes) {
-    sim::DiskParams p;
-    p.page_size_bytes = page_bytes;
-    return p;
-  }
-  /// Mirrors the Database constructor: Table2's derived sizes follow the
-  /// configured geometry, so the sort process charges costs consistent
-  /// with the page size it actually writes.
-  static Config Derive(Config cfg) {
-    cfg.costs.s_log_page = static_cast<double>(cfg.page_bytes);
-    cfg.costs.n_update = static_cast<double>(cfg.n_update);
-    return cfg;
-  }
-  static Config MakeConfig(uint32_t page_bytes, uint64_t n_update,
-                           uint64_t window_pages) {
-    Config cfg;
-    cfg.page_bytes = page_bytes;
-    cfg.n_update = n_update;
-    cfg.window_pages = window_pages;
-    return cfg;
+  static DatabaseOptions Options(uint32_t page_bytes, uint64_t n_update) {
+    DatabaseOptions o;
+    o.log_page_bytes = page_bytes;
+    o.n_update = n_update;
+    o.stable_memory_bytes = 256ull << 20;
+    o.slb_capacity_bytes = 64ull << 20;
+    return o;
   }
 
-  Config cfg_;
+  DatabaseOptions opts_;
   sim::StableMemoryMeter meter_;
-  StableLogBuffer slb_;
-  StableLogTail slt_;
-  sim::DuplexedDisk disks_;
-  LogDiskWriter writer_;
   sim::CpuModel cpu_;
-  RecoveryManager recovery_;
-  std::vector<uint32_t> bins_;
+  LogStream stream_;
 };
 
 inline Schema AccountSchema() {

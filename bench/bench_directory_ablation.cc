@@ -13,39 +13,31 @@
 
 #include "analysis/model.h"
 #include "bench_common.h"
-#include "log/log_disk.h"
-#include "log/slt.h"
 
 namespace mmdb::bench {
 namespace {
 
+/// One log stream with 2 KB pages and an N-entry directory.
 struct Rig {
   explicit Rig(uint32_t dir_entries)
-      : meter(64ull << 20),
-        slt({dir_entries, 50, 2048}, &meter),
-        disks("log", MakeParams()),
-        writer({2048, 1ull << 30, 16}, &disks),
-        cpu("recovery", 1.0),
-        recovery({analysis::Table2{}, 1ull << 40}, &slb_dummy(), &slt,
-                 &writer, &cpu) {}
+      : opts(Options(dir_entries)),
+        meter(opts.stable_memory_bytes),
+        cpu("recovery", opts.recovery_cpu_mips),
+        stream(opts, 0, &meter, &cpu) {}
 
-  static sim::DiskParams MakeParams() {
-    sim::DiskParams p;
-    p.page_size_bytes = 2048;
-    return p;
-  }
-  StableLogBuffer& slb_dummy() {
-    static sim::StableMemoryMeter m(1 << 20);
-    static StableLogBuffer slb({2048, 1 << 20}, &m);
-    return slb;
+  static DatabaseOptions Options(uint32_t dir_entries) {
+    DatabaseOptions o;
+    o.log_page_bytes = 2048;
+    o.directory_entries = dir_entries;
+    o.grace_pages = 16;
+    o.stable_memory_bytes = 64ull << 20;
+    return o;
   }
 
+  DatabaseOptions opts;
   sim::StableMemoryMeter meter;
-  StableLogTail slt;
-  sim::DuplexedDisk disks;
-  LogDiskWriter writer;
   sim::CpuModel cpu;
-  RecoveryManager recovery;
+  LogStream stream;
 };
 
 bool PrintAblation() {
@@ -60,13 +52,13 @@ bool PrintAblation() {
   for (uint32_t dir_n : {4u, 8u, 16u}) {
     for (uint32_t pages : {4u, 16u, 64u, 256u}) {
       Rig rig(dir_n);
-      auto bin_r = rig.slt.RegisterPartition({1, 0});
+      auto bin_r = rig.stream.slt().RegisterPartition({1, 0});
       if (!bin_r.ok()) {
         std::printf("ERROR: %s\n", bin_r.status().ToString().c_str());
         return false;
       }
       uint32_t bin_idx = bin_r.value();
-      auto bin = rig.slt.bin(bin_idx).value();
+      auto bin = rig.stream.slt().bin(bin_idx).value();
       uint64_t done = 0;
       for (uint32_t p = 0; p < pages; ++p) {
         LogRecord r = SyntheticRecord(1, {1, 0}, bin_idx, p, 40);
@@ -74,7 +66,7 @@ bool PrintAblation() {
         r.AppendTo(&bytes);
         bin->active_page = bytes;
         bin->active_records = 1;
-        auto lsn = rig.writer.FlushBinPage(bin, dir_n, done, &done);
+        auto lsn = rig.stream.writer().FlushBinPage(bin, dir_n, done, &done);
         if (!lsn.ok()) {
           std::printf("ERROR: %s\n", lsn.status().ToString().c_str());
           return false;
@@ -86,8 +78,8 @@ bool PrintAblation() {
       // Start the walk once the log disk is idle (post-crash), not queued
       // behind the setup writes.
       uint64_t t_start = done;
-      Status st = rig.recovery.CollectPageList(bin_idx, t_start, &lsns,
-                                               &backward, &t_done);
+      Status st = rig.stream.CollectPageList(bin_idx, t_start, &lsns,
+                                             &backward, &t_done);
       if (!st.ok()) {
         std::printf("ERROR: %s\n", st.ToString().c_str());
         return false;

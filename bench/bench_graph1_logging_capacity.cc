@@ -77,8 +77,7 @@ bool PrintGraph1() {
   // Headline: the paper's environs (24B debit/credit records, 8K pages)
   // via a metrics-attached run, so the registry dump covers one series.
   obs::MetricsRegistry reg;
-  LoggingRig rig(8192, 1000);
-  rig.AttachMetrics(&reg);
+  LoggingRig rig(8192, 1000, &reg);
   Status st = rig.Run(30000, 24, 16);
   if (!st.ok()) {
     std::printf("ERROR: headline run: %s\n", st.ToString().c_str());

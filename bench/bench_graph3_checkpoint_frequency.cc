@@ -40,6 +40,9 @@ void PrintAnalyticFamily() {
   }
 }
 
+// One hot relation and 11 cold ones.
+constexpr int kRelations = 12;
+
 struct MeasuredPoint {
   uint64_t window_pages;
   const char* label;
@@ -47,7 +50,7 @@ struct MeasuredPoint {
 
 bool PrintMeasured() {
   std::printf(
-      "\nMeasured (executable system, 48KB partitions, 8KB log pages,\n"
+      "\nMeasured (executable system, 48KB partitions, 4KB log pages,\n"
       "N_update=400; one hot relation floods the log while 11 cold\n"
       "relations trickle — cold partitions age out of small windows):\n");
   std::printf("%16s %12s %12s %12s %14s\n", "window(pages)", "ckpts",
@@ -55,6 +58,7 @@ bool PrintMeasured() {
   obs::BenchReport report("graph3_checkpoint_frequency");
   obs::JsonValue series;
   bool ok = true;
+  std::vector<uint64_t> age_checkpoints;  // per window, widest first
   const MeasuredPoint points[] = {
       {1ull << 30, "infinite"},
       {256, "256"},
@@ -64,11 +68,11 @@ bool PrintMeasured() {
   for (const MeasuredPoint& pt : points) {
     DatabaseOptions o;
     o.n_update = 400;
+    o.log_page_bytes = 4 * 1024;
     o.log_window_pages = pt.window_pages;
     o.grace_pages = 8;
     Database db(o);
     Status st = Status::OK();
-    const int kRelations = 12;
     for (int r = 0; r < kRelations && st.ok(); ++r) {
       st = Populate(&db, "rel" + std::to_string(r), 120);
     }
@@ -88,11 +92,19 @@ bool PrintMeasured() {
       return db.Update(t, "rel" + std::to_string(r), a,
                        Tuple{v, v, int64_t{0}});
     };
-    // Phase 1: give each cold relation enough updates for 1-2 on-disk
-    // log pages (so they sit on the First-LSN list) but fewer than
-    // N_update.
+    // Phase 1: each cold relation takes updates until it has written one
+    // log page, so it sits on the First-LSN list, and stops well short of
+    // N_update. Sized in pages, not updates: how many updates fill a page
+    // depends on the record encoding.
     for (int r = 1; r < kRelations && st.ok(); ++r) {
-      for (int i = 0; i < 150 && st.ok(); i += 5) {
+      const uint64_t first_lsn = db.log_writer().next_lsn();
+      for (int i = 0; st.ok() && db.log_writer().next_lsn() == first_lsn;
+           i += 5) {
+        if (i >= static_cast<int>(o.n_update) / 2) {
+          st = Status::Full("rel" + std::to_string(r) +
+                            " wrote no log page in N_update/2 updates");
+          break;
+        }
         auto txn = db.Begin();
         if (!txn.ok()) { st = txn.status(); break; }
         for (int k = 0; k < 5 && st.ok(); ++k) {
@@ -140,6 +152,19 @@ bool PrintMeasured() {
     report.AddRegistry(db.metrics());
     report.Headline("ckpt_per_vsec_tightest_window", freq);
     report.Headline("age_checkpoints_tightest_window", s.checkpoints_age);
+    age_checkpoints.push_back(s.checkpoints_age);
+  }
+  // Shape gate: age checkpoints never fall as the window shrinks, and in
+  // the tightest window every cold relation ages out (more than in the
+  // infinite one).
+  bool rises = ok && age_checkpoints.back() > age_checkpoints.front() &&
+               age_checkpoints.back() >= kRelations - 1;
+  for (size_t i = 1; rises && i < age_checkpoints.size(); ++i) {
+    rises = age_checkpoints[i] >= age_checkpoints[i - 1];
+  }
+  if (ok && !rises) {
+    std::printf("ERROR: age checkpoints do not rise as the window shrinks\n");
+    ok = false;
   }
   report.Set("series", std::move(series));
   (void)report.Write();

@@ -20,8 +20,7 @@ bool PrintTable2() {
   // compare the measured record rate against the calculated row.
   analysis::Table2 t;
   obs::MetricsRegistry reg;
-  LoggingRig rig(/*page_bytes=*/8192, /*n_update=*/1000);
-  rig.AttachMetrics(&reg);
+  LoggingRig rig(/*page_bytes=*/8192, /*n_update=*/1000, &reg);
   Status st = rig.Run(/*n=*/60000, /*record_bytes=*/24, /*partitions=*/16);
   std::printf("\n  measured cross-check (60k records, 24 B, 16 partitions)\n");
   if (!st.ok()) {

@@ -17,7 +17,6 @@ Database::Database(DatabaseOptions opts)
   MMDB_CHECK(opts_.log_streams <= 1 || opts_.epoch_interval_ns > 0);
   MMDB_CHECK(opts_.partition_size_bytes % opts_.log_page_bytes == 0);
   MMDB_CHECK(opts_.partition_size_bytes >= 4096);
-  opts_.log_disk_params.page_size_bytes = opts_.log_page_bytes;
   opts_.checkpoint_disk_params.page_size_bytes = opts_.log_page_bytes;
   opts_.checkpoint_disk_params.pages_per_track =
       opts_.partition_size_bytes / opts_.log_page_bytes;
@@ -171,7 +170,7 @@ std::vector<std::pair<uint64_t, uint64_t>> Database::TakePendingGrants() {
 Database::OpMark Database::MarkOperation(Transaction* txn) const {
   OpMark m;
   m.undo_depth = v_->undo.Depth(txn->id());
-  m.slb = log_->of(txn).slb->Mark(txn->id());
+  m.slb = log_->of(txn).slb().Mark(txn->id());
   m.redo = txn->redo_mark();
   return m;
 }
@@ -206,7 +205,7 @@ Status Database::ApplyUndo(const Transaction* txn,
 Status Database::RollbackOperation(Transaction* txn, const OpMark& mark) {
   MMDB_RETURN_IF_ERROR(
       ApplyUndo(txn, v_->undo.TakeReversedFrom(txn->id(), mark.undo_depth)));
-  log_->of(txn).slb->Rewind(txn->id(), mark.slb);
+  log_->of(txn).slb().Rewind(txn->id(), mark.slb);
   txn->RestoreRedo(mark.redo);
   return Status::OK();
 }
@@ -875,8 +874,8 @@ Status Database::Commit(Transaction* txn) {
       // the simulation's observable state; one curve per stream.
       const LogStream& ls = log_->of(txn);
       tracer_.Counter(obs::Track::kSystem, "gauge",
-                      "slb.occupancy_bytes" + ls.suffix, vnow(),
-                      static_cast<double>(ls.slb->occupancy_bytes()));
+                      "slb.occupancy_bytes" + ls.suffix(), vnow(),
+                      static_cast<double>(ls.slb().occupancy_bytes()));
       tracer_.Counter(obs::Track::kSystem, "gauge", "lock.wait_queue_depth",
                       vnow(), static_cast<double>(v_->locks.waiting_count()));
     }

@@ -468,10 +468,10 @@ class Database {
   const sim::CpuModel& main_cpu() const { return main_cpu_; }
   const sim::CpuModel& recovery_cpu() const { return recovery_cpu_; }
   // Log stream 0's components.
-  StableLogBuffer& slb() { return *log_->stream(0).slb; }
-  StableLogTail& slt() { return *log_->stream(0).slt; }
-  LogDiskWriter& log_writer() { return *log_->stream(0).writer; }
-  sim::DuplexedDisk& log_disks() { return *log_->stream(0).disks; }
+  StableLogBuffer& slb() { return log_->stream(0).slb(); }
+  StableLogTail& slt() { return log_->stream(0).slt(); }
+  LogDiskWriter& log_writer() { return log_->stream(0).writer(); }
+  sim::DuplexedDisk& log_disks() { return log_->stream(0).disks(); }
   sim::Disk& checkpoint_disk() { return *checkpoint_disk_; }
   ArchiveManager& archive() { return *archive_; }
   AuditLog& audit_log() { return *audit_; }

@@ -82,12 +82,12 @@ Result<Database::RebuiltPartition> Database::RebuildPartition(
   // pipelining the walk waits for the image.
   const uint64_t walk_ns = opts_.pipelined_recovery ? ready_ns : image_ns;
   const uint32_t streams = log_streams();
-  std::vector<LogStreams::ChainLog> logs;
+  std::vector<LogStream::ChainLog> logs;
   logs.reserve(streams);
   uint64_t reads_ns = walk_ns;  // the last page's arrival, every stream
   for (uint32_t s = 0; s < streams; ++s) {
-    auto log = log_->ReadChain(s, bin_index.value(), walk_ns,
-                               reads == LogReads::kFanned);
+    auto log = log_->stream(s).ReadChain(bin_index.value(), walk_ns,
+                                         reads == LogReads::kFanned);
     if (!log.ok()) return log.status();
     out.pages_read += log.value().pages_read;
     reads_ns = std::max(reads_ns, log.value().read_ns);
@@ -136,7 +136,7 @@ Result<Database::RebuiltPartition> Database::RebuildPartition(
   uint64_t apply_ns = image_ns;
   uint64_t first_apply_ns = 0;
   for (uint32_t s = next_stream(); s < streams;) {
-    const LogStreams::ChainLog& log = logs[s];
+    const LogStream::ChainLog& log = logs[s];
     const uint32_t c = log.chunk_of[cursor[s]];
     uint64_t n = 0;
     uint32_t following = s;

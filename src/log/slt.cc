@@ -24,10 +24,10 @@ Result<uint32_t> StableLogTail::RegisterPartition(PartitionId pid) {
     idx = free_bins_.back();
     free_bins_.pop_back();
   } else {
-    if (!meter_->CanAllocate(config_.info_block_bytes)) {
+    if (!meter_->CanAllocate(kInfoBlockBytes)) {
       return Status::Full("Stable Log Tail cannot fit another info block");
     }
-    meter_->Allocate(config_.info_block_bytes);
+    meter_->Allocate(kInfoBlockBytes);
     meter_->NoteHighWater();
     idx = static_cast<uint32_t>(bins_.size());
     bins_.emplace_back();
@@ -128,8 +128,10 @@ Status StableLogTail::ResetAfterCheckpoint(uint32_t bin_index) {
 void StableLogTail::NoteBinDrained(const PartitionBin& b) {
   // A flush starts from a non-empty active page (the writer rejects empty
   // flushes), so the bin was active before; it leaves the active set only
-  // if the flush took every buffered byte.
+  // if the flush took every buffered byte. The next append allocates a
+  // fresh page buffer.
   if (!BinActive(b)) {
+    meter_->Release(config_.page_bytes);
     --active_bin_count_;
     UpdateGauges();
   }

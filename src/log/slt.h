@@ -73,11 +73,12 @@ class StableLogTail {
     /// per embedded directory). The paper chooses N equal to the median
     /// number of log pages of an active partition.
     uint32_t directory_entries = 8;
-    /// Modeled info-block size (paper: "on the order of 50 bytes").
-    uint32_t info_block_bytes = 50;
     /// Log page size; the active-page buffer is this big.
     uint32_t page_bytes = 8 * 1024;
   };
+
+  /// Modeled info-block size (paper: "on the order of 50 bytes").
+  static constexpr uint32_t kInfoBlockBytes = 50;
 
   StableLogTail(Config config, sim::StableMemoryMeter* meter)
       : config_(config), meter_(meter) {}
@@ -125,7 +126,8 @@ class StableLogTail {
 
   /// Tells the SLT that a log-disk flush drained bytes from `b`'s active
   /// page outside this class (LogDiskWriter::FlushBinPage mutates the bin
-  /// directly). Keeps the active-buffer gauge counter exact.
+  /// directly). A flush that took every buffered byte releases the bin's
+  /// page buffer back to the meter.
   void NoteBinDrained(const PartitionBin& b);
 
   /// Second stable copy of the catalog root block (paper §2.5: "it is

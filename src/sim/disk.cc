@@ -192,43 +192,6 @@ Status Disk::ReadPage(uint64_t page_no, uint64_t now_ns, SeekClass seek,
   return Status::OK();
 }
 
-Status Disk::ReadTrack(uint64_t first_page_no, uint32_t pages, uint64_t now_ns,
-                       SeekClass seek,
-                       std::vector<std::vector<uint8_t>>* data,
-                       uint64_t* done_ns) {
-  if (failed_) {
-    return Status::IOError("media failure on disk " + name_);
-  }
-  data->clear();
-  uint64_t track_bytes = 0;
-  for (uint32_t i = 0; i < pages; ++i) {
-    auto it = store_.find(first_page_no + i);
-    if (it == store_.end()) {
-      return Status::NotFound("disk " + name_ + ": page " +
-                              std::to_string(first_page_no + i) +
-                              " never written");
-    }
-    MMDB_RETURN_IF_ERROR(CheckReadPage(first_page_no + i, &it->second,
-                                       now_ns));
-    data->push_back(it->second);
-    bytes_read_ += it->second.size();
-    track_bytes += it->second.size();
-  }
-  uint64_t start = BeginOp(now_ns);
-  uint64_t pos = PositioningNs(seek);
-  double per_page_ms = params_.page_transfer_ms / params_.track_rate_multiplier;
-  auto xfer =
-      static_cast<uint64_t>(per_page_ms * kMsToNs * static_cast<double>(pages));
-  uint64_t done = start + pos + xfer;
-  busy_until_ns_ = done;
-  busy_ns_total_ += static_cast<double>(pos + xfer);
-  *done_ns = done;
-  pages_read_ += pages;
-  if (seek != SeekClass::kSequential) ++seeks_;
-  NoteRead(pages, track_bytes, now_ns, done);
-  return Status::OK();
-}
-
 Status Disk::ReadTrackInto(uint64_t first_page_no, uint32_t pages,
                            uint64_t now_ns, SeekClass seek,
                            std::vector<uint8_t>* out, uint64_t* done_ns) {

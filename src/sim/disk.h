@@ -107,14 +107,10 @@ class Disk {
   Status ReadPage(uint64_t page_no, uint64_t now_ns, SeekClass seek,
                   std::vector<uint8_t>* data, uint64_t* done_ns);
 
-  /// Read `pages` consecutive pages at the track rate.
-  Status ReadTrack(uint64_t first_page_no, uint32_t pages, uint64_t now_ns,
-                   SeekClass seek, std::vector<std::vector<uint8_t>>* data,
-                   uint64_t* done_ns);
-
   /// Read `pages` consecutive pages at the track rate, appending the
   /// bytes directly to `*out` (no per-page vectors: checkpoint images are
-  /// consumed as one contiguous buffer).
+  /// consumed as one contiguous buffer). A page that was never written
+  /// or fails its check returns the error and leaves `*out` as it was.
   Status ReadTrackInto(uint64_t first_page_no, uint32_t pages, uint64_t now_ns,
                        SeekClass seek, std::vector<uint8_t>* out,
                        uint64_t* done_ns);

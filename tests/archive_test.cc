@@ -14,6 +14,12 @@ std::vector<std::vector<uint8_t>> Track(uint8_t seed) {
   return pages;
 }
 
+std::vector<uint8_t> Concat(const std::vector<std::vector<uint8_t>>& pages) {
+  std::vector<uint8_t> bytes;
+  for (const auto& p : pages) bytes.insert(bytes.end(), p.begin(), p.end());
+  return bytes;
+}
+
 TEST(ArchiveManagerTest, KeepsLatestImagePerPartition) {
   ArchiveManager am;
   am.ArchiveCheckpointImage({1, 0}, 0, Track(1));
@@ -26,11 +32,14 @@ TEST(ArchiveManagerTest, KeepsLatestImagePerPartition) {
   ASSERT_OK(am.RecoverCheckpointDisk(&disk, 0, &done));
   EXPECT_GT(done, 0u);
   // The latest copy of {1,0} landed at its recorded location.
-  std::vector<std::vector<uint8_t>> out;
-  ASSERT_OK(disk.ReadTrack(60, 6, done, sim::SeekClass::kRandom, &out, &done));
-  EXPECT_EQ(out, Track(2));
-  ASSERT_OK(disk.ReadTrack(12, 6, done, sim::SeekClass::kRandom, &out, &done));
-  EXPECT_EQ(out, Track(3));
+  std::vector<uint8_t> out;
+  ASSERT_OK(
+      disk.ReadTrackInto(60, 6, done, sim::SeekClass::kRandom, &out, &done));
+  EXPECT_EQ(out, Concat(Track(2)));
+  out.clear();
+  ASSERT_OK(
+      disk.ReadTrackInto(12, 6, done, sim::SeekClass::kRandom, &out, &done));
+  EXPECT_EQ(out, Concat(Track(3)));
 }
 
 TEST(ArchiveManagerTest, RefusesRestoreOntoFailedMedia) {

@@ -276,7 +276,6 @@ TEST(LogStreamsTest, MultiStreamCrashRestartPreservesCommittedState) {
 struct StreamsRig {
   explicit StreamsRig(uint32_t streams) {
     opts.log_streams = streams;
-    opts.log_disk_params.page_size_bytes = opts.log_page_bytes;
     meter.SetFaultInjector(&fault);
     log = std::make_unique<LogStreams>(opts, main_cpu, &recovery_cpu, &meter,
                                        &fault, &metrics, &tracer);
@@ -300,7 +299,7 @@ struct StreamsRig {
   std::vector<uint32_t> Markers() {
     std::vector<uint32_t> out;
     for (uint32_t s = 0; s < log->size(); ++s) {
-      out.push_back(log->stream(s).flushed_epoch);
+      out.push_back(log->stream(s).flushed_epoch());
     }
     return out;
   }
@@ -355,7 +354,7 @@ TEST(LogStreamsLedgerTest, SingleStreamOnlyAdvancesTheCsnLatch) {
 
   rig.Crash();
   EXPECT_EQ(rig.log->discard_frontier(), UINT32_MAX);
-  EXPECT_EQ(rig.log->stream(0).slb->committed_backlog_records(), 4u);
+  EXPECT_EQ(rig.log->stream(0).slb().committed_backlog_records(), 4u);
 }
 
 /// Several streams: epoch = max(now / interval + 1, last stamped), so
@@ -414,8 +413,8 @@ TEST(LogStreamsLedgerTest, CrashLatchesTheFrontierUntilRestartRetiresIt) {
   EXPECT_EQ(rig.Markers(), (std::vector<uint32_t>{6, 2, 2}));
   rig.Crash();
   EXPECT_EQ(rig.log->discard_frontier(), 2u);
-  EXPECT_EQ(rig.log->stream(0).slb->committed_backlog_records(), 1u);
-  EXPECT_EQ(rig.log->stream(1).slb->committed_backlog_records(), 0u);
+  EXPECT_EQ(rig.log->stream(0).slb().committed_backlog_records(), 1u);
+  EXPECT_EQ(rig.log->stream(1).slb().committed_backlog_records(), 0u);
 
   // A crash inside the restart's closing fence keeps the first frontier.
   rig.CrashAtCharge(2);
@@ -425,7 +424,7 @@ TEST(LogStreamsLedgerTest, CrashLatchesTheFrontierUntilRestartRetiresIt) {
   EXPECT_EQ(rig.log->discard_frontier(), 2u);
 
   // So does a crash after every marker has passed the frontier.
-  for (uint32_t s = 0; s < 3; ++s) rig.log->stream(s).flushed_epoch = 6;
+  for (uint32_t s = 0; s < 3; ++s) rig.log->stream(s).set_flushed_epoch(6);
   rig.Crash();
   EXPECT_EQ(rig.log->discard_frontier(), 2u);
 
@@ -441,23 +440,23 @@ TEST(LogStreamsLedgerTest, CrashLatchesTheFrontierUntilRestartRetiresIt) {
 /// the bin tables never disagree.
 TEST(LogStreamsBinTest, FailedRegistrationLeavesNoStreamHoldingABin) {
   StreamsRig rig(3);
-  const uint32_t info_block = 50;
   const uint64_t ballast = rig.meter.capacity_bytes() -
-                           rig.meter.allocated_bytes() - info_block;
+                           rig.meter.allocated_bytes() -
+                           StableLogTail::kInfoBlockBytes;
   rig.meter.Allocate(ballast);
   const PartitionId pid{7, 0};
   auto failed = rig.log->RegisterPartition(pid);
   ASSERT_FALSE(failed.ok());
   EXPECT_TRUE(failed.status().IsFull()) << failed.status().ToString();
   for (uint32_t s = 0; s < 3; ++s) {
-    EXPECT_FALSE(rig.log->stream(s).slt->FindBin(pid).ok()) << "stream " << s;
+    EXPECT_FALSE(rig.log->stream(s).slt().FindBin(pid).ok()) << "stream " << s;
   }
 
   rig.meter.Release(ballast);
   for (PartitionId p : {pid, PartitionId{7, 1}}) {
     ASSERT_OK_AND_ASSIGN(uint32_t bin, rig.log->RegisterPartition(p));
     for (uint32_t s = 0; s < 3; ++s) {
-      ASSERT_OK_AND_ASSIGN(uint32_t got, rig.log->stream(s).slt->FindBin(p));
+      ASSERT_OK_AND_ASSIGN(uint32_t got, rig.log->stream(s).slt().FindBin(p));
       EXPECT_EQ(got, bin) << "stream " << s;
     }
   }

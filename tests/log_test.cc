@@ -514,7 +514,7 @@ class SltTest : public ::testing::Test {
  protected:
   SltTest()
       : meter_(1 << 20),
-        slt_(StableLogTail::Config{4, 50, 1024}, &meter_) {}
+        slt_(StableLogTail::Config{4, 1024}, &meter_) {}
 
   sim::StableMemoryMeter meter_;
   StableLogTail slt_;

@@ -123,15 +123,32 @@ TEST(DiskTest, MediaFailureDropsDataUntilRepaired) {
   ASSERT_OK(d.ReadPage(1, 0, SeekClass::kRandom, &out, &done));
 }
 
-TEST(DiskTest, ReadTrackReturnsAllPages) {
+TEST(DiskTest, ReadTrackIntoAppendsAllPages) {
   Disk d("d", DiskParams{});
   std::vector<std::vector<uint8_t>> pages;
-  for (int i = 0; i < 6; ++i) pages.push_back(testing::FilledBytes(128, i));
+  std::vector<uint8_t> track;
+  for (int i = 0; i < 6; ++i) {
+    pages.push_back(testing::FilledBytes(128, i));
+    track.insert(track.end(), pages.back().begin(), pages.back().end());
+  }
   d.WriteTrack(10, pages, 0, SeekClass::kNear);
-  std::vector<std::vector<uint8_t>> out;
+  std::vector<uint8_t> out;
   uint64_t done;
-  ASSERT_OK(d.ReadTrack(10, 6, 0, SeekClass::kNear, &out, &done));
-  EXPECT_EQ(out, pages);
+  ASSERT_OK(d.ReadTrackInto(10, 6, 0, SeekClass::kNear, &out, &done));
+  EXPECT_EQ(out, track);
+}
+
+TEST(DiskTest, ReadTrackIntoLeavesOutAloneOnAMissingPage) {
+  Disk d("d", DiskParams{});
+  d.WritePage(10, testing::FilledBytes(128, 1), 0, SeekClass::kNear);
+  d.WritePage(12, testing::FilledBytes(128, 3), 0, SeekClass::kNear);
+  const std::vector<uint8_t> before = testing::FilledBytes(40, 9);
+  std::vector<uint8_t> out = before;
+  uint64_t done = 0;
+  EXPECT_TRUE(
+      d.ReadTrackInto(10, 3, 0, SeekClass::kNear, &out, &done).IsNotFound());
+  EXPECT_EQ(out, before);
+  EXPECT_EQ(d.pages_read(), 0u);
 }
 
 TEST(DuplexedDiskTest, WritesGoToBothMembers) {

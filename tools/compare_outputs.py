@@ -4,10 +4,11 @@
 Usage: compare_outputs.py OLD_BUILD NEW_BUILD
 
 OLD_BUILD and NEW_BUILD are CMake build directories of this repository
-(for example a build of the parent commit and one of the change). Each
-build's 15 benches (bench/bench_*) and 5 examples (examples/*) run in a
-fresh temporary directory of their own, one build after the other. Then
-the two runs are compared byte for byte:
+(for example a build of the parent commit and one of the change). The
+binaries are found in each build: every bench/bench_* executable and
+every executable in examples/. Each build's binaries run in a fresh
+temporary directory of their own, one build after the other. Then the
+two runs are compared byte for byte:
 
   - each binary's exit status and stdout;
   - every BENCH_*.json and crash_recovery_demo.trace.json either run
@@ -19,42 +20,19 @@ numbers before `host-s`, `sim-txn/host-s` and `host-ns`, and the crc32
 speed ratio).
 
 Every difference is printed. Exit status 1 if there is any, 2 when a
-binary is missing from either build.
+binary is found in one build only or neither build has any.
 """
 
 import argparse
 import difflib
 import json
+import os
 import re
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-BENCHES = [
-    "bench_table2_parameters",
-    "bench_graph1_logging_capacity",
-    "bench_graph2_transaction_rates",
-    "bench_graph3_checkpoint_frequency",
-    "bench_recovery_comparison",
-    "bench_recovery_scaling",
-    "bench_slb_contention",
-    "bench_directory_ablation",
-    "bench_commit_modes",
-    "bench_concurrency_scaling",
-    "bench_log_streams",
-    "bench_instant_recovery",
-    "bench_sim_scale",
-    "bench_shard_scaling",
-    "bench_read_mostly",
-]
-EXAMPLES = [
-    "quickstart",
-    "debit_credit",
-    "crash_recovery_demo",
-    "on_demand_recovery",
-    "analytics",
-]
 ARTIFACTS = ["BENCH_*.json", "crash_recovery_demo.trace.json"]
 
 # bench_sim_scale's host-time figures: "0.52 host-s", "11472
@@ -70,20 +48,34 @@ HOST_JSON = "BENCH_sim_scale.json"
 
 
 def binaries(build: Path):
-    paths = [build / "bench" / b for b in BENCHES]
-    paths += [build / "examples" / e for e in EXAMPLES]
-    missing = [str(p) for p in paths if not p.is_file()]
-    if missing:
-        print("missing binaries (build every target first):\n  "
-              + "\n  ".join(missing), file=sys.stderr)
+    """The build's bench/bench_* and examples/ executables, by name."""
+    found = list((build / "bench").glob("bench_*"))
+    if (build / "examples").is_dir():
+        found += (build / "examples").iterdir()
+    return {p.name: p for p in sorted(found)
+            if p.is_file() and os.access(p, os.X_OK)}
+
+
+def matching_binaries(old_build: Path, new_build: Path):
+    """Both builds' binaries; exits 2 unless they name the same set."""
+    old, new = binaries(old_build), binaries(new_build)
+    only = [str(path) for mine, theirs in ((old, new), (new, old))
+            for name, path in mine.items() if name not in theirs]
+    if only:
+        print("binaries found in one build only (build every target in "
+              "both):\n  " + "\n  ".join(only), file=sys.stderr)
         sys.exit(2)
-    return paths
+    if not old:
+        print("no bench or example binaries in either build",
+              file=sys.stderr)
+        sys.exit(2)
+    return old, new
 
 
-def run_build(build: Path, workdir: Path):
-    """Runs every binary of `build` in `workdir`; returns name -> result."""
+def run_build(build: Path, found, workdir: Path):
+    """Runs every binary in `found` in `workdir`; returns name -> result."""
     results = {}
-    for binary in binaries(build):
+    for binary in found.values():
         print(f"  {build.name}: {binary.name}", flush=True)
         proc = subprocess.run([str(binary)], cwd=workdir,
                               stdout=subprocess.PIPE,
@@ -126,15 +118,14 @@ def main():
     ap.add_argument("new_build", type=Path)
     args = ap.parse_args()
     old_build, new_build = args.old_build.resolve(), args.new_build.resolve()
-    binaries(old_build)
-    binaries(new_build)
+    old_found, new_found = matching_binaries(old_build, new_build)
 
     differences = []
     with tempfile.TemporaryDirectory() as old_dir, \
             tempfile.TemporaryDirectory() as new_dir:
         old_dir, new_dir = Path(old_dir), Path(new_dir)
-        old_runs = run_build(old_build, old_dir)
-        new_runs = run_build(new_build, new_dir)
+        old_runs = run_build(old_build, old_found, old_dir)
+        new_runs = run_build(new_build, new_found, new_dir)
         for name in old_runs:
             (old_rc, old_out), (new_rc, new_out) = old_runs[name], new_runs[name]
             if old_rc != new_rc:
