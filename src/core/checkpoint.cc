@@ -164,7 +164,6 @@ Status Database::RunCheckpoint(CheckpointRequest* req, uint32_t stream) {
   uint64_t done = checkpoint_disk_->WriteTrack(
       first_page, pages, clock_.now_ns(), sim::SeekClass::kNear);
   clock_.AdvanceTo(done);
-  main_cpu_.IdleUntil(clock_.now_ns());
   // A crash during the track write (partial image in the new slot) must
   // not install the new checkpoint: the previous image stays authoritative.
   st = fault::Barrier(fault_.get());

@@ -101,15 +101,14 @@ PartitionManager& Database::partitions() { return v_->pm; }
 LockManager& Database::locks() { return v_->locks; }
 
 void Database::MainWork(double instructions) {
+  // The aggregate instruction total covers every worker.
+  main_cpu_.AccountInstructions(instructions);
   if (exec_ != nullptr) {
     // Worker mode: the work lands on the worker's private timeline (the
-    // global clock only moves at synchronization points). The aggregate
-    // instruction total still covers all workers.
+    // global clock only moves at synchronization points).
     exec_->cpu->Execute(instructions);
-    main_cpu_.AccountInstructions(instructions);
     return;
   }
-  main_cpu_.Execute(instructions);
   clock_.Advance(
       static_cast<uint64_t>(instructions * main_cpu_.ns_per_instruction()));
 }
@@ -120,7 +119,6 @@ void Database::WaitUntil(uint64_t t_ns) {
     return;
   }
   clock_.AdvanceTo(t_ns);
-  main_cpu_.IdleUntil(clock_.now_ns());
 }
 
 void Database::BindExecContext(ExecContext* ctx) {
@@ -464,7 +462,7 @@ Result<Partition*> Database::ResidentPartition(PartitionId pid) {
   if (d->resident) {
     return Status::Corruption("descriptor resident but partition missing");
   }
-  std::vector<RecoveryWorkItem> work{{pid, d->checkpoint_page}};
+  std::vector<PartitionId> work{pid};
   // An index lookup reads one of many partitions per key (a hash node
   // partition, a T-tree leaf), so faulting them one at a time would let
   // every post-crash reader fault a fresh one: a fault on an index
@@ -472,9 +470,7 @@ Result<Partition*> Database::ResidentPartition(PartitionId pid) {
   auto idx = v_->catalog.IndexOfSegment(pid.segment);
   if (idx.ok()) {
     for (const PartitionDescriptor& o : idx.value()->partitions) {
-      if (!o.resident && o.id != pid) {
-        work.push_back({o.id, o.checkpoint_page});
-      }
+      if (!o.resident && o.id != pid) work.push_back(o.id);
     }
   }
   // A bound worker joins the shared system clock for the restore (the
@@ -921,7 +917,6 @@ Status Database::PostCommitMaintenance() {
   // does not move and the worker pays nothing.
   ExecContext* ctx = std::exchange(exec_, nullptr);
   clock_.AdvanceTo(ctx->cpu->busy_until_ns());
-  main_cpu_.IdleUntil(clock_.now_ns());
   uint64_t c0 = clock_.now_ns();
   Status st = Status::OK();
   if (opts_.auto_pump_recovery) st = PumpRecovery();
@@ -1272,9 +1267,9 @@ Status Database::RecoverRelation(const std::string& relation) {
   if (!parts.ok()) return parts.status();
   // Predeclared recovery restores the whole relation in one batch, so all
   // recovery lanes can work on its partitions concurrently.
-  std::vector<RecoveryWorkItem> work;
+  std::vector<PartitionId> work;
   for (const PartitionDescriptor* d : parts.value()) {
-    if (!d->resident) work.push_back({d->id, d->checkpoint_page});
+    if (!d->resident) work.push_back(d->id);
   }
   return RecoverPartitionsParallel(work, RecoverySource::kBackground, nullptr);
 }
@@ -1284,9 +1279,9 @@ Status Database::BackgroundRecoveryStep(bool* done) {
   // One batch per call, hottest partitions first, so transactions stop
   // faulting as early as possible.
   const size_t batch = std::max<uint32_t>(1, opts_.recovery_parallelism);
-  std::vector<RecoveryWorkItem> work;
-  RecoveryWorkItem item;
-  while (work.size() < batch && NextSweepItem(&item)) work.push_back(item);
+  std::vector<PartitionId> work;
+  PartitionId pid;
+  while (work.size() < batch && NextSweepItem(&pid)) work.push_back(pid);
   *done = work.empty();
   if (*done) return Status::OK();
   const uint64_t start_ns = clock_.now_ns();

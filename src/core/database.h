@@ -331,17 +331,12 @@ class Database {
   bool IsRelationResident(const std::string& relation);
 
   // --- partition rebuild pipeline (parallel_recovery.cc) ---------------------
-  /// One partition to rebuild: its id and checkpoint image.
-  struct RecoveryWorkItem {
-    PartitionId pid;
-    uint64_t ckpt_page = 0;
-  };
   /// Pops the next non-resident partition off the heat-ordered sweep
   /// queue (hottest first; see EnsureSweepQueue). Returns false when
   /// nothing is left to sweep. Shared by BackgroundRecoveryStep, the
   /// kFullReload restart and the executor's sweep lanes, so no two of
   /// them rebuild the same partition.
-  bool NextSweepItem(RecoveryWorkItem* item);
+  bool NextSweepItem(PartitionId* pid);
 
   /// A recovery lane: the CPU timeline its rebuilds' record applies
   /// occupy, and the trace track their spans land on.
@@ -368,15 +363,13 @@ class Database {
     uint64_t pages_read = 0;  // forward log-page reads, every stream
     uint64_t records_applied = 0;
   };
-  /// Rebuilds one partition (§2.5, §2.5.1): reads its checkpoint image,
-  /// walks and reads its log chain on every stream (several streams
-  /// merge by (epoch, csn)), and applies the records in per-page chunks
-  /// on `lane`'s CPU. Time-functional: device time starts at `ready_ns`,
-  /// nothing is installed and the global clock does not move, so any
-  /// scheduler can drive it — the restart lanes, an on-demand fault, or
-  /// the executor's sweep lanes between transaction operations.
-  Result<RebuiltPartition> RebuildPartition(const RecoveryWorkItem& item,
-                                            uint64_t ready_ns,
+  /// Rebuilds partition `pid` (§2.5, §2.5.1): reads the checkpoint image
+  /// its descriptor names, walks and reads its log chain on every stream
+  /// (several streams merge by (epoch, csn)), and applies the records in
+  /// per-page chunks on `lane`'s CPU. Time-functional: device time starts
+  /// at `ready_ns`, nothing is installed and the global clock does not
+  /// move; LaneLoop drives it.
+  Result<RebuiltPartition> RebuildPartition(PartitionId pid, uint64_t ready_ns,
                                             RecoveryLane* lane, LogReads reads);
   /// Installs a rebuilt partition at its completion time, marks its
   /// descriptor resident and records the progress, metrics and lane span
@@ -384,6 +377,60 @@ class Database {
   /// fault made the partition resident or DDL dropped it while the
   /// rebuild was in flight; `recovery.stale_rebuilds` counts those.
   Result<bool> Install(RebuiltPartition rebuilt, RecoverySource source);
+
+  /// The recovery-lane loop, the one scheduler of partition rebuilds.
+  /// Start puts N lanes on the caller's event scheduler. Each lane takes
+  /// the next partition from the loop's work source, rebuilds it at its
+  /// ready time (RebuildPartition), installs it as an event at the
+  /// rebuild's completion (Install) and takes the next one; a lane whose
+  /// source is dry drains, and a failed rebuild or install fails the
+  /// scheduler. RecoverPartitionsParallel runs it over a list; the
+  /// concurrent executor runs it over the sweep queue between
+  /// transaction operations.
+  class LaneLoop {
+   public:
+    /// Lanes over `work` in order (it must outlive the loop), or over the
+    /// heat-ordered sweep queue (NextSweepItem) when `work` is null.
+    LaneLoop(Database* db, sim::EventScheduler* sched,
+             const std::vector<PartitionId>* work, LogReads reads,
+             RecoverySource source)
+        : db_(db), sched_(sched), work_(work), reads_(reads), source_(source) {}
+    LaneLoop(const LaneLoop&) = delete;
+    LaneLoop& operator=(const LaneLoop&) = delete;
+
+    /// Starts `lanes` lanes at `t0`; call once.
+    void Start(uint32_t lanes, uint64_t t0);
+
+    const std::vector<RecoveryLane>& lanes() const { return lanes_; }
+    /// Log pages read and records applied by every rebuild so far,
+    /// dropped stale copies included.
+    uint64_t pages_read() const { return pages_read_; }
+    uint64_t records_applied() const { return records_applied_; }
+    /// Partitions installed, and the virtual time of the last install.
+    uint64_t installed() const { return installed_; }
+    uint64_t last_install_ns() const { return last_install_ns_; }
+
+   private:
+    /// Lane `lane` takes its next partition at `now_ns` and rebuilds it.
+    void Pull(uint32_t lane, uint64_t now_ns);
+    /// Lane `lane`'s rebuild completes: install it, then pull the next.
+    void Land(uint32_t lane, uint64_t now_ns);
+
+    Database* db_;
+    sim::EventScheduler* sched_;
+    const std::vector<PartitionId>* work_;
+    size_t next_ = 0;  // into *work_
+    LogReads reads_;
+    RecoverySource source_;
+    std::vector<RecoveryLane> lanes_;
+    /// Per lane: the rebuilt copy awaiting its install (null part when
+    /// the lane has none).
+    std::vector<RebuiltPartition> in_flight_;
+    uint64_t pages_read_ = 0;
+    uint64_t records_applied_ = 0;
+    uint64_t installed_ = 0;
+    uint64_t last_install_ns_ = 0;
+  };
 
   // --- media failure ----------------------------------------------------------
   /// Simulates a checkpoint-disk media failure and recovers it from the
@@ -454,14 +501,11 @@ class Database {
 
   // --- introspection ----------------------------------------------------------
   uint64_t now_ns() const { return clock_.now_ns(); }
-  /// Advances the global clock (and the main CPU behind it) to `t_ns`;
-  /// no-op when `t_ns` is in the past. Rigs that run successive
-  /// concurrent-executor waves use this to move the clock past the last
-  /// wave's completion so the next wave's timelines don't overlap it.
-  void AdvanceClockTo(uint64_t t_ns) {
-    clock_.AdvanceTo(t_ns);
-    main_cpu_.IdleUntil(clock_.now_ns());
-  }
+  /// Advances the global clock to `t_ns`; no-op when `t_ns` is in the
+  /// past. Rigs that run successive concurrent-executor waves use this to
+  /// move the clock past the last wave's completion so the next wave's
+  /// timelines don't overlap it.
+  void AdvanceClockTo(uint64_t t_ns) { clock_.AdvanceTo(t_ns); }
   /// True between Crash() and a successful Restart().
   bool crashed() const { return crashed_; }
   double now_ms() const { return clock_.now_seconds() * 1e3; }
@@ -612,11 +656,11 @@ class Database {
   /// SLB and SLT).
   Status WriteCatalogRootBlock();
 
-  /// Rebuilds and installs `work` on up to recovery_parallelism lanes:
-  /// each lane takes the next item when its previous install lands.
-  /// Starts at the global clock and advances it to the last install.
-  /// Counters accumulate into `report` when it is given.
-  Status RecoverPartitionsParallel(const std::vector<RecoveryWorkItem>& work,
+  /// Rebuilds and installs `work` on up to recovery_parallelism lanes
+  /// (LaneLoop on a private scheduler). Starts at the global clock and
+  /// advances it to the last install. Counters accumulate into `report`
+  /// when it is given.
+  Status RecoverPartitionsParallel(const std::vector<PartitionId>& work,
                                    RecoverySource source,
                                    RestartReport* report);
 
@@ -689,7 +733,12 @@ class Database {
   void AttachVolatileObservers();
 
   DatabaseOptions opts_;
+  /// The main CPU's timeline. Work outside the executor advances it;
+  /// executor workers run on their own timelines and join it at
+  /// synchronization points (an on-demand restore, checkpointing).
   sim::SimClock clock_;
+  /// Counts the main CPU's instructions, every worker's included. Its
+  /// timeline is clock_, so its own busy-until is never advanced.
   sim::CpuModel main_cpu_;
   sim::CpuModel recovery_cpu_;
 
@@ -729,7 +778,7 @@ class Database {
   /// on DDL-epoch mismatch; already-resident entries are skipped at pop
   /// time. Defined in sweep.cc.
   void EnsureSweepQueue();
-  std::vector<RecoveryWorkItem> bg_queue_;
+  std::vector<PartitionId> bg_queue_;
   size_t bg_queue_pos_ = 0;
   uint64_t bg_queue_epoch_ = ~0ull;
   /// Lifetime access counts per partition (pid.Pack() -> touches),

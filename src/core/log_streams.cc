@@ -65,10 +65,14 @@ void LogStream::UpdateWindowSlack() {
     m_window_slack_->Set(static_cast<double>(opts_.log_window_pages));
     return;
   }
-  uint64_t head = first_lsn_list_.begin()->first;
-  uint64_t boundary = writer_.age_boundary();
-  m_window_slack_->Set(head > boundary ? static_cast<double>(head - boundary)
-                                       : 0.0);
+  // The head's age trigger fires once it falls below age_boundary(),
+  // that is once next_lsn passes head + age_span().
+  const uint64_t trigger_lsn =
+      first_lsn_list_.begin()->first + writer_.age_span();
+  const uint64_t next_lsn = writer_.next_lsn();
+  m_window_slack_->Set(trigger_lsn > next_lsn
+                           ? static_cast<double>(trigger_lsn - next_lsn)
+                           : 0.0);
 }
 
 Result<uint64_t> LogStream::Pump(uint64_t max_records, uint64_t now_ns,

@@ -127,9 +127,9 @@ class LogStream {
   Status SortOne(const LogRecord& rec, uint64_t now_ns);
   Status FlushBin(uint32_t bin_index, PartitionBin* bin, uint64_t now_ns);
   void CheckAgeTriggers();
-  /// `log.window_slack_pages`: how far the oldest active partition's first
-  /// page is ahead of the age boundary (the window size when none is
-  /// active, 0 while age checkpoints fire).
+  /// `log.window_slack_pages`: pages the log can still write before the
+  /// oldest active partition's age trigger fires (the window size when
+  /// none is active, 0 while age checkpoints fire).
   void UpdateWindowSlack();
 
   const DatabaseOptions& opts_;

@@ -2,11 +2,11 @@
 //
 // RebuildPartition is the one routine that brings a partition back from
 // its checkpoint image plus its log chain, and Install is the one place a
-// rebuilt copy becomes resident. Every recovery path drives the pair:
-// restart phase 1, the kFullReload restart, on-demand faults,
-// RecoverRelation and BackgroundRecoveryStep through the lane loop below,
-// and the concurrent executor's interleaved sweep lanes
-// (src/txn/executor.cc) between transaction operations.
+// rebuilt copy becomes resident. LaneLoop is the one loop that drives the
+// pair: restart phase 1, the kFullReload restart, on-demand faults,
+// RecoverRelation and BackgroundRecoveryStep run it over a list
+// (RecoverPartitionsParallel), and the concurrent executor runs it over
+// the sweep queue between transaction operations (src/txn/executor.cc).
 //
 // A rebuild is time-functional. Its device requests start at the ready
 // time it is given, and the checkpoint disk, each log spindle and the
@@ -16,7 +16,6 @@
 // timeline unless pipelined_recovery is off.
 
 #include <algorithm>
-#include <functional>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -30,11 +29,10 @@
 namespace mmdb {
 
 Result<Database::RebuiltPartition> Database::RebuildPartition(
-    const RecoveryWorkItem& item, uint64_t ready_ns, RecoveryLane* lane,
-    LogReads reads) {
+    PartitionId pid, uint64_t ready_ns, RecoveryLane* lane, LogReads reads) {
   const obs::Track track = obs::LaneTrack(lane->index);
-  const std::string name = item.pid.ToString();
-  auto bin_index = log_->FindBin(item.pid);
+  const std::string name = pid.ToString();
+  auto bin_index = log_->FindBin(pid);
   if (!bin_index.ok()) {
     return Status::Corruption("no Stable Log Tail bin for " + name);
   }
@@ -46,9 +44,11 @@ Result<Database::RebuiltPartition> Database::RebuildPartition(
   // transient I/O errors. Everything that touches partition memory waits
   // for it.
   uint64_t image_ns = ready_ns;
-  if (item.ckpt_page == kNoCheckpointPage) {
-    out.part = std::make_unique<Partition>(
-        item.pid, opts_.partition_size_bytes, bin_index.value());
+  auto d = v_->catalog.FindDescriptor(pid);
+  if (!d.ok()) return d.status();
+  if (!d.value()->has_checkpoint()) {
+    out.part = std::make_unique<Partition>(pid, opts_.partition_size_bytes,
+                                           bin_index.value());
   } else {
     const uint32_t pages_per_slot =
         opts_.partition_size_bytes / opts_.log_page_bytes;
@@ -57,7 +57,8 @@ Result<Database::RebuiltPartition> Database::RebuildPartition(
     uint64_t t = ready_ns;
     Status st;
     for (uint32_t attempt = 0;; ++attempt) {
-      st = checkpoint_disk_->ReadTrackInto(item.ckpt_page, pages_per_slot, t,
+      st = checkpoint_disk_->ReadTrackInto(d.value()->checkpoint_page,
+                                           pages_per_slot, t,
                                            sim::SeekClass::kRandom, &image,
                                            &image_ns);
       if (st.ok() || !st.IsIOError() ||
@@ -71,7 +72,7 @@ Result<Database::RebuiltPartition> Database::RebuildPartition(
     auto from = Partition::FromImage(std::move(image));
     if (!from.ok()) return from.status();
     out.part = std::move(from).value();
-    if (!(out.part->id() == item.pid)) {
+    if (!(out.part->id() == pid)) {
       return Status::Corruption("checkpoint image is for wrong partition");
     }
     tracer_.Span(track, "recovery", "image " + name, ready_ns,
@@ -104,7 +105,7 @@ Result<Database::RebuiltPartition> Database::RebuildPartition(
     fault::SiteEvent ev;
     ev.site = fault::Site::kRestartApply;
     ev.device = "recovery";
-    ev.page_no = item.pid.Pack();
+    ev.page_no = pid.Pack();
     ev.now_ns = reads_ns;
     MMDB_RETURN_IF_ERROR(fault_->OnSite(&ev));
   }
@@ -141,7 +142,9 @@ Result<Database::RebuiltPartition> Database::RebuildPartition(
     uint64_t n = 0;
     uint32_t following = s;
     do {
-      if (streams > 1) main_cpu_.Execute(opts_.costs.i_record_lookup);
+      if (streams > 1) {
+        main_cpu_.AccountInstructions(opts_.costs.i_record_lookup);
+      }
       MMDB_RETURN_IF_ERROR(
           ApplyLogRecord(log.records[cursor[s]++], out.part.get()));
       ++n;
@@ -199,59 +202,75 @@ Result<bool> Database::Install(RebuiltPartition rebuilt,
   return true;
 }
 
-Status Database::RecoverPartitionsParallel(
-    const std::vector<RecoveryWorkItem>& work, RecoverySource source,
-    RestartReport* report) {
-  if (work.empty()) return Status::OK();
-  RestartReport scratch;
-  if (report == nullptr) report = &scratch;
-  const uint64_t t0 = clock_.now_ns();
-  const auto lane_count = static_cast<uint32_t>(std::min<size_t>(
-      std::max<uint32_t>(1, opts_.recovery_parallelism), work.size()));
-  std::vector<RecoveryLane> lanes;
-  lanes.reserve(lane_count);
-  for (uint32_t i = 0; i < lane_count; ++i) lanes.emplace_back(i);
-
-  // A lane rebuilds one partition at a time and pulls the next item when
-  // its install lands. The scheduler starts the rebuilds in ready-time
-  // order, so every device serves the lanes FCFS and the schedule is
-  // deterministic.
-  sim::EventScheduler sched;
-  sched.Reserve(2 * lane_count + 8);
-  size_t next = 0;
-  std::function<void(uint32_t, uint64_t)> pull = [&](uint32_t lane,
-                                                     uint64_t now_ns) {
-    if (next >= work.size()) return;  // the lane drains
-    auto rebuilt = RebuildPartition(work[next++], now_ns, &lanes[lane],
-                                    LogReads::kFanned);
-    if (!rebuilt.ok()) {
-      sched.Fail(rebuilt.status());
-      return;
-    }
-    report->log_pages_read += rebuilt.value().pages_read;
-    report->records_applied += rebuilt.value().records_applied;
-    const uint64_t done_ns = rebuilt.value().done_ns;
-    sched.At(done_ns, [&, lane, r = std::move(rebuilt).value()](
-                          uint64_t t) mutable {
-      auto installed = Install(std::move(r), source);
-      if (!installed.ok()) {
-        sched.Fail(installed.status());
-        return;
-      }
-      if (installed.value()) ++report->partitions_recovered;
-      pull(lane, t);
-    });
-  };
-  for (uint32_t lane = 0; lane < lane_count; ++lane) {
-    sched.At(t0, [&, lane](uint64_t t) { pull(lane, t); });
+void Database::LaneLoop::Start(uint32_t lanes, uint64_t t0) {
+  lanes_.reserve(lanes);
+  in_flight_.resize(lanes);
+  for (uint32_t lane = 0; lane < lanes; ++lane) {
+    lanes_.emplace_back(lane);
+    sched_->At(t0, [this, lane](uint64_t t) { Pull(lane, t); });
   }
+}
+
+void Database::LaneLoop::Pull(uint32_t lane, uint64_t now_ns) {
+  PartitionId pid;
+  if (work_ != nullptr) {
+    if (next_ >= work_->size()) return;  // the lane drains
+    pid = (*work_)[next_++];
+  } else if (!db_->NextSweepItem(&pid)) {
+    return;
+  }
+  auto rebuilt = db_->RebuildPartition(pid, now_ns, &lanes_[lane], reads_);
+  if (!rebuilt.ok()) {
+    sched_->Fail(rebuilt.status());
+    return;
+  }
+  pages_read_ += rebuilt.value().pages_read;
+  records_applied_ += rebuilt.value().records_applied;
+  // The install mutates shared state (partition manager, catalog), so it
+  // runs as its own event at the rebuild's completion instant. Events
+  // run in ready-time order, so every device serves the lanes FCFS; on
+  // the executor's scheduler an install loses virtual-time ties to
+  // transaction steps.
+  const uint64_t done_ns = rebuilt.value().done_ns;
+  in_flight_[lane] = std::move(rebuilt).value();
+  sched_->At(done_ns, [this, lane](uint64_t t) { Land(lane, t); });
+}
+
+void Database::LaneLoop::Land(uint32_t lane, uint64_t now_ns) {
+  auto installed = db_->Install(std::move(in_flight_[lane]), source_);
+  if (!installed.ok()) {
+    sched_->Fail(installed.status());
+    return;
+  }
+  if (installed.value()) {
+    ++installed_;
+    last_install_ns_ = now_ns;
+  }
+  Pull(lane, now_ns);
+}
+
+Status Database::RecoverPartitionsParallel(const std::vector<PartitionId>& work,
+                                           RecoverySource source,
+                                           RestartReport* report) {
+  if (work.empty()) return Status::OK();
+  const uint64_t t0 = clock_.now_ns();
+  const auto lanes = static_cast<uint32_t>(std::min<size_t>(
+      std::max<uint32_t>(1, opts_.recovery_parallelism), work.size()));
+  sim::EventScheduler sched;
+  sched.Reserve(2 * lanes + 8);
+  LaneLoop loop(this, &sched, &work, LogReads::kFanned, source);
+  loop.Start(lanes, t0);
   MMDB_RETURN_IF_ERROR(sched.Run());
 
   // The last event is the latest install: the run's virtual end.
   clock_.AdvanceTo(std::max(sched.now_ns(), t0));
-  main_cpu_.IdleUntil(clock_.now_ns());
-  for (const RecoveryLane& lane : lanes) {
+  for (const RecoveryLane& lane : loop.lanes()) {
     m_lane_busy_ns_->Record(static_cast<double>(lane.cpu.busy_total_ns()));
+  }
+  if (report != nullptr) {
+    report->log_pages_read += loop.pages_read();
+    report->records_applied += loop.records_applied();
+    report->partitions_recovered += loop.installed();
   }
   return Status::OK();
 }

@@ -115,9 +115,9 @@ Status Database::RestartFromStableStore(RestartReport* report) {
 
   // Phase 1: restore the catalogs right away (paper §2.5), with all
   // recovery lanes working on the catalog partitions concurrently.
-  std::vector<RecoveryWorkItem> catalog_work;
+  std::vector<PartitionId> catalog_work;
   for (const PartitionDescriptor& d : catalog_parts) {
-    catalog_work.push_back(RecoveryWorkItem{d.id, d.checkpoint_page});
+    catalog_work.push_back(d.id);
   }
   MMDB_RETURN_IF_ERROR(RecoverPartitionsParallel(
       catalog_work, RecoverySource::kRestart, report));
@@ -177,9 +177,9 @@ Status Database::RestartFromStableStore(RestartReport* report) {
   // whole sweep queue goes to the lanes as one run, so no lane waits for
   // a batch's slowest rebuild before taking its next partition.
   if (opts_.restart_policy == RestartPolicy::kFullReload) {
-    std::vector<RecoveryWorkItem> work;
-    RecoveryWorkItem item;
-    while (NextSweepItem(&item)) work.push_back(item);
+    std::vector<PartitionId> work;
+    PartitionId pid;
+    while (NextSweepItem(&pid)) work.push_back(pid);
     MMDB_RETURN_IF_ERROR(
         RecoverPartitionsParallel(work, RecoverySource::kBackground, report));
   }

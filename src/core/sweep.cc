@@ -7,8 +7,8 @@
 // anyway. The queue is shared by BackgroundRecoveryStep (explicit
 // stepping), the kFullReload restart and the concurrent executor's
 // interleaved sweep lanes (src/txn/executor.cc), so no two of them
-// rebuild the same partition. Every one of them rebuilds through
-// RebuildPartition and Install (core/parallel_recovery.cc).
+// rebuild the same partition. Every one of them rebuilds through the
+// recovery-lane loop (core/parallel_recovery.cc).
 
 #include <algorithm>
 #include <string>
@@ -25,7 +25,7 @@ void Database::EnsureSweepQueue() {
   bg_queue_epoch_ = ddl_epoch_;
 
   struct Entry {
-    RecoveryWorkItem item;
+    PartitionId pid;
     uint64_t heat;
     uint64_t pack;
   };
@@ -36,8 +36,7 @@ void Database::EnsureSweepQueue() {
   };
   for (const PartitionDescriptor* d : v_->catalog.DataPartitions()) {
     if (d->resident) continue;
-    entries.push_back(Entry{RecoveryWorkItem{d->id, d->checkpoint_page},
-                            heat_of(d->id), d->id.Pack()});
+    entries.push_back(Entry{d->id, heat_of(d->id), d->id.Pack()});
   }
   std::stable_sort(entries.begin(), entries.end(),
                    [](const Entry& a, const Entry& b) {
@@ -45,19 +44,18 @@ void Database::EnsureSweepQueue() {
                      return a.pack < b.pack;
                    });
   bg_queue_.reserve(entries.size());
-  for (Entry& e : entries) bg_queue_.push_back(e.item);
+  for (const Entry& e : entries) bg_queue_.push_back(e.pid);
 }
 
-bool Database::NextSweepItem(RecoveryWorkItem* item) {
+bool Database::NextSweepItem(PartitionId* pid) {
   EnsureSweepQueue();
   while (bg_queue_pos_ < bg_queue_.size()) {
-    const RecoveryWorkItem& cand = bg_queue_[bg_queue_pos_++];
+    const PartitionId cand = bg_queue_[bg_queue_pos_++];
     // Skip partitions an on-demand fault recovered (or DDL dropped) since
-    // the queue was built; re-read the checkpoint page in case a crash-
-    // within-restart rebuilt the queue from an older snapshot.
-    auto d = v_->catalog.FindDescriptor(cand.pid);
+    // the queue was built.
+    auto d = v_->catalog.FindDescriptor(cand);
     if (!d.ok() || d.value()->resident) continue;
-    *item = RecoveryWorkItem{cand.pid, d.value()->checkpoint_page};
+    *pid = cand;
     return true;
   }
   return false;

@@ -140,15 +140,19 @@ class LogDiskWriter {
     return next_lsn_ > config_.window_pages ? next_lsn_ - config_.window_pages
                                             : 0;
   }
+  /// The window less its grace region: a page is age_span() pages old
+  /// when it enters the grace region.
+  uint64_t age_span() const {
+    return config_.window_pages > config_.grace_pages
+               ? config_.window_pages - config_.grace_pages
+               : 0;
+  }
   /// LSNs below this are within the grace region: their partitions should
   /// be checkpointed because of age (they are within grace_pages of
   /// falling off the tail of the log window). Zero while the log is
   /// still far from filling the window.
   uint64_t age_boundary() const {
-    uint64_t threshold = config_.window_pages > config_.grace_pages
-                             ? config_.window_pages - config_.grace_pages
-                             : 0;
-    return next_lsn_ > threshold ? next_lsn_ - threshold : 0;
+    return next_lsn_ > age_span() ? next_lsn_ - age_span() : 0;
   }
 
  private:

@@ -84,23 +84,6 @@ JsonValue RegistryToJsonValue(const MetricsRegistry& reg) {
     e["points"] = std::move(points);
     series[name] = std::move(e);
   });
-  reg.ForEachSketchSeries([&](const std::string& name, const SketchSeries& s) {
-    JsonValue e;
-    e["kind"] = std::string("sketch");
-    e["bucket_ns"] = s.bucket_ns();
-    JsonValue points{JsonValue::Array{}};
-    for (const auto& [idx, sk] : s.buckets()) {
-      JsonValue p{JsonValue::Array{}};
-      p.push_back(JsonValue{idx});
-      p.push_back(JsonValue{sk.count()});
-      p.push_back(JsonValue{sk.Percentile(0.50)});
-      p.push_back(JsonValue{sk.Percentile(0.95)});
-      p.push_back(JsonValue{sk.Percentile(0.99)});
-      points.push_back(std::move(p));
-    }
-    e["points"] = std::move(points);
-    series[name] = std::move(e);
-  });
   out["series"] = std::move(series);
   return out;
 }

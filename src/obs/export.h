@@ -16,7 +16,7 @@ namespace mmdb::obs {
 ///    "series": {"name": {kind,bucket_ns,points:[[bucket_idx,...],...]}}}
 /// Series points are sparse (empty windows omitted) and sorted by bucket
 /// index; counter points carry [idx,count], gauge points
-/// [idx,last,min,max], sketch points [idx,count,p50,p95,p99].
+/// [idx,last,min,max].
 JsonValue RegistryToJsonValue(const MetricsRegistry& reg);
 
 /// Writes RegistryToJsonValue(reg) to `path`.

@@ -128,11 +128,6 @@ GaugeSeries* MetricsRegistry::gauge_series(const std::string& name,
   return GetSeries(&gauge_series_, name, bucket_ns, scope);
 }
 
-SketchSeries* MetricsRegistry::sketch_series(const std::string& name,
-                                             uint64_t bucket_ns, Scope scope) {
-  return GetSeries(&sketch_series_, name, bucket_ns, scope);
-}
-
 uint64_t MetricsRegistry::counter_value(const std::string& name) const {
   auto it = counters_.find(name);
   return it == counters_.end() ? 0 : it->second.metric.value();
@@ -166,12 +161,6 @@ const GaugeSeries* MetricsRegistry::find_gauge_series(
   return it == gauge_series_.end() ? nullptr : it->second.metric.get();
 }
 
-const SketchSeries* MetricsRegistry::find_sketch_series(
-    const std::string& name) const {
-  auto it = sketch_series_.find(name);
-  return it == sketch_series_.end() ? nullptr : it->second.metric.get();
-}
-
 void MetricsRegistry::ResetVolatile() {
   for (auto& [_, e] : counters_) {
     if (e.scope == Scope::kVolatile) e.metric.Reset();
@@ -191,9 +180,6 @@ void MetricsRegistry::ResetVolatile() {
   for (auto& [_, e] : gauge_series_) {
     if (e.scope == Scope::kVolatile) e.metric->Reset();
   }
-  for (auto& [_, e] : sketch_series_) {
-    if (e.scope == Scope::kVolatile) e.metric->Reset();
-  }
 }
 
 void MetricsRegistry::ResetAll() {
@@ -203,7 +189,6 @@ void MetricsRegistry::ResetAll() {
   for (auto& [_, e] : sketches_) e.metric->Reset();
   for (auto& [_, e] : counter_series_) e.metric->Reset();
   for (auto& [_, e] : gauge_series_) e.metric->Reset();
-  for (auto& [_, e] : sketch_series_) e.metric->Reset();
 }
 
 }  // namespace mmdb::obs

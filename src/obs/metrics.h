@@ -114,8 +114,6 @@ class MetricsRegistry {
                                 Scope scope = Scope::kStable);
   GaugeSeries* gauge_series(const std::string& name, uint64_t bucket_ns,
                             Scope scope = Scope::kStable);
-  SketchSeries* sketch_series(const std::string& name, uint64_t bucket_ns,
-                              Scope scope = Scope::kStable);
 
   /// Read-only lookups; return 0 / nullptr when the metric was never
   /// created. Reading never creates.
@@ -125,7 +123,6 @@ class MetricsRegistry {
   const LogSketch* find_sketch(const std::string& name) const;
   const CounterSeries* find_counter_series(const std::string& name) const;
   const GaugeSeries* find_gauge_series(const std::string& name) const;
-  const SketchSeries* find_sketch_series(const std::string& name) const;
 
   /// Resets every volatile metric to zero (Database::Crash()).
   void ResetVolatile();
@@ -156,10 +153,6 @@ class MetricsRegistry {
   template <typename F>
   void ForEachGaugeSeries(F&& f) const {
     for (const auto& [name, e] : gauge_series_) f(name, *e.metric);
-  }
-  template <typename F>
-  void ForEachSketchSeries(F&& f) const {
-    for (const auto& [name, e] : sketch_series_) f(name, *e.metric);
   }
 
  private:
@@ -196,7 +189,6 @@ class MetricsRegistry {
   std::map<std::string, SketchEntry> sketches_;
   std::map<std::string, SeriesEntry<CounterSeries>> counter_series_;
   std::map<std::string, SeriesEntry<GaugeSeries>> gauge_series_;
-  std::map<std::string, SeriesEntry<SketchSeries>> sketch_series_;
 };
 
 }  // namespace mmdb::obs

@@ -62,13 +62,6 @@ void LogSketch::Reset() {
   max_ = 0;
 }
 
-void SketchSeries::Record(uint64_t ts_ns, double v) {
-  uint64_t b = BucketOf(ts_ns);
-  auto it = buckets_.find(b);
-  if (it == buckets_.end()) it = buckets_.emplace(b, LogSketch{}).first;
-  it->second.Record(v);
-}
-
 RecoveryCurveStats AnalyzeRecoveryCurve(const CounterSeries& series,
                                         uint64_t steady_start_ns,
                                         uint64_t crash_ns,

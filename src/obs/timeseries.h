@@ -154,23 +154,6 @@ class GaugeSeries : public TimeSeriesBase {
   std::map<uint64_t, Window> buckets_;
 };
 
-/// Percentile-sketch flavor: a LogSketch per window, all sharing one
-/// bucket geometry (e.g. per-window commit-latency percentiles).
-class SketchSeries : public TimeSeriesBase {
- public:
-  explicit SketchSeries(uint64_t bucket_ns) : TimeSeriesBase(bucket_ns) {}
-
-  void Record(uint64_t ts_ns, double v);
-
-  size_t nonempty_buckets() const { return buckets_.size(); }
-  const std::map<uint64_t, LogSketch>& buckets() const { return buckets_; }
-
-  void Reset() { buckets_.clear(); }
-
- private:
-  std::map<uint64_t, LogSketch> buckets_;
-};
-
 /// Headline metrics of a throughput-over-time curve across a crash
 /// (instant-recovery experiment; Sauer & Härder's "perceived downtime").
 struct RecoveryCurveStats {

@@ -192,9 +192,9 @@ void Cluster::StartMachine(uint64_t gid, uint64_t now_ns) {
   ++sh.active;
   sh.db->AdvanceClockTo(now_ns);
   if (m.cross) {
-    Run2Pc(gid, now_ns);
+    Run2Pc(gid);
   } else {
-    Run1Pc(gid, now_ns);
+    Run1Pc(gid);
   }
 }
 
@@ -226,7 +226,7 @@ void Cluster::FinishMachine(uint64_t gid, bool committed, uint64_t now_ns) {
   if (m.done) m.done(m.gid, committed, now_ns);
 }
 
-void Cluster::Run1Pc(uint64_t gid, uint64_t now_ns) {
+void Cluster::Run1Pc(uint64_t gid) {
   const uint32_t s = machines_.at(gid).coord;
   Shard& sh = *shards_[s];
   if (!StepAlive("1pc.begin", s, gid) || machines_.find(gid) == machines_.end())
@@ -262,7 +262,7 @@ void Cluster::Run1Pc(uint64_t gid, uint64_t now_ns) {
   FinishMachine(gid, true, sh.db->now_ns());
 }
 
-void Cluster::Run2Pc(uint64_t gid, uint64_t now_ns) {
+void Cluster::Run2Pc(uint64_t gid) {
   const uint32_t coord = machines_.at(gid).coord;
   Shard& sh = *shards_[coord];
   if (!StepAlive("2pc.begin", coord, gid) ||
@@ -400,7 +400,7 @@ void Cluster::VoteRecvEvent(uint64_t gid, uint32_t from, bool yes,
   } else {
     m.vote_no = true;
   }
-  if (m.votes_pending == 0) Decide(gid, sh.db->now_ns());
+  if (m.votes_pending == 0) Decide(gid);
 }
 
 void Cluster::VoteTimeoutEvent(uint64_t gid, uint64_t now_ns) {
@@ -420,10 +420,10 @@ void Cluster::VoteTimeoutEvent(uint64_t gid, uint64_t now_ns) {
   // prepared state, if any, resolves via inquiry → presumed abort).
   m2.votes_pending = 0;
   m2.vote_no = true;
-  Decide(gid, sh.db->now_ns());
+  Decide(gid);
 }
 
-void Cluster::Decide(uint64_t gid, uint64_t now_ns) {
+void Cluster::Decide(uint64_t gid) {
   Machine& m0 = machines_.at(gid);
   m0.decided = true;
   const uint32_t coord = m0.coord;

@@ -231,14 +231,14 @@ class Cluster {
   void ArriveEvent(uint64_t gid, uint64_t now_ns);
   void PumpAdmissions(uint32_t s, uint64_t now_ns);
   void StartMachine(uint64_t gid, uint64_t now_ns);
-  void Run1Pc(uint64_t gid, uint64_t now_ns);
-  void Run2Pc(uint64_t gid, uint64_t now_ns);
+  void Run1Pc(uint64_t gid);
+  void Run2Pc(uint64_t gid);
   void PrepareRecvEvent(uint32_t p, uint64_t gid, uint32_t coord,
                         std::vector<int64_t> keys, int64_t delta,
                         uint64_t now_ns);
   void VoteRecvEvent(uint64_t gid, uint32_t from, bool yes, uint64_t now_ns);
   void VoteTimeoutEvent(uint64_t gid, uint64_t now_ns);
-  void Decide(uint64_t gid, uint64_t now_ns);
+  void Decide(uint64_t gid);
   void DecisionRecvEvent(uint32_t p, uint64_t gid, bool commit,
                          uint64_t now_ns);
   void InquiryTimerEvent(uint32_t p, uint64_t gid, uint64_t gen,

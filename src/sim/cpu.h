@@ -17,11 +17,11 @@ namespace mmdb::sim {
 /// to virtual time on its own timeline and accumulates totals so benches
 /// can report both modeled rates and instruction budgets.
 ///
-/// Each CPU has a private timeline (`busy_until`): the main CPU and the
-/// recovery CPU run in parallel in the paper, so their work must not
-/// serialize onto one clock. The shared SimClock is only advanced by
-/// explicit synchronization points (e.g. a transaction blocking on a disk
-/// read).
+/// Each CPU has a private timeline (`busy_until`), so work on parallel
+/// processors does not serialize onto one clock: each executor worker
+/// runs on its own and joins the shared SimClock only at explicit
+/// synchronization points. The database's main CPU keeps its time on
+/// the SimClock itself, so its model only counts instructions.
 class CpuModel {
  public:
   CpuModel(std::string name, double mips)
@@ -39,10 +39,10 @@ class CpuModel {
   /// stable-memory access penalty).
   void Stall(double ns) { busy_until_ns_ += ns; }
 
-  /// Account instructions that already ran on an auxiliary timeline
-  /// (parallel recovery lanes occupy their own DeviceTimelines): the work
-  /// is added to the instruction total without advancing this CPU's
-  /// private busy-until — the caller synchronizes with IdleUntil().
+  /// Account instructions whose time is kept on another timeline (a
+  /// worker's, a recovery lane's, or the global clock): the work is
+  /// added to the instruction total without advancing this CPU's
+  /// private busy-until.
   void AccountInstructions(double instructions) {
     total_instructions_ += instructions;
   }

@@ -128,6 +128,38 @@ void ConcurrentExecutor::ResetForRetry(Lane* lane) {
   lane->park_ns = 0;
 }
 
+Status ConcurrentExecutor::AbortAttempt(size_t li, uint64_t now_ns,
+                                        Status error) {
+  Lane& lane = lanes_[li];
+  RecordAbortSketch(lane, now_ns);
+  lane.cpu->IdleUntil(now_ns);
+  Database::ExecContext ctx;
+  ctx.cpu = lane.cpu.get();
+  ctx.worker = static_cast<uint32_t>(li);
+  db_->BindExecContext(&ctx);
+  Status st = db_->Abort(lane.txn);
+  db_->BindExecContext(nullptr);
+  MMDB_RETURN_IF_ERROR(st);
+  ScriptResult& r = results_[lane.script];
+  if (error.ok()) {
+    // A lost deadlock: the script retries from scratch on the same worker
+    // with a fresh transaction, unless that exhausts its retry budget.
+    deadlocks_++;
+    m_deadlocks_->Add();
+    if (++r.deadlock_retries > opts_.max_deadlock_retries) {
+      error = Status::Busy("deadlock retry budget exhausted");
+    }
+  }
+  if (!error.ok()) {
+    r.outcome = ScriptOutcome::kAborted;
+    r.error = error;
+    lane.script = -1;
+    ++free_lanes_;
+  }
+  ResetForRetry(&lane);
+  return Status::OK();
+}
+
 Status ConcurrentExecutor::AbortVictims(const std::vector<uint64_t>& victims,
                                         uint64_t now_ns) {
   for (uint64_t vid : victims) {
@@ -146,7 +178,6 @@ Status ConcurrentExecutor::AbortVictims(const std::vector<uint64_t>& victims,
     }
     Lane& lane = lanes_[li];
     MMDB_DCHECK(lane.blocked);
-    RecordAbortSketch(lane, now_ns);
     // Removing the victim's queue entry can itself unblock waiters queued
     // behind it.
     for (uint64_t granted : db_->locks().CancelWait(vid)) {
@@ -156,29 +187,7 @@ Status ConcurrentExecutor::AbortVictims(const std::vector<uint64_t>& victims,
     // The victim learns of its fate at the moment the requester detected
     // the cycle. Its Abort releases locks; the resulting grants land in
     // the database's pending list and are drained after this step.
-    lane.cpu->IdleUntil(now_ns);
-    Database::ExecContext ctx;
-    ctx.cpu = lane.cpu.get();
-    ctx.worker = static_cast<uint32_t>(li);
-    db_->BindExecContext(&ctx);
-    Status st = db_->Abort(lane.txn);
-    db_->BindExecContext(nullptr);
-    MMDB_RETURN_IF_ERROR(st);
-    deadlocks_++;
-    m_deadlocks_->Add();
-    int si = lane.script;
-    ScriptResult& r = results_[si];
-    r.deadlock_retries++;
-    if (r.deadlock_retries > opts_.max_deadlock_retries) {
-      r.outcome = ScriptOutcome::kAborted;
-      r.error = Status::Busy("deadlock retry budget exhausted");
-      r.txn_id = vid;
-      lane.script = -1;
-      ++free_lanes_;
-    }
-    // Otherwise the script retries from scratch on the same worker with a
-    // fresh transaction.
-    ResetForRetry(&lane);
+    MMDB_RETURN_IF_ERROR(AbortAttempt(li, now_ns, Status::OK()));
   }
   return Status::OK();
 }
@@ -240,26 +249,14 @@ Status ConcurrentExecutor::DispatchOne(size_t li) {
       }
       return Status::OK();
     }
+    db_->BindExecContext(nullptr);
     if (!st.ok() && !ctx.deadlock_victims.empty() &&
         ctx.deadlock_victims.front() == lane.txn->id()) {
       // kDeadlockSelf: this transaction is the youngest on a cycle its
       // own request closed. Abort it (full undo covers the partial op —
       // no statement rollback needed first) and retry from scratch.
-      uint64_t now_ns = lane.cpu->busy_until_ns();
-      RecordAbortSketch(lane, now_ns);
-      Status ab = db_->Abort(lane.txn);
-      db_->BindExecContext(nullptr);
-      MMDB_RETURN_IF_ERROR(ab);
-      deadlocks_++;
-      m_deadlocks_->Add();
-      result.deadlock_retries++;
-      if (result.deadlock_retries > opts_.max_deadlock_retries) {
-        result.outcome = ScriptOutcome::kAborted;
-        result.error = Status::Busy("deadlock retry budget exhausted");
-        lane.script = -1;
-        ++free_lanes_;
-      }
-      ResetForRetry(&lane);
+      const uint64_t now_ns = lane.cpu->busy_until_ns();
+      MMDB_RETURN_IF_ERROR(AbortAttempt(li, now_ns, Status::OK()));
       // Other cycles closed by the same request may have appointed
       // additional (parked) victims.
       if (ctx.deadlock_victims.size() > 1) {
@@ -269,31 +266,14 @@ Status ConcurrentExecutor::DispatchOne(size_t li) {
       }
       return Status::OK();
     }
-    db_->BindExecContext(nullptr);
     if (st.IsFault()) {
       // Injected crash: stop dead, leaving the transaction in flight as
       // the crash would find it. No abort — volatile state is gone.
       result.error = st;
       return st;
     }
-    if (!st.ok()) {
-      // Ordinary script failure: abort, record, move on.
-      RecordAbortSketch(lane, lane.cpu->busy_until_ns());
-      Database::ExecContext actx;
-      actx.cpu = lane.cpu.get();
-      actx.worker = static_cast<uint32_t>(li);
-      db_->BindExecContext(&actx);
-      Status ab = db_->Abort(lane.txn);
-      db_->BindExecContext(nullptr);
-      if (ab.IsFault()) return ab;
-      MMDB_RETURN_IF_ERROR(ab);
-      result.outcome = ScriptOutcome::kAborted;
-      result.error = st;
-      lane.script = -1;
-      ++free_lanes_;
-      ResetForRetry(&lane);
-      return Status::OK();
-    }
+    // Ordinary script failure: abort, record, move on.
+    if (!st.ok()) return AbortAttempt(li, lane.cpu->busy_until_ns(), st);
     lane.next_op++;
     return Status::OK();
   }
@@ -322,37 +302,6 @@ Status ConcurrentExecutor::DispatchOne(size_t li) {
   ++free_lanes_;
   ResetForRetry(&lane);
   return Status::OK();
-}
-
-void ConcurrentExecutor::StartSweep(uint32_t lane, uint64_t now_ns) {
-  Database::RecoveryWorkItem item;
-  if (!db_->NextSweepItem(&item)) return;  // lane drains
-  // The sweep runs beside live commits, so its log reads stay on the
-  // primary disk and leave the mirror to the log writer's duplexed
-  // writes.
-  auto rebuilt = db_->RebuildPartition(item, now_ns, &sweep_lanes_[lane],
-                                       Database::LogReads::kPrimary);
-  if (!rebuilt.ok()) {
-    sched_->Fail(rebuilt.status());
-    return;
-  }
-  // The install mutates shared state (partition manager, catalog), so it
-  // runs as its own event at the rebuild's completion instant; like every
-  // background event it loses virtual-time ties to transaction steps.
-  const uint64_t done_ns = rebuilt.value().done_ns;
-  sched_->At(done_ns, [this, lane, r = std::move(rebuilt).value()](
-                          uint64_t t) mutable {
-    auto installed = db_->Install(std::move(r), RecoverySource::kBackground);
-    if (!installed.ok()) {
-      sched_->Fail(installed.status());
-      return;
-    }
-    if (installed.value()) {
-      ++sweep_recovered_;
-      last_sweep_install_ns_ = t;
-    }
-    StartSweep(lane, t);
-  });
 }
 
 void ConcurrentExecutor::MaintenanceTick(uint64_t now_ns) {
@@ -391,9 +340,12 @@ size_t ConcurrentExecutor::NextWorker() const {
 Status ConcurrentExecutor::Run() {
   sim::EventScheduler sched;
   sched_ = &sched;
-  sweep_recovered_ = 0;
-  last_sweep_install_ns_ = 0;
-
+  // The sweep runs beside live commits, so its log reads stay on the
+  // primary disk and leave the mirror to the log writer's duplexed
+  // writes.
+  Database::LaneLoop sweep(db_, &sched, /*work=*/nullptr,
+                           Database::LogReads::kPrimary,
+                           RecoverySource::kBackground);
   if (opts_.background_sweep) {
     const uint32_t sweep_lanes =
         opts_.sweep_lanes != 0
@@ -401,12 +353,7 @@ Status ConcurrentExecutor::Run() {
             : std::max<uint32_t>(1, db_->options().recovery_parallelism);
     sched.Reserve(sweep_lanes + 1);
     const uint64_t t0 = db_->now_ns();
-    sweep_lanes_.clear();
-    sweep_lanes_.reserve(sweep_lanes);
-    for (uint32_t s = 0; s < sweep_lanes; ++s) {
-      sweep_lanes_.emplace_back(s);
-      sched.At(t0, [this, s](uint64_t t) { StartSweep(s, t); });
-    }
+    sweep.Start(sweep_lanes, t0);
     sched.At(t0 + kMaintenanceTickNs,
              [this](uint64_t t) { MaintenanceTick(t); });
   }
@@ -440,6 +387,8 @@ Status ConcurrentExecutor::Run() {
   sched_events_run_ = worker_steps + sched.events_run();
   sched_peak_depth_ = sched.peak_depth();
   sched_heap_fallbacks_ = sched.heap_fallbacks();
+  sweep_recovered_ = sweep.installed();
+  last_sweep_install_ns_ = sweep.last_install_ns();
   sched_ = nullptr;
   MMDB_RETURN_IF_ERROR(st);
 

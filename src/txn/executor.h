@@ -82,13 +82,14 @@ struct ScriptResult {
 /// determinism test layer asserts.
 ///
 /// The loop can also interleave the heat-ordered background recovery
-/// sweep (background_sweep=true, post-crash): N recovery lanes rebuild
-/// non-resident partitions as sim::EventScheduler events between
-/// transaction operations, installing each partition at its virtual
-/// completion instant, with a periodic maintenance tick pumping the sort
-/// process and checkpointer. A background event runs before the next
-/// worker step only when it is due strictly earlier, so transactions,
-/// recovery lanes, and the sweep share one virtual timeline.
+/// sweep (background_sweep=true, post-crash): the recovery-lane loop
+/// (Database::LaneLoop) runs N lanes on the executor's event scheduler,
+/// rebuilding non-resident partitions between transaction operations
+/// and installing each at its virtual completion instant, with a
+/// periodic maintenance tick pumping the sort process and checkpointer.
+/// A background event runs before the next worker step only when it is
+/// due strictly earlier, so transactions, recovery lanes, and the sweep
+/// share one virtual timeline.
 class ConcurrentExecutor {
  public:
   struct Options {
@@ -164,8 +165,13 @@ class ConcurrentExecutor {
   void AdmitScripts();
   /// Dispatches one step (Begin+op, op, or Commit) of lane `li`'s script.
   Status DispatchOne(size_t li);
-  /// Aborts parked deadlock victims at `now_ns` and resets their scripts
-  /// for retry (or abandons them past the retry budget).
+  /// The one abort path: aborts lane `li`'s transaction at `now_ns`.
+  /// `error` OK means it lost a deadlock: the script retries, or ends
+  /// kAborted past the retry budget; otherwise the script ends kAborted
+  /// with `error`. Either way the lane is reset, and freed when its
+  /// script ended.
+  Status AbortAttempt(size_t li, uint64_t now_ns, Status error);
+  /// Aborts parked deadlock victims at `now_ns` (AbortAttempt).
   Status AbortVictims(const std::vector<uint64_t>& victims, uint64_t now_ns);
   /// Resets lane state so the script retries from scratch.
   void ResetForRetry(Lane* lane);
@@ -173,10 +179,6 @@ class ConcurrentExecutor {
   /// The runnable worker with the smallest (busy-until, index), or
   /// workers() when none is runnable.
   size_t NextWorker() const;
-  /// Pulls the next sweep item onto sweep lane `lane`: rebuilds it
-  /// (Database::RebuildPartition) and schedules the install at its
-  /// completion.
-  void StartSweep(uint32_t lane, uint64_t now_ns);
   /// Periodic sort-process + checkpointer pump (background_sweep only);
   /// stops rescheduling once no worker is runnable and no other
   /// background event is pending.
@@ -207,7 +209,6 @@ class ConcurrentExecutor {
 
   /// Background event heap, live only inside Run().
   sim::EventScheduler* sched_ = nullptr;
-  std::vector<Database::RecoveryLane> sweep_lanes_;
   uint64_t sweep_recovered_ = 0;
   uint64_t last_sweep_install_ns_ = 0;
   uint64_t sched_events_run_ = 0;

@@ -245,6 +245,68 @@ TEST(ConcurrentExecutorTest, DeadlockVictimUndoRestoresPreImage) {
   EXPECT_EQ(rows[3], 300);  // B fully undone
 }
 
+/// The older transaction closes the cycle, so the victim is the younger
+/// waiter already parked on it, not the requester. A's first op writes
+/// two rows and B's one, so B runs ahead and parks on row 0 before A asks
+/// for row 3. Past the retry budget (0) B ends kAborted and its worker
+/// takes the next script; with one retry B runs again and commits.
+TEST(ConcurrentExecutorTest, ParkedYoungerWaiterIsTheDeadlockVictim) {
+  for (uint32_t retries : {0u, 1u}) {
+    SCOPED_TRACE(retries);
+    Rig rig(2);
+    rig.Setup();
+    TxnScript a;
+    a.label = "A";
+    a.ops.push_back([&rig](Database& d, Transaction* t) -> Status {
+      MMDB_RETURN_IF_ERROR(
+          d.Update(t, "r", rig.addrs[0], Tuple{int64_t{0}, int64_t{111}}));
+      return d.Update(t, "r", rig.addrs[1], Tuple{int64_t{1}, int64_t{211}});
+    });
+    a.ops.push_back(UpdateOp(rig.addrs[3], 3, 311));
+    TxnScript b;
+    b.label = "B";
+    b.ops.push_back(UpdateOp(rig.addrs[3], 3, 333));
+    b.ops.push_back(UpdateOp(rig.addrs[0], 0, 122));
+    TxnScript c;
+    c.label = "C";
+    c.ops.push_back(UpdateOp(rig.addrs[2], 2, 222));
+
+    ConcurrentExecutor ex(rig.db.get(), {.max_deadlock_retries = retries});
+    ex.Submit(a);
+    ex.Submit(b);
+    ex.Submit(c);
+    ASSERT_OK(ex.Run());
+
+    EXPECT_EQ(ex.deadlocks(), 1u);
+    const std::vector<ScriptResult>& r = ex.results();
+    ASSERT_EQ(r.size(), 3u);
+    EXPECT_EQ(r[0].outcome, ScriptOutcome::kCommitted);
+    EXPECT_EQ(r[0].deadlock_retries, 0u);
+    EXPECT_EQ(r[1].deadlock_retries, 1u);
+    EXPECT_EQ(r[2].outcome, ScriptOutcome::kCommitted);
+    std::map<int64_t, int64_t> rows = rig.ScanRows();
+    EXPECT_EQ(rows[1], 211);
+    EXPECT_EQ(rows[2], 222);
+    if (retries == 0) {
+      // B was parked (one wait) when it was chosen.
+      EXPECT_EQ(r[1].waits, 1u);
+      EXPECT_EQ(r[1].outcome, ScriptOutcome::kAborted);
+      EXPECT_TRUE(r[1].error.IsBusy());
+      EXPECT_GT(r[1].txn_id, r[0].txn_id);
+      EXPECT_EQ(r[2].worker, r[1].worker);  // the victim's worker freed
+      EXPECT_EQ(rows[0], 111);
+      EXPECT_EQ(rows[3], 311);
+    } else {
+      // The retry parks once more, behind A's row 3.
+      EXPECT_EQ(r[1].waits, 2u);
+      EXPECT_EQ(r[1].outcome, ScriptOutcome::kCommitted);
+      EXPECT_OK(r[1].error);
+      EXPECT_EQ(rows[0], 122);
+      EXPECT_EQ(rows[3], 333);
+    }
+  }
+}
+
 TEST(ConcurrentExecutorTest, AbortReleasesLocksAndWakesWaiters) {
   Rig rig(2);
   rig.Setup();

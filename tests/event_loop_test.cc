@@ -198,11 +198,11 @@ TEST(EventLoopTest, SweepQueueIsHeatOrdered) {
   rig.db->Crash();
   ASSERT_OK(rig.db->Restart());
 
-  Database::RecoveryWorkItem first;
+  PartitionId first;
   ASSERT_TRUE(rig.db->NextSweepItem(&first));
   // The hot row's partition is nowhere near the catalog scan's start, so
   // catalog order would not put it first — heat order must.
-  EXPECT_EQ(first.pid, rig.addrs[hot_row].partition);
+  EXPECT_EQ(first, rig.addrs[hot_row].partition);
 }
 
 /// Explicit BackgroundRecoveryStep still drains everything under the

@@ -239,6 +239,22 @@ TEST_F(LogStreamAgeTest, WindowSlackFallsToZeroAtTheAgeBoundary) {
   EXPECT_EQ(metrics_.gauge_value("log.window_slack_pages"), 0.0);
 }
 
+/// While the log is younger than its window less the grace region, the
+/// gauge counts the pages left before the oldest partition's age trigger:
+/// 64 - 8 - 1 = 55 once that partition's first page (LSN 0) is written,
+/// and one fewer per page after it.
+TEST_F(LogStreamAgeTest, WindowSlackCountsDownWhileTheLogIsYoung) {
+  const uint32_t page = ls_.writer().PagePayloadCapacity(0);
+  for (uint32_t i = 0; i < 8; ++i) {
+    // A partition's first page carries no directory: one page each.
+    CommitBytes(i + 1, {1, i}, Register({1, i}), page);
+    ASSERT_OK(ls_.Drain(0));
+    ASSERT_EQ(ls_.writer().next_lsn(), i + 1);
+    EXPECT_EQ(metrics_.gauge_value("log.window_slack_pages"), 55.0 - i);
+  }
+  EXPECT_EQ(AgeRequests(), 0u);
+}
+
 TEST_F(LogStreamTest, CheckpointFinishedResetsBinAndArchives) {
   uint32_t bin = Register({1, 0});
   CommitRecords(1, {1, 0}, bin, 30, 64);

@@ -91,7 +91,7 @@ TEST(NetworkModelTest, InFlightMessagesDropAtCrash) {
   });
   // In flight *from* node 1 when it crashes: the connection died with
   // the sender, so the message is lost too.
-  net.Send(1, 0, 64, 0, [&](uint64_t now, bool ok) {
+  net.Send(1, 0, 64, 0, [&](uint64_t, bool ok) {
     events.push_back("from_crashed ok=" + std::to_string(ok));
   });
   sched.At(10'000, [&](uint64_t) { net.NodeDown(1); });

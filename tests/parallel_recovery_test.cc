@@ -242,12 +242,12 @@ TEST(ParallelRecoveryTest, InstallDropsCopyMadeStaleByOnDemandFault) {
   ASSERT_OK(db.Restart());
 
   // Rebuild a cold partition off to the side, as a sweep lane would.
-  Database::RecoveryWorkItem item;
-  ASSERT_TRUE(db.NextSweepItem(&item));
+  PartitionId pid;
+  ASSERT_TRUE(db.NextSweepItem(&pid));
   Database::RecoveryLane lane(0);
   ASSERT_OK_AND_ASSIGN(
       Database::RebuiltPartition rebuilt,
-      db.RebuildPartition(item, db.now_ns(), &lane,
+      db.RebuildPartition(pid, db.now_ns(), &lane,
                           Database::LogReads::kPrimary));
 
   // Before it installs, a transaction faults the same partition in on
@@ -256,7 +256,7 @@ TEST(ParallelRecoveryTest, InstallDropsCopyMadeStaleByOnDemandFault) {
   for (int r = 0; r < kRelations && rel.empty(); ++r) {
     for (const PartitionDescriptor& d :
          db.catalog().GetRelation(Rel(r)).value()->partitions) {
-      if (d.id == item.pid) rel = Rel(r);
+      if (d.id == pid) rel = Rel(r);
     }
   }
   ASSERT_FALSE(rel.empty());
@@ -266,17 +266,17 @@ TEST(ParallelRecoveryTest, InstallDropsCopyMadeStaleByOnDemandFault) {
   EntityAddr addr;
   Tuple updated;
   for (auto& [a, tuple] : rows) {
-    if (a.partition == item.pid) {
+    if (a.partition == pid) {
       addr = a;
       updated = tuple;
       break;
     }
   }
-  ASSERT_EQ(addr.partition, item.pid);
+  ASSERT_EQ(addr.partition, pid);
   updated[1] = int64_t{-1};
   ASSERT_OK(db.Update(t.value(), rel, addr, updated));
   ASSERT_OK(db.Commit(t.value()));
-  ASSERT_OK_AND_ASSIGN(Partition * faulted, db.partitions().Get(item.pid));
+  ASSERT_OK_AND_ASSIGN(Partition * faulted, db.partitions().Get(pid));
 
   // The rebuilt copy predates the update: Install must drop it, and
   // counts the wasted rebuild.
@@ -288,7 +288,7 @@ TEST(ParallelRecoveryTest, InstallDropsCopyMadeStaleByOnDemandFault) {
   EXPECT_FALSE(installed);
   EXPECT_EQ(db.metrics().counter_value("recovery.stale_rebuilds"),
             stale_before + 1);
-  ASSERT_OK_AND_ASSIGN(Partition * resident, db.partitions().Get(item.pid));
+  ASSERT_OK_AND_ASSIGN(Partition * resident, db.partitions().Get(pid));
   EXPECT_EQ(resident, faulted);
   auto t2 = db.Begin();
   ASSERT_OK(t2.status());

@@ -21,7 +21,6 @@ using obs::AnalyzeRecoveryCurve;
 using obs::CounterSeries;
 using obs::GaugeSeries;
 using obs::LogSketch;
-using obs::SketchSeries;
 
 // ---------------------------------------------------------------------------
 // Windowed collectors
@@ -74,17 +73,6 @@ TEST(GaugeSeriesTest, WindowTracksLastMinMax) {
   EXPECT_DOUBLE_EQ(w2.last, 7.0);
   EXPECT_DOUBLE_EQ(w2.min, 7.0);
   EXPECT_DOUBLE_EQ(w2.max, 7.0);
-}
-
-TEST(SketchSeriesTest, PerWindowSketches) {
-  SketchSeries s(1000);
-  for (int i = 0; i < 100; ++i) s.Record(500, 1000.0);
-  for (int i = 0; i < 100; ++i) s.Record(1500, 8000.0);
-  ASSERT_EQ(s.nonempty_buckets(), 2u);
-  EXPECT_EQ(s.buckets().at(0).count(), 100u);
-  // Per-window percentiles are independent.
-  EXPECT_NEAR(s.buckets().at(0).Percentile(0.5), 1000.0, 1000.0 * 0.05);
-  EXPECT_NEAR(s.buckets().at(1).Percentile(0.5), 8000.0, 8000.0 * 0.05);
 }
 
 // ---------------------------------------------------------------------------
