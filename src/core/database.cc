@@ -8,15 +8,38 @@
 
 namespace mmdb {
 
+Status DatabaseOptions::Validate() const {
+  auto bad = [](const std::string& what) {
+    return Status::InvalidArgument("DatabaseOptions: " + what);
+  };
+  if (log_page_bytes == 0) return bad("log_page_bytes must be positive");
+  if (log_streams > 1 && epoch_interval_ns == 0) {
+    return bad("epoch_interval_ns must be positive with log_streams > 1");
+  }
+  if (partition_size_bytes < 4096) {
+    return bad("partition_size_bytes must be at least 4096");
+  }
+  if (partition_size_bytes > kMaxPartitionBytes) {
+    return bad("partition_size_bytes must be at most 512 KiB, so its slots "
+               "fit the 16-bit slot of an index ref");
+  }
+  if (partition_size_bytes % log_page_bytes != 0) {
+    return bad("partition_size_bytes must be a multiple of log_page_bytes");
+  }
+  if (slb_block_bytes > slb_capacity_bytes) {
+    return bad("slb_block_bytes must not exceed slb_capacity_bytes");
+  }
+  return Status::OK();
+}
+
 Database::Database(DatabaseOptions opts)
     : opts_(opts),
       main_cpu_("main", opts.main_cpu_mips),
       recovery_cpu_("recovery", opts.recovery_cpu_mips) {
-  // Checked before any division by them.
-  MMDB_CHECK(opts_.log_page_bytes > 0);
-  MMDB_CHECK(opts_.log_streams <= 1 || opts_.epoch_interval_ns > 0);
-  MMDB_CHECK(opts_.partition_size_bytes % opts_.log_page_bytes == 0);
-  MMDB_CHECK(opts_.partition_size_bytes >= 4096);
+  // Checked before any division by the options.
+  const Status valid = opts_.Validate();
+  if (!valid.ok()) std::fprintf(stderr, "%s\n", valid.ToString().c_str());
+  MMDB_CHECK(valid.ok());
   opts_.checkpoint_disk_params.page_size_bytes = opts_.log_page_bytes;
   opts_.checkpoint_disk_params.pages_per_track =
       opts_.partition_size_bytes / opts_.log_page_bytes;
@@ -64,6 +87,7 @@ void Database::AttachStableObservers() {
   m_ondemand_count_ = metrics_.counter("recovery.on_demand");
   m_background_count_ = metrics_.counter("recovery.background");
   m_stale_rebuilds_ = metrics_.counter("recovery.stale_rebuilds");
+  m_adopted_rebuilds_ = metrics_.counter("recovery.adopted_rebuilds");
   m_txn_latency_ns_ =
       metrics_.histogram("txn.latency_ns", obs::Scope::kVolatile);
   m_ckpt_duration_ns_ = metrics_.histogram("checkpoint.duration_ns");
@@ -473,6 +497,20 @@ Result<Partition*> Database::ResidentPartition(PartitionId pid) {
       if (!o.resident && o.id != pid) work.push_back(o.id);
     }
   }
+  // A sweep lane may be rebuilding some of them already. Its copy is
+  // current: no transaction can write a partition that is not resident,
+  // so the partition's bin chain cannot have grown since the lane read
+  // it. The fault takes that copy and waits for it rather than reading
+  // the checkpoint image a second time.
+  std::vector<RebuiltPartition> adopted;
+  if (sweep_ != nullptr) {
+    std::erase_if(work, [&](PartitionId id) {
+      RebuiltPartition copy;
+      if (!sweep_->TakeInFlight(id, &copy)) return false;
+      adopted.push_back(std::move(copy));
+      return true;
+    });
+  }
   // A bound worker joins the shared system clock for the restore (the
   // devices and recovery lanes are scheduled on it) and resumes its own
   // timeline at completion; other workers keep running — the recovery
@@ -483,6 +521,12 @@ Result<Partition*> Database::ResidentPartition(PartitionId pid) {
   uint64_t start_ns = clock_.now_ns();
   Status rec =
       RecoverPartitionsParallel(work, RecoverySource::kOnDemand, nullptr);
+  for (RebuiltPartition& copy : adopted) {
+    if (!rec.ok()) break;
+    clock_.AdvanceTo(copy.done_ns);
+    rec = Install(std::move(copy), RecoverySource::kOnDemand).status();
+    m_adopted_rebuilds_->Add(1);
+  }
   if (ctx != nullptr) {
     ctx->cpu->IdleUntil(clock_.now_ns());
     exec_ = ctx;
@@ -667,14 +711,15 @@ Status Database::CreateIndex(const std::string& index_name,
 
   if (st.ok() && type == IndexType::kTTree) {
     auto tree =
-        TTree::Build(store, seg, existing, opts_.ttree_node_capacity);
+        TTree::Build(store, seg, rel.value()->segment, existing,
+                     opts_.ttree_node_capacity);
     if (!tree.ok()) {
       st = tree.status();
     } else {
       v_->ttrees.emplace(index_name, tree.value());
     }
   } else if (st.ok()) {
-    auto hash = LinearHash::Build(store, seg, existing,
+    auto hash = LinearHash::Build(store, seg, rel.value()->segment, existing,
                                   opts_.hash_initial_buckets,
                                   opts_.hash_node_capacity);
     if (!hash.ok()) {

@@ -170,6 +170,15 @@ struct DatabaseOptions {
   /// stamped) and becomes externally durable only once every stream has
   /// written its epoch flush marker at or past that epoch.
   uint64_t epoch_interval_ns = 100'000;
+
+  /// Largest partition: a partition's slot numbers must fit the 16-bit
+  /// slot of an index ref (index/node_format.h), and each slot takes 8
+  /// bytes of its directory.
+  static constexpr uint32_t kMaxPartitionBytes = 512 * 1024;
+
+  /// OK, or InvalidArgument naming the first field the Database cannot
+  /// run with. The Database constructor checks it.
+  Status Validate() const;
 };
 
 /// Aggregated counters for benches and tests.
@@ -401,6 +410,12 @@ class Database {
     /// Starts `lanes` lanes at `t0`; call once.
     void Start(uint32_t lanes, uint64_t t0);
 
+    /// Hands over the copy of `pid` a lane is rebuilding, if any, into
+    /// `*out`. That lane's install then finds its slot empty and the lane
+    /// pulls its next partition at the copy's completion, as it would
+    /// have.
+    bool TakeInFlight(PartitionId pid, RebuiltPartition* out);
+
     const std::vector<RecoveryLane>& lanes() const { return lanes_; }
     /// Log pages read and records applied by every rebuild so far,
     /// dropped stale copies included.
@@ -424,13 +439,18 @@ class Database {
     RecoverySource source_;
     std::vector<RecoveryLane> lanes_;
     /// Per lane: the rebuilt copy awaiting its install (null part when
-    /// the lane has none).
+    /// the lane has none, or a fault took it).
     std::vector<RebuiltPartition> in_flight_;
     uint64_t pages_read_ = 0;
     uint64_t records_applied_ = 0;
     uint64_t installed_ = 0;
     uint64_t last_install_ns_ = 0;
   };
+
+  /// The concurrent executor's sweep loop while its Run is active (null
+  /// to detach). An on-demand fault adopts the copies this loop's lanes
+  /// have in flight instead of rebuilding those partitions again.
+  void AttachSweep(LaneLoop* sweep) { sweep_ = sweep; }
 
   // --- media failure ----------------------------------------------------------
   /// Simulates a checkpoint-disk media failure and recovers it from the
@@ -768,6 +788,8 @@ class Database {
   /// single-stream mode) and waiter grants awaiting pickup.
   ExecContext* exec_ = nullptr;
   std::vector<std::pair<uint64_t, uint64_t>> pending_grants_;
+  /// The executor's sweep loop while its Run is active (AttachSweep).
+  LaneLoop* sweep_ = nullptr;
 
   /// Bumped by every DDL and crash: both change which partitions exist.
   uint64_t ddl_epoch_ = 0;
@@ -792,6 +814,7 @@ class Database {
   obs::Counter* m_ondemand_count_ = nullptr;
   obs::Counter* m_background_count_ = nullptr;
   obs::Counter* m_stale_rebuilds_ = nullptr;
+  obs::Counter* m_adopted_rebuilds_ = nullptr;
   obs::Histogram* m_txn_latency_ns_ = nullptr;
   obs::Histogram* m_ckpt_duration_ns_ = nullptr;
   obs::Histogram* m_ondemand_ns_ = nullptr;

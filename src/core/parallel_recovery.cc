@@ -236,15 +236,28 @@ void Database::LaneLoop::Pull(uint32_t lane, uint64_t now_ns) {
   sched_->At(done_ns, [this, lane](uint64_t t) { Land(lane, t); });
 }
 
-void Database::LaneLoop::Land(uint32_t lane, uint64_t now_ns) {
-  auto installed = db_->Install(std::move(in_flight_[lane]), source_);
-  if (!installed.ok()) {
-    sched_->Fail(installed.status());
-    return;
+bool Database::LaneLoop::TakeInFlight(PartitionId pid, RebuiltPartition* out) {
+  for (RebuiltPartition& copy : in_flight_) {
+    if (copy.part != nullptr && copy.part->id() == pid) {
+      *out = std::move(copy);
+      return true;
+    }
   }
-  if (installed.value()) {
-    ++installed_;
-    last_install_ns_ = now_ns;
+  return false;
+}
+
+void Database::LaneLoop::Land(uint32_t lane, uint64_t now_ns) {
+  // An on-demand fault may have taken the copy (TakeInFlight).
+  if (in_flight_[lane].part != nullptr) {
+    auto installed = db_->Install(std::move(in_flight_[lane]), source_);
+    if (!installed.ok()) {
+      sched_->Fail(installed.status());
+      return;
+    }
+    if (installed.value()) {
+      ++installed_;
+      last_install_ns_ = now_ns;
+    }
   }
   Pull(lane, now_ns);
 }

@@ -28,8 +28,8 @@ DatabaseOptions CrashExplorer::TrialOptions() const {
   o.partition_size_bytes = 16 * 1024;
   o.log_page_bytes = 2 * 1024;
   o.n_update = 1ull << 30;  // checkpoints fire only where scripted
-  o.recovery_parallelism = 2;
-  o.restart_policy = RestartPolicy::kFullReload;
+  o.recovery_parallelism = opts_.recovery_parallelism;
+  o.restart_policy = opts_.restart_policy;
   o.enable_tracing = opts_.trace;
   if (opts_.txn_workers > 1) o.txn_workers = opts_.txn_workers;
   if (opts_.log_streams > 1) o.log_streams = opts_.log_streams;
@@ -351,14 +351,15 @@ Status CrashExplorer::RecoverFully(Database* db, uint64_t* crashes) {
     }
     Status st = Status::OK();
     if (db->crashed()) st = db->Restart();
-    if (st.ok()) {
+    if (st.ok() &&
+        db->options().restart_policy == RestartPolicy::kFullReload) {
       bool done = false;
       while (done == false) {
         st = db->BackgroundRecoveryStep(&done);
         if (!st.ok()) break;
       }
-      if (st.ok()) return Status::OK();
     }
+    if (st.ok()) return Status::OK();
     if (!st.IsFault() && !db->fault_injector().crash_pending()) return st;
     // Crash-within-restart: deliver it and restart again.
   }
@@ -517,6 +518,12 @@ Status CrashExplorer::CheckInvariants(Database* db, const Ledger& led,
   // committed, recovery must reproduce the exact pre-crash partition
   // bytes (image + replayed log = memory state at the crash).
   if (have_oracle_ && led.workload_complete && rel_exists) {
+    // Under kOnDemand the checks above faulted in what they read; the
+    // sweep brings back the rest.
+    for (bool done = false; !done;) {
+      Status st = db->BackgroundRecoveryStep(&done);
+      if (!st.ok()) return fail("background recovery: " + st.ToString());
+    }
     if (got != oracle_rows_) {
       return fail("complete workload recovered different rows than the "
                   "no-crash oracle");
@@ -610,7 +617,8 @@ Status CrashExplorer::Run(ExplorerReport* report) {
     have_oracle_ = true;
   }
 
-  // Sweep: stride-subsampled visits per site (rare sites exhaustively).
+  // Sweep: stride-subsampled visits per site (rare sites exhaustively),
+  // starting at an offset the seed picks.
   for (Site site : opts_.sites) {
     uint64_t n = report->probe_visits[static_cast<size_t>(site)];
     if (n == 0) continue;
@@ -618,8 +626,9 @@ Status CrashExplorer::Run(ExplorerReport* report) {
         n > opts_.max_points_per_site
             ? (n + opts_.max_points_per_site - 1) / opts_.max_points_per_site
             : 1;
-    for (uint64_t k = 1; k <= n; k += stride) {
+    for (uint64_t k = 1 + (opts_.seed - 1) % stride; k <= n; k += stride) {
       ++report->points_explored;
+      report->explored.emplace_back(site, k);
       std::string failure;
       MMDB_RETURN_IF_ERROR(
           RunPointImpl(site, k, &failure, &report->crashes_delivered));

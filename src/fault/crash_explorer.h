@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/database.h"
@@ -17,7 +18,8 @@ namespace mmdb::fault {
 /// the sweep subsamples up to `max_points_per_site` visits per site with
 /// an even stride, so high-frequency sites (stable-memory accesses) stay
 /// bounded while every rare site (checkpoint track writes, restart
-/// applies) is covered exhaustively.
+/// applies) is covered exhaustively. The seed picks which visits a
+/// subsampled site keeps: the first is visit 1 + (seed - 1) mod stride.
 struct ExplorerOptions {
   uint64_t seed = 1;
   std::vector<Site> sites = {
@@ -48,6 +50,13 @@ struct ExplorerOptions {
   /// recovery sees exactly the recovered committed state, and version
   /// pruning is idempotent when the reclaimer resumes.
   bool mvcc_readers = false;
+  /// The trial databases' restart policy and recovery lanes. Under
+  /// kOnDemand a restart brings back the catalogs only: the invariant
+  /// checks fault the relation and its T-tree in (one whole-index fault),
+  /// and BackgroundRecoveryStep brings back the rest before the
+  /// partition images are compared.
+  RestartPolicy restart_policy = RestartPolicy::kFullReload;
+  uint32_t recovery_parallelism = 2;
 };
 
 struct ExplorerReport {
@@ -59,6 +68,8 @@ struct ExplorerReport {
   std::vector<std::string> failures;
   /// Per-site visit counts observed by the probe run.
   uint64_t probe_visits[kSiteCount] = {};
+  /// Every crash point run, in sweep order.
+  std::vector<std::pair<Site, uint64_t>> explored;
 };
 
 /// Enumerates crash points across a scripted workload (transactions with
@@ -137,7 +148,8 @@ class CrashExplorer {
   /// order (each script's effect is state-independent, so commit order
   /// alone determines the expected rows).
   Status RunConcurrentScript(Database* db, Ledger* led) const;
-  /// Delivers a pending injected crash and restarts to full residency.
+  /// Delivers a pending injected crash and restarts: to full residency
+  /// under kFullReload, to the catalogs under kOnDemand.
   static Status RecoverFully(Database* db, uint64_t* crashes);
   /// Byte images of every partition of "r" and its index.
   static Status CollectImages(Database* db,

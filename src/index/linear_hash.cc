@@ -9,33 +9,35 @@ namespace mmdb {
 
 namespace {
 
-constexpr size_t kAddrBytes = 12;
 // Meta payload: level, next, base_buckets (u32 each), node_capacity (u16),
-// max_chain_nodes (u32), then the segment table.
-constexpr size_t kMetaFieldBytes = 4 + 4 + 4 + 2 + 4;
-constexpr size_t kTableBytes = LinearHash::kMaxSegments * kAddrBytes;
+// max_chain_nodes and the relation's segment (u32 each), then the segment
+// table of link refs.
+constexpr size_t kMetaFieldBytes = 4 + 4 + 4 + 2 + 4 + 4;
+constexpr size_t kTableBytes = LinearHash::kMaxSegments * node::kRefSize;
 constexpr size_t kMetaBytes =
     node::kCommonHeaderSize + kMetaFieldBytes + kTableBytes;
 constexpr size_t kSegmentBytes =
-    node::kCommonHeaderSize + LinearHash::kSegmentBuckets * kAddrBytes;
+    node::kCommonHeaderSize + LinearHash::kSegmentBuckets * node::kRefSize;
 
-// Callers only pass offsets inside entities whose size was checked.
-EntityAddr AddrAt(std::span<const uint8_t> bytes, size_t pos) {
+// The link at `pos` into the index's `segment`. Callers only pass offsets
+// inside entities whose size was checked.
+EntityAddr LinkAt(std::span<const uint8_t> bytes, size_t pos,
+                  SegmentId segment) {
   EntityAddr a;
-  MMDB_CHECK(node::GetAddr(bytes, pos, &a));
+  MMDB_CHECK(node::GetLink(bytes, pos, segment, &a));
   return a;
 }
 
-void PutAddrAt(std::vector<uint8_t>* bytes, size_t pos, const EntityAddr& a) {
+void PutRefAt(std::vector<uint8_t>* bytes, size_t pos, const EntityAddr& a) {
   std::vector<uint8_t> enc;
-  node::PutAddr(&enc, a);
+  node::PutRef(&enc, a);
   std::copy(enc.begin(), enc.end(),
             bytes->begin() + static_cast<std::ptrdiff_t>(pos));
 }
 
 size_t HeadOffset(uint32_t bucket) {
   return node::kCommonHeaderSize +
-         (bucket % LinearHash::kSegmentBuckets) * kAddrBytes;
+         (bucket % LinearHash::kSegmentBuckets) * node::kRefSize;
 }
 
 // Nodes one chain walk may read. Real chains stay near the chain target
@@ -46,13 +48,14 @@ constexpr uint32_t kMaxChainWalk = 1u << 20;
 // Reads the next node of a chain walk that has read `*walked` nodes so
 // far. Every chain node holds entries: Remove unlinks a node it empties.
 Result<node::HashNode> ReadChainNode(EntityStore& store, EntityAddr addr,
+                                     node::Segments segments,
                                      uint32_t* walked) {
   if (++*walked > kMaxChainWalk) {
     return Status::Corruption("hash chain loops");
   }
   auto bytes = store.Read(addr);
   if (!bytes.ok()) return bytes.status();
-  auto n = node::HashNode::Parse(bytes.value());
+  auto n = node::HashNode::Parse(bytes.value(), segments);
   if (!n.ok()) return n.status();
   if (n.value().entries.empty()) {
     return Status::Corruption("empty hash chain node");
@@ -83,12 +86,12 @@ uint32_t LinearHash::Meta::BucketOf(uint64_t hash) const {
   return static_cast<uint32_t>(b);
 }
 
-EntityAddr LinearHash::Meta::Segment(uint32_t index) const {
-  return AddrAt(table, index * kAddrBytes);
+EntityAddr LinearHash::Meta::Segment(uint32_t index, SegmentId segment) const {
+  return LinkAt(table, index * node::kRefSize, segment);
 }
 
 void LinearHash::Meta::SetSegment(uint32_t index, const EntityAddr& addr) {
-  PutAddrAt(&table, index * kAddrBytes, addr);
+  PutRefAt(&table, index * node::kRefSize, addr);
 }
 
 std::vector<uint8_t> LinearHash::Meta::Serialize() const {
@@ -99,6 +102,7 @@ std::vector<uint8_t> LinearHash::Meta::Serialize() const {
   wire::PutU32(&p, base_buckets);
   wire::PutU16(&p, node_capacity);
   wire::PutU32(&p, max_chain_nodes);
+  wire::PutU32(&p, relation);
   p.insert(p.end(), table.begin(), table.end());
   return node::SerializeMeta(p);
 }
@@ -114,7 +118,7 @@ Result<LinearHash::Meta> LinearHash::Meta::Parse(
   Meta m;
   if (!r.GetU32(&m.level) || !r.GetU32(&m.next) ||
       !r.GetU32(&m.base_buckets) || !r.GetU16(&m.node_capacity) ||
-      !r.GetU32(&m.max_chain_nodes)) {
+      !r.GetU32(&m.max_chain_nodes) || !r.GetU32(&m.relation)) {
     return Status::Corruption("truncated linear hash meta");
   }
   if (m.base_buckets == 0 || m.node_capacity == 0 ||
@@ -130,16 +134,17 @@ Result<LinearHash::Meta> LinearHash::Meta::Parse(
 LinearHash::DirSegment LinearHash::DirSegment::Empty() {
   DirSegment s;
   s.bytes = node::SerializeMeta(
-      std::vector<uint8_t>(kSegmentBuckets * kAddrBytes, 0));
+      std::vector<uint8_t>(kSegmentBuckets * node::kRefSize, 0));
   return s;
 }
 
 EntityAddr LinearHash::DirSegment::Head(uint32_t bucket) const {
-  return AddrAt(bytes, HeadOffset(bucket));
+  // A directory segment lies in the index's segment, as its heads do.
+  return LinkAt(bytes, HeadOffset(bucket), addr.partition.segment);
 }
 
 void LinearHash::DirSegment::SetHead(uint32_t bucket, const EntityAddr& head) {
-  PutAddrAt(&bytes, HeadOffset(bucket), head);
+  PutRefAt(&bytes, HeadOffset(bucket), head);
 }
 
 Result<LinearHash::Meta> LinearHash::ReadMeta(EntityStore& store) const {
@@ -151,7 +156,7 @@ Result<LinearHash::Meta> LinearHash::ReadMeta(EntityStore& store) const {
 Result<LinearHash::DirSegment> LinearHash::ReadSegment(
     EntityStore& store, const Meta& meta, uint32_t bucket) const {
   DirSegment seg;
-  seg.addr = meta.Segment(bucket / kSegmentBuckets);
+  seg.addr = meta.Segment(bucket / kSegmentBuckets, segment_);
   if (seg.addr.IsNull()) {
     return Status::Corruption("hash directory segment missing");
   }
@@ -183,14 +188,16 @@ Result<LinearHash::Probe> LinearHash::ProbeKey(EntityStore& store,
 // --- construction ----------------------------------------------------------
 
 Result<LinearHash> LinearHash::Create(EntityStore& store, SegmentId segment,
+                                      SegmentId relation,
                                       uint32_t initial_buckets,
                                       uint16_t node_capacity,
                                       uint32_t max_chain_nodes) {
-  return Build(store, segment, {}, initial_buckets, node_capacity,
+  return Build(store, segment, relation, {}, initial_buckets, node_capacity,
                max_chain_nodes);
 }
 
 Result<LinearHash> LinearHash::Build(EntityStore& store, SegmentId segment,
+                                     SegmentId relation,
                                      std::span<const node::Entry> entries,
                                      uint32_t initial_buckets,
                                      uint16_t node_capacity,
@@ -199,7 +206,11 @@ Result<LinearHash> LinearHash::Build(EntityStore& store, SegmentId segment,
       node_capacity == 0 || max_chain_nodes == 0) {
     return Status::InvalidArgument("bad linear hash parameters");
   }
+  for (const node::Entry& e : entries) {
+    MMDB_RETURN_IF_ERROR(node::CheckValue(e.value, relation));
+  }
   Meta m;
+  m.relation = relation;
   m.base_buckets = initial_buckets;
   m.node_capacity = node_capacity;
   m.max_chain_nodes = max_chain_nodes;
@@ -221,7 +232,7 @@ Result<LinearHash> LinearHash::Build(EntityStore& store, SegmentId segment,
   if (meta_addr.value() != EntityAddr{{segment, 0}, 0}) {
     return Status::InvalidArgument("linear hash segment is not empty");
   }
-  LinearHash h(segment, meta_addr.value());
+  LinearHash h(segment, relation, meta_addr.value());
 
   // Group the entries by bucket (counting sort).
   std::vector<uint32_t> bucket_of(entries.size());
@@ -257,9 +268,10 @@ Result<LinearHash> LinearHash::Build(EntityStore& store, SegmentId segment,
 }
 
 Result<LinearHash> LinearHash::Attach(EntityStore& store, SegmentId segment) {
-  LinearHash h(segment, EntityAddr{{segment, 0}, 0});
+  LinearHash h(segment, 0, EntityAddr{{segment, 0}, 0});
   auto meta = h.ReadMeta(store);
   if (!meta.ok()) return meta.status();
+  h.relation_ = meta.value().relation;
   return h;
 }
 
@@ -285,6 +297,7 @@ Result<EntityAddr> LinearHash::BuildChain(EntityStore& store,
 // --- mutation ----------------------------------------------------------------
 
 Status LinearHash::Insert(EntityStore& store, int64_t key, EntityAddr value) {
+  MMDB_RETURN_IF_ERROR(node::CheckValue(value, relation_));
   auto pr = ProbeKey(store, key);
   if (!pr.ok()) return pr.status();
   auto& [meta, bucket, seg] = pr.value();
@@ -307,7 +320,7 @@ Status LinearHash::Insert(EntityStore& store, int64_t key, EntityAddr value) {
   uint32_t walked = 0;
   node::HashNode n;
   while (true) {
-    auto nr = ReadChainNode(store, cur, &walked);
+    auto nr = ReadChainNode(store, cur, node_segments(), &walked);
     if (!nr.ok()) return nr.status();
     n = std::move(nr).value();
     if (!(n.entries.back() < e) || n.next.IsNull()) break;
@@ -340,7 +353,7 @@ Status LinearHash::Insert(EntityStore& store, int64_t key, EntityAddr value) {
   // nodes after the new one are read only until the count decides it.
   for (EntityAddr rest = fresh.next;
        !rest.IsNull() && walked + 1 <= meta.max_chain_nodes;) {
-    auto nr = ReadChainNode(store, rest, &walked);
+    auto nr = ReadChainNode(store, rest, node_segments(), &walked);
     if (!nr.ok()) return nr.status();
     rest = nr.value().next;
   }
@@ -363,7 +376,7 @@ Status LinearHash::SplitOne(EntityStore& store, Meta* meta) {
   std::vector<EntityAddr> old_nodes;
   uint32_t walked = 0;
   for (EntityAddr cur = victim_seg.Head(victim); !cur.IsNull();) {
-    auto nr = ReadChainNode(store, cur, &walked);
+    auto nr = ReadChainNode(store, cur, node_segments(), &walked);
     if (!nr.ok()) return nr.status();
     entries.insert(entries.end(), nr.value().entries.begin(),
                    nr.value().entries.end());
@@ -420,6 +433,7 @@ Status LinearHash::SplitOne(EntityStore& store, Meta* meta) {
 }
 
 Status LinearHash::Remove(EntityStore& store, int64_t key, EntityAddr value) {
+  MMDB_RETURN_IF_ERROR(node::CheckValue(value, relation_));
   auto pr = ProbeKey(store, key);
   if (!pr.ok()) return pr.status();
   auto& [_, bucket, seg] = pr.value();
@@ -431,7 +445,7 @@ Status LinearHash::Remove(EntityStore& store, int64_t key, EntityAddr value) {
   EntityAddr prev = EntityAddr::Null();
   node::HashNode prev_node;
   for (EntityAddr cur = seg.Head(bucket); !cur.IsNull();) {
-    auto nr = ReadChainNode(store, cur, &walked);
+    auto nr = ReadChainNode(store, cur, node_segments(), &walked);
     if (!nr.ok()) return nr.status();
     node::HashNode n = std::move(nr).value();
     if (!(n.entries.back() < e)) {
@@ -470,7 +484,7 @@ Result<std::vector<EntityAddr>> LinearHash::Lookup(EntityStore& store,
   uint32_t walked = 0;
   for (EntityAddr cur = pr.value().seg.Head(pr.value().bucket);
        !cur.IsNull();) {
-    auto nr = ReadChainNode(store, cur, &walked);
+    auto nr = ReadChainNode(store, cur, node_segments(), &walked);
     if (!nr.ok()) return nr.status();
     const node::HashNode& n = nr.value();
     for (const node::Entry& e : n.entries) {
@@ -495,7 +509,7 @@ Status LinearHash::VisitNodes(
     for (uint32_t b = first; b < end; ++b) {
       uint32_t walked = 0;
       for (EntityAddr cur = sr.value().Head(b); !cur.IsNull();) {
-        auto nr = ReadChainNode(store, cur, &walked);
+        auto nr = ReadChainNode(store, cur, node_segments(), &walked);
         if (!nr.ok()) return nr.status();
         MMDB_RETURN_IF_ERROR(visit(b, nr.value()));
         cur = nr.value().next;
@@ -530,7 +544,7 @@ Status LinearHash::CheckInvariants(EntityStore& store) const {
   const uint32_t buckets = meta.BucketCount();
   const uint32_t segments = (buckets + kSegmentBuckets - 1) / kSegmentBuckets;
   for (uint32_t s = 0; s < kMaxSegments; ++s) {
-    if (meta.Segment(s).IsNull() != (s >= segments)) {
+    if (meta.Segment(s, segment_).IsNull() != (s >= segments)) {
       return Status::Corruption("segment table inconsistent with split state");
     }
   }

@@ -22,12 +22,15 @@ namespace mmdb {
 /// images for chain-pointer changes and splits). The bucket heads live in
 /// fixed-size directory segments of kSegmentBuckets heads each, addressed
 /// from a fixed-size meta entity at the well-known address (segment,
-/// partition 0, slot 0) that holds the split state (level, next pointer)
-/// and the segment table. A lookup reads the meta, one directory segment
-/// and the bucket's chain as far as the key (below); a split rewrites the
-/// meta and at most two segments. Every directory entity keeps its size
-/// for life, so growth never needs room next to the meta — the whole
-/// index is recoverable from checkpoint images plus log records.
+/// partition 0, slot 0) that holds the split state (level, next pointer),
+/// the indexed relation's segment and the segment table. Every stored
+/// address is a 6-byte ref (node_format.h): values lie in the relation's
+/// segment, links in the index's own. A lookup reads the meta, one
+/// directory segment and the bucket's chain as far as the key (below); a
+/// split rewrites the meta and at most two segments. Every directory
+/// entity keeps its size for life, so growth never needs room next to the
+/// meta — the whole index is recoverable from checkpoint images plus log
+/// records.
 ///
 /// Split policy: classic linear hashing's split pointer, advanced
 /// whenever an insert lengthens a chain beyond `max_chain_nodes`. This is
@@ -60,8 +63,10 @@ class LinearHash {
   static constexpr uint32_t kMaxSegments = 256;
   static constexpr uint32_t kMaxBuckets = kSegmentBuckets * kMaxSegments;
 
-  /// An empty index: Build over no entries.
+  /// An empty index in `segment` over values in the `relation` segment:
+  /// Build over no entries.
   static Result<LinearHash> Create(EntityStore& store, SegmentId segment,
+                                   SegmentId relation,
                                    uint32_t initial_buckets = 8,
                                    uint16_t node_capacity =
                                        kDefaultNodeCapacity,
@@ -74,8 +79,10 @@ class LinearHash {
   /// max_chain_nodes entries per bucket. Each chain is sorted by (key,
   /// value) and packed full, and every node and directory segment is
   /// written once. The meta is reserved first, so it lands at (segment,
-  /// 0, 0), and filled in at the end.
+  /// 0, 0), and filled in at the end. Every value must lie in the
+  /// `relation` segment with a slot below 2^16 (InvalidArgument).
   static Result<LinearHash> Build(EntityStore& store, SegmentId segment,
+                                  SegmentId relation,
                                   std::span<const node::Entry> entries,
                                   uint32_t initial_buckets = 8,
                                   uint16_t node_capacity =
@@ -86,8 +93,12 @@ class LinearHash {
   static Result<LinearHash> Attach(EntityStore& store, SegmentId segment);
 
   SegmentId segment() const { return segment_; }
+  /// The segment every indexed value lies in (from the meta).
+  SegmentId relation() const { return relation_; }
   EntityAddr meta_addr() const { return meta_addr_; }
 
+  /// Insert and Remove take values in relation() with a slot below 2^16
+  /// (InvalidArgument otherwise).
   Status Insert(EntityStore& store, int64_t key, EntityAddr value);
   Status Remove(EntityStore& store, int64_t key, EntityAddr value);
   /// All values stored under `key`, in ascending order.
@@ -112,13 +123,15 @@ class LinearHash {
     uint32_t base_buckets = 8;  // N0
     uint16_t node_capacity = kDefaultNodeCapacity;
     uint32_t max_chain_nodes = kDefaultMaxChainNodes;
-    /// kMaxSegments serialized addresses, null past the last segment:
-    /// a lookup needs one of them, so they are not parsed.
+    SegmentId relation = 0;
+    /// kMaxSegments link refs, null past the last segment: a lookup
+    /// needs one of them, so they are not parsed.
     std::vector<uint8_t> table;
 
     uint32_t BucketCount() const;
     uint32_t BucketOf(uint64_t hash) const;
-    EntityAddr Segment(uint32_t index) const;
+    /// Directory segment `index`, in the index's `segment`.
+    EntityAddr Segment(uint32_t index, SegmentId segment) const;
     void SetSegment(uint32_t index, const EntityAddr& addr);
     std::vector<uint8_t> Serialize() const;
     static Result<Meta> Parse(std::span<const uint8_t> bytes);
@@ -135,8 +148,10 @@ class LinearHash {
     void SetHead(uint32_t bucket, const EntityAddr& head);
   };
 
-  LinearHash(SegmentId segment, EntityAddr meta_addr)
-      : segment_(segment), meta_addr_(meta_addr) {}
+  LinearHash(SegmentId segment, SegmentId relation, EntityAddr meta_addr)
+      : segment_(segment), relation_(relation), meta_addr_(meta_addr) {}
+
+  node::Segments node_segments() const { return {relation_, segment_}; }
 
   /// Where a key lives: the meta, the key's bucket and the directory
   /// segment holding that bucket's head.
@@ -172,6 +187,7 @@ class LinearHash {
   static uint64_t HashKey(int64_t key);
 
   SegmentId segment_;
+  SegmentId relation_;
   EntityAddr meta_addr_;
 };
 

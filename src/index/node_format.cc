@@ -1,55 +1,101 @@
 #include "index/node_format.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "catalog/schema.h"  // wire helpers
 #include "util/logging.h"
 
 namespace mmdb::node {
 
-void PutAddr(std::vector<uint8_t>* out, const EntityAddr& a) {
-  wire::PutU32(out, a.partition.segment);
-  wire::PutU32(out, a.partition.number);
-  wire::PutU32(out, a.slot);
+Status CheckValue(const EntityAddr& value, SegmentId relation) {
+  if (value.partition.segment != relation || value.slot > kMaxSlot) {
+    return Status::InvalidArgument("index value " + value.ToString() +
+                                   " outside its relation's segment or "
+                                   "16-bit slots");
+  }
+  return Status::OK();
 }
 
-bool GetAddr(std::span<const uint8_t> in, size_t pos, EntityAddr* a) {
-  if (in.size() < pos + 12) return false;
-  wire::Reader r(in.subspan(pos, 12));
-  return r.GetU32(&a->partition.segment) && r.GetU32(&a->partition.number) &&
-         r.GetU32(&a->slot);
+void PutRef(std::vector<uint8_t>* out, const EntityAddr& a) {
+  MMDB_CHECK(a.slot <= kMaxSlot);
+  wire::PutU32(out, a.partition.number);
+  wire::PutU16(out, static_cast<uint16_t>(a.slot));
 }
 
 namespace {
 
+bool GetRef(wire::Reader* r, SegmentId segment, EntityAddr* a) {
+  uint16_t slot = 0;
+  if (!r->GetU32(&a->partition.number) || !r->GetU16(&slot)) return false;
+  a->partition.segment = segment;
+  a->slot = slot;
+  return true;
+}
+
+bool GetLink(wire::Reader* r, SegmentId segment, EntityAddr* a) {
+  if (!GetRef(r, segment, a)) return false;
+  if (a->partition.number == 0 && a->slot == 0) *a = EntityAddr::Null();
+  return true;
+}
+
 void PutCommonHeader(std::vector<uint8_t>* out, NodeKind kind, uint16_t count,
                      uint16_t capacity) {
   wire::PutU8(out, static_cast<uint8_t>(kind));
-  wire::PutU8(out, 0);
   wire::PutU16(out, count);
   wire::PutU16(out, capacity);
 }
 
-bool GetEntries(wire::Reader* r, uint16_t count, std::vector<Entry>* out) {
+/// Reads the common header of a node of kind `want`.
+Status GetCommonHeader(wire::Reader* r, NodeKind want, uint16_t* count,
+                       uint16_t* capacity) {
+  uint8_t kind = 0;
+  if (!r->GetU8(&kind) || !r->GetU16(count) || !r->GetU16(capacity)) {
+    return Status::Corruption("truncated node header");
+  }
+  if (kind != static_cast<uint8_t>(want)) {
+    return Status::Corruption("node of the wrong kind");
+  }
+  if (*count > *capacity) {
+    return Status::Corruption("node count above its capacity");
+  }
+  return Status::OK();
+}
+
+void PutEntries(std::vector<uint8_t>* out, const std::vector<Entry>& entries) {
+  for (const Entry& e : entries) {
+    wire::PutI64(out, e.key);
+    PutRef(out, e.value);
+  }
+}
+
+bool GetEntries(wire::Reader* r, uint16_t count, SegmentId relation,
+                std::vector<Entry>* out) {
   out->clear();
   out->reserve(count);
   for (uint16_t i = 0; i < count; ++i) {
     Entry e;
-    if (!r->GetI64(&e.key) || !r->GetU32(&e.value.partition.segment) ||
-        !r->GetU32(&e.value.partition.number) || !r->GetU32(&e.value.slot)) {
-      return false;
-    }
+    if (!r->GetI64(&e.key) || !GetRef(r, relation, &e.value)) return false;
     out->push_back(e);
   }
   return true;
 }
 
 // The entry ops on a T-tree or hash node: both keep their entries in
-// (key, value) order.
+// (key, value) order. The node's entries are read into `e`'s segment, so
+// the order and the match are on (key, partition, slot); links are
+// written back as they were read.
+template <typename Node>
+Result<Node> ParseForEntryOp(std::span<const uint8_t> node_bytes,
+                             const Entry& e) {
+  if (e.value.slot > kMaxSlot) {
+    return Status::Corruption("index entry slot wider than 16 bits");
+  }
+  return Node::Parse(node_bytes, Segments{e.value.partition.segment, 0});
+}
+
 template <typename Node>
 Status InsertSorted(std::vector<uint8_t>* node_bytes, const Entry& e) {
-  auto n = Node::Parse(*node_bytes);
+  auto n = ParseForEntryOp<Node>(*node_bytes, e);
   if (!n.ok()) return n.status();
   Node& node = n.value();
   if (node.entries.size() >= node.capacity) {
@@ -63,7 +109,7 @@ Status InsertSorted(std::vector<uint8_t>* node_bytes, const Entry& e) {
 
 template <typename Node>
 Status RemoveExact(std::vector<uint8_t>* node_bytes, const Entry& e) {
-  auto n = Node::Parse(*node_bytes);
+  auto n = ParseForEntryOp<Node>(*node_bytes, e);
   if (!n.ok()) return n.status();
   Node& node = n.value();
   auto it = std::find(node.entries.begin(), node.entries.end(), e);
@@ -77,48 +123,41 @@ Status RemoveExact(std::vector<uint8_t>* node_bytes, const Entry& e) {
 
 }  // namespace
 
+bool GetLink(std::span<const uint8_t> in, size_t pos, SegmentId segment,
+             EntityAddr* a) {
+  if (in.size() < pos + kRefSize) return false;
+  wire::Reader r(in.subspan(pos, kRefSize));
+  return GetLink(&r, segment, a);
+}
+
 std::vector<uint8_t> TTreeNode::Serialize() const {
   std::vector<uint8_t> out;
   PutCommonHeader(&out, NodeKind::kTTree, static_cast<uint16_t>(entries.size()),
                   capacity);
-  PutAddr(&out, left);
-  PutAddr(&out, right);
-  wire::PutU32(&out, static_cast<uint32_t>(height));
-  for (const Entry& e : entries) {
-    wire::PutI64(&out, e.key);
-    PutAddr(&out, e.value);
-  }
+  PutRef(&out, left);
+  PutRef(&out, right);
+  wire::PutU8(&out, static_cast<uint8_t>(height));
+  PutEntries(&out, entries);
   // Nodes serialize at fixed full-capacity size so in-place updates
   // (entry inserts, rotations) never need to grow within a partition.
   out.resize(kTTreeHeaderSize + static_cast<size_t>(capacity) * kEntrySize, 0);
   return out;
 }
 
-Result<TTreeNode> TTreeNode::Parse(std::span<const uint8_t> bytes) {
+Result<TTreeNode> TTreeNode::Parse(std::span<const uint8_t> bytes,
+                                   Segments segments) {
   wire::Reader r(bytes);
-  uint8_t kind, reserved;
-  uint16_t count;
+  uint16_t count = 0;
   TTreeNode n;
-  uint32_t height;
-  if (!r.GetU8(&kind) || !r.GetU8(&reserved) || !r.GetU16(&count) ||
-      !r.GetU16(&n.capacity)) {
-    return Status::Corruption("truncated node header");
-  }
-  if (kind != static_cast<uint8_t>(NodeKind::kTTree)) {
-    return Status::Corruption("not a T-Tree node");
-  }
-  if (!r.GetU32(&n.left.partition.segment) ||
-      !r.GetU32(&n.left.partition.number) || !r.GetU32(&n.left.slot) ||
-      !r.GetU32(&n.right.partition.segment) ||
-      !r.GetU32(&n.right.partition.number) || !r.GetU32(&n.right.slot) ||
-      !r.GetU32(&height)) {
+  MMDB_RETURN_IF_ERROR(
+      GetCommonHeader(&r, NodeKind::kTTree, &count, &n.capacity));
+  uint8_t height = 0;
+  if (!GetLink(&r, segments.index, &n.left) ||
+      !GetLink(&r, segments.index, &n.right) || !r.GetU8(&height)) {
     return Status::Corruption("truncated T-Tree header");
   }
-  n.height = static_cast<int32_t>(height);
-  if (count > n.capacity) {
-    return Status::Corruption("T-Tree node count above its capacity");
-  }
-  if (!GetEntries(&r, count, &n.entries)) {
+  n.height = height;
+  if (!GetEntries(&r, count, segments.relation, &n.entries)) {
     return Status::Corruption("truncated T-Tree entries");
   }
   return n;
@@ -128,36 +167,24 @@ std::vector<uint8_t> HashNode::Serialize() const {
   std::vector<uint8_t> out;
   PutCommonHeader(&out, NodeKind::kHashBucket,
                   static_cast<uint16_t>(entries.size()), capacity);
-  PutAddr(&out, next);
-  for (const Entry& e : entries) {
-    wire::PutI64(&out, e.key);
-    PutAddr(&out, e.value);
-  }
+  PutRef(&out, next);
+  PutEntries(&out, entries);
   // Fixed full-capacity size (see TTreeNode::Serialize).
   out.resize(kHashHeaderSize + static_cast<size_t>(capacity) * kEntrySize, 0);
   return out;
 }
 
-Result<HashNode> HashNode::Parse(std::span<const uint8_t> bytes) {
+Result<HashNode> HashNode::Parse(std::span<const uint8_t> bytes,
+                                 Segments segments) {
   wire::Reader r(bytes);
-  uint8_t kind, reserved;
-  uint16_t count;
+  uint16_t count = 0;
   HashNode n;
-  if (!r.GetU8(&kind) || !r.GetU8(&reserved) || !r.GetU16(&count) ||
-      !r.GetU16(&n.capacity)) {
-    return Status::Corruption("truncated node header");
-  }
-  if (kind != static_cast<uint8_t>(NodeKind::kHashBucket)) {
-    return Status::Corruption("not a hash bucket node");
-  }
-  if (!r.GetU32(&n.next.partition.segment) ||
-      !r.GetU32(&n.next.partition.number) || !r.GetU32(&n.next.slot)) {
+  MMDB_RETURN_IF_ERROR(
+      GetCommonHeader(&r, NodeKind::kHashBucket, &count, &n.capacity));
+  if (!GetLink(&r, segments.index, &n.next)) {
     return Status::Corruption("truncated hash header");
   }
-  if (count > n.capacity) {
-    return Status::Corruption("hash node count above its capacity");
-  }
-  if (!GetEntries(&r, count, &n.entries)) {
+  if (!GetEntries(&r, count, segments.relation, &n.entries)) {
     return Status::Corruption("truncated hash entries");
   }
   return n;

@@ -35,18 +35,29 @@ node::Entry HighFence(int64_t key) {
   return node::Entry{key, EntityAddr{{0xFFFFFFFFu, 0xFFFFFFFFu}, 0xFFFFFFFFu}};
 }
 
-std::vector<uint8_t> MetaPayload(uint16_t capacity, EntityAddr root) {
+// Meta payload: node capacity (u16), the relation's segment (u32), the
+// root's link ref.
+constexpr size_t kRootOffset = 2 + 4;
+
+std::vector<uint8_t> MetaPayload(uint16_t capacity, SegmentId relation,
+                                 EntityAddr root) {
   std::vector<uint8_t> p;
   wire::PutU16(&p, capacity);
-  node::PutAddr(&p, root);
+  wire::PutU32(&p, relation);
+  node::PutRef(&p, root);
   return p;
 }
 
-Status ParseMetaPayload(std::span<const uint8_t> payload, uint16_t* capacity,
-                        EntityAddr* root) {
-  wire::Reader r(payload);
-  if (!r.GetU16(capacity) || !r.GetU32(&root->partition.segment) ||
-      !r.GetU32(&root->partition.number) || !r.GetU32(&root->slot)) {
+/// Reads the meta of the T-tree in `segment`.
+Status ReadMeta(EntityStore& store, SegmentId segment, uint16_t* capacity,
+                SegmentId* relation, EntityAddr* root) {
+  auto bytes = store.Read(EntityAddr{{segment, 0}, 0});
+  if (!bytes.ok()) return bytes.status();
+  auto payload = node::ParseMeta(bytes.value());
+  if (!payload.ok()) return payload.status();
+  wire::Reader r(payload.value());
+  if (!r.GetU16(capacity) || !r.GetU32(relation) ||
+      !node::GetLink(payload.value(), kRootOffset, segment, root)) {
     return Status::Corruption("bad T-Tree meta payload");
   }
   return Status::OK();
@@ -55,25 +66,29 @@ Status ParseMetaPayload(std::span<const uint8_t> payload, uint16_t* capacity,
 }  // namespace
 
 Result<TTree> TTree::Create(EntityStore& store, SegmentId segment,
-                            uint16_t node_capacity) {
-  return Build(store, segment, {}, node_capacity);
+                            SegmentId relation, uint16_t node_capacity) {
+  return Build(store, segment, relation, {}, node_capacity);
 }
 
 Result<TTree> TTree::Build(EntityStore& store, SegmentId segment,
+                           SegmentId relation,
                            std::span<const node::Entry> entries,
                            uint16_t node_capacity) {
   if (node_capacity < 2) {
     return Status::InvalidArgument("T-Tree node capacity must be >= 2");
   }
+  for (const node::Entry& e : entries) {
+    MMDB_RETURN_IF_ERROR(node::CheckValue(e.value, relation));
+  }
   // Reserve the meta first: it must be the segment's first entity.
   auto meta_addr = store.Insert(
-      segment,
-      node::SerializeMeta(MetaPayload(node_capacity, EntityAddr::Null())));
+      segment, node::SerializeMeta(
+                   MetaPayload(node_capacity, relation, EntityAddr::Null())));
   if (!meta_addr.ok()) return meta_addr.status();
   if (meta_addr.value() != EntityAddr{{segment, 0}, 0}) {
     return Status::InvalidArgument("T-Tree segment is not empty");
   }
-  TTree t(segment, meta_addr.value(), node_capacity);
+  TTree t(segment, relation, meta_addr.value(), node_capacity);
   if (entries.empty()) return t;
 
   std::vector<node::Entry> sorted(entries.begin(), entries.end());
@@ -112,31 +127,24 @@ Result<EntityAddr> TTree::BuildSubtree(EntityStore& store,
 }
 
 Result<TTree> TTree::Attach(EntityStore& store, SegmentId segment) {
-  EntityAddr meta_addr{{segment, 0}, 0};
-  auto bytes = store.Read(meta_addr);
-  if (!bytes.ok()) return bytes.status();
-  auto payload = node::ParseMeta(bytes.value());
-  if (!payload.ok()) return payload.status();
-  uint16_t capacity;
+  uint16_t capacity = 0;
+  SegmentId relation = 0;
   EntityAddr root;
-  MMDB_RETURN_IF_ERROR(ParseMetaPayload(payload.value(), &capacity, &root));
-  return TTree(segment, meta_addr, capacity);
+  MMDB_RETURN_IF_ERROR(ReadMeta(store, segment, &capacity, &relation, &root));
+  return TTree(segment, relation, EntityAddr{{segment, 0}, 0}, capacity);
 }
 
 Result<EntityAddr> TTree::root(EntityStore& store) const {
-  auto bytes = store.Read(meta_addr_);
-  if (!bytes.ok()) return bytes.status();
-  auto payload = node::ParseMeta(bytes.value());
-  if (!payload.ok()) return payload.status();
-  uint16_t capacity;
+  uint16_t capacity = 0;
+  SegmentId relation = 0;
   EntityAddr root;
-  MMDB_RETURN_IF_ERROR(ParseMetaPayload(payload.value(), &capacity, &root));
+  MMDB_RETURN_IF_ERROR(ReadMeta(store, segment_, &capacity, &relation, &root));
   return root;
 }
 
 Status TTree::SetRoot(EntityStore& store, EntityAddr root) const {
   std::vector<uint8_t> meta =
-      node::SerializeMeta(MetaPayload(node_capacity_, root));
+      node::SerializeMeta(MetaPayload(node_capacity_, relation_, root));
   return store.Update(meta_addr_, meta);
 }
 
@@ -144,7 +152,7 @@ Result<node::TTreeNode> TTree::ReadNode(EntityStore& store,
                                         EntityAddr a) const {
   auto bytes = store.Read(a);
   if (!bytes.ok()) return bytes.status();
-  return node::TTreeNode::Parse(bytes.value());
+  return node::TTreeNode::Parse(bytes.value(), node_segments());
 }
 
 Status TTree::WriteNode(EntityStore& store, EntityAddr a,
@@ -299,6 +307,7 @@ Status TTree::RebalancePath(EntityStore& store,
 }
 
 Status TTree::Insert(EntityStore& store, int64_t key, EntityAddr value) {
+  MMDB_RETURN_IF_ERROR(node::CheckValue(value, relation_));
   node::Entry e{key, value};
   auto root_r = root(store);
   if (!root_r.ok()) return root_r.status();
@@ -394,6 +403,7 @@ Status TTree::Insert(EntityStore& store, int64_t key, EntityAddr value) {
 }
 
 Status TTree::Remove(EntityStore& store, int64_t key, EntityAddr value) {
+  MMDB_RETURN_IF_ERROR(node::CheckValue(value, relation_));
   node::Entry e{key, value};
   auto root_r = root(store);
   if (!root_r.ok()) return root_r.status();
@@ -495,8 +505,8 @@ namespace {
 
 /// Appends the entries of the subtree at `a` within [lo, hi], in order;
 /// `above` is the height of the node `a` hangs from.
-Status Collect(EntityStore& store, EntityAddr a, int32_t above,
-               const node::Entry& lo, const node::Entry& hi,
+Status Collect(EntityStore& store, node::Segments segments, EntityAddr a,
+               int32_t above, const node::Entry& lo, const node::Entry& hi,
                std::vector<node::Entry>* out);
 
 }  // namespace
@@ -516,46 +526,50 @@ Result<std::vector<node::Entry>> TTree::Range(EntityStore& store, int64_t lo,
   auto root_r = root(store);
   if (!root_r.ok()) return root_r.status();
   std::vector<node::Entry> out;
-  MMDB_RETURN_IF_ERROR(Collect(store, root_r.value(), kMaxHeight + 1,
-                               LowFence(lo), HighFence(hi), &out));
+  MMDB_RETURN_IF_ERROR(Collect(store, node_segments(), root_r.value(),
+                               kMaxHeight + 1, LowFence(lo), HighFence(hi),
+                               &out));
   return out;
 }
 
 namespace {
 
-Status Collect(EntityStore& store, EntityAddr a, int32_t above,
-               const node::Entry& lo, const node::Entry& hi,
+Status Collect(EntityStore& store, node::Segments segments, EntityAddr a,
+               int32_t above, const node::Entry& lo, const node::Entry& hi,
                std::vector<node::Entry>* out) {
   if (a.IsNull()) return Status::OK();
   auto bytes = store.Read(a);
   if (!bytes.ok()) return bytes.status();
-  auto nr = node::TTreeNode::Parse(bytes.value());
+  auto nr = node::TTreeNode::Parse(bytes.value(), segments);
   if (!nr.ok()) return nr.status();
   const node::TTreeNode& n = nr.value();
   MMDB_RETURN_IF_ERROR(CheckDescent(n, above));
   if (lo < n.entries.front()) {
-    MMDB_RETURN_IF_ERROR(Collect(store, n.left, n.height, lo, hi, out));
+    MMDB_RETURN_IF_ERROR(
+        Collect(store, segments, n.left, n.height, lo, hi, out));
   }
   for (const node::Entry& e : n.entries) {
     if (!(e < lo) && !(hi < e)) out->push_back(e);
   }
   if (n.entries.back() < hi) {
-    MMDB_RETURN_IF_ERROR(Collect(store, n.right, n.height, lo, hi, out));
+    MMDB_RETURN_IF_ERROR(
+        Collect(store, segments, n.right, n.height, lo, hi, out));
   }
   return Status::OK();
 }
 
-Result<size_t> CountSubtree(EntityStore& store, EntityAddr a, int32_t above) {
+Result<size_t> CountSubtree(EntityStore& store, node::Segments segments,
+                            EntityAddr a, int32_t above) {
   if (a.IsNull()) return size_t{0};
   auto bytes = store.Read(a);
   if (!bytes.ok()) return bytes.status();
-  auto nr = node::TTreeNode::Parse(bytes.value());
+  auto nr = node::TTreeNode::Parse(bytes.value(), segments);
   if (!nr.ok()) return nr.status();
   const node::TTreeNode& n = nr.value();
   MMDB_RETURN_IF_ERROR(CheckDescent(n, above));
-  auto l = CountSubtree(store, n.left, n.height);
+  auto l = CountSubtree(store, segments, n.left, n.height);
   if (!l.ok()) return l.status();
-  auto r = CountSubtree(store, n.right, n.height);
+  auto r = CountSubtree(store, segments, n.right, n.height);
   if (!r.ok()) return r.status();
   return l.value() + r.value() + n.entries.size();
 }
@@ -565,7 +579,7 @@ Result<size_t> CountSubtree(EntityStore& store, EntityAddr a, int32_t above) {
 Result<size_t> TTree::Size(EntityStore& store) const {
   auto root_r = root(store);
   if (!root_r.ok()) return root_r.status();
-  return CountSubtree(store, root_r.value(), kMaxHeight + 1);
+  return CountSubtree(store, node_segments(), root_r.value(), kMaxHeight + 1);
 }
 
 Status TTree::CheckSubtree(EntityStore& store, EntityAddr a, bool has_lo,

@@ -28,16 +28,20 @@ namespace mmdb {
 /// keys are supported with multiset semantics; removal requires the exact
 /// (key, value) pair.
 ///
-/// The tree's root pointer lives in a metadata entity at the well-known
-/// address (segment, partition 0, slot 0), so the entire index — data and
-/// structure — is recoverable purely from partition checkpoint images and
-/// log records.
+/// The tree's root pointer and the indexed relation's segment live in a
+/// metadata entity at the well-known address (segment, partition 0, slot
+/// 0), so the entire index — data and structure — is recoverable purely
+/// from partition checkpoint images and log records. Every stored address
+/// is a 6-byte ref (node_format.h): values lie in the relation's segment,
+/// child links in the index's own.
 class TTree {
  public:
   static constexpr uint16_t kDefaultNodeCapacity = 10;
 
-  /// An empty index: Build over no entries, which writes only the meta.
+  /// An empty index in `segment` over values in the `relation` segment:
+  /// Build over no entries, which writes only the meta.
   static Result<TTree> Create(EntityStore& store, SegmentId segment,
+                              SegmentId relation,
                               uint16_t node_capacity = kDefaultNodeCapacity);
 
   /// Builds an index over `entries` in one pass into the empty `segment`.
@@ -46,8 +50,11 @@ class TTree {
   /// subtrees differ by at most one node, so the tree is AVL-balanced.
   /// Nodes are written children first, so each is written once with its
   /// children and height. The meta is reserved first, so it lands at
-  /// (segment, 0, 0), and its root is filled in once at the end.
+  /// (segment, 0, 0), and its root is filled in once at the end. Every
+  /// value must lie in the `relation` segment with a slot below 2^16
+  /// (InvalidArgument).
   static Result<TTree> Build(EntityStore& store, SegmentId segment,
+                             SegmentId relation,
                              std::span<const node::Entry> entries,
                              uint16_t node_capacity = kDefaultNodeCapacity);
 
@@ -55,8 +62,12 @@ class TTree {
   static Result<TTree> Attach(EntityStore& store, SegmentId segment);
 
   SegmentId segment() const { return segment_; }
+  /// The segment every indexed value lies in (from the meta).
+  SegmentId relation() const { return relation_; }
   EntityAddr meta_addr() const { return meta_addr_; }
 
+  /// Insert and Remove take values in relation() with a slot below 2^16
+  /// (InvalidArgument otherwise).
   Status Insert(EntityStore& store, int64_t key, EntityAddr value);
 
   /// Removes the exact (key, value) entry. NotFound if absent.
@@ -78,9 +89,12 @@ class TTree {
   Status CheckInvariants(EntityStore& store) const;
 
  private:
-  TTree(SegmentId segment, EntityAddr meta_addr, uint16_t node_capacity)
-      : segment_(segment), meta_addr_(meta_addr),
+  TTree(SegmentId segment, SegmentId relation, EntityAddr meta_addr,
+        uint16_t node_capacity)
+      : segment_(segment), relation_(relation), meta_addr_(meta_addr),
         node_capacity_(node_capacity) {}
+
+  node::Segments node_segments() const { return {relation_, segment_}; }
 
   Result<EntityAddr> root(EntityStore& store) const;
   Status SetRoot(EntityStore& store, EntityAddr root) const;
@@ -114,6 +128,7 @@ class TTree {
                       int32_t* height_out) const;
 
   SegmentId segment_;
+  SegmentId relation_;
   EntityAddr meta_addr_;
   uint16_t node_capacity_;
 };

@@ -346,6 +346,7 @@ Status ConcurrentExecutor::Run() {
   Database::LaneLoop sweep(db_, &sched, /*work=*/nullptr,
                            Database::LogReads::kPrimary,
                            RecoverySource::kBackground);
+  Status st = Status::OK();
   if (opts_.background_sweep) {
     const uint32_t sweep_lanes =
         opts_.sweep_lanes != 0
@@ -354,8 +355,14 @@ Status ConcurrentExecutor::Run() {
     sched.Reserve(sweep_lanes + 1);
     const uint64_t t0 = db_->now_ns();
     sweep.Start(sweep_lanes, t0);
+    db_->AttachSweep(&sweep);
     sched.At(t0 + kMaintenanceTickNs,
              [this](uint64_t t) { MaintenanceTick(t); });
+    // The sweep starts with the run: its lanes take their first
+    // partitions before any worker steps, so the hottest partitions'
+    // image reads reach the checkpoint disk ahead of the faults of the
+    // run's first operations.
+    while (st.ok() && sched.next_ns() <= t0) st = sched.RunNext();
   }
 
   // Each step runs the runnable worker with the smallest (busy-until,
@@ -366,15 +373,13 @@ Status ConcurrentExecutor::Run() {
   DrainGrants();
   AdmitScripts();
   uint64_t worker_steps = 0;
-  Status st = Status::OK();
-  for (;;) {
+  while (st.ok()) {
     const size_t pick = NextWorker();
     const uint64_t pick_ns = pick < lanes_.size()
                                  ? lanes_[pick].cpu->busy_until_ns()
                                  : UINT64_MAX;
     if (sched.next_ns() < pick_ns) {
       st = sched.RunNext();
-      if (!st.ok()) break;
       continue;
     }
     if (pick == lanes_.size()) break;
@@ -389,6 +394,7 @@ Status ConcurrentExecutor::Run() {
   sched_heap_fallbacks_ = sched.heap_fallbacks();
   sweep_recovered_ = sweep.installed();
   last_sweep_install_ns_ = sweep.last_install_ns();
+  db_->AttachSweep(nullptr);
   sched_ = nullptr;
   MMDB_RETURN_IF_ERROR(st);
 

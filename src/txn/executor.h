@@ -89,7 +89,8 @@ struct ScriptResult {
 /// periodic maintenance tick pumping the sort process and checkpointer.
 /// A background event runs before the next worker step only when it is
 /// due strictly earlier, so transactions, recovery lanes, and the sweep
-/// share one virtual timeline.
+/// share one virtual timeline. The exception is the run's start: the
+/// sweep lanes take their first partitions before any worker steps.
 class ConcurrentExecutor {
  public:
   struct Options {

@@ -3,11 +3,19 @@
 // recovery invariants (durability, atomicity, index consistency,
 // byte-identical partitions vs a no-crash oracle, post-recovery
 // usability). Everything is reproducible from a single seed; the chaos CI
-// job overrides it via MMDB_CHAOS_SEED.
+// job overrides it via MMDB_CHAOS_SEED. With MMDB_CHAOS_SUMMARY naming a
+// file, the main sweep appends its seed, points explored and a digest of
+// the explored (site, visit) list to it, so runs under different seeds
+// can be told apart.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <cstdlib>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "fault/crash_explorer.h"
 #include "test_util.h"
@@ -21,12 +29,39 @@ uint64_t SeedFromEnv() {
   return std::strtoull(e, nullptr, 10);
 }
 
+/// FNV-1a over the explored (site, visit) list, in sweep order.
+uint64_t ExploredDigest(const ExplorerReport& report) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (const auto& [site, visit] : report.explored) {
+    const std::string point =
+        std::string(SiteName(site)) + ":" + std::to_string(visit) + ";";
+    for (unsigned char c : point) h = (h ^ c) * 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// Appends the sweep's summary line to the file MMDB_CHAOS_SUMMARY names.
+void AppendSummary(uint64_t seed, const ExplorerReport& report) {
+  const char* path = std::getenv("MMDB_CHAOS_SUMMARY");
+  if (path == nullptr || *path == '\0') return;
+  std::FILE* f = std::fopen(path, "a");
+  ASSERT_NE(f, nullptr) << path;
+  std::fprintf(f,
+               "crash explorer: seed %llu, points_explored %llu, "
+               "explored-visit digest %016llx\n",
+               static_cast<unsigned long long>(seed),
+               static_cast<unsigned long long>(report.points_explored),
+               static_cast<unsigned long long>(ExploredDigest(report)));
+  std::fclose(f);
+}
+
 TEST(CrashExplorerTest, AllCrashPointsRecoverWithInvariantsIntact) {
   ExplorerOptions opts;
   opts.seed = SeedFromEnv();
   CrashExplorer explorer(opts);
   ExplorerReport report;
   ASSERT_OK(explorer.Run(&report));
+  AppendSummary(opts.seed, report);
 
   // The sweep must cover a substantial schedule: >= 100 distinct crash
   // points, with every site visited by the probe.
@@ -61,8 +96,62 @@ TEST(CrashExplorerTest, ReportIsDeterministicForASeed) {
   EXPECT_EQ(a.crashes_delivered, b.crashes_delivered);
   EXPECT_EQ(a.violations, b.violations);
   EXPECT_EQ(a.failures, b.failures);
+  EXPECT_EQ(a.explored, b.explored);
   for (size_t s = 0; s < kSiteCount; ++s) {
     EXPECT_EQ(a.probe_visits[s], b.probe_visits[s]) << "site " << s;
+  }
+}
+
+TEST(CrashExplorerTest, SeedSteersTheSubsample) {
+  // Stable-memory accesses are visited far more often than 4 times, so
+  // the site is subsampled: each seed starts at its own offset into the
+  // stride, and two seeds crash at disjoint visits.
+  std::vector<std::pair<Site, uint64_t>> explored[2];
+  for (uint64_t seed : {1u, 2u}) {
+    ExplorerOptions opts;
+    opts.seed = seed;
+    opts.sites = {Site::kStableMemAccess};
+    opts.max_points_per_site = 4;
+    CrashExplorer explorer(opts);
+    ExplorerReport report;
+    ASSERT_OK(explorer.Run(&report));
+    EXPECT_EQ(report.violations, 0u);
+    ASSERT_GT(report.probe_visits[static_cast<size_t>(Site::kStableMemAccess)],
+              4u);
+    EXPECT_EQ(report.points_explored, report.explored.size());
+    EXPECT_EQ(report.explored.front().second, seed);
+    explored[seed - 1] = report.explored;
+  }
+  ASSERT_FALSE(explored[0].empty());
+  for (const auto& point : explored[0]) {
+    EXPECT_EQ(std::count(explored[1].begin(), explored[1].end(), point), 0)
+        << "visit " << point.second;
+  }
+}
+
+TEST(CrashExplorerTest, OnDemandRestartSurvivesEveryCrashPoint) {
+  // The serial sweep restarting under kOnDemand: every crash point comes
+  // back through faults, the T-tree's a whole-index fault, on one lane
+  // and on four; the sweep then brings back the rest before the images
+  // are compared.
+  for (uint32_t lanes : {1u, 4u}) {
+    SCOPED_TRACE("lanes=" + std::to_string(lanes));
+    ExplorerOptions opts;
+    opts.seed = SeedFromEnv();
+    opts.restart_policy = RestartPolicy::kOnDemand;
+    opts.recovery_parallelism = lanes;
+    opts.max_points_per_site = 24;  // trimmed per-site: still every site
+    CrashExplorer explorer(opts);
+    ExplorerReport report;
+    ASSERT_OK(explorer.Run(&report));
+
+    EXPECT_GT(report.points_explored, 0u);
+    EXPECT_GT(report.crashes_delivered, 0u);
+    std::string all;
+    for (const std::string& f : report.failures) all += "\n  " + f;
+    EXPECT_EQ(report.violations, 0u)
+        << "seed " << opts.seed << " on-demand lanes=" << lanes
+        << " violations:" << all;
   }
 }
 

@@ -396,21 +396,68 @@ TEST(DatabaseOptionsTest, ZeroLogStreamsReadsAsOne) {
   ASSERT_OK(db.Commit(t.value()));
 }
 
-// Options a constructor divides by are checked before the first division:
-// a zero log page size would divide inside the constructor's own
-// partition-size check, and a zero epoch interval at the first commit of
-// a multi-stream database.
+TEST(DatabaseOptionsTest, ValidateNamesEachBadField) {
+  struct Row {
+    const char* field;
+    void (*edit)(DatabaseOptions*);
+  };
+  const Row rows[] = {
+      {"log_page_bytes", [](DatabaseOptions* o) { o->log_page_bytes = 0; }},
+      {"epoch_interval_ns",
+       [](DatabaseOptions* o) {
+         o->log_streams = 2;
+         o->epoch_interval_ns = 0;
+       }},
+      {"partition_size_bytes",
+       [](DatabaseOptions* o) {
+         o->partition_size_bytes = 2048;
+         o->log_page_bytes = 1024;
+       }},
+      // A page size that does not divide the partition.
+      {"partition_size_bytes",
+       [](DatabaseOptions* o) { o->log_page_bytes = 3000; }},
+      // Slot numbers past 2^16 would not fit an index ref.
+      {"partition_size_bytes",
+       [](DatabaseOptions* o) {
+         o->partition_size_bytes = DatabaseOptions::kMaxPartitionBytes * 2;
+       }},
+      {"slb_block_bytes",
+       [](DatabaseOptions* o) {
+         o->slb_block_bytes = 4096;
+         o->slb_capacity_bytes = 2048;
+       }},
+  };
+  ASSERT_OK(SmallOptions().Validate());
+  ASSERT_OK(DatabaseOptions{}.Validate());
+  DatabaseOptions largest = SmallOptions();
+  largest.partition_size_bytes = DatabaseOptions::kMaxPartitionBytes;
+  ASSERT_OK(largest.Validate());
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.field);
+    DatabaseOptions o = SmallOptions();
+    row.edit(&o);
+    Status st = o.Validate();
+    EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+    EXPECT_NE(st.message().find(row.field), std::string::npos)
+        << st.ToString();
+  }
+}
+
+// The constructor checks Validate() before its first division by the
+// options: a zero log page size would divide inside its own page-count
+// set-up, and a zero epoch interval at the first commit of a
+// multi-stream database.
 TEST(DatabaseOptionsDeathTest, ZeroLogPageBytesIsRejected) {
   DatabaseOptions o = SmallOptions();
   o.log_page_bytes = 0;
-  EXPECT_DEATH({ Database db(o); }, "log_page_bytes > 0");
+  EXPECT_DEATH({ Database db(o); }, "log_page_bytes must be positive");
 }
 
 TEST(DatabaseOptionsDeathTest, ZeroEpochIntervalWithSeveralStreamsIsRejected) {
   DatabaseOptions o = SmallOptions();
   o.log_streams = 2;
   o.epoch_interval_ns = 0;
-  EXPECT_DEATH({ Database db(o); }, "epoch_interval_ns > 0");
+  EXPECT_DEATH({ Database db(o); }, "epoch_interval_ns must be positive");
   // One stream never stamps epochs, so the interval is unused there.
   o.log_streams = 1;
   Database db(o);

@@ -205,6 +205,65 @@ TEST(EventLoopTest, SweepQueueIsHeatOrdered) {
   EXPECT_EQ(first, rig.addrs[hot_row].partition);
 }
 
+/// A fault on a partition a sweep lane is rebuilding takes that lane's
+/// copy: it installs as the on-demand recovery, no second checkpoint
+/// image is read, and no rebuild is wasted.
+TEST(EventLoopTest, FaultAdoptsTheSweepsInFlightCopy) {
+  SweepRig rig;
+  ASSERT_OK(rig.Setup(1));
+  // Heat the last row's partition so the sweep's one lane takes it first.
+  const int64_t hot_row = SweepRig::kRows - 1;
+  const int64_t middle_row = SweepRig::kRows / 2;
+  const PartitionId hot = rig.addrs[hot_row].partition;
+  ASSERT_NE(rig.addrs[0].partition, hot);
+  ASSERT_NE(rig.addrs[middle_row].partition, hot);
+  ASSERT_NE(rig.addrs[middle_row].partition, rig.addrs[0].partition);
+  auto t = rig.db->Begin();
+  ASSERT_OK(t.status());
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_OK(rig.db->Read(t.value(), "r", rig.addrs[hot_row]).status());
+  }
+  ASSERT_OK(rig.db->Commit(t.value()));
+  rig.db->Crash();
+  ASSERT_OK(rig.db->Restart());
+
+  // The sweep lane takes the hot partition before the worker's first
+  // step, so the worker's first read faults on it while it is in flight.
+  // When that copy lands, the lane pulls the next partition in catalog
+  // order (row 0's); the worker's second read faults a middle partition,
+  // which no lane holds.
+  const obs::MetricsRegistry& m = rig.db->metrics();
+  const uint64_t pages_before = m.counter_value("disk.ckpt.pages_read");
+  const uint64_t faults_before = m.counter_value("recovery.on_demand");
+  ConcurrentExecutor::Options eo;
+  eo.background_sweep = true;
+  eo.sweep_lanes = 1;
+  ConcurrentExecutor ex(rig.db.get(), eo);
+  TxnScript ts;
+  ts.label = "hot-then-cold";
+  for (int64_t row : {hot_row, middle_row}) {
+    ts.ops.push_back([addr = rig.addrs[row]](Database& d, Transaction* tx) {
+      return d.Read(tx, "r", addr).status();
+    });
+  }
+  ex.Submit(std::move(ts));
+  ASSERT_OK(ex.Run());
+  ASSERT_EQ(ex.results().size(), 1u);
+  EXPECT_EQ(ex.results()[0].outcome, ScriptOutcome::kCommitted);
+
+  EXPECT_EQ(m.counter_value("recovery.adopted_rebuilds"), 1u);
+  EXPECT_EQ(m.counter_value("recovery.stale_rebuilds"), 0u);
+  const uint64_t faults = m.counter_value("recovery.on_demand") - faults_before;
+  EXPECT_EQ(faults, 2u);
+  // One image per partition recovered during the run, of 4 pages each.
+  EXPECT_EQ(m.counter_value("disk.ckpt.pages_read") - pages_before,
+            4 * (faults + ex.sweep_recovered()));
+  EXPECT_TRUE(rig.db->FullyResident());
+  auto rows = rig.Rows();
+  ASSERT_OK(rows.status());
+  EXPECT_EQ(rows.value().size(), static_cast<size_t>(SweepRig::kRows));
+}
+
 /// Explicit BackgroundRecoveryStep still drains everything under the
 /// heat-ordered queue (shared with the executor's sweep).
 TEST(EventLoopTest, BackgroundStepsDrainHeatOrderedQueue) {

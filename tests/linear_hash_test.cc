@@ -13,25 +13,37 @@ namespace {
 using testing::CountingStore;
 using testing::PlainEntityStore;
 
-EntityAddr Addr(uint32_t n) { return EntityAddr{{200, 0}, n}; }
+/// The indexed relation's segment: every value lies in it.
+constexpr SegmentId kRelation = 200;
+
+EntityAddr Addr(uint32_t n) { return EntityAddr{{kRelation, 0}, n}; }
+
+/// The meta's split state and relation segment: level, next, base
+/// buckets, node capacity, max chain nodes, relation.
+constexpr size_t kMetaFields = 4 + 4 + 4 + 2 + 4 + 4;
+
+/// The segments a node of the index in `seg` leaves out.
+node::Segments Segs(SegmentId seg) { return {kRelation, seg}; }
 
 /// The head of `bucket`'s chain, read through the meta's segment table,
-/// which follows the 18 bytes of split state.
+/// which follows the split state.
 EntityAddr ChainHead(PlainEntityStore& store, const LinearHash& h,
                      uint32_t bucket) {
   EntityAddr seg, head;
   auto meta = store.Read(h.meta_addr());
   EXPECT_TRUE(meta.ok());
-  EXPECT_TRUE(node::GetAddr(
-      meta.value(),
-      node::kCommonHeaderSize + 18 + bucket / LinearHash::kSegmentBuckets * 12,
-      &seg));
+  EXPECT_TRUE(node::GetLink(meta.value(),
+                            node::kCommonHeaderSize + kMetaFields +
+                                bucket / LinearHash::kSegmentBuckets *
+                                    node::kRefSize,
+                            h.segment(), &seg));
   auto dir = store.Read(seg);
   EXPECT_TRUE(dir.ok());
-  EXPECT_TRUE(node::GetAddr(
+  EXPECT_TRUE(node::GetLink(
       dir.value(),
-      node::kCommonHeaderSize + bucket % LinearHash::kSegmentBuckets * 12,
-      &head));
+      node::kCommonHeaderSize +
+          bucket % LinearHash::kSegmentBuckets * node::kRefSize,
+      h.segment(), &head));
   return head;
 }
 
@@ -39,7 +51,9 @@ EntityAddr ChainHead(PlainEntityStore& store, const LinearHash& h,
 template <typename Edit>
 void EditNode(PlainEntityStore& store, const EntityAddr& addr, Edit edit) {
   ASSERT_OK_AND_ASSIGN(auto bytes, store.Read(addr));
-  ASSERT_OK_AND_ASSIGN(node::HashNode n, node::HashNode::Parse(bytes));
+  ASSERT_OK_AND_ASSIGN(
+      node::HashNode n,
+      node::HashNode::Parse(bytes, Segs(addr.partition.segment)));
   edit(n);
   ASSERT_OK(store.Update(addr, n.Serialize()));
 }
@@ -50,7 +64,8 @@ class LinearHashTest : public ::testing::Test {
 
   LinearHash Make(uint32_t buckets = 4, uint16_t cap = 4,
                   uint32_t max_chain = 1) {
-    auto h = LinearHash::Create(store_, seg_, buckets, cap, max_chain);
+    auto h =
+        LinearHash::Create(store_, seg_, kRelation, buckets, cap, max_chain);
     EXPECT_TRUE(h.ok()) << h.status().ToString();
     return h.value();
   }
@@ -60,8 +75,9 @@ class LinearHashTest : public ::testing::Test {
 };
 
 TEST_F(LinearHashTest, CreateRejectsBadParams) {
-  EXPECT_TRUE(
-      LinearHash::Create(store_, seg_, 0).status().IsInvalidArgument());
+  EXPECT_TRUE(LinearHash::Create(store_, seg_, kRelation, 0)
+                  .status()
+                  .IsInvalidArgument());
 }
 
 TEST_F(LinearHashTest, EmptyLookupAndRemove) {
@@ -142,7 +158,7 @@ TEST_F(LinearHashTest, AttachSeesExistingIndex) {
 TEST_F(LinearHashTest, DirectoryGrowsPastOneSegmentAndPartitionZero) {
   // One-entry nodes and one-node chains split on nearly every insert. The
   // directory ends up far past one segment and past the 48 KB a single
-  // partition holds at 12 bytes per bucket head, which the nodes filling
+  // partition holds at 6 bytes per bucket head, which the nodes filling
   // partition 0 would leave no room for anyway.
   LinearHash h = Make(4, 1, 1);
   constexpr int kKeys = 12000;
@@ -152,7 +168,7 @@ TEST_F(LinearHashTest, DirectoryGrowsPastOneSegmentAndPartitionZero) {
   }
   ASSERT_OK_AND_ASSIGN(uint32_t buckets, h.BucketCount(store_));
   EXPECT_GT(buckets, 4 * LinearHash::kSegmentBuckets);
-  EXPECT_GT(buckets * 12u, 48u * 1024);
+  EXPECT_GT(buckets * node::kRefSize, 48u * 1024);
   EXPECT_EQ(h.meta_addr(), (EntityAddr{{seg_, 0}, 0}));
   ASSERT_OK(h.CheckInvariants(store_));
   ASSERT_OK_AND_ASSIGN(size_t n, h.Size(store_));
@@ -167,8 +183,9 @@ TEST_F(LinearHashTest, DirectoryGrowsPastOneSegmentAndPartitionZero) {
 TEST_F(LinearHashTest, BuildSizesDirectoryAndPacksChains) {
   std::vector<node::Entry> entries;
   for (int i = 0; i < 1000; ++i) entries.push_back({i, Addr(i)});
-  ASSERT_OK_AND_ASSIGN(LinearHash h,
-                       LinearHash::Build(store_, seg_, entries, 4, 4, 2));
+  ASSERT_OK_AND_ASSIGN(
+      LinearHash h,
+      LinearHash::Build(store_, seg_, kRelation, entries, 4, 4, 2));
   // The smallest full round of 4 x 2^level buckets that holds
   // node_capacity x max_chain_nodes = 8 entries per bucket: 125 -> 128.
   ASSERT_OK_AND_ASSIGN(uint32_t buckets, h.BucketCount(store_));
@@ -190,7 +207,9 @@ TEST_F(LinearHashTest, BuildSizesDirectoryAndPacksChains) {
 
 TEST_F(LinearHashTest, BuildRejectsNonEmptySegment) {
   ASSERT_OK(store_.Insert(seg_, testing::Bytes({1})).status());
-  EXPECT_TRUE(LinearHash::Build(store_, seg_, {}).status().IsInvalidArgument());
+  EXPECT_TRUE(LinearHash::Build(store_, seg_, kRelation, {})
+                  .status()
+                  .IsInvalidArgument());
 }
 
 TEST_F(LinearHashTest, BulkAndIncrementalBuildsAgreeOnEveryKey) {
@@ -200,12 +219,13 @@ TEST_F(LinearHashTest, BulkAndIncrementalBuildsAgreeOnEveryKey) {
   for (uint32_t i = 0; i < 3000; ++i) {
     entries.push_back({rng.UniformRange(-1500, 1500), Addr(i)});
   }
-  ASSERT_OK_AND_ASSIGN(LinearHash bulk,
-                       LinearHash::Build(store_, seg_, entries, 8, 4, 2));
+  ASSERT_OK_AND_ASSIGN(
+      LinearHash bulk,
+      LinearHash::Build(store_, seg_, kRelation, entries, 8, 4, 2));
   PlainEntityStore store2;
   SegmentId seg2 = store2.NewSegment();
   ASSERT_OK_AND_ASSIGN(LinearHash inc,
-                       LinearHash::Create(store2, seg2, 8, 4, 2));
+                       LinearHash::Create(store2, seg2, kRelation, 8, 4, 2));
   for (const node::Entry& e : entries) {
     ASSERT_OK(inc.Insert(store2, e.key, e.value));
   }
@@ -231,7 +251,8 @@ TEST_F(LinearHashTest, BulkAndIncrementalBuildsAgreeOnEveryKey) {
 TEST_F(LinearHashTest, AttachAfterBulkBuild) {
   std::vector<node::Entry> entries;
   for (int i = 0; i < 600; ++i) entries.push_back({i * 7, Addr(i)});
-  ASSERT_OK(LinearHash::Build(store_, seg_, entries, 8, 4, 2).status());
+  ASSERT_OK(
+      LinearHash::Build(store_, seg_, kRelation, entries, 8, 4, 2).status());
   ASSERT_OK_AND_ASSIGN(LinearHash h, LinearHash::Attach(store_, seg_));
   ASSERT_OK(h.CheckInvariants(store_));
   for (int i = 0; i < 600; i += 37) {
@@ -259,14 +280,51 @@ TEST_F(LinearHashTest, DamagedMetaIsCorruption) {
   bad.assign(meta.begin(), meta.begin() + 20);
   ASSERT_OK(store_.Update(h.meta_addr(), bad));
   EXPECT_TRUE(LinearHash::Attach(store_, seg_).status().IsCorruption());
-  // A null first segment-table entry (after the 18 bytes of split state).
+  // A null first segment-table entry (after the split state).
   bad = meta;
-  std::fill_n(bad.begin() + node::kCommonHeaderSize + 18, 12, 0);
+  std::fill_n(bad.begin() + node::kCommonHeaderSize + kMetaFields,
+              node::kRefSize, 0);
   ASSERT_OK(store_.Update(h.meta_addr(), bad));
   EXPECT_TRUE(h.Lookup(store_, 1).status().IsCorruption());
   EXPECT_TRUE(h.CheckInvariants(store_).IsCorruption());
   ASSERT_OK(store_.Update(h.meta_addr(), meta));
   ASSERT_OK(h.CheckInvariants(store_));
+}
+
+TEST_F(LinearHashTest, ValuesOutsideTheRelationAreRejected) {
+  LinearHash h = Make();
+  const EntityAddr other{{kRelation + 1, 0}, 1};
+  const EntityAddr wide{{kRelation, 0}, node::kMaxSlot + 1};
+  EXPECT_TRUE(h.Insert(store_, 1, other).IsInvalidArgument());
+  EXPECT_TRUE(h.Insert(store_, 1, wide).IsInvalidArgument());
+  EXPECT_TRUE(h.Remove(store_, 1, other).IsInvalidArgument());
+  PlainEntityStore store2;
+  const std::vector<node::Entry> entries = {{1, Addr(1)}, {2, wide}};
+  EXPECT_TRUE(LinearHash::Build(store2, store2.NewSegment(), kRelation,
+                                entries)
+                  .status()
+                  .IsInvalidArgument());
+  ASSERT_OK_AND_ASSIGN(LinearHash again, LinearHash::Attach(store_, seg_));
+  EXPECT_EQ(again.relation(), kRelation);
+}
+
+TEST(LinearHashDensityTest, HundredThousandKeysFitIn40Partitions) {
+  // With 48 KiB partitions and capacity-8 nodes of 123 bytes (178 with
+  // 12-byte addresses), the index fills 37 partitions (52 before).
+  PlainEntityStore store;
+  SegmentId seg = store.NewSegment();
+  std::vector<node::Entry> entries;
+  for (uint32_t i = 0; i < 100'000; ++i) {
+    entries.push_back({i, EntityAddr{{kRelation, i / 1000}, i % 1000}});
+  }
+  ASSERT_OK_AND_ASSIGN(LinearHash h,
+                       LinearHash::Build(store, seg, kRelation, entries));
+  ASSERT_OK_AND_ASSIGN(uint32_t buckets, h.BucketCount(store));
+  EXPECT_EQ(buckets, 2048u);
+  EXPECT_LE(store.pm().SegmentPartitions(seg).size(), 40u);
+  ASSERT_OK_AND_ASSIGN(auto vals, h.Lookup(store, 54'321));
+  const EntityAddr want{{kRelation, 54}, 321};
+  EXPECT_EQ(vals, std::vector<EntityAddr>{want});
 }
 
 TEST_F(LinearHashTest, NegativeKeys) {
@@ -288,8 +346,9 @@ TEST(LinearHashOrderTest, LookupStopsAtTheFirstNodePastTheKey) {
   SegmentId seg = store.NewSegment();
   std::vector<node::Entry> entries;
   for (uint32_t i = 100; i-- > 0;) entries.push_back({i, Addr(i)});
-  ASSERT_OK_AND_ASSIGN(LinearHash h,
-                       LinearHash::Build(store, seg, entries, 1, 4, 64));
+  ASSERT_OK_AND_ASSIGN(
+      LinearHash h,
+      LinearHash::Build(store, seg, kRelation, entries, 1, 4, 64));
   ASSERT_OK_AND_ASSIGN(uint32_t buckets, h.BucketCount(store));
   ASSERT_EQ(buckets, 1u);
   for (int64_t k = -1; k <= 100; ++k) {
@@ -313,7 +372,8 @@ TEST(LinearHashOrderTest, LookupStopsAtTheFirstNodePastTheKey) {
 TEST(LinearHashOrderTest, AscendingKeysPackNodesAndInsertsSplitFullNodes) {
   PlainEntityStore store;
   SegmentId seg = store.NewSegment();
-  ASSERT_OK_AND_ASSIGN(LinearHash h, LinearHash::Create(store, seg, 1, 4, 64));
+  ASSERT_OK_AND_ASSIGN(LinearHash h,
+                       LinearHash::Create(store, seg, kRelation, 1, 4, 64));
   auto nodes = [&] {
     size_t live = 0;
     for (Partition* p : store.pm().SegmentPartitions(seg)) {
@@ -330,7 +390,8 @@ TEST(LinearHashOrderTest, AscendingKeysPackNodesAndInsertsSplitFullNodes) {
   EXPECT_EQ(nodes(), 26u);
   EntityAddr head = ChainHead(store, h, 0);
   ASSERT_OK_AND_ASSIGN(auto bytes, store.Read(head));
-  ASSERT_OK_AND_ASSIGN(node::HashNode n, node::HashNode::Parse(bytes));
+  ASSERT_OK_AND_ASSIGN(node::HashNode n,
+                       node::HashNode::Parse(bytes, Segs(seg)));
   EXPECT_EQ(n.entries,
             (std::vector<node::Entry>{{0, Addr(0)}, {1, Addr(1000)}}));
   // Key 3 now fits in the second node, which has room.
@@ -349,7 +410,8 @@ TEST_F(LinearHashTest, CheckInvariantsReportsEntriesOutOfOrder) {
   ASSERT_OK(h.CheckInvariants(store_));
   const EntityAddr head = ChainHead(store_, h, 0);
   ASSERT_OK_AND_ASSIGN(auto head_bytes, store_.Read(head));
-  ASSERT_OK_AND_ASSIGN(node::HashNode first, node::HashNode::Parse(head_bytes));
+  ASSERT_OK_AND_ASSIGN(node::HashNode first,
+                       node::HashNode::Parse(head_bytes, Segs(seg_)));
   ASSERT_EQ(first.entries.size(), 4u);
   ASSERT_FALSE(first.next.IsNull());
   ASSERT_OK_AND_ASSIGN(auto next_bytes, store_.Read(first.next));
@@ -450,7 +512,7 @@ class LinearHashPropertyTest
     }
     ASSERT_OK_AND_ASSIGN(
         LinearHash h,
-        LinearHash::Build(store, seg, initial, param.buckets,
+        LinearHash::Build(store, seg, kRelation, initial, param.buckets,
                           param.node_capacity, param.max_chain));
     ASSERT_NO_FATAL_FAILURE(ExpectMatches(store, h, model));
 

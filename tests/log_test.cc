@@ -414,6 +414,30 @@ TEST(LogRecordTest, ApplyToWrongPartitionRejected) {
   EXPECT_TRUE(ApplyLogRecord(ins, &p).IsInvalidArgument());
 }
 
+TEST(LogRecordTest, IndexEntryWithASlotWiderThan16BitsIsCorruption) {
+  // The record carries a u32 slot; an index node stores 16 bits of it.
+  // A wider one (a damaged record) reads as Corruption and leaves the
+  // node as it was, on insert and remove alike.
+  Partition p({1, 2}, 4096, 0);
+  node::HashNode bucket;
+  bucket.capacity = 4;
+  ASSERT_OK(p.InsertAt(7, bucket.Serialize()));
+  LogRecord rec = MakeInsert(4, {1, 2}, 3, 7, {});
+  rec.op = LogOp::kNodeInsertEntry;
+  rec.key = 77;
+  rec.child = EntityAddr{{5, 6}, node::kMaxSlot};
+  ASSERT_OK(ApplyLogRecord(rec, &p));
+  const std::vector<uint8_t> before(p.image());
+  for (LogOp op : {LogOp::kNodeInsertEntry, LogOp::kNodeRemoveEntry}) {
+    LogRecord wide = rec;
+    wide.op = op;
+    wide.child.slot = node::kMaxSlot + 1;
+    EXPECT_TRUE(ApplyLogRecord(wide, &p).IsCorruption());
+    EXPECT_EQ(p.image(), before);
+  }
+  ASSERT_OK(ApplyLogRecord(MakeUndo(rec, {}), &p));
+}
+
 class SlbTest : public ::testing::Test {
  protected:
   SlbTest()

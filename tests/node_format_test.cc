@@ -9,19 +9,42 @@
 namespace mmdb::node {
 namespace {
 
-Entry E(int64_t k, uint32_t slot) { return Entry{k, {{9, 1}, slot}}; }
+// Entries lie in the relation's segment, links in the index's own.
+constexpr Segments kSegs{/*relation=*/9, /*index=*/4};
+
+Entry E(int64_t k, uint32_t slot) {
+  return Entry{k, {{kSegs.relation, 1}, slot}};
+}
+
+EntityAddr Link(uint32_t partition, uint32_t slot) {
+  return {{kSegs.index, partition}, slot};
+}
+
+TEST(NodeFormatTest, CompactSizes) {
+  // A ref is a u32 partition number and a u16 slot; the segment is left
+  // out. An entry is an i64 key and a ref.
+  EXPECT_EQ(kRefSize, 6u);
+  EXPECT_EQ(kEntrySize, 14u);
+  EXPECT_EQ(kCommonHeaderSize, 5u);
+  HashNode h;
+  h.capacity = 8;
+  EXPECT_EQ(h.Serialize().size(), 123u);
+  TTreeNode t;
+  t.capacity = 10;
+  EXPECT_EQ(t.Serialize().size(), 158u);
+}
 
 TEST(NodeFormatTest, TTreeSerializeParseRoundTrip) {
   TTreeNode n;
   n.capacity = 6;
   n.height = 3;
-  n.left = {{1, 2}, 3};
-  n.right = {{4, 5}, 6};
-  n.entries = {E(-5, 0), E(0, 1), E(7, 2)};
+  n.left = Link(2, 3);
+  n.right = Link(5, 6);
+  n.entries = {E(-5, 0), E(0, 1), E(7, kMaxSlot)};
   auto bytes = n.Serialize();
   // Fixed full-capacity size.
   EXPECT_EQ(bytes.size(), kTTreeHeaderSize + 6 * kEntrySize);
-  ASSERT_OK_AND_ASSIGN(TTreeNode back, TTreeNode::Parse(bytes));
+  ASSERT_OK_AND_ASSIGN(TTreeNode back, TTreeNode::Parse(bytes, kSegs));
   EXPECT_EQ(back.capacity, n.capacity);
   EXPECT_EQ(back.height, n.height);
   EXPECT_EQ(back.left, n.left);
@@ -32,13 +55,20 @@ TEST(NodeFormatTest, TTreeSerializeParseRoundTrip) {
 TEST(NodeFormatTest, HashSerializeParseRoundTrip) {
   HashNode n;
   n.capacity = 4;
-  n.next = {{7, 8}, 9};
+  n.next = Link(8, 9);
   n.entries = {E(1, 0), E(1, 1)};
   auto bytes = n.Serialize();
   EXPECT_EQ(bytes.size(), kHashHeaderSize + 4 * kEntrySize);
-  ASSERT_OK_AND_ASSIGN(HashNode back, HashNode::Parse(bytes));
+  ASSERT_OK_AND_ASSIGN(HashNode back, HashNode::Parse(bytes, kSegs));
   EXPECT_EQ(back.next, n.next);
   EXPECT_EQ(back.entries, n.entries);
+  // A null link stays null; a link into partition 0 does not.
+  n.next = EntityAddr::Null();
+  ASSERT_OK_AND_ASSIGN(back, HashNode::Parse(n.Serialize(), kSegs));
+  EXPECT_TRUE(back.next.IsNull());
+  n.next = Link(0, 1);
+  ASSERT_OK_AND_ASSIGN(back, HashNode::Parse(n.Serialize(), kSegs));
+  EXPECT_EQ(back.next, Link(0, 1));
 }
 
 TEST(NodeFormatTest, SerializedSizeIsCapacityInvariant) {
@@ -67,8 +97,8 @@ TEST(NodeFormatTest, KindDetection) {
   EXPECT_TRUE(KindOf({}).status().IsCorruption());
   EXPECT_TRUE(KindOf(testing::Bytes({99})).status().IsCorruption());
   // Cross-parsing is rejected.
-  EXPECT_TRUE(TTreeNode::Parse(h.Serialize()).status().IsCorruption());
-  EXPECT_TRUE(HashNode::Parse(t.Serialize()).status().IsCorruption());
+  EXPECT_TRUE(TTreeNode::Parse(h.Serialize(), kSegs).status().IsCorruption());
+  EXPECT_TRUE(HashNode::Parse(t.Serialize(), kSegs).status().IsCorruption());
 }
 
 TEST(NodeFormatTest, MetaPayloadRoundTrip) {
@@ -86,7 +116,7 @@ TEST(NodeFormatTest, InsertEntryKeepsTTreeSorted) {
   for (int64_t k : {5, 1, 9, 3, 7}) {
     ASSERT_OK(InsertEntry(&bytes, E(k, static_cast<uint32_t>(k))));
   }
-  ASSERT_OK_AND_ASSIGN(TTreeNode back, TTreeNode::Parse(bytes));
+  ASSERT_OK_AND_ASSIGN(TTreeNode back, TTreeNode::Parse(bytes, kSegs));
   ASSERT_EQ(back.entries.size(), 5u);
   for (size_t i = 1; i < back.entries.size(); ++i) {
     EXPECT_LT(back.entries[i - 1].key, back.entries[i].key);
@@ -102,7 +132,7 @@ TEST(NodeFormatTest, DuplicateKeysOrderedByValue) {
   ASSERT_OK(InsertEntry(&bytes, E(5, 30)));
   ASSERT_OK(InsertEntry(&bytes, E(5, 10)));
   ASSERT_OK(InsertEntry(&bytes, E(5, 20)));
-  ASSERT_OK_AND_ASSIGN(TTreeNode back, TTreeNode::Parse(bytes));
+  ASSERT_OK_AND_ASSIGN(TTreeNode back, TTreeNode::Parse(bytes, kSegs));
   EXPECT_EQ(back.entries[0].value.slot, 10u);
   EXPECT_EQ(back.entries[1].value.slot, 20u);
   EXPECT_EQ(back.entries[2].value.slot, 30u);
@@ -116,9 +146,43 @@ TEST(NodeFormatTest, RemoveEntryExactMatchOnly) {
   ASSERT_OK(InsertEntry(&bytes, E(1, 2)));
   EXPECT_TRUE(RemoveEntry(&bytes, E(1, 3)).IsNotFound());
   ASSERT_OK(RemoveEntry(&bytes, E(1, 1)));
-  ASSERT_OK_AND_ASSIGN(HashNode back, HashNode::Parse(bytes));
+  ASSERT_OK_AND_ASSIGN(HashNode back, HashNode::Parse(bytes, kSegs));
   ASSERT_EQ(back.entries.size(), 1u);
   EXPECT_EQ(back.entries[0].value.slot, 2u);
+}
+
+TEST(NodeFormatTest, EntryOpsMatchOnKeyPartitionAndSlot) {
+  // The raw-byte ops know no segment: an entry names its value by
+  // (partition, slot), so the segment a REDO record carries is not
+  // compared.
+  HashNode n;
+  n.capacity = 4;
+  auto bytes = n.Serialize();
+  ASSERT_OK(InsertEntry(&bytes, E(1, 1)));
+  Entry elsewhere = E(1, 1);
+  elsewhere.value.partition.segment = 77;
+  ASSERT_OK(RemoveEntry(&bytes, elsewhere));
+  ASSERT_OK_AND_ASSIGN(HashNode back, HashNode::Parse(bytes, kSegs));
+  EXPECT_TRUE(back.entries.empty());
+}
+
+TEST(NodeFormatTest, EntryOpSlotWiderThan16BitsIsCorruption) {
+  // A slot a 16-bit ref cannot hold (a damaged REDO record) is refused
+  // and leaves the node as it was.
+  for (bool ttree : {false, true}) {
+    SCOPED_TRACE(ttree ? "T-tree" : "hash");
+    TTreeNode t;
+    t.capacity = 4;
+    HashNode h;
+    h.capacity = 4;
+    auto bytes = ttree ? t.Serialize() : h.Serialize();
+    ASSERT_OK(InsertEntry(&bytes, E(1, kMaxSlot)));
+    const auto before = bytes;
+    EXPECT_TRUE(InsertEntry(&bytes, E(2, kMaxSlot + 1)).IsCorruption());
+    EXPECT_TRUE(RemoveEntry(&bytes, E(1, kMaxSlot + 1)).IsCorruption());
+    EXPECT_TRUE(RemoveEntry(&bytes, E(1, 0xFFFFFFFFu)).IsCorruption());
+    EXPECT_EQ(bytes, before);
+  }
 }
 
 TEST(NodeFormatTest, EntryOpsOnMetaRejected) {
@@ -134,8 +198,8 @@ TEST(NodeFormatTest, CountAboveCapacityIsCorruption) {
   t.capacity = 10;
   for (uint32_t i = 0; i < 10; ++i) t.entries.push_back(E(i, i));
   auto tb = t.Serialize();
-  tb[4] = 2;  // capacity, low byte
-  EXPECT_TRUE(TTreeNode::Parse(tb).status().IsCorruption());
+  tb[3] = 2;  // capacity, low byte
+  EXPECT_TRUE(TTreeNode::Parse(tb, kSegs).status().IsCorruption());
   auto before = tb;
   EXPECT_TRUE(RemoveEntry(&tb, E(0, 0)).IsCorruption());
   EXPECT_TRUE(InsertEntry(&tb, E(20, 20)).IsCorruption());
@@ -145,13 +209,13 @@ TEST(NodeFormatTest, CountAboveCapacityIsCorruption) {
   h.capacity = 8;
   for (uint32_t i = 0; i < 8; ++i) h.entries.push_back(E(i, i));
   auto hb = h.Serialize();
-  hb[4] = 1;
-  EXPECT_TRUE(HashNode::Parse(hb).status().IsCorruption());
+  hb[3] = 1;
+  EXPECT_TRUE(HashNode::Parse(hb, kSegs).status().IsCorruption());
   EXPECT_TRUE(RemoveEntry(&hb, E(0, 0)).IsCorruption());
 
   // Count equal to capacity still parses.
-  hb[4] = 8;
-  ASSERT_OK_AND_ASSIGN(HashNode back, HashNode::Parse(hb));
+  hb[3] = 8;
+  ASSERT_OK_AND_ASSIGN(HashNode back, HashNode::Parse(hb, kSegs));
   EXPECT_EQ(back.entries, h.entries);
 }
 
@@ -165,11 +229,11 @@ Result<std::vector<Entry>> SortedEntries(std::span<const uint8_t> bytes) {
   if (!kind.ok()) return kind.status();
   std::vector<Entry> out;
   if (kind.value() == NodeKind::kTTree) {
-    auto n = TTreeNode::Parse(bytes);
+    auto n = TTreeNode::Parse(bytes, kSegs);
     if (!n.ok()) return n.status();
     out = n.value().entries;
   } else {
-    auto n = HashNode::Parse(bytes);
+    auto n = HashNode::Parse(bytes, kSegs);
     if (!n.ok()) return n.status();
     out = n.value().entries;
   }
@@ -237,15 +301,16 @@ TEST(NodeFormatTest, MutatedNodesParseOrReportCorruption) {
   TTreeNode t;
   t.capacity = 12;
   t.height = 2;
-  t.left = {{9, 2}, 3};
-  t.right = {{9, 2}, 4};
+  t.left = Link(2, 3);
+  t.right = Link(2, 4);
   for (uint32_t i = 0; i < 10; ++i) t.entries.push_back(E(i * 3, i));
   HashNode h;
   h.capacity = 5;
-  h.next = {{9, 3}, 1};
+  h.next = Link(3, 1);
   for (uint32_t i = 0; i < 4; ++i) h.entries.push_back(E(7, i));
-  std::vector<uint8_t> payload = {10, 0};  // a T-tree meta: capacity, root
-  PutAddr(&payload, {{9, 1}, 5});
+  // A T-tree meta: capacity, relation segment, root.
+  std::vector<uint8_t> payload = {10, 0, kSegs.relation, 0, 0, 0};
+  PutRef(&payload, Link(1, 5));
   const std::vector<std::vector<uint8_t>> images = {
       t.Serialize(), h.Serialize(), SerializeMeta(payload)};
   for (size_t which = 0; which < images.size(); ++which) {
@@ -261,14 +326,24 @@ TEST(NodeFormatTest, MutatedNodesParseOrReportCorruption) {
   }
 }
 
-TEST(NodeFormatTest, AddrRoundTrip) {
+TEST(NodeFormatTest, RefRoundTrip) {
   std::vector<uint8_t> buf;
-  EntityAddr a{{0xDEADBEEF, 42}, 7};
-  PutAddr(&buf, a);
+  EntityAddr a{{kSegs.index, 0xDEADBEEF}, kMaxSlot};
+  PutRef(&buf, a);
+  ASSERT_EQ(buf.size(), kRefSize);
   EntityAddr back;
-  ASSERT_TRUE(GetAddr(buf, 0, &back));
+  ASSERT_TRUE(GetLink(buf, 0, kSegs.index, &back));
   EXPECT_EQ(back, a);
-  EXPECT_FALSE(GetAddr(buf, 1, &back));  // out of bounds
+  EXPECT_FALSE(GetLink(buf, 1, kSegs.index, &back));  // out of bounds
+  buf.clear();
+  PutRef(&buf, EntityAddr::Null());
+  ASSERT_TRUE(GetLink(buf, 0, kSegs.index, &back));
+  EXPECT_TRUE(back.IsNull());
+
+  ASSERT_OK(CheckValue(a, kSegs.index));
+  EXPECT_TRUE(CheckValue(a, kSegs.relation).IsInvalidArgument());
+  EXPECT_TRUE(CheckValue({{kSegs.index, 1}, kMaxSlot + 1}, kSegs.index)
+                  .IsInvalidArgument());
 }
 
 }  // namespace

@@ -463,7 +463,7 @@ TEST_P(WholeIndexFaultTest, FirstLookupAfterCrashRestoresTheWholeIndex) {
   // A hash keyed on id; a T-tree keyed on balance (id × 10), over enough
   // rows that one root-to-leaf path misses most of its partitions.
   const bool hash = GetParam() == IndexType::kLinearHash;
-  const int rows = hash ? 2000 : 10000;
+  const int rows = hash ? 2000 : 13000;
   const int64_t scale = hash ? 1 : 10;
   ASSERT_OK(db_.CreateRelation("acct", AccountSchema()));
   Populate(&db_, Ids(0, rows));

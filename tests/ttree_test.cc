@@ -17,14 +17,17 @@ namespace {
 using testing::CountingStore;
 using testing::PlainEntityStore;
 
-EntityAddr Addr(uint32_t n) { return EntityAddr{{100, 0}, n}; }
+/// The indexed relation's segment: every value lies in it.
+constexpr SegmentId kRelation = 100;
+
+EntityAddr Addr(uint32_t n) { return EntityAddr{{kRelation, 0}, n}; }
 
 class TTreeTest : public ::testing::Test {
  protected:
   TTreeTest() : seg_(store_.NewSegment()) {}
 
   TTree Make(uint16_t capacity = 4) {
-    auto t = TTree::Create(store_, seg_, capacity);
+    auto t = TTree::Create(store_, seg_, kRelation, capacity);
     EXPECT_TRUE(t.ok()) << t.status().ToString();
     return t.value();
   }
@@ -34,7 +37,8 @@ class TTreeTest : public ::testing::Test {
 };
 
 TEST_F(TTreeTest, CreateRejectsTinyCapacity) {
-  EXPECT_TRUE(TTree::Create(store_, seg_, 1).status().IsInvalidArgument());
+  EXPECT_TRUE(
+      TTree::Create(store_, seg_, kRelation, 1).status().IsInvalidArgument());
 }
 
 TEST_F(TTreeTest, EmptyTreeBehaviour) {
@@ -240,7 +244,8 @@ TEST_P(TTreeBuildTest, MatchesMultimapReference) {
   CountingStore store;
   SegmentId seg = store.NewSegment();
   const auto entries = RandomEntries(c.size, c.size * 31 + c.capacity);
-  ASSERT_OK_AND_ASSIGN(TTree t, TTree::Build(store, seg, entries, c.capacity));
+  ASSERT_OK_AND_ASSIGN(
+      TTree t, TTree::Build(store, seg, kRelation, entries, c.capacity));
   EXPECT_EQ(t.meta_addr(), (EntityAddr{{seg, 0}, 0}));
   // One insert per node and for the meta; one update, the meta's root.
   const size_t nodes = (c.size + c.capacity - 1) / c.capacity;
@@ -270,7 +275,8 @@ TEST(TTreeBuild, InsertsAndRemovesAfterBuildKeepInvariants) {
     PlainEntityStore store;
     SegmentId seg = store.NewSegment();
     auto entries = RandomEntries(1000, cap);
-    ASSERT_OK_AND_ASSIGN(TTree t, TTree::Build(store, seg, entries, cap));
+    ASSERT_OK_AND_ASSIGN(TTree t,
+                         TTree::Build(store, seg, kRelation, entries, cap));
     Reference model = ReferenceOf(entries);
     Random rng(cap * 7 + 1);
     uint32_t next_addr = static_cast<uint32_t>(entries.size());
@@ -295,7 +301,7 @@ TEST(TTreeBuild, AttachSeesBuiltTree) {
   PlainEntityStore store;
   SegmentId seg = store.NewSegment();
   auto entries = RandomEntries(500, 3);
-  ASSERT_OK(TTree::Build(store, seg, entries, 4).status());
+  ASSERT_OK(TTree::Build(store, seg, kRelation, entries, 4).status());
   ASSERT_OK_AND_ASSIGN(TTree t, TTree::Attach(store, seg));
   Reference model = ReferenceOf(entries);
   ASSERT_NO_FATAL_FAILURE(ExpectMatchesReference(store, t, model));
@@ -307,25 +313,29 @@ TEST(TTreeBuild, AttachSeesBuiltTree) {
 TEST(TTreeBuild, NonEmptySegmentRejected) {
   PlainEntityStore store;
   SegmentId seg = store.NewSegment();
-  ASSERT_OK(TTree::Create(store, seg, 4).status());
-  EXPECT_TRUE(TTree::Build(store, seg, RandomEntries(10, 1), 4)
+  ASSERT_OK(TTree::Create(store, seg, kRelation, 4).status());
+  EXPECT_TRUE(TTree::Build(store, seg, kRelation, RandomEntries(10, 1), 4)
                   .status()
                   .IsInvalidArgument());
-  EXPECT_TRUE(TTree::Create(store, seg, 4).status().IsInvalidArgument());
   EXPECT_TRUE(
-      TTree::Build(store, store.NewSegment(), {}, 1).status().IsInvalidArgument());
+      TTree::Create(store, seg, kRelation, 4).status().IsInvalidArgument());
+  EXPECT_TRUE(
+      TTree::Build(store, store.NewSegment(), kRelation, {}, 1)
+          .status()
+          .IsInvalidArgument());
 }
 
 TEST(TTreeBuild, EmptyBuildWritesOnlyTheMeta) {
-  // The bytes the index has always created: a kMeta node whose payload
-  // is the u16 node capacity and a null root.
+  // A kMeta node whose payload is the u16 node capacity, the relation's
+  // u32 segment and a null root ref.
   const std::vector<uint8_t> meta = node::SerializeMeta(
-      testing::Bytes({10, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}));
+      testing::Bytes({10, 0, kRelation, 0, 0, 0, 0, 0, 0, 0, 0, 0}));
   for (bool create : {false, true}) {
     CountingStore store;
     SegmentId seg = store.NewSegment();
-    ASSERT_OK_AND_ASSIGN(TTree t, create ? TTree::Create(store, seg, 10)
-                                         : TTree::Build(store, seg, {}, 10));
+    ASSERT_OK_AND_ASSIGN(TTree t,
+                         create ? TTree::Create(store, seg, kRelation, 10)
+                                : TTree::Build(store, seg, kRelation, {}, 10));
     ASSERT_EQ(store.inserts.size(), 1u);
     EXPECT_EQ(store.inserts.begin()->first, (EntityAddr{{seg, 0}, 0}));
     EXPECT_TRUE(store.updates.empty());
@@ -334,22 +344,57 @@ TEST(TTreeBuild, EmptyBuildWritesOnlyTheMeta) {
   }
 }
 
+TEST(TTreeBuild, ValuesOutsideTheRelationAreRejected) {
+  PlainEntityStore store;
+  SegmentId seg = store.NewSegment();
+  ASSERT_OK_AND_ASSIGN(TTree t, TTree::Create(store, seg, kRelation, 4));
+  const EntityAddr other{{kRelation + 1, 0}, 1};
+  const EntityAddr wide{{kRelation, 0}, node::kMaxSlot + 1};
+  EXPECT_TRUE(t.Insert(store, 1, other).IsInvalidArgument());
+  EXPECT_TRUE(t.Insert(store, 1, wide).IsInvalidArgument());
+  EXPECT_TRUE(t.Remove(store, 1, wide).IsInvalidArgument());
+  const std::vector<node::Entry> entries = {{1, Addr(1)}, {2, other}};
+  EXPECT_TRUE(TTree::Build(store, store.NewSegment(), kRelation, entries, 4)
+                  .status()
+                  .IsInvalidArgument());
+  ASSERT_OK_AND_ASSIGN(TTree again, TTree::Attach(store, seg));
+  EXPECT_EQ(again.relation(), kRelation);
+}
+
+TEST(TTreeDensityTest, HundredThousandKeysFitIn38Partitions) {
+  // With 48 KiB partitions and capacity-10 nodes of 158 bytes (234 with
+  // 12-byte addresses), the 10,000 nodes fill 34 partitions (50 before).
+  PlainEntityStore store;
+  SegmentId seg = store.NewSegment();
+  std::vector<node::Entry> entries;
+  for (uint32_t i = 0; i < 100'000; ++i) {
+    entries.push_back({i, EntityAddr{{kRelation, i / 1000}, i % 1000}});
+  }
+  ASSERT_OK_AND_ASSIGN(TTree t, TTree::Build(store, seg, kRelation, entries));
+  EXPECT_LE(store.pm().SegmentPartitions(seg).size(), 38u);
+  ASSERT_OK_AND_ASSIGN(auto vals, t.Lookup(store, 54'321));
+  const EntityAddr want{{kRelation, 54}, 321};
+  EXPECT_EQ(vals, std::vector<EntityAddr>{want});
+}
+
 // --- damaged nodes -------------------------------------------------------------
 
 /// A tree built over keys 0..99 in nodes of 4, and its leftmost path from
-/// the root (read through the meta: a u16 capacity, then the root).
+/// the root (read through the meta: a u16 capacity and the u32 relation
+/// segment, then the root).
 class TTreeDamageTest : public ::testing::Test {
  protected:
   void SetUp() override {
     seg_ = store_.NewSegment();
     std::vector<node::Entry> entries;
     for (uint32_t i = 0; i < 100; ++i) entries.push_back({i, Addr(i)});
-    ASSERT_OK_AND_ASSIGN(TTree t, TTree::Build(store_, seg_, entries, 4));
+    ASSERT_OK_AND_ASSIGN(TTree t,
+                         TTree::Build(store_, seg_, kRelation, entries, 4));
     tree_.emplace(t);
     ASSERT_OK_AND_ASSIGN(auto meta, store_.Read(t.meta_addr()));
     ASSERT_OK_AND_ASSIGN(auto payload, node::ParseMeta(meta));
     EntityAddr a;
-    ASSERT_TRUE(node::GetAddr(payload, 2, &a));
+    ASSERT_TRUE(node::GetLink(payload, 6, seg_, &a));
     while (!a.IsNull()) {
       path_.push_back(a);
       ASSERT_OK_AND_ASSIGN(node::TTreeNode n, Node(a));
@@ -361,7 +406,7 @@ class TTreeDamageTest : public ::testing::Test {
   Result<node::TTreeNode> Node(const EntityAddr& a) {
     auto bytes = store_.Read(a);
     if (!bytes.ok()) return bytes.status();
-    return node::TTreeNode::Parse(bytes.value());
+    return node::TTreeNode::Parse(bytes.value(), {kRelation, seg_});
   }
 
   template <typename Edit>
@@ -443,7 +488,8 @@ class TTreePropertyTest
       }
     }
     ASSERT_OK_AND_ASSIGN(TTree t,
-                         TTree::Build(store, seg, initial, param.capacity));
+                         TTree::Build(store, seg, kRelation, initial,
+                                      param.capacity));
 
     for (int step = 0; step < param.operations; ++step) {
       int64_t key = rng.UniformRange(-50, 50);
