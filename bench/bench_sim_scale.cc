@@ -20,9 +20,10 @@
 //
 // Headline metric: simulated-txns-per-host-second. Virtual-time results
 // (completion, committed counts, sweep installs, scheduler events) are
-// deterministic and identical across hosts; host rates live in a
-// separate "host" report section that tools/bench_diff.py treats as
-// machine-local (only the crc32_speedup ratio is gated, loosely).
+// deterministic and identical across hosts; host rates and the process's
+// peak resident set (peak_rss_mb) live in a separate "host" report
+// section that tools/bench_diff.py treats as machine-local (only the
+// crc32_speedup ratio is gated, loosely).
 //
 // Built-in gates (process exits non-zero on failure):
 //   * every script commits;
@@ -40,6 +41,8 @@
 // 275 MB of tuples, about 2 GB of simulated disk traffic; set 40,000,000
 // for a true 1 GB image, see EXPERIMENTS.md), MMDB_SIM_SCALE_TXNS
 // (default 6,000).
+
+#include <sys/resource.h>
 
 #include <chrono>
 #include <cstdio>
@@ -227,6 +230,13 @@ double Crc32NsPerPage(const std::vector<uint8_t>& buf,
   return best / static_cast<double>(pages);
 }
 
+/// Peak resident set of this process so far, in MB.
+double PeakRssMb() {
+  struct rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_maxrss) / 1024.0;  // ru_maxrss is in KiB
+}
+
 /// Total simulated bytes moved through the checkpoint disk and the
 /// duplexed log pair over the whole run (populate + crash run) — every
 /// one of these bytes was checksummed on the host, so this is the volume
@@ -345,6 +355,7 @@ bool PrintSimScale() {
   host["host_seconds"] = run.host_sec;
   host["crc32_speedup"] = crc_speedup;
   host["floor_sim_txns_per_host_sec"] = Floor();
+  host["peak_rss_mb"] = PeakRssMb();
   report.Set("host", std::move(host));
   (void)report.Write();
   return ok;

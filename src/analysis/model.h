@@ -108,9 +108,6 @@ struct DiskModel {
   double track_rate_multiplier = 2.0;
   double pages_per_track = 6.0;
 
-  double RandomPageReadMs() const {
-    return avg_seek_ms + settle_ms + page_transfer_ms;
-  }
   double NearPageReadMs() const {
     return near_seek_ms + settle_ms + page_transfer_ms;
   }

@@ -154,12 +154,15 @@ Status Database::RunCheckpoint(CheckpointRequest* req, uint32_t stream) {
     Status hs = fault_->OnSite(&ev);
     if (!hs.ok()) return rollback_install(hs);
   }
+  // Each page is built and checksummed once: the checkpoint disk and the
+  // archive hold the same pages by reference.
   uint32_t page_bytes = opts_.log_page_bytes;
-  std::vector<std::vector<uint8_t>> pages;
+  std::vector<sim::Page> pages;
   for (size_t off = 0; off < image.size(); off += page_bytes) {
     size_t n = std::min<size_t>(page_bytes, image.size() - off);
-    pages.emplace_back(image.begin() + static_cast<long>(off),
-                       image.begin() + static_cast<long>(off + n));
+    pages.push_back(sim::MakePage(
+        std::vector<uint8_t>(image.begin() + static_cast<long>(off),
+                             image.begin() + static_cast<long>(off + n))));
   }
   uint64_t done = checkpoint_disk_->WriteTrack(
       first_page, pages, clock_.now_ns(), sim::SeekClass::kNear);
@@ -186,6 +189,12 @@ Status Database::RunCheckpoint(CheckpointRequest* req, uint32_t stream) {
         log_->OnCheckpointFinished(bin_index, clock_.now_ns()));
     log_->ClearFinished(stream, pid);  // `req` dangles after this
     req = nullptr;
+  }
+  // The commit made the old slot's free durable: no restart can read the
+  // superseded image any more, so the disk lets go of its pages. (Until
+  // the commit a crash restarts from it, so it must stay readable.)
+  if (had_old) {
+    checkpoint_disk_->ReleasePages(old_page, v_->disk_map.pages_per_slot());
   }
   MMDB_RETURN_IF_ERROR(fault::Barrier(fault_.get()));
 

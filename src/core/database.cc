@@ -797,6 +797,12 @@ void Database::ReleaseSegmentStorage(
     Status st = v_->pm.DropPartition(d.id);
     NoteSpaceFreed();
     (void)st;  // non-resident partitions are fine
+    if (d.has_checkpoint()) {
+      // No committed descriptor refers to the image any more.
+      checkpoint_disk_->ReleasePages(d.checkpoint_page,
+                                     v_->disk_map.pages_per_slot());
+      archive_->DropImage(d.id);
+    }
   }
 }
 

@@ -661,8 +661,9 @@ class Database {
   /// Logs an object's drop inside `txn`: its relation's X lock, a log
   /// drain, its partitions' catalog rows and checkpoint slots (with the
   /// disk-map rows), then its own `row`. The non-logged teardown (bins,
-  /// resident partitions) must happen after commit via
-  /// ReleaseSegmentStorage; a failed drop goes to AbortObjectDrop.
+  /// resident partitions, checkpoint images on disk and in the archive)
+  /// must happen after commit via ReleaseSegmentStorage; a failed drop
+  /// goes to AbortObjectDrop.
   Status LogObjectDrop(Transaction* txn, uint32_t relation_id,
                        const std::vector<PartitionDescriptor>& descriptors,
                        EntityAddr row);

@@ -408,7 +408,7 @@ Result<LogStreams::Stamp> LogStreams::Commit(const Transaction* txn,
 uint64_t LogStreams::WriteWalPages(uint64_t bytes, uint64_t now_ns) {
   const uint64_t pages = std::max<uint64_t>(
       1, (bytes + opts_.log_page_bytes - 1) / opts_.log_page_bytes);
-  std::vector<uint8_t> marker(16, 0);
+  const sim::Page marker = sim::MakePage(std::vector<uint8_t>(16, 0));
   for (uint64_t p = 0; p < pages; ++p) {
     now_ns = streams_[0].disks().WritePage(kWalPageBase + wal_page_counter_++,
                                           marker, now_ns,

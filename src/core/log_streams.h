@@ -317,7 +317,7 @@ class LogStreams {
   }
   /// Rolls stream 0's retired log extents onto the archive.
   Status RollArchive(ArchiveManager* archive) {
-    return archive->RollLog(&streams_[0].disks(),
+    return archive->RollLog(streams_[0].disks(),
                             streams_[0].writer().window_start());
   }
 

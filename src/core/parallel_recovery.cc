@@ -142,9 +142,6 @@ Result<Database::RebuiltPartition> Database::RebuildPartition(
     uint64_t n = 0;
     uint32_t following = s;
     do {
-      if (streams > 1) {
-        main_cpu_.AccountInstructions(opts_.costs.i_record_lookup);
-      }
       MMDB_RETURN_IF_ERROR(
           ApplyLogRecord(log.records[cursor[s]++], out.part.get()));
       ++n;
@@ -159,8 +156,6 @@ Result<Database::RebuiltPartition> Database::RebuildPartition(
     apply_ns = lane->cpu.Occupy(
         ready,
         static_cast<uint64_t>(static_cast<double>(n) * apply_ns_per_record));
-    main_cpu_.AccountInstructions(static_cast<double>(n) *
-                                  opts_.apply_instructions_per_record);
     out.records_applied += n;
     s = following;
   }

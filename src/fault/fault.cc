@@ -133,6 +133,20 @@ void FaultInjector::NoteInjected(Site site) {
   }
 }
 
+void FaultInjector::FlipBit(SiteEvent* ev) {
+  std::vector<uint8_t>* bytes = ev->data;
+  std::shared_ptr<std::vector<uint8_t>> copy;
+  if (bytes == nullptr && ev->shared_data != nullptr &&
+      *ev->shared_data != nullptr) {
+    copy = std::make_shared<std::vector<uint8_t>>(**ev->shared_data);
+    bytes = copy.get();
+  }
+  if (bytes == nullptr || bytes->empty()) return;
+  uint64_t bit = rng_.Uniform(bytes->size() * 8);
+  (*bytes)[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+  if (copy != nullptr) *ev->shared_data = std::move(copy);
+}
+
 Status FaultInjector::OnSite(SiteEvent* ev) {
   ++visits_[static_cast<size_t>(ev->site)];
   if (crash_pending_) {
@@ -176,10 +190,7 @@ Status FaultInjector::OnSite(SiteEvent* ev) {
         break;
       case FaultKind::kLatentCorruption:
       case FaultKind::kBitFlip:
-        if (ev->data != nullptr && !ev->data->empty()) {
-          uint64_t bit = rng_.Uniform(ev->data->size() * 8);
-          (*ev->data)[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
-        }
+        FlipBit(ev);
         break;
       case FaultKind::kCrash:
         crash_pending_ = true;

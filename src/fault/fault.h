@@ -2,6 +2,7 @@
 #define MMDB_FAULT_FAULT_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -87,15 +88,19 @@ struct FaultPlan {
 };
 
 /// Everything a hook site tells the injector about one visit. `data`, when
-/// non-null, points at the mutable stored/staged bytes so corruption kinds
-/// can flip bits in place. For writes the injector reports torn lengths
-/// back through `torn_keep_bytes` / `torn_keep_pages`.
+/// non-null, points at the mutable staged bytes so corruption kinds can
+/// flip bits in place. `shared_data`, when non-null, points at a stored
+/// page's bytes that other devices may share: corruption kinds replace
+/// the reference with an altered private copy (copy-on-write), so only
+/// this device's copy goes bad. For writes the injector reports torn
+/// lengths back through `torn_keep_bytes` / `torn_keep_pages`.
 struct SiteEvent {
   Site site = Site::kDiskWrite;
   const char* device = "";
   uint64_t page_no = kAnyPage;
   uint64_t now_ns = 0;
-  std::vector<uint8_t>* data = nullptr;  // mutable payload (reads, buffers)
+  std::vector<uint8_t>* data = nullptr;  // mutable payload (buffers)
+  std::shared_ptr<const std::vector<uint8_t>>* shared_data = nullptr;
   size_t write_size = 0;                 // bytes about to be written
   uint32_t track_pages = 0;              // >0 for whole-track writes
 
@@ -173,6 +178,8 @@ class FaultInjector {
 
   bool Matches(const FaultSpec& spec, const SiteEvent& ev) const;
   void NoteInjected(Site site);
+  /// Flips one seed-chosen bit of the visit's payload, if it has one.
+  void FlipBit(SiteEvent* ev);
   static Status CrashedStatus() {
     return Status::Fault("injected crash pending");
   }

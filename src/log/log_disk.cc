@@ -103,9 +103,9 @@ Result<uint64_t> LogDiskWriter::FlushBinPage(PartitionBin* bin,
   }
   size_t cap = PagePayloadCapacity(embedded.size());
   size_t take = std::min<size_t>(cap, bin->active_page.size());
-  std::vector<uint8_t> page = BuildPage(
+  sim::Page page = sim::MakePage(BuildPage(
       lsn, bin->partition, bin->last_page_lsn, prev_anchor, embedded,
-      std::span<const uint8_t>(bin->active_page.data(), take));
+      std::span<const uint8_t>(bin->active_page.data(), take)));
   *done_ns = disks_->WritePage(lsn, page, now_ns, sim::SeekClass::kSequential);
   // The bin's stable bookkeeping only advances once the page write went
   // through: a crash during the write leaves an orphaned, unreferenced
@@ -139,9 +139,9 @@ Result<uint64_t> LogDiskWriter::WriteArchivePage(
     MMDB_RETURN_IF_ERROR(fault_->OnSite(&ev));
   }
   uint64_t lsn = next_lsn_++;
-  std::vector<uint8_t> page =
+  sim::Page page = sim::MakePage(
       BuildPage(lsn, PartitionId::Unpack(kArchiveCombinedTag), kNoLsn, kNoLsn,
-                {}, stream_bytes);
+                {}, stream_bytes));
   *done_ns = disks_->WritePage(lsn, page, now_ns, sim::SeekClass::kSequential);
   MMDB_RETURN_IF_ERROR(fault::Barrier(fault_));
   if (m_archive_pages_ != nullptr) m_archive_pages_->Add(1);
@@ -153,15 +153,14 @@ Result<uint64_t> LogDiskWriter::WriteArchivePage(
 Status LogDiskWriter::ReadPage(uint64_t lsn, uint64_t now_ns,
                                sim::SeekClass seek, ParsedLogPage* page,
                                uint64_t* done_ns, bool any_member) {
-  std::vector<uint8_t> raw;
+  sim::Page raw;
   uint64_t t = now_ns;
   Status st;
   for (uint32_t attempt = 0;; ++attempt) {
-    raw.clear();
     st = any_member ? disks_->ReadPageAny(lsn, t, seek, &raw, done_ns)
                     : disks_->ReadPage(lsn, t, seek, &raw, done_ns);
     if (st.ok()) {
-      st = ParseRawPage(lsn, raw, page);
+      st = ParseRawPage(lsn, *raw.bytes, page);
       if (st.ok() || !st.IsCorruption()) return st;
       break;  // content-level corruption: try each member explicitly
     }
@@ -177,10 +176,9 @@ Status LogDiskWriter::ReadPage(uint64_t lsn, uint64_t now_ns,
   for (int m = 0; m < 2; ++m) {
     sim::Disk& d = disks_->member(m);
     if (d.media_failed()) continue;
-    raw.clear();
     Status rs = d.ReadPage(lsn, t, seek, &raw, done_ns);
     if (!rs.ok()) continue;
-    if (ParseRawPage(lsn, raw, page).ok()) {
+    if (ParseRawPage(lsn, *raw.bytes, page).ok()) {
       if (m_retries_ != nullptr) m_retries_->Add(1);
       return Status::OK();
     }

@@ -3,20 +3,17 @@
 namespace mmdb {
 
 void ArchiveManager::ArchiveCheckpointImage(
-    PartitionId pid, uint64_t first_page,
-    const std::vector<std::vector<uint8_t>>& pages) {
+    PartitionId pid, uint64_t first_page, const std::vector<sim::Page>& pages) {
   images_[pid] = ImageCopy{first_page, pages};
   ++archived_images_;
 }
 
-Status ArchiveManager::RollLog(sim::DuplexedDisk* log_disks,
+Status ArchiveManager::RollLog(const sim::DuplexedDisk& log_disks,
                                uint64_t up_to_lsn) {
   for (uint64_t lsn = rolled_up_to_; lsn < up_to_lsn; ++lsn) {
     if (log_pages_.count(lsn) != 0) continue;
-    std::vector<uint8_t> page;
-    uint64_t done = 0;
-    Status st = log_disks->ReadPage(lsn, /*now_ns=*/0,
-                                    sim::SeekClass::kSequential, &page, &done);
+    sim::Page page;
+    Status st = log_disks.StoredPage(lsn, &page);
     if (st.IsNotFound()) continue;  // never written (sparse LSN space)
     MMDB_RETURN_IF_ERROR(st);
     log_pages_[lsn] = std::move(page);

@@ -38,14 +38,22 @@ class ArchiveManager {
   ArchiveManager(const ArchiveManager&) = delete;
   ArchiveManager& operator=(const ArchiveManager&) = delete;
 
-  /// Archives a committed checkpoint image of `pid` that lives at
-  /// checkpoint-disk page `first_page` (track of `pages` pages).
+  /// Archives a checkpoint image of `pid` that lives at checkpoint-disk
+  /// page `first_page` (track of `pages` pages). The archive keeps the
+  /// pages by reference: they share their bytes with the checkpoint disk.
   void ArchiveCheckpointImage(PartitionId pid, uint64_t first_page,
-                              const std::vector<std::vector<uint8_t>>& pages);
+                              const std::vector<sim::Page>& pages);
+
+  /// Forgets the archived image of a partition whose drop has committed:
+  /// media recovery must not restore it over a slot reused since.
+  void DropImage(PartitionId pid) { images_.erase(pid); }
 
   /// Rolls log pages with LSN < `up_to_lsn` from the log disk onto the
-  /// archive (idempotent; already-rolled pages are skipped).
-  Status RollLog(sim::DuplexedDisk* log_disks, uint64_t up_to_lsn);
+  /// archive (idempotent; already-rolled pages are skipped). Each page is
+  /// taken by reference from a duplex member whose copy verifies
+  /// (`DuplexedDisk::StoredPage`): the roll is a hand-over of the disk
+  /// to the archive component, not a timed read through its queue.
+  Status RollLog(const sim::DuplexedDisk& log_disks, uint64_t up_to_lsn);
 
   /// Media recovery: restore every archived partition image onto the
   /// (repaired) checkpoint disk at its recorded location.
@@ -55,23 +63,23 @@ class ArchiveManager {
   uint64_t archived_images() const { return archived_images_; }
   uint64_t archived_log_pages() const { return archived_log_pages_; }
 
-  /// Archived log pages (LSN → raw page bytes). The re-silverer restores
-  /// from here any page the healthy duplex member can no longer serve
-  /// (e.g. a latent-corrupt sector discovered during the copy).
-  const std::map<uint64_t, std::vector<uint8_t>>& log_page_archive() const {
+  /// Archived log pages (LSN → page). The re-silverer restores from here
+  /// any page the healthy duplex member can no longer serve (e.g. a
+  /// latent-corrupt sector discovered during the copy).
+  const std::map<uint64_t, sim::Page>& log_page_archive() const {
     return log_pages_;
   }
 
  private:
   struct ImageCopy {
     uint64_t first_page;
-    std::vector<std::vector<uint8_t>> pages;
+    std::vector<sim::Page> pages;
   };
 
   // Latest archived image per partition (tape would keep all; media
   // recovery only needs the latest plus the retained log).
   std::unordered_map<PartitionId, ImageCopy> images_;
-  std::map<uint64_t, std::vector<uint8_t>> log_pages_;
+  std::map<uint64_t, sim::Page> log_pages_;
   uint64_t rolled_up_to_ = 0;
   uint64_t archived_images_ = 0;
   uint64_t archived_log_pages_ = 0;

@@ -46,13 +46,12 @@ Status Resilverer::Start(int target, uint64_t now_ns) {
 }
 
 Status Resilverer::ReadSource(uint64_t page_no, uint64_t now_ns,
-                              uint64_t* done_ns, std::vector<uint8_t>* data) {
+                              uint64_t* done_ns, sim::Page* page) {
   sim::Disk& src = disks_->member(1 - target_);
   uint64_t t = now_ns;
   Status st;
   for (uint32_t attempt = 0; attempt < sim::kReadRetryAttempts; ++attempt) {
-    data->clear();
-    st = src.ReadPage(page_no, t, sim::SeekClass::kSequential, data, done_ns);
+    st = src.ReadPage(page_no, t, sim::SeekClass::kSequential, page, done_ns);
     if (st.ok() || !st.IsIOError()) break;
     t += (attempt + 1) * sim::kReadRetryBackoffNs;
   }
@@ -61,7 +60,7 @@ Status Resilverer::ReadSource(uint64_t page_no, uint64_t now_ns,
   // persistent error): restore it from the archive copy instead.
   auto it = archive_->log_page_archive().find(page_no);
   if (it == archive_->log_page_archive().end()) return st;
-  *data = it->second;
+  *page = it->second;
   *done_ns = t;
   return Status::OK();
 }
@@ -75,7 +74,7 @@ Status Resilverer::Step(uint64_t now_ns, uint64_t* done_ns, bool* done) {
   }
   sim::Disk& dst = disks_->member(target_);
   uint64_t t = now_ns;
-  std::vector<uint8_t> page;
+  sim::Page page;
   for (uint32_t n = 0; n < config_.pages_per_step && cursor_ < worklist_.size();
        ++n, ++cursor_) {
     MMDB_RETURN_IF_ERROR(fault::Barrier(fault_));

@@ -66,9 +66,10 @@ class Resilverer {
 
  private:
   /// Reads one page from the healthy member with bounded retry on
-  /// transient errors, falling back to the archive copy.
+  /// transient errors, falling back to the archive copy. The target then
+  /// stores the same page by reference.
   Status ReadSource(uint64_t page_no, uint64_t now_ns, uint64_t* done_ns,
-                    std::vector<uint8_t>* data);
+                    sim::Page* page);
 
   Config config_;
   sim::DuplexedDisk* disks_;

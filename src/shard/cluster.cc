@@ -614,10 +614,6 @@ void Cluster::OutcomeRecvEvent(uint32_t p, uint64_t gid, bool commit,
   if (sh.up) StepAlive("2pc.resolved", p, gid);
 }
 
-void Cluster::ScheduleKill(uint32_t s, uint64_t at_ns) {
-  sched_.At(at_ns, [this, s](uint64_t t) { KillShardNow(s, t); });
-}
-
 void Cluster::ScheduleRestart(uint32_t s, uint64_t at_ns) {
   sched_.At(at_ns, [this, s](uint64_t t) {
     Status st = RestartShardNow(s, t);

@@ -133,8 +133,7 @@ class Cluster {
   /// Drains the event loop (arrivals, network, timers, sweeps).
   Status Run();
 
-  /// Schedules a crash / restart of one shard at `at_ns`.
-  void ScheduleKill(uint32_t s, uint64_t at_ns);
+  /// Schedules a restart of one shard at `at_ns`.
   void ScheduleRestart(uint32_t s, uint64_t at_ns);
 
   /// Immediate forms, callable from a step hook or between Run()s.

@@ -9,7 +9,42 @@ namespace mmdb::sim {
 
 namespace {
 constexpr double kMsToNs = 1e6;
+
+Status MediaFailure(const std::string& disk) {
+  return Status::IOError("media failure on disk " + disk);
+}
+
+Status NeverWritten(const std::string& disk, uint64_t page_no) {
+  return Status::NotFound("disk " + disk + ": page " +
+                          std::to_string(page_no) + " never written");
+}
+
+Status LatentCorruption(const std::string& disk, uint64_t page_no) {
+  return Status::Corruption("latent sector corruption on disk " + disk +
+                            " page " + std::to_string(page_no));
+}
+
+/// The more diagnostic of two failed reads of one page: Corruption over
+/// IOError over NotFound. NotFound survives only when neither copy exists
+/// (sparse LSN probes rely on it).
+Status MoreDiagnostic(Status first, Status second) {
+  if (first.IsCorruption()) return first;
+  if (second.IsCorruption()) return second;
+  if (first.IsIOError()) return first;
+  if (second.IsIOError()) return second;
+  return first;
+}
 }  // namespace
+
+bool Page::Verifies() const {
+  return Crc32(bytes->data(), bytes->size()) == crc;
+}
+
+Page MakePage(std::vector<uint8_t> bytes) {
+  const uint32_t crc = Crc32(bytes.data(), bytes.size());
+  return Page{std::make_shared<const std::vector<uint8_t>>(std::move(bytes)),
+              crc};
+}
 
 void Disk::AttachMetrics(obs::MetricsRegistry* reg) {
   const std::string p = "disk." + name_ + ".";
@@ -36,17 +71,28 @@ uint64_t Disk::PositioningNs(SeekClass seek) const {
   return static_cast<uint64_t>(ms * kMsToNs);
 }
 
-void Disk::StorePage(uint64_t page_no, const std::vector<uint8_t>& data) {
-  store_[page_no] = data;
-  crc_[page_no] = Crc32(data.data(), data.size());
+Status Disk::StoredPage(uint64_t page_no, Page* page) const {
+  if (failed_) {
+    return MediaFailure(name_);
+  }
+  auto it = store_.find(page_no);
+  if (it == store_.end()) {
+    return NeverWritten(name_, page_no);
+  }
+  if (!it->second.Verifies()) {
+    return LatentCorruption(name_, page_no);
+  }
+  *page = it->second;
+  return Status::OK();
 }
 
 bool Disk::PageClean(uint64_t page_no) const {
   auto it = store_.find(page_no);
-  if (it == store_.end()) return false;
-  auto c = crc_.find(page_no);
-  if (c == crc_.end()) return true;
-  return Crc32(it->second.data(), it->second.size()) == c->second;
+  return it != store_.end() && it->second.Verifies();
+}
+
+void Disk::ReleasePages(uint64_t first_page_no, uint64_t pages) {
+  for (uint64_t i = 0; i < pages; ++i) store_.erase(first_page_no + i);
 }
 
 std::vector<uint64_t> Disk::StoredPageNumbers() const {
@@ -57,28 +103,25 @@ std::vector<uint64_t> Disk::StoredPageNumbers() const {
   return pages;
 }
 
-Status Disk::CheckReadPage(uint64_t page_no, std::vector<uint8_t>* stored,
-                           uint64_t now_ns) {
+Status Disk::CheckReadPage(uint64_t page_no, Page* stored, uint64_t now_ns) {
   if (fault_ != nullptr && fault_->armed()) {
     fault::SiteEvent ev;
     ev.site = fault::Site::kDiskRead;
     ev.device = name_.c_str();
     ev.page_no = page_no;
     ev.now_ns = now_ns;
-    ev.data = stored;
+    ev.shared_data = &stored->bytes;
     MMDB_RETURN_IF_ERROR(fault_->OnSite(&ev));
   }
-  auto c = crc_.find(page_no);
-  if (c != crc_.end() &&
-      Crc32(stored->data(), stored->size()) != c->second) {
-    return Status::Corruption("latent sector corruption on disk " + name_ +
-                              " page " + std::to_string(page_no));
+  if (!stored->Verifies()) {
+    return LatentCorruption(name_, page_no);
   }
   return Status::OK();
 }
 
-uint64_t Disk::WritePage(uint64_t page_no, const std::vector<uint8_t>& data,
-                         uint64_t now_ns, SeekClass seek) {
+uint64_t Disk::WritePage(uint64_t page_no, const Page& page, uint64_t now_ns,
+                         SeekClass seek) {
+  const std::vector<uint8_t>& data = *page.bytes;
   MMDB_CHECK(data.size() <= params_.page_size_bytes);
   size_t keep = data.size();
   bool suppress = false;
@@ -109,14 +152,14 @@ uint64_t Disk::WritePage(uint64_t page_no, const std::vector<uint8_t>& data,
       std::vector<uint8_t> stored(data.begin(),
                                   data.begin() + static_cast<long>(keep));
       auto it = store_.find(page_no);
-      if (it != store_.end() && it->second.size() > keep) {
-        stored.insert(stored.end(),
-                      it->second.begin() + static_cast<long>(keep),
-                      it->second.end());
+      if (it != store_.end() && it->second.bytes->size() > keep) {
+        const std::vector<uint8_t>& old = *it->second.bytes;
+        stored.insert(stored.end(), old.begin() + static_cast<long>(keep),
+                      old.end());
       }
-      StorePage(page_no, stored);
+      store_[page_no] = MakePage(std::move(stored));
     } else {
-      StorePage(page_no, data);
+      store_[page_no] = page;
     }
   }
   ++pages_written_;
@@ -127,8 +170,8 @@ uint64_t Disk::WritePage(uint64_t page_no, const std::vector<uint8_t>& data,
 }
 
 uint64_t Disk::WriteTrack(uint64_t first_page_no,
-                          const std::vector<std::vector<uint8_t>>& pages,
-                          uint64_t now_ns, SeekClass seek) {
+                          const std::vector<Page>& pages, uint64_t now_ns,
+                          SeekClass seek) {
   auto keep_pages = static_cast<uint32_t>(pages.size());
   bool suppress = false;
   if (fault_ != nullptr && fault_->armed()) {
@@ -152,12 +195,11 @@ uint64_t Disk::WriteTrack(uint64_t first_page_no,
   busy_ns_total_ += static_cast<double>(pos + xfer);
   uint64_t track_bytes = 0;
   for (size_t i = 0; i < pages.size(); ++i) {
-    MMDB_CHECK(pages[i].size() <= params_.page_size_bytes);
-    if (!suppress && i < keep_pages) {
-      StorePage(first_page_no + i, pages[i]);
-    }
-    bytes_written_ += pages[i].size();
-    track_bytes += pages[i].size();
+    const size_t size = pages[i].bytes->size();
+    MMDB_CHECK(size <= params_.page_size_bytes);
+    if (!suppress && i < keep_pages) store_[first_page_no + i] = pages[i];
+    bytes_written_ += size;
+    track_bytes += size;
   }
   pages_written_ += pages.size();
   ++tracks_written_;
@@ -167,14 +209,13 @@ uint64_t Disk::WriteTrack(uint64_t first_page_no,
 }
 
 Status Disk::ReadPage(uint64_t page_no, uint64_t now_ns, SeekClass seek,
-                      std::vector<uint8_t>* data, uint64_t* done_ns) {
+                      Page* page, uint64_t* done_ns) {
   if (failed_) {
-    return Status::IOError("media failure on disk " + name_);
+    return MediaFailure(name_);
   }
   auto it = store_.find(page_no);
   if (it == store_.end()) {
-    return Status::NotFound("disk " + name_ + ": page " +
-                            std::to_string(page_no) + " never written");
+    return NeverWritten(name_, page_no);
   }
   MMDB_RETURN_IF_ERROR(CheckReadPage(page_no, &it->second, now_ns));
   uint64_t start = BeginOp(now_ns);
@@ -183,12 +224,13 @@ Status Disk::ReadPage(uint64_t page_no, uint64_t now_ns, SeekClass seek,
   uint64_t done = start + pos + xfer;
   busy_until_ns_ = done;
   busy_ns_total_ += static_cast<double>(pos + xfer);
-  *data = it->second;
+  *page = it->second;
   *done_ns = done;
   ++pages_read_;
   if (seek != SeekClass::kSequential) ++seeks_;
-  bytes_read_ += it->second.size();
-  NoteRead(1, it->second.size(), now_ns, done);
+  const size_t size = it->second.bytes->size();
+  bytes_read_ += size;
+  NoteRead(1, size, now_ns, done);
   return Status::OK();
 }
 
@@ -196,7 +238,7 @@ Status Disk::ReadTrackInto(uint64_t first_page_no, uint32_t pages,
                            uint64_t now_ns, SeekClass seek,
                            std::vector<uint8_t>* out, uint64_t* done_ns) {
   if (failed_) {
-    return Status::IOError("media failure on disk " + name_);
+    return MediaFailure(name_);
   }
   uint64_t track_bytes = 0;
   size_t restore_size = out->size();
@@ -206,18 +248,17 @@ Status Disk::ReadTrackInto(uint64_t first_page_no, uint32_t pages,
     auto it = store_.find(first_page_no + i);
     if (it == store_.end()) {
       out->resize(restore_size);
-      return Status::NotFound("disk " + name_ + ": page " +
-                              std::to_string(first_page_no + i) +
-                              " never written");
+      return NeverWritten(name_, first_page_no + i);
     }
     Status st = CheckReadPage(first_page_no + i, &it->second, now_ns);
     if (!st.ok()) {
       out->resize(restore_size);
       return st;
     }
-    out->insert(out->end(), it->second.begin(), it->second.end());
-    bytes_read_ += it->second.size();
-    track_bytes += it->second.size();
+    const std::vector<uint8_t>& bytes = *it->second.bytes;
+    out->insert(out->end(), bytes.begin(), bytes.end());
+    bytes_read_ += bytes.size();
+    track_bytes += bytes.size();
   }
   uint64_t start = BeginOp(now_ns);
   uint64_t pos = PositioningNs(seek);
@@ -236,26 +277,26 @@ Status Disk::ReadTrackInto(uint64_t first_page_no, uint32_t pages,
 
 Status DuplexedDisk::ReadWithFallback(Disk* first, Disk* second,
                                       uint64_t page_no, uint64_t now_ns,
-                                      SeekClass seek,
-                                      std::vector<uint8_t>* data,
+                                      SeekClass seek, Page* page,
                                       uint64_t* done_ns) {
-  Status st1 = first->ReadPage(page_no, now_ns, seek, data, done_ns);
+  Status st1 = first->ReadPage(page_no, now_ns, seek, page, done_ns);
   if (st1.ok() || st1.IsFault()) return st1;
-  Status st2 = second->ReadPage(page_no, now_ns, seek, data, done_ns);
+  Status st2 = second->ReadPage(page_no, now_ns, seek, page, done_ns);
   if (st2.ok()) {
     ++mirror_fallbacks_;
     if (m_fallbacks_ != nullptr) m_fallbacks_->Add(1);
     return st2;
   }
   if (st2.IsFault()) return st2;
-  // Both copies failed: surface the most diagnostic status. NotFound is
-  // preserved only when neither member has the page (sparse LSN probes
-  // in ArchiveManager::RollLog rely on it).
-  if (st1.IsCorruption()) return st1;
-  if (st2.IsCorruption()) return st2;
-  if (st1.IsIOError()) return st1;
-  if (st2.IsIOError()) return st2;
-  return st1;
+  return MoreDiagnostic(std::move(st1), std::move(st2));
+}
+
+Status DuplexedDisk::StoredPage(uint64_t page_no, Page* page) const {
+  Status st1 = primary_.StoredPage(page_no, page);
+  if (st1.ok()) return st1;
+  Status st2 = mirror_.StoredPage(page_no, page);
+  if (st2.ok()) return st2;
+  return MoreDiagnostic(std::move(st1), std::move(st2));
 }
 
 }  // namespace mmdb::sim

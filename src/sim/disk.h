@@ -2,6 +2,7 @@
 #define MMDB_SIM_DISK_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -45,6 +46,28 @@ struct DiskParams {
 inline constexpr uint32_t kReadRetryAttempts = 3;
 inline constexpr uint64_t kReadRetryBackoffNs = 500'000;  // 0.5 ms
 
+/// One page as a device stores it: its bytes and the device CRC ("sector
+/// checksum") taken when the page was built.
+///
+/// The bytes are immutable and shared by reference, so a page is built
+/// and checksummed once however many devices hold it: both members of a
+/// duplexed pair, the checkpoint disk and the archive. Copying a `Page`
+/// copies the reference. A device whose copy must differ gets a private
+/// buffer instead (copy-on-write): a torn write stores a new hybrid page,
+/// and injected latent corruption swaps in an altered copy of the bytes
+/// under the old CRC, which the next read then fails to verify.
+struct Page {
+  std::shared_ptr<const std::vector<uint8_t>> bytes;
+  uint32_t crc = 0;
+
+  /// True when the bytes still match the CRC taken when the page was
+  /// built.
+  bool Verifies() const;
+};
+
+/// Builds a page from `bytes`, checksumming it once.
+Page MakePage(std::vector<uint8_t> bytes);
+
 /// Kinds of positioning cost for an access.
 enum class SeekClass {
   kSequential,  // head already positioned (e.g. circular-queue head)
@@ -58,10 +81,12 @@ enum class SeekClass {
 /// Contents survive `Database::Crash()` (the object simply is not
 /// destroyed); `FailMedia()` simulates a media failure for archive-recovery
 /// tests by dropping all stored pages and failing subsequent reads until
-/// `RepairMedia()` is called.
+/// `RepairMedia()` is called. `ReleasePages()` drops the pages of a freed
+/// region (a checkpoint slot whose free has committed); a read of a
+/// released page returns NotFound, as for a page never written.
 ///
-/// Every stored page carries a device-level CRC ("sector checksum")
-/// computed when the page is written. Reads verify it and return
+/// Every stored `Page` carries a device-level CRC ("sector checksum")
+/// computed when the page was built. Reads verify it and return
 /// Status::Corruption on mismatch, which is how injected latent sector
 /// corruption surfaces. Torn writes stay CRC-consistent at the device
 /// level (each sector is internally whole) and are only detectable by
@@ -92,20 +117,21 @@ class Disk {
   /// sites; pass null (the default state) to leave them as no-ops.
   void SetFaultInjector(fault::FaultInjector* inj) { fault_ = inj; }
 
-  /// Submit a one-page write. Returns the completion time (ns).
-  uint64_t WritePage(uint64_t page_no, const std::vector<uint8_t>& data,
-                     uint64_t now_ns, SeekClass seek);
+  /// Submit a one-page write. The disk stores `page` by reference.
+  /// Returns the completion time (ns).
+  uint64_t WritePage(uint64_t page_no, const Page& page, uint64_t now_ns,
+                     SeekClass seek);
 
   /// Submit a whole-track write (`pages` consecutive pages starting at
   /// `first_page_no`) at the track transfer rate.
-  uint64_t WriteTrack(uint64_t first_page_no,
-                      const std::vector<std::vector<uint8_t>>& pages,
+  uint64_t WriteTrack(uint64_t first_page_no, const std::vector<Page>& pages,
                       uint64_t now_ns, SeekClass seek);
 
-  /// Read one page. On success fills `*data` and returns the completion
-  /// time via `*done_ns`.
+  /// Read one page. On success sets `*page` to the stored page (a
+  /// reference, not a copy of the bytes) and returns the completion time
+  /// via `*done_ns`.
   Status ReadPage(uint64_t page_no, uint64_t now_ns, SeekClass seek,
-                  std::vector<uint8_t>* data, uint64_t* done_ns);
+                  Page* page, uint64_t* done_ns);
 
   /// Read `pages` consecutive pages at the track rate, appending the
   /// bytes directly to `*out` (no per-page vectors: checkpoint images are
@@ -115,6 +141,12 @@ class Disk {
                        SeekClass seek, std::vector<uint8_t>* out,
                        uint64_t* done_ns);
 
+  /// The stored page itself, by reference, outside the timing model: no
+  /// service time, no counters, no `disk.read` visit. NotFound when the
+  /// page was never written or was released, IOError after a media
+  /// failure, Corruption when its device CRC does not verify.
+  Status StoredPage(uint64_t page_no, Page* page) const;
+
   bool Contains(uint64_t page_no) const {
     return store_.find(page_no) != store_.end();
   }
@@ -122,6 +154,11 @@ class Disk {
   /// True when the page is stored and its device CRC verifies. Used by
   /// the re-silverer to skip pages already copied (idempotent resume).
   bool PageClean(uint64_t page_no) const;
+
+  /// Drops `pages` consecutive stored pages from `first_page_no` on: the
+  /// region was freed and nothing durable refers to it any more. Takes
+  /// no time and visits no fault site.
+  void ReleasePages(uint64_t first_page_no, uint64_t pages);
 
   /// All stored page numbers in ascending order (deterministic
   /// enumeration for re-silvering).
@@ -131,7 +168,6 @@ class Disk {
   void FailMedia() {
     failed_ = true;
     store_.clear();
-    crc_.clear();
   }
   void RepairMedia() { failed_ = false; }
   bool media_failed() const { return failed_; }
@@ -152,11 +188,10 @@ class Disk {
   uint64_t BeginOp(uint64_t now_ns) {
     return now_ns > busy_until_ns_ ? now_ns : busy_until_ns_;
   }
-  void StorePage(uint64_t page_no, const std::vector<uint8_t>& data);
   /// Fires the disk.read hook and verifies the device CRC for one stored
-  /// page. Returns non-OK on injected errors or CRC mismatch.
-  Status CheckReadPage(uint64_t page_no, std::vector<uint8_t>* stored,
-                       uint64_t now_ns);
+  /// page. Returns non-OK on injected errors or CRC mismatch. Injected
+  /// corruption replaces `*stored`'s bytes with a private altered copy.
+  Status CheckReadPage(uint64_t page_no, Page* stored, uint64_t now_ns);
   void NoteWrite(uint64_t pages, uint64_t bytes, uint64_t now_ns,
                  uint64_t done_ns) {
     if (m_pages_written_ == nullptr) return;
@@ -174,8 +209,7 @@ class Disk {
 
   std::string name_;
   DiskParams params_;
-  std::unordered_map<uint64_t, std::vector<uint8_t>> store_;
-  std::unordered_map<uint64_t, uint32_t> crc_;
+  std::unordered_map<uint64_t, Page> store_;
   bool failed_ = false;
   fault::FaultInjector* fault_ = nullptr;
 
@@ -199,12 +233,12 @@ class Disk {
 
 /// A duplexed pair of disks (the paper's log disks are duplexed).
 ///
-/// Writes go to both members; the logical completion time is the later of
-/// the two. Reads try one member and fall back to the other on any
-/// per-page failure (corrupt CRC, media failure, transient error), not
-/// just whole-media loss; the duplex surfaces an error only when both
-/// copies fail, preferring the more diagnostic status (Corruption over
-/// IOError over NotFound).
+/// Writes go to both members, which store the one `Page` by reference;
+/// the logical completion time is the later of the two. Reads try one
+/// member and fall back to the other on any per-page failure (corrupt
+/// CRC, media failure, transient error), not just whole-media loss; the
+/// duplex surfaces an error only when both copies fail, preferring the
+/// more diagnostic status (Corruption over IOError over NotFound).
 class DuplexedDisk {
  public:
   DuplexedDisk(std::string name, DiskParams params)
@@ -223,27 +257,32 @@ class DuplexedDisk {
     mirror_.SetFaultInjector(inj);
   }
 
-  uint64_t WritePage(uint64_t page_no, const std::vector<uint8_t>& data,
-                     uint64_t now_ns, SeekClass seek) {
-    uint64_t a = primary_.WritePage(page_no, data, now_ns, seek);
-    uint64_t b = mirror_.WritePage(page_no, data, now_ns, seek);
+  uint64_t WritePage(uint64_t page_no, const Page& page, uint64_t now_ns,
+                     SeekClass seek) {
+    uint64_t a = primary_.WritePage(page_no, page, now_ns, seek);
+    uint64_t b = mirror_.WritePage(page_no, page, now_ns, seek);
     return a > b ? a : b;
   }
 
   /// Read preferring the primary, transparently retrying the mirror on a
   /// per-page failure.
   Status ReadPage(uint64_t page_no, uint64_t now_ns, SeekClass seek,
-                  std::vector<uint8_t>* data, uint64_t* done_ns) {
-    return ReadWithFallback(&primary_, &mirror_, page_no, now_ns, seek, data,
+                  Page* page, uint64_t* done_ns) {
+    return ReadWithFallback(&primary_, &mirror_, page_no, now_ns, seek, page,
                             done_ns);
   }
+
+  /// The stored page by reference (`Disk::StoredPage`): the primary's
+  /// when its CRC verifies, else the mirror's; the error when neither
+  /// member holds a good copy, by the same preference as a read.
+  Status StoredPage(uint64_t page_no, Page* page) const;
 
   /// Read served by whichever member's queue frees up sooner (both hold
   /// every page, so concurrent recovery lanes can fan reads across the
   /// pair), falling back to the other member on per-page failure. Ties go
   /// to the primary, so the choice is deterministic.
   Status ReadPageAny(uint64_t page_no, uint64_t now_ns, SeekClass seek,
-                     std::vector<uint8_t>* data, uint64_t* done_ns) {
+                     Page* page, uint64_t* done_ns) {
     Disk* first = &primary_;
     Disk* second = &mirror_;
     if (primary_.media_failed() ||
@@ -252,7 +291,7 @@ class DuplexedDisk {
       first = &mirror_;
       second = &primary_;
     }
-    return ReadWithFallback(first, second, page_no, now_ns, seek, data,
+    return ReadWithFallback(first, second, page_no, now_ns, seek, page,
                             done_ns);
   }
 
@@ -270,8 +309,8 @@ class DuplexedDisk {
 
  private:
   Status ReadWithFallback(Disk* first, Disk* second, uint64_t page_no,
-                          uint64_t now_ns, SeekClass seek,
-                          std::vector<uint8_t>* data, uint64_t* done_ns);
+                          uint64_t now_ns, SeekClass seek, Page* page,
+                          uint64_t* done_ns);
 
   std::string name_;
   Disk primary_;

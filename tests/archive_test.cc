@@ -6,17 +6,19 @@
 namespace mmdb {
 namespace {
 
-std::vector<std::vector<uint8_t>> Track(uint8_t seed) {
-  std::vector<std::vector<uint8_t>> pages;
+std::vector<sim::Page> Track(uint8_t seed) {
+  std::vector<sim::Page> pages;
   for (int i = 0; i < 6; ++i) {
-    pages.push_back(testing::FilledBytes(1024, seed + i));
+    pages.push_back(sim::MakePage(testing::FilledBytes(1024, seed + i)));
   }
   return pages;
 }
 
-std::vector<uint8_t> Concat(const std::vector<std::vector<uint8_t>>& pages) {
+std::vector<uint8_t> Concat(const std::vector<sim::Page>& pages) {
   std::vector<uint8_t> bytes;
-  for (const auto& p : pages) bytes.insert(bytes.end(), p.begin(), p.end());
+  for (const sim::Page& p : pages) {
+    bytes.insert(bytes.end(), p.bytes->begin(), p.bytes->end());
+  }
   return bytes;
 }
 
@@ -58,17 +60,21 @@ TEST(ArchiveManagerTest, RollLogIsIdempotentAndSparseTolerant) {
   ArchiveManager am;
   sim::DuplexedDisk logs("log", sim::DiskParams{.page_size_bytes = 1024});
   // Write pages 0,1,3 (2 intentionally missing: sparse LSN space).
-  logs.WritePage(0, testing::FilledBytes(64, 1), 0, sim::SeekClass::kNear);
-  logs.WritePage(1, testing::FilledBytes(64, 2), 0, sim::SeekClass::kNear);
-  logs.WritePage(3, testing::FilledBytes(64, 3), 0, sim::SeekClass::kNear);
-  ASSERT_OK(am.RollLog(&logs, 4));
+  auto write = [&](uint64_t lsn, uint8_t seed) {
+    logs.WritePage(lsn, sim::MakePage(testing::FilledBytes(64, seed)), 0,
+                   sim::SeekClass::kNear);
+  };
+  write(0, 1);
+  write(1, 2);
+  write(3, 3);
+  ASSERT_OK(am.RollLog(logs, 4));
   EXPECT_EQ(am.archived_log_pages(), 3u);
   // Second roll over the same range does nothing.
-  ASSERT_OK(am.RollLog(&logs, 4));
+  ASSERT_OK(am.RollLog(logs, 4));
   EXPECT_EQ(am.archived_log_pages(), 3u);
   // Extending the range picks up only new pages.
-  logs.WritePage(5, testing::FilledBytes(64, 4), 0, sim::SeekClass::kNear);
-  ASSERT_OK(am.RollLog(&logs, 6));
+  write(5, 4);
+  ASSERT_OK(am.RollLog(logs, 6));
   EXPECT_EQ(am.archived_log_pages(), 4u);
 }
 

@@ -66,14 +66,15 @@ TEST_F(FailureInjectionTest, CorruptLogPageOnBothMirrorsDetectedAtRestart) {
   // Find a real bin page (skip WAL namespace) and flip a payload bit on
   // both mirrors.
   uint64_t victim = 0;
-  std::vector<uint8_t> raw;
+  sim::Page stored;
   uint64_t done;
   ASSERT_OK(db_.log_disks().primary().ReadPage(victim, 0,
-                                               sim::SeekClass::kNear, &raw,
+                                               sim::SeekClass::kNear, &stored,
                                                &done));
+  std::vector<uint8_t> raw = *stored.bytes;
   raw.back() ^= 0x01;
-  db_.log_disks().primary().WritePage(victim, raw, 0, sim::SeekClass::kNear);
-  db_.log_disks().mirror().WritePage(victim, raw, 0, sim::SeekClass::kNear);
+  db_.log_disks().WritePage(victim, sim::MakePage(std::move(raw)), 0,
+                            sim::SeekClass::kNear);
 
   db_.Crash();
   Status st = db_.Restart();

@@ -724,11 +724,12 @@ TEST_F(LogDiskTest, CorruptPageDetected) {
   uint64_t done = 0;
   ASSERT_OK(writer_.FlushBinPage(&bin, 4, 0, &done).status());
   // Corrupt the stored page on both mirrors.
-  std::vector<uint8_t> raw;
-  ASSERT_OK(disks_.primary().ReadPage(0, 0, sim::SeekClass::kNear, &raw, &done));
+  sim::Page stored;
+  ASSERT_OK(
+      disks_.primary().ReadPage(0, 0, sim::SeekClass::kNear, &stored, &done));
+  std::vector<uint8_t> raw = *stored.bytes;
   raw[raw.size() - 1] ^= 0xFF;
-  disks_.primary().WritePage(0, raw, 0, sim::SeekClass::kNear);
-  disks_.mirror().WritePage(0, raw, 0, sim::SeekClass::kNear);
+  disks_.WritePage(0, sim::MakePage(std::move(raw)), 0, sim::SeekClass::kNear);
   ParsedLogPage page;
   EXPECT_TRUE(writer_.ReadPage(0, 0, sim::SeekClass::kNear, &page, &done)
                   .IsCorruption());

@@ -134,6 +134,23 @@ TEST(ParallelRecoveryTest, LaneCountsProduceByteIdenticalState) {
   }
 }
 
+TEST(ParallelRecoveryTest, ReplayBooksNoMainCpuInstructions) {
+  // A rebuild's record applies (and, with several streams, its merge)
+  // run on a recovery lane, whose CPU timeline carries their time. The
+  // main CPU did none of that work, so its instruction total stays put.
+  for (uint32_t streams : kStreamCounts) {
+    SCOPED_TRACE("log_streams=" + std::to_string(streams));
+    DatabaseOptions o = LaneOptions(2, true, streams);
+    o.restart_policy = RestartPolicy::kFullReload;
+    Database db(o);
+    BuildAndCrash(&db);
+    const double before = db.main_cpu().total_instructions();
+    ASSERT_OK(db.Restart());
+    ASSERT_GT(db.last_restart().records_applied, 0u);
+    EXPECT_EQ(db.main_cpu().total_instructions(), before);
+  }
+}
+
 TEST(ParallelRecoveryTest, SameLaneCountIsFullyDeterministic) {
   // Same seed + same lane count: identical virtual end timestamps on
   // repeated runs, down to the nanosecond.

@@ -293,6 +293,33 @@ TEST_F(RecoveryTest, MediaFailureRecoveredFromArchive) {
   EXPECT_EQ(Snapshot(&db_, "acct"), before);
 }
 
+TEST_F(RecoveryTest, LogWindowRollReadsNothingFromTheLogDisks) {
+  DatabaseOptions o = SmallOptions();
+  o.log_window_pages = 4;
+  o.grace_pages = 0;
+  Database db(o);
+  ASSERT_OK(db.CreateRelation("a", AccountSchema()));
+  for (int round = 0; round < 60; ++round) {
+    auto t = db.Begin();
+    ASSERT_OK(t.status());
+    for (int i = 0; i < 20; ++i) {
+      ASSERT_OK(
+          db.Insert(t.value(), "a", Account(round * 100 + i, 0, "hot"))
+              .status());
+    }
+    ASSERT_OK(db.Commit(t.value()));
+  }
+  // The window rolled pages onto the archive, but a run without a
+  // restart never reads its log: the roll takes each page by reference.
+  ASSERT_GT(db.archive().archived_log_pages(), 0u);
+  EXPECT_EQ(db.metrics().counter_value("disk.log-a.pages_read"), 0u);
+  EXPECT_EQ(db.metrics().find_histogram("disk.log-a.read_ns")->count(), 0u);
+  const sim::DuplexedDisk& log = db.log_disks();
+  EXPECT_EQ(log.primary().pages_read(), 0u);
+  // Both members served the same writes and nothing else.
+  EXPECT_EQ(log.primary().busy_ms_total(), log.mirror().busy_ms_total());
+}
+
 TEST_F(RecoveryTest, RestartReportsTimings) {
   ASSERT_OK(db_.CreateRelation("acct", AccountSchema()));
   InsertAccounts("acct", 0, 200);
@@ -659,6 +686,188 @@ TEST_F(RecoveryTest, LengthChangingUpdateLogsTheFullImageAndSurvivesRestart) {
   ASSERT_OK(db_.Restart());
   EXPECT_EQ(Snapshot(&db_, "acct"), rows);
 }
+
+// --- checkpoint-disk page ownership ----------------------------------------
+
+namespace {
+
+/// First checkpoint-disk page of the image of `rel`'s first partition.
+uint64_t FirstImagePage(Database* db, const std::string& rel) {
+  auto r = db->catalog().GetRelation(rel);
+  EXPECT_TRUE(r.ok());
+  EXPECT_FALSE(r.value()->partitions.empty());
+  return r.value()->partitions[0].checkpoint_page;
+}
+
+/// Pages of every image a committed descriptor names, catalog included.
+uint64_t LiveImagePages(Database* db) {
+  uint64_t images = 0;
+  for (const PartitionDescriptor* d : db->catalog().DataPartitions()) {
+    images += d->has_checkpoint() ? 1 : 0;
+  }
+  auto catalog = db->catalog().PartitionsOf(db->catalog().catalog_segment());
+  EXPECT_TRUE(catalog.ok());
+  for (const PartitionDescriptor& d : *catalog.value()) {
+    images += d.has_checkpoint() ? 1 : 0;
+  }
+  const DatabaseOptions& o = db->options();
+  return images * (o.partition_size_bytes / o.log_page_bytes);
+}
+
+/// A crash on the checkpoint disk's first write after arming.
+fault::FaultSpec CheckpointWriteCrash() {
+  fault::FaultSpec crash;
+  crash.site = fault::Site::kDiskWrite;
+  crash.kind = fault::FaultKind::kCrash;
+  crash.device = "ckpt";
+  crash.nth_visit = 1;
+  return crash;
+}
+
+DatabaseOptions ManualCheckpointOptions() {
+  DatabaseOptions o = SmallOptions();
+  o.n_update = 1ull << 30;
+  o.auto_run_checkpoints = false;
+  return o;
+}
+
+/// Creates "acct" with 150 rows, checkpoints it, then commits one more
+/// row, so a restart replays the log over that image. Sets `*image` to
+/// the image's first page and `*rows` to the committed rows.
+void ImageThenOneMoreRow(Database* db, uint64_t* image,
+                         std::map<int64_t, Tuple>* rows) {
+  ASSERT_OK(db->CreateRelation("acct", AccountSchema()));
+  Transaction* t = db->Begin().value();
+  for (int i = 0; i < 150; ++i) {
+    ASSERT_OK(db->Insert(t, "acct", Account(i, i, "u")).status());
+  }
+  ASSERT_OK(db->Commit(t));
+  ASSERT_OK(db->ForceCheckpointRelation("acct"));
+  *image = FirstImagePage(db, "acct");
+  t = db->Begin().value();
+  ASSERT_OK(db->Insert(t, "acct", Account(150, 0, "late")).status());
+  ASSERT_OK(db->Commit(t));
+  *rows = Snapshot(db, "acct");
+}
+
+}  // namespace
+
+TEST_F(RecoveryTest, CheckpointDiskKeepsOnlyCommittedImages) {
+  ASSERT_OK(db_.CreateRelation("acct", AccountSchema()));
+  ASSERT_OK(db_.CreateRelation("gone", AccountSchema()));
+  InsertAccounts("acct", 0, 120);
+  InsertAccounts("gone", 0, 120);
+  ASSERT_OK(db_.CheckpointEverything());
+  const uint64_t superseded = FirstImagePage(&db_, "acct");
+  const uint64_t dropped = FirstImagePage(&db_, "gone");
+  InsertAccounts("acct", 120, 150);
+  ASSERT_OK(db_.ForceCheckpointRelation("acct"));
+  ASSERT_NE(FirstImagePage(&db_, "acct"), superseded);
+  ASSERT_OK(db_.DropRelation("gone"));
+
+  // A committed checkpoint releases the image it superseded, and a
+  // committed drop its relation's images: both read as never written.
+  sim::Page page;
+  EXPECT_TRUE(db_.checkpoint_disk().StoredPage(superseded, &page).IsNotFound());
+  EXPECT_TRUE(db_.checkpoint_disk().StoredPage(dropped, &page).IsNotFound());
+  EXPECT_EQ(db_.checkpoint_disk().StoredPageNumbers().size(),
+            LiveImagePages(&db_));
+
+  auto before = Snapshot(&db_, "acct");
+  db_.Crash();
+  ASSERT_OK(db_.Restart());
+  EXPECT_EQ(Snapshot(&db_, "acct"), before);
+}
+
+TEST_F(RecoveryTest, TornCheckpointTrackLeavesTheArchivedImageIntact) {
+  Database db(ManualCheckpointOptions());
+  uint64_t previous = 0;
+  std::map<int64_t, Tuple> rows;
+  ASSERT_NO_FATAL_FAILURE(ImageThenOneMoreRow(&db, &previous, &rows));
+
+  // Tear the next image's track and crash on the same visit.
+  fault::FaultPlan plan;
+  plan.TornWrite("ckpt", 1);
+  plan.specs.push_back(CheckpointWriteCrash());
+  db.ArmFaultPlan(plan);
+  ASSERT_TRUE(db.ForceCheckpointRelation("acct").IsFault());
+  db.Crash();
+  ASSERT_OK(db.Restart());
+
+  // Media recovery rewrites the checkpoint disk from the archive, whose
+  // copy of the previous image the torn track did not touch.
+  ASSERT_OK(db.FailAndRecoverCheckpointDisk());
+  db.Crash();
+  ASSERT_OK(db.Restart());
+  EXPECT_EQ(FirstImagePage(&db, "acct"), previous);
+  EXPECT_EQ(Snapshot(&db, "acct"), rows);
+}
+
+TEST_F(RecoveryTest, MediaRecoveryDoesNotRestoreADroppedImage) {
+  // Few slots, so the pseudo-circular queue soon hands a dropped
+  // relation's slot to the kept one. Media recovery then meets two
+  // archived images for that slot; either creation order is dropped once,
+  // so the kept image is restored first in one of the two runs.
+  for (const bool drop_first : {false, true}) {
+    SCOPED_TRACE(drop_first ? "first relation dropped"
+                            : "second relation dropped");
+    DatabaseOptions o = ManualCheckpointOptions();
+    o.checkpoint_disk_slots = 8;
+    Database db(o);
+    const std::string kept = drop_first ? "second" : "first";
+    const std::string dropped = drop_first ? "first" : "second";
+    for (const char* rel : {"first", "second"}) {
+      ASSERT_OK(db.CreateRelation(rel, AccountSchema()));
+      Transaction* t = db.Begin().value();
+      for (int i = 0; i < 50; ++i) {
+        ASSERT_OK(db.Insert(t, rel, Account(i, i, rel)).status());
+      }
+      ASSERT_OK(db.Commit(t));
+    }
+    ASSERT_OK(db.CheckpointEverything());
+    const uint64_t freed = FirstImagePage(&db, dropped);
+    ASSERT_OK(db.DropRelation(dropped));
+    for (int round = 0; FirstImagePage(&db, kept) != freed; ++round) {
+      ASSERT_LT(round, 16) << "the slot queue never reached the freed slot";
+      ASSERT_OK(db.ForceCheckpointRelation(kept));
+    }
+    auto rows = Snapshot(&db, kept);
+
+    ASSERT_OK(db.FailAndRecoverCheckpointDisk());
+    db.Crash();
+    ASSERT_OK(db.Restart());
+    EXPECT_EQ(Snapshot(&db, kept), rows);
+  }
+}
+
+class TrackWriteCrashTest : public ::testing::TestWithParam<RestartPolicy> {};
+
+TEST_P(TrackWriteCrashTest, CrashAtTheTrackWriteBarrierRestartsFromTheOldImage) {
+  DatabaseOptions o = ManualCheckpointOptions();
+  o.restart_policy = GetParam();
+  Database db(o);
+  uint64_t old_image = 0;
+  std::map<int64_t, Tuple> rows;
+  ASSERT_NO_FATAL_FAILURE(ImageThenOneMoreRow(&db, &old_image, &rows));
+
+  // The next image's track write never lands; the crash surfaces at the
+  // barrier after it, so the install rolls back. The old image was freed
+  // in memory but the free never committed, so it must still be there.
+  fault::FaultPlan plan;
+  plan.specs.push_back(CheckpointWriteCrash());
+  db.ArmFaultPlan(plan);
+  ASSERT_TRUE(db.ForceCheckpointRelation("acct").IsFault());
+  db.Crash();
+  ASSERT_OK(db.Restart());
+  EXPECT_EQ(FirstImagePage(&db, "acct"), old_image);
+  sim::Page page;
+  ASSERT_OK(db.checkpoint_disk().StoredPage(old_image, &page));
+  EXPECT_EQ(Snapshot(&db, "acct"), rows);
+}
+
+INSTANTIATE_TEST_SUITE_P(RestartPolicies, TrackWriteCrashTest,
+                         ::testing::Values(RestartPolicy::kFullReload,
+                                           RestartPolicy::kOnDemand));
 
 }  // namespace
 }  // namespace mmdb

@@ -40,12 +40,11 @@ void ExpectMembersEqual(sim::Disk& a, sim::Disk& b) {
   std::vector<uint64_t> pages_a = a.StoredPageNumbers();
   ASSERT_EQ(pages_a, b.StoredPageNumbers());
   for (uint64_t page_no : pages_a) {
-    std::vector<uint8_t> da, db_bytes;
+    sim::Page pa, pb;
     uint64_t done = 0;
-    ASSERT_OK(a.ReadPage(page_no, 0, sim::SeekClass::kSequential, &da, &done));
-    ASSERT_OK(
-        b.ReadPage(page_no, 0, sim::SeekClass::kSequential, &db_bytes, &done));
-    EXPECT_EQ(da, db_bytes) << "page " << page_no;
+    ASSERT_OK(a.ReadPage(page_no, 0, sim::SeekClass::kSequential, &pa, &done));
+    ASSERT_OK(b.ReadPage(page_no, 0, sim::SeekClass::kSequential, &pb, &done));
+    EXPECT_EQ(*pa.bytes, *pb.bytes) << "page " << page_no;
     EXPECT_TRUE(b.PageClean(page_no));
   }
 }
@@ -208,6 +207,49 @@ TEST(ResilverTest, FallsBackToArchiveWhenMirrorCannotServePage) {
             sim::kReadRetryAttempts);
   db.DisarmFaults();
   ExpectMembersEqual(db.log_disks().primary(), db.log_disks().mirror());
+}
+
+TEST(ResilverTest, RolledCopyOfAPageCorruptOnOneMemberStaysClean) {
+  DatabaseOptions o = SmallOptions();
+  o.log_window_pages = 4;
+  o.grace_pages = 0;
+  Database db(o);
+  ASSERT_OK(db.CreateRelation("r", S()));
+  ASSERT_OK(Fill(&db, "r", 0, 400));
+  // The newest log page is still inside the window, not yet rolled.
+  const uint64_t lsn = db.log_writer().next_lsn() - 1;
+  ASSERT_EQ(db.archive().log_page_archive().count(lsn), 0u);
+
+  // Member a's copy goes bad; a read detects it and falls back to b.
+  fault::FaultPlan plan;
+  plan.LatentCorruption("log-a", lsn);
+  db.ArmFaultPlan(plan);
+  sim::Page page;
+  uint64_t done = 0;
+  ASSERT_OK(db.log_disks().ReadPage(lsn, db.now_ns(),
+                                    sim::SeekClass::kSequential, &page,
+                                    &done));
+  EXPECT_EQ(db.fault_injector().injected(fault::Site::kDiskRead), 1u);
+  EXPECT_EQ(db.log_disks().mirror_fallbacks(), 1u);
+  db.DisarmFaults();
+  EXPECT_FALSE(db.log_disks().primary().PageClean(lsn));
+
+  // The window moves past the page: the roll takes member b's good copy.
+  ASSERT_OK(Fill(&db, "r", 400, 800));
+  ASSERT_OK(db.CheckpointEverything());
+  auto rolled = db.archive().log_page_archive().find(lsn);
+  ASSERT_NE(rolled, db.archive().log_page_archive().end());
+  EXPECT_TRUE(rolled->second.Verifies());
+  sim::Page mirror_copy;
+  ASSERT_OK(db.log_disks().mirror().StoredPage(lsn, &mirror_copy));
+  EXPECT_EQ(rolled->second.bytes, mirror_copy.bytes);
+
+  // Re-silvering member b from a restores that page from the archive.
+  db.log_disks().mirror().FailMedia();
+  ASSERT_OK(db.StartLogDiskResilver(1));
+  ASSERT_OK(db.ResilverToCompletion());
+  ASSERT_OK(db.log_disks().mirror().StoredPage(lsn, &mirror_copy));
+  EXPECT_EQ(mirror_copy.bytes, rolled->second.bytes);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "fault/fault.h"
 #include "sim/clock.h"
 #include "sim/cpu.h"
 #include "sim/disk.h"
@@ -56,18 +57,18 @@ TEST(CpuModelTest, IdleUntilMovesForwardOnly) {
 TEST(DiskTest, WriteThenReadRoundTrips) {
   Disk d("d", DiskParams{});
   auto data = testing::FilledBytes(4096, 3);
-  uint64_t done = d.WritePage(7, data, 0, SeekClass::kRandom);
+  uint64_t done = d.WritePage(7, MakePage(data), 0, SeekClass::kRandom);
   EXPECT_GT(done, 0u);
-  std::vector<uint8_t> out;
+  Page out;
   uint64_t rdone = 0;
   ASSERT_OK(d.ReadPage(7, done, SeekClass::kRandom, &out, &rdone));
-  EXPECT_EQ(out, data);
+  EXPECT_EQ(*out.bytes, data);
   EXPECT_GT(rdone, done);
 }
 
 TEST(DiskTest, ReadOfUnwrittenPageFails) {
   Disk d("d", DiskParams{});
-  std::vector<uint8_t> out;
+  Page out;
   uint64_t done;
   EXPECT_TRUE(d.ReadPage(99, 0, SeekClass::kRandom, &out, &done).IsNotFound());
 }
@@ -75,7 +76,7 @@ TEST(DiskTest, ReadOfUnwrittenPageFails) {
 TEST(DiskTest, SequentialWritesAreCheaperThanRandom) {
   DiskParams p;
   Disk seq("s", p), rnd("r", p);
-  auto data = testing::FilledBytes(1024, 1);
+  Page data = MakePage(testing::FilledBytes(1024, 1));
   uint64_t t_seq = 0, t_rnd = 0;
   for (int i = 0; i < 10; ++i) {
     t_seq = seq.WritePage(i, data, t_seq, SeekClass::kSequential);
@@ -89,7 +90,7 @@ TEST(DiskTest, SequentialWritesAreCheaperThanRandom) {
 TEST(DiskTest, TrackWriteFasterThanPagewise) {
   DiskParams p;
   Disk track("t", p), pages("p", p);
-  std::vector<std::vector<uint8_t>> six(6, testing::FilledBytes(8192, 2));
+  std::vector<Page> six(6, MakePage(testing::FilledBytes(8192, 2)));
   uint64_t t_track = track.WriteTrack(0, six, 0, SeekClass::kRandom);
   uint64_t t_pages = 0;
   for (int i = 0; i < 6; ++i) {
@@ -102,7 +103,7 @@ TEST(DiskTest, TrackWriteFasterThanPagewise) {
 
 TEST(DiskTest, RequestsSerializeOnBusyTimeline) {
   Disk d("d", DiskParams{});
-  auto data = testing::FilledBytes(64, 9);
+  Page data = MakePage(testing::FilledBytes(64, 9));
   uint64_t first = d.WritePage(0, data, 0, SeekClass::kRandom);
   // Submitting "in the past" still queues behind the first request.
   uint64_t second = d.WritePage(1, data, 0, SeekClass::kRandom);
@@ -111,25 +112,26 @@ TEST(DiskTest, RequestsSerializeOnBusyTimeline) {
 
 TEST(DiskTest, MediaFailureDropsDataUntilRepaired) {
   Disk d("d", DiskParams{});
-  d.WritePage(1, testing::FilledBytes(16, 1), 0, SeekClass::kRandom);
+  d.WritePage(1, MakePage(testing::FilledBytes(16, 1)), 0, SeekClass::kRandom);
   d.FailMedia();
-  std::vector<uint8_t> out;
+  Page out;
   uint64_t done;
   EXPECT_TRUE(d.ReadPage(1, 0, SeekClass::kRandom, &out, &done).IsIOError());
   d.RepairMedia();
   // Data is gone (media failure), but the disk serves again.
   EXPECT_TRUE(d.ReadPage(1, 0, SeekClass::kRandom, &out, &done).IsNotFound());
-  d.WritePage(1, testing::FilledBytes(16, 2), 0, SeekClass::kRandom);
+  d.WritePage(1, MakePage(testing::FilledBytes(16, 2)), 0, SeekClass::kRandom);
   ASSERT_OK(d.ReadPage(1, 0, SeekClass::kRandom, &out, &done));
 }
 
 TEST(DiskTest, ReadTrackIntoAppendsAllPages) {
   Disk d("d", DiskParams{});
-  std::vector<std::vector<uint8_t>> pages;
+  std::vector<Page> pages;
   std::vector<uint8_t> track;
   for (int i = 0; i < 6; ++i) {
-    pages.push_back(testing::FilledBytes(128, i));
-    track.insert(track.end(), pages.back().begin(), pages.back().end());
+    pages.push_back(MakePage(testing::FilledBytes(128, i)));
+    track.insert(track.end(), pages.back().bytes->begin(),
+                 pages.back().bytes->end());
   }
   d.WriteTrack(10, pages, 0, SeekClass::kNear);
   std::vector<uint8_t> out;
@@ -140,8 +142,8 @@ TEST(DiskTest, ReadTrackIntoAppendsAllPages) {
 
 TEST(DiskTest, ReadTrackIntoLeavesOutAloneOnAMissingPage) {
   Disk d("d", DiskParams{});
-  d.WritePage(10, testing::FilledBytes(128, 1), 0, SeekClass::kNear);
-  d.WritePage(12, testing::FilledBytes(128, 3), 0, SeekClass::kNear);
+  d.WritePage(10, MakePage(testing::FilledBytes(128, 1)), 0, SeekClass::kNear);
+  d.WritePage(12, MakePage(testing::FilledBytes(128, 3)), 0, SeekClass::kNear);
   const std::vector<uint8_t> before = testing::FilledBytes(40, 9);
   std::vector<uint8_t> out = before;
   uint64_t done = 0;
@@ -153,21 +155,116 @@ TEST(DiskTest, ReadTrackIntoLeavesOutAloneOnAMissingPage) {
 
 TEST(DuplexedDiskTest, WritesGoToBothMembers) {
   DuplexedDisk d("log", DiskParams{});
-  auto data = testing::FilledBytes(32, 5);
-  d.WritePage(3, data, 0, SeekClass::kSequential);
+  Page written = MakePage(testing::FilledBytes(32, 5));
+  d.WritePage(3, written, 0, SeekClass::kSequential);
   EXPECT_TRUE(d.primary().Contains(3));
   EXPECT_TRUE(d.mirror().Contains(3));
+  // Both members reference the one buffer the writer built.
+  Page a, b;
+  ASSERT_OK(d.primary().StoredPage(3, &a));
+  ASSERT_OK(d.mirror().StoredPage(3, &b));
+  EXPECT_EQ(a.bytes, written.bytes);
+  EXPECT_EQ(b.bytes, written.bytes);
+  // The writer's handle, both members and the two read back here.
+  EXPECT_EQ(written.bytes.use_count(), 5);
 }
 
 TEST(DuplexedDiskTest, MirrorServesAfterPrimaryFailure) {
   DuplexedDisk d("log", DiskParams{});
   auto data = testing::FilledBytes(32, 5);
-  d.WritePage(3, data, 0, SeekClass::kSequential);
+  d.WritePage(3, MakePage(data), 0, SeekClass::kSequential);
   d.primary().FailMedia();
-  std::vector<uint8_t> out;
+  Page out;
   uint64_t done;
   ASSERT_OK(d.ReadPage(3, 0, SeekClass::kSequential, &out, &done));
-  EXPECT_EQ(out, data);
+  EXPECT_EQ(*out.bytes, data);
+}
+
+TEST(DiskTest, ReleasedPagesReadAsNeverWritten) {
+  Disk d("d", DiskParams{});
+  std::vector<Page> track;
+  for (int i = 0; i < 6; ++i) {
+    track.push_back(MakePage(testing::FilledBytes(128, i)));
+  }
+  d.WriteTrack(12, track, 0, SeekClass::kNear);
+  const uint64_t busy = d.busy_until_ns();
+  d.ReleasePages(12, 6);
+  EXPECT_EQ(d.busy_until_ns(), busy);  // releasing takes no time
+  EXPECT_TRUE(d.StoredPageNumbers().empty());
+  Page out;
+  uint64_t done = 0;
+  EXPECT_TRUE(d.ReadPage(12, 0, SeekClass::kNear, &out, &done).IsNotFound());
+  EXPECT_TRUE(d.StoredPage(17, &out).IsNotFound());
+  std::vector<uint8_t> image;
+  EXPECT_TRUE(d.ReadTrackInto(12, 6, 0, SeekClass::kNear, &image, &done)
+                  .IsNotFound());
+}
+
+TEST(DiskTest, StoredPageIsOutsideTheTimingModel) {
+  fault::FaultInjector inj;
+  inj.Arm(fault::FaultPlan{});
+  Disk d("d", DiskParams{});
+  d.SetFaultInjector(&inj);
+  Page written = MakePage(testing::FilledBytes(64, 4));
+  d.WritePage(5, written, 0, SeekClass::kRandom);
+  const uint64_t busy = d.busy_until_ns();
+  const double busy_ms = d.busy_ms_total();
+  Page out;
+  ASSERT_OK(d.StoredPage(5, &out));
+  EXPECT_EQ(out.bytes, written.bytes);  // the stored buffer itself
+  EXPECT_EQ(d.busy_until_ns(), busy);
+  EXPECT_EQ(d.busy_ms_total(), busy_ms);
+  EXPECT_EQ(d.pages_read(), 0u);
+  EXPECT_EQ(inj.visits(fault::Site::kDiskRead), 0u);
+}
+
+TEST(DuplexedDiskTest, LatentCorruptionOnOneMemberFallsBackToTheOther) {
+  fault::FaultInjector inj;
+  fault::FaultPlan plan;
+  plan.LatentCorruption("log-a", 3);
+  inj.Arm(plan);
+  DuplexedDisk d("log", DiskParams{});
+  d.SetFaultInjector(&inj);
+  const std::vector<uint8_t> data = testing::FilledBytes(32, 5);
+  Page written = MakePage(data);
+  d.WritePage(3, written, 0, SeekClass::kSequential);
+
+  Page out;
+  uint64_t done = 0;
+  ASSERT_OK(d.ReadPage(3, 0, SeekClass::kSequential, &out, &done));
+  EXPECT_EQ(*out.bytes, data);
+  EXPECT_EQ(d.mirror_fallbacks(), 1u);
+  EXPECT_EQ(inj.injected(fault::Site::kDiskRead), 1u);
+  // Only member a's copy went bad: it holds a private altered buffer
+  // under the old CRC, while member b and the writer keep the original.
+  EXPECT_TRUE(d.primary().StoredPage(3, &out).IsCorruption());
+  EXPECT_FALSE(d.primary().PageClean(3));
+  ASSERT_OK(d.mirror().StoredPage(3, &out));
+  EXPECT_EQ(out.bytes, written.bytes);
+  EXPECT_EQ(*written.bytes, data);
+  // The duplex-level stored page skips the bad member.
+  ASSERT_OK(d.StoredPage(3, &out));
+  EXPECT_EQ(out.bytes, written.bytes);
+}
+
+TEST(DuplexedDiskTest, TornWriteOnOneMemberLeavesTheOtherShared) {
+  fault::FaultInjector inj;
+  fault::FaultPlan plan;
+  plan.TornWrite("log-a", 2);  // the rewrite of page 3 on member a
+  inj.Arm(plan);
+  DuplexedDisk d("log", DiskParams{});
+  d.SetFaultInjector(&inj);
+  d.WritePage(3, MakePage(testing::FilledBytes(64, 1)), 0,
+              SeekClass::kSequential);
+  Page second = MakePage(testing::FilledBytes(64, 2));
+  d.WritePage(3, second, 0, SeekClass::kSequential);
+
+  Page a, b;
+  ASSERT_OK(d.primary().StoredPage(3, &a));  // sector-consistent hybrid
+  ASSERT_OK(d.mirror().StoredPage(3, &b));
+  EXPECT_NE(a.bytes, second.bytes);
+  EXPECT_NE(*a.bytes, *second.bytes);
+  EXPECT_EQ(b.bytes, second.bytes);
 }
 
 TEST(StableMemoryMeterTest, CapacityEnforcement) {
