@@ -115,9 +115,10 @@ inline Schema AccountSchema() {
 }
 
 /// Builds a database with `rows` accounts in `relation` (debit/credit
-/// style: fixed 24-byte tuples).
+/// style: three int64 columns, 7- or 8-byte rows), appending each row's
+/// address to `*addrs` when given.
 inline Status Populate(Database* db, const std::string& relation,
-                       int64_t rows) {
+                       int64_t rows, std::vector<EntityAddr>* addrs = nullptr) {
   MMDB_RETURN_IF_ERROR(db->CreateRelation(relation, AccountSchema()));
   int64_t id = 0;
   while (id < rows) {
@@ -127,6 +128,7 @@ inline Status Populate(Database* db, const std::string& relation,
       auto a = db->Insert(txn.value(), relation,
                           Tuple{id, int64_t{1000}, id % 97});
       if (!a.ok()) return a.status();
+      if (addrs != nullptr) addrs->push_back(a.value());
     }
     MMDB_RETURN_IF_ERROR(db->Commit(txn.value()));
   }

@@ -114,13 +114,22 @@ bool PrintMeasured() {
       }
     }
     double instr0 = db.recovery_cpu().total_instructions();
-    // Phase 2: 95% of updates flood the hot relation, advancing the log
-    // window past the cold relations' pages.
-    for (int i = 0; i < 5000 && st.ok(); ++i) {
+    // Phase 2: 97.5% of updates flood the hot relation, advancing the log
+    // window past the cold relations' pages. Sized in pages, like phase
+    // 1: the flood writes kFloodPages, past a 96-page window and its
+    // grace, while the cold relations' trickle keeps them short of
+    // N_update, so in that window they age out before they fill up.
+    constexpr uint64_t kFloodPages = 96 + 8;
+    const uint64_t flood_end = db.log_writer().next_lsn() + kFloodPages;
+    for (int i = 0; db.log_writer().next_lsn() < flood_end && st.ok(); ++i) {
+      if (i >= 100000) {
+        st = Status::Full("the flood wrote too few log pages");
+        break;
+      }
       auto txn = db.Begin();
       if (!txn.ok()) { st = txn.status(); break; }
       for (int k = 0; k < 5 && st.ok(); ++k) {
-        int r = rng.Bernoulli(0.95)
+        int r = rng.Bernoulli(0.975)
                     ? 0
                     : 1 + static_cast<int>(rng.Uniform(kRelations - 1));
         st = update_one(txn.value(), r, i * 10 + k);

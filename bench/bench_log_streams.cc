@@ -49,11 +49,14 @@ Schema WideSchema() {
   return Schema(cols);
 }
 
+/// Full-width values: about 2^60, so every value column is a 9-byte
+/// varint, a row stays ~210 bytes and an update never outgrows its slot.
 Tuple WideTuple(int64_t id, int64_t v) {
+  constexpr int64_t kFullWidth = int64_t{1} << 60;
   Tuple t;
   t.reserve(kCols);
   t.push_back(id);
-  for (int c = 1; c < kCols; ++c) t.push_back(v + c);
+  for (int c = 1; c < kCols; ++c) t.push_back(kFullWidth + v + c);
   return t;
 }
 

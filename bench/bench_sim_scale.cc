@@ -103,15 +103,10 @@ DatabaseOptions MakeOptions() {
 Status SetupRig(Rig* rig) {
   rig->db = std::make_unique<Database>(MakeOptions());
   Database* db = rig->db.get();
-  MMDB_RETURN_IF_ERROR(Populate(db, "account", static_cast<int64_t>(Rows())));
-  MMDB_RETURN_IF_ERROR(db->CheckpointEverything());
-  auto txn = db->Begin();
-  if (!txn.ok()) return txn.status();
-  auto rows = db->Scan(txn.value(), "account");
-  if (!rows.ok()) return rows.status();
-  rig->addrs.reserve(rows.value().size());
-  for (auto& [a, _] : rows.value()) rig->addrs.push_back(a);
-  return db->Commit(txn.value());
+  rig->addrs.reserve(Rows());
+  MMDB_RETURN_IF_ERROR(
+      Populate(db, "account", static_cast<int64_t>(Rows()), &rig->addrs));
+  return db->CheckpointEverything();
 }
 
 // The working set is the first quarter of the relation: transactions

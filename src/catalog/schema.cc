@@ -1,6 +1,9 @@
 #include "catalog/schema.h"
 
+#include <algorithm>
 #include <cstring>
+
+#include "util/logging.h"
 
 namespace mmdb {
 
@@ -155,35 +158,89 @@ Status Schema::Validate(const Tuple& tuple) const {
 Result<std::vector<uint8_t>> Schema::Encode(const Tuple& tuple) const {
   MMDB_RETURN_IF_ERROR(Validate(tuple));
   std::vector<uint8_t> out;
+  wire::PutU8(&out, static_cast<uint8_t>(RowKind::kHome));
   for (size_t i = 0; i < columns_.size(); ++i) {
     if (columns_[i].type == ColumnType::kInt64) {
-      wire::PutI64(&out, std::get<int64_t>(tuple[i]));
+      wire::PutVarint(&out, wire::ZigZag(std::get<int64_t>(tuple[i])));
     } else {
-      wire::PutString(&out, std::get<std::string>(tuple[i]));
+      const std::string& v = std::get<std::string>(tuple[i]);
+      wire::PutVarint(&out, v.size());
+      out.insert(out.end(), v.begin(), v.end());
     }
   }
+  if (out.size() < kStubSize) out.resize(kStubSize, 0);
   return out;
 }
 
 Result<Tuple> Schema::Decode(std::span<const uint8_t> data) const {
-  wire::Reader r(data);
+  auto kind = KindOf(data);
+  if (!kind.ok()) return kind.status();
+  if (kind.value() == RowKind::kStub) {
+    return Status::Corruption("a stub holds no tuple");
+  }
+  wire::Reader r(data.subspan(1));
   Tuple tuple;
   tuple.reserve(columns_.size());
   for (const Column& c : columns_) {
     if (c.type == ColumnType::kInt64) {
-      int64_t v;
-      if (!r.GetI64(&v)) return Status::Corruption("truncated int64 field");
-      tuple.emplace_back(v);
+      uint64_t v;
+      if (!r.GetVarint(&v)) {
+        return Status::Corruption("truncated or overlong int64 field");
+      }
+      tuple.emplace_back(wire::UnZigZag(v));
     } else {
-      std::string s;
-      if (!r.GetString(&s)) return Status::Corruption("truncated string field");
-      tuple.emplace_back(std::move(s));
+      uint32_t len;
+      std::span<const uint8_t> v;
+      if (!r.GetVarint(&len) || !r.GetBytes(len, &v)) {
+        return Status::Corruption("truncated string field");
+      }
+      tuple.emplace_back(std::string(v.begin(), v.end()));
     }
   }
-  if (r.remaining() != 0) {
+  // Past the last field only the zero padding up to a stub's length.
+  const size_t end = 1 + r.pos();
+  if (data.size() != std::max(end, kStubSize) ||
+      std::any_of(data.begin() + static_cast<ptrdiff_t>(end), data.end(),
+                  [](uint8_t b) { return b != 0; })) {
     return Status::Corruption("trailing bytes after tuple");
   }
   return tuple;
+}
+
+Result<RowKind> Schema::KindOf(std::span<const uint8_t> row) {
+  if (row.size() < kStubSize) {
+    return Status::Corruption("row shorter than a stub");
+  }
+  if (row[0] > static_cast<uint8_t>(RowKind::kMoved)) {
+    return Status::Corruption("unknown row kind");
+  }
+  return static_cast<RowKind>(row[0]);
+}
+
+std::vector<uint8_t> Schema::EncodeStub(const EntityAddr& target) {
+  MMDB_CHECK(target.slot <= UINT16_MAX);
+  std::vector<uint8_t> out;
+  out.reserve(kStubSize);
+  wire::PutU8(&out, static_cast<uint8_t>(RowKind::kStub));
+  wire::PutU32(&out, target.partition.number);
+  wire::PutU16(&out, static_cast<uint16_t>(target.slot));
+  return out;
+}
+
+Result<EntityAddr> Schema::DecodeStub(std::span<const uint8_t> row,
+                                      SegmentId segment) {
+  wire::Reader r(row);
+  uint8_t kind;
+  EntityAddr target;
+  target.partition.segment = segment;
+  uint16_t slot;
+  if (row.size() != kStubSize || !r.GetU8(&kind) ||
+      kind != static_cast<uint8_t>(RowKind::kStub) ||
+      !r.GetU32(&target.partition.number) || !r.GetU16(&slot)) {
+    return Status::Corruption("malformed stub");
+  }
+  target.slot = slot;
+  return target;
 }
 
 std::vector<uint8_t> Schema::Serialize() const {

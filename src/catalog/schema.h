@@ -8,6 +8,7 @@
 #include <variant>
 #include <vector>
 
+#include "storage/addr.h"
 #include "util/status.h"
 
 namespace mmdb {
@@ -33,11 +34,26 @@ using Value = std::variant<int64_t, std::string>;
 /// A materialized tuple (one Value per schema column).
 using Tuple = std::vector<Value>;
 
+/// The first byte of every stored relation row.
+enum class RowKind : uint8_t {
+  /// A tuple in its home slot, the address indexes and callers hold.
+  kHome = 0,
+  /// A home slot whose tuple has moved: a forwarding stub naming the slot
+  /// of the moved row in another partition of the same relation.
+  kStub = 1,
+  /// A tuple moved out of its home slot, reached only through its stub.
+  kMoved = 2,
+};
+
 /// Relation schema: an ordered list of typed, named columns, plus the
-/// tuple wire format used inside partitions and log records.
+/// row wire format used inside partitions and log records.
 ///
-/// Wire format: per column, int64 as 8 bytes little-endian; string as
-/// u32 length + bytes. The format is self-delimiting given the schema.
+/// Wire format: a u8 RowKind, then for kHome and kMoved rows, per
+/// column, an int64 as a zigzag LEB128 varint and a string as a varint
+/// length and its bytes; a kStub is the kind, the u32 partition number
+/// and the u16 slot of its moved row (the segment is the relation's).
+/// A row is zero-padded to kStubSize, so any home slot can take a stub
+/// in place. The format is self-delimiting given the schema.
 class Schema {
  public:
   Schema() = default;
@@ -52,11 +68,29 @@ class Schema {
   /// Validates that `tuple` matches the schema's arity and types.
   Status Validate(const Tuple& tuple) const;
 
-  /// Encodes a tuple into the wire format. Fails on schema mismatch.
+  /// Encodes a tuple as a kHome row; the tuple layer turns the kind byte
+  /// to kMoved for a row it writes away from home. Fails on schema
+  /// mismatch.
   Result<std::vector<uint8_t>> Encode(const Tuple& tuple) const;
 
-  /// Decodes wire-format bytes. Fails with Corruption on malformed input.
+  /// Decodes a kHome or kMoved row. Fails with Corruption on malformed
+  /// input: an unknown kind or a stub, a truncated or overlong varint, a
+  /// string past the end, or trailing bytes other than zero padding up to
+  /// kStubSize.
   Result<Tuple> Decode(std::span<const uint8_t> data) const;
+
+  /// The shortest row: a stub's length.
+  static constexpr size_t kStubSize = 1 + 4 + 2;
+  /// The kind of a stored row; Corruption when it has none or an unknown
+  /// one.
+  static Result<RowKind> KindOf(std::span<const uint8_t> row);
+  /// The stub naming `target`, whose segment is left out and whose slot
+  /// must fit 16 bits.
+  static std::vector<uint8_t> EncodeStub(const EntityAddr& target);
+  /// The moved row a stub in `segment` names; Corruption unless `row` is
+  /// a stub of exactly kStubSize bytes.
+  static Result<EntityAddr> DecodeStub(std::span<const uint8_t> row,
+                                       SegmentId segment);
 
   /// Serializes the schema itself (for catalog rows).
   std::vector<uint8_t> Serialize() const;

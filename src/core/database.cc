@@ -88,6 +88,7 @@ void Database::AttachStableObservers() {
   m_background_count_ = metrics_.counter("recovery.background");
   m_stale_rebuilds_ = metrics_.counter("recovery.stale_rebuilds");
   m_adopted_rebuilds_ = metrics_.counter("recovery.adopted_rebuilds");
+  m_rows_forwarded_ = metrics_.counter("storage.rows_forwarded");
   m_txn_latency_ns_ =
       metrics_.histogram("txn.latency_ns", obs::Scope::kVolatile);
   m_ckpt_duration_ns_ = metrics_.histogram("checkpoint.duration_ns");
@@ -465,6 +466,127 @@ Status Database::NodeEntryOp(Transaction* txn, const EntityAddr& addr,
 }
 
 // ---------------------------------------------------------------------------
+// The tuple layer: a row stays at its home address; one that outgrows its
+// partition moves and leaves a stub there
+// ---------------------------------------------------------------------------
+
+Result<Database::Row> Database::FollowStub(Transaction* txn,
+                                           SegmentId segment,
+                                           std::span<const uint8_t> stub) {
+  auto target = Schema::DecodeStub(stub, segment);
+  if (!target.ok()) return target.status();
+  auto bytes = ReadEntity(txn, target.value());
+  if (!bytes.ok()) return bytes.status();
+  auto kind = Schema::KindOf(bytes.value());
+  if (!kind.ok()) return kind.status();
+  if (kind.value() != RowKind::kMoved) {
+    return Status::Corruption("stub names no moved row");
+  }
+  return Row{std::move(bytes).value(), target.value()};
+}
+
+Result<Database::Row> Database::ReadRow(Transaction* txn,
+                                        const RelationInfo& rel,
+                                        const EntityAddr& home) {
+  auto bytes = ReadEntity(txn, home);
+  if (!bytes.ok()) return bytes.status();
+  auto kind = Schema::KindOf(bytes.value());
+  if (!kind.ok()) return kind.status();
+  switch (kind.value()) {
+    case RowKind::kHome:
+      return Row{std::move(bytes).value(), std::nullopt};
+    case RowKind::kMoved:
+      return Status::NotFound("a moved row is reached through its stub");
+    case RowKind::kStub:
+      break;
+  }
+  return FollowStub(txn, rel.segment, bytes.value());
+}
+
+Status Database::UpdateRow(Transaction* txn, const RelationInfo& rel,
+                           const EntityAddr& home, const Row& old,
+                           const Tuple& tuple) {
+  const EntityAddr at = old.moved_to.value_or(home);
+  auto bytes = rel.schema.Encode(tuple);
+  if (!bytes.ok()) return bytes.status();
+  // ReadRow just read the slot, so its partition is resident.
+  auto pr = v_->pm.Get(at.partition);
+  if (!pr.ok()) return pr.status();
+  const bool fits = pr.value()->UpdateFits(at.slot, bytes.value().size());
+  // A row written anywhere but its home slot is a moved row.
+  if (old.moved_to || !fits) {
+    bytes.value()[0] = static_cast<uint8_t>(RowKind::kMoved);
+  }
+  if (fits) return UpdateEntity(txn, at, bytes.value());
+  // Relocation: three ordinary entity writes, logged and charged as such.
+  // The moved row goes in first, then the home slot takes its stub (a
+  // stub is never longer than a row, so it fits in place), then an
+  // earlier moved row is freed.
+  auto target = InsertEntity(txn, rel.segment, bytes.value());
+  if (!target.ok()) return target.status();
+  MMDB_RETURN_IF_ERROR(
+      UpdateEntity(txn, home, Schema::EncodeStub(target.value())));
+  if (old.moved_to) MMDB_RETURN_IF_ERROR(DeleteEntity(txn, *old.moved_to));
+  m_rows_forwarded_->Add(1);
+  return Status::OK();
+}
+
+template <typename Fn>
+Status Database::WalkRows(Transaction* txn, const RelationInfo& rel,
+                          Fn&& fn) {
+  const bool snapshot = txn != nullptr && txn->read_only();
+  for (const PartitionDescriptor& d : rel.partitions) {
+    auto pr = ResidentPartition(d.id);
+    if (!pr.ok()) return pr.status();
+    Partition* p = pr.value();
+    // Every slot with a version chain resolves through the chain (which
+    // covers deleted-then-reused slots and uncommitted in-place writes);
+    // chainless slots are committed as stored.
+    std::map<uint32_t, const VersionStore::Version*> resolved;
+    if (snapshot) {
+      resolved = v_->versions.ResolvePartition(d.id, txn->snapshot_csn());
+    }
+    auto visit = [&](uint32_t s, std::span<const uint8_t> bytes) -> Status {
+      auto kind = Schema::KindOf(bytes);
+      if (!kind.ok()) return kind.status();
+      const EntityAddr home{d.id, s};
+      switch (kind.value()) {
+        case RowKind::kHome:
+          return fn(home, bytes);
+        case RowKind::kMoved:
+          return Status::OK();
+        case RowKind::kStub:
+          break;
+      }
+      auto moved = FollowStub(txn, rel.segment, bytes);
+      if (!moved.ok()) return moved.status();
+      return fn(home, std::span<const uint8_t>(moved.value().bytes));
+    };
+    for (uint32_t s = 0; s < p->slot_count(); ++s) {
+      auto it = resolved.find(s);
+      if (it != resolved.end()) {
+        if (!it->second->deleted) {
+          MMDB_RETURN_IF_ERROR(visit(s, it->second->data));
+        }
+        continue;
+      }
+      if (!p->SlotUsed(s)) continue;
+      auto bytes = p->Read(s);
+      if (!bytes.ok()) return bytes.status();
+      MMDB_RETURN_IF_ERROR(visit(s, bytes.value()));
+    }
+    // Chains can outlive their slot range only if the partition never
+    // grew to cover them; visit any live stragglers for completeness.
+    for (const auto& [s, ver] : resolved) {
+      if (s >= p->slot_count() && !ver->deleted) {
+        MMDB_RETURN_IF_ERROR(visit(s, ver->data));
+      }
+    }
+  }
+  return Status::OK();
+}
+
+// ---------------------------------------------------------------------------
 // Partition residency / creation
 // ---------------------------------------------------------------------------
 
@@ -683,31 +805,15 @@ Status Database::CreateIndex(const std::string& index_name,
 
   // The existing tuples' keys, in partition and slot order.
   std::vector<node::Entry> existing;
-  Status st = Status::OK();
-  for (const PartitionDescriptor& d : rel.value()->partitions) {
-    auto pr = ResidentPartition(d.id);
-    if (!pr.ok()) {
-      st = pr.status();
-      break;
-    }
-    Partition* p = pr.value();
-    for (uint32_t s = 0; s < p->slot_count() && st.ok(); ++s) {
-      if (!p->SlotUsed(s)) continue;
-      auto bytes = p->Read(s);
-      if (!bytes.ok()) {
-        st = bytes.status();
-        break;
-      }
-      auto tuple = rel.value()->schema.Decode(bytes.value());
-      if (!tuple.ok()) {
-        st = tuple.status();
-        break;
-      }
-      existing.push_back(
-          {std::get<int64_t>(tuple.value()[col]), EntityAddr{d.id, s}});
-    }
-    if (!st.ok()) break;
-  }
+  const Schema& schema = rel.value()->schema;
+  Status st = WalkRows(
+      nullptr, *rel.value(),
+      [&](const EntityAddr& home, std::span<const uint8_t> bytes) -> Status {
+        auto tuple = schema.Decode(bytes);
+        if (!tuple.ok()) return tuple.status();
+        existing.push_back({std::get<int64_t>(tuple.value()[col]), home});
+        return Status::OK();
+      });
 
   if (st.ok() && type == IndexType::kTTree) {
     auto tree =
@@ -1172,14 +1278,11 @@ Status Database::Update(Transaction* txn, const std::string& relation,
   MMDB_RETURN_IF_ERROR(rel.value()->schema.Validate(tuple));
   MMDB_RETURN_IF_ERROR(
       LockForTxn(txn, LockResource::Relation(rel.value()->id), LockMode::kIX));
-  auto old_bytes = ReadEntity(txn, addr);
-  if (!old_bytes.ok()) return old_bytes.status();
-  auto old_tuple = rel.value()->schema.Decode(old_bytes.value());
+  auto old = ReadRow(txn, *rel.value(), addr);
+  if (!old.ok()) return old.status();
+  auto old_tuple = rel.value()->schema.Decode(old.value().bytes);
   if (!old_tuple.ok()) return old_tuple.status();
-
-  auto bytes = rel.value()->schema.Encode(tuple);
-  if (!bytes.ok()) return bytes.status();
-  MMDB_RETURN_IF_ERROR(UpdateEntity(txn, addr, bytes.value()));
+  MMDB_RETURN_IF_ERROR(UpdateRow(txn, *rel.value(), addr, old.value(), tuple));
   return MaintainIndexes(txn, rel.value(), &old_tuple.value(), &tuple, addr);
 }
 
@@ -1189,11 +1292,14 @@ Status Database::Delete(Transaction* txn, const std::string& relation,
   if (!rel.ok()) return rel.status();
   MMDB_RETURN_IF_ERROR(
       LockForTxn(txn, LockResource::Relation(rel.value()->id), LockMode::kIX));
-  auto old_bytes = ReadEntity(txn, addr);
-  if (!old_bytes.ok()) return old_bytes.status();
-  auto old_tuple = rel.value()->schema.Decode(old_bytes.value());
+  auto old = ReadRow(txn, *rel.value(), addr);
+  if (!old.ok()) return old.status();
+  auto old_tuple = rel.value()->schema.Decode(old.value().bytes);
   if (!old_tuple.ok()) return old_tuple.status();
   MMDB_RETURN_IF_ERROR(DeleteEntity(txn, addr));
+  if (old.value().moved_to) {
+    MMDB_RETURN_IF_ERROR(DeleteEntity(txn, *old.value().moved_to));
+  }
   return MaintainIndexes(txn, rel.value(), &old_tuple.value(), nullptr, addr);
 }
 
@@ -1205,9 +1311,9 @@ Result<Tuple> Database::Read(Transaction* txn, const std::string& relation,
     MMDB_RETURN_IF_ERROR(LockForTxn(
         txn, LockResource::Relation(rel.value()->id), LockMode::kIS));
   }
-  auto bytes = ReadEntity(txn, addr);
-  if (!bytes.ok()) return bytes.status();
-  return rel.value()->schema.Decode(bytes.value());
+  auto row = ReadRow(txn, *rel.value(), addr);
+  if (!row.ok()) return row.status();
+  return rel.value()->schema.Decode(row.value().bytes);
 }
 
 Result<std::vector<EntityAddr>> Database::IndexLookup(
@@ -1259,52 +1365,24 @@ Result<std::vector<std::pair<EntityAddr, Tuple>>> Database::Scan(
   auto rel = LookupRelation(txn, relation);
   if (!rel.ok()) return rel.status();
   // A snapshot scan takes no relation S-lock: writers keep committing
-  // while it runs. Every slot with a version chain resolves through the
-  // chain (which covers deleted-then-reused slots and uncommitted
-  // in-place writes); chainless slots are committed as stored.
-  const bool snapshot = txn != nullptr && txn->read_only();
+  // while it runs.
+  const bool snapshot = txn->read_only();
   if (!snapshot) {
     MMDB_RETURN_IF_ERROR(LockForTxn(
         txn, LockResource::Relation(rel.value()->id), LockMode::kS));
   }
   std::vector<std::pair<EntityAddr, Tuple>> out;
-  for (const PartitionDescriptor& d : rel.value()->partitions) {
-    auto pr = ResidentPartition(d.id);
-    if (!pr.ok()) return pr.status();
-    Partition* p = pr.value();
-    std::map<uint32_t, const VersionStore::Version*> resolved;
-    if (snapshot) {
-      resolved = v_->versions.ResolvePartition(d.id, txn->snapshot_csn());
-    }
-    auto emit = [&](uint32_t s, std::span<const uint8_t> bytes) -> Status {
-      auto tuple = rel.value()->schema.Decode(bytes);
-      if (!tuple.ok()) return tuple.status();
-      out.emplace_back(EntityAddr{d.id, s}, std::move(tuple).value());
-      MainWork(10);
-      if (snapshot) v_->versions.NoteSnapshotRead();
-      return Status::OK();
-    };
-    for (uint32_t s = 0; s < p->slot_count(); ++s) {
-      auto it = resolved.find(s);
-      if (it != resolved.end()) {
-        if (!it->second->deleted) {
-          MMDB_RETURN_IF_ERROR(emit(s, it->second->data));
-        }
-        continue;
-      }
-      if (!p->SlotUsed(s)) continue;
-      auto bytes = p->Read(s);
-      if (!bytes.ok()) return bytes.status();
-      MMDB_RETURN_IF_ERROR(emit(s, bytes.value()));
-    }
-    // Chains can outlive their slot range only if the partition never
-    // grew to cover them; emit any live stragglers for completeness.
-    for (const auto& [s, ver] : resolved) {
-      if (s >= p->slot_count() && !ver->deleted) {
-        MMDB_RETURN_IF_ERROR(emit(s, ver->data));
-      }
-    }
-  }
+  const Schema& schema = rel.value()->schema;
+  MMDB_RETURN_IF_ERROR(WalkRows(
+      txn, *rel.value(),
+      [&](const EntityAddr& home, std::span<const uint8_t> bytes) -> Status {
+        auto tuple = schema.Decode(bytes);
+        if (!tuple.ok()) return tuple.status();
+        out.emplace_back(home, std::move(tuple).value());
+        MainWork(10);
+        if (snapshot) v_->versions.NoteSnapshotRead();
+        return Status::OK();
+      }));
   return out;
 }
 

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -625,6 +626,39 @@ class Database {
   Status NodeEntryOp(Transaction* txn, const EntityAddr& addr, LogOp op,
                      const node::Entry& e);
 
+  // --- the tuple layer: home rows, stubs and moved rows ----------------------
+  /// A relation row as a transaction sees it.
+  struct Row {
+    std::vector<uint8_t> bytes;          // a kHome or kMoved row
+    std::optional<EntityAddr> moved_to;  // where a moved row lies
+  };
+  /// The row at home address `home` as `txn` sees it: the bytes visible
+  /// there, or, when those are a stub, its moved row's at the same
+  /// snapshot. A moved row's own address reads NotFound.
+  Result<Row> ReadRow(Transaction* txn, const RelationInfo& rel,
+                      const EntityAddr& home);
+  /// The moved row `stub` names in `segment`, read as any entity is
+  /// (ReadEntity): at a snapshot reader's snapshot, under an S lock on
+  /// the moved slot for a locking reader, which a writer of the moved
+  /// row in place holds X.
+  Result<Row> FollowStub(Transaction* txn, SegmentId segment,
+                         std::span<const uint8_t> stub);
+  /// Writes `tuple` over the row `old` at `home`: in place when it fits
+  /// its slot's partition. Otherwise the row moves to another partition
+  /// of the relation and the home slot keeps a stub; a moved row that
+  /// outgrows its slot moves again and frees it, so a row is never more
+  /// than one hop from home.
+  Status UpdateRow(Transaction* txn, const RelationInfo& rel,
+                   const EntityAddr& home, const Row& old,
+                   const Tuple& tuple);
+  /// The row walk of Scan and CreateIndex: calls `fn(home, bytes)` once
+  /// per row of `rel` visible to `txn` (a snapshot reader's at its
+  /// snapshot; anyone else's, or a null txn's, as the partitions hold
+  /// them), in partition and slot order of the home addresses. A stub is
+  /// followed to its moved row; a moved row is skipped where it lies.
+  template <typename Fn>
+  Status WalkRows(Transaction* txn, const RelationInfo& rel, Fn&& fn);
+
   /// Commit/abort halves of the MVCC version lifecycle. Install walks
   /// the transaction's UNDO chain (before it is discarded) to find the
   /// written addresses and appends their committed post-images stamped
@@ -816,6 +850,7 @@ class Database {
   obs::Counter* m_background_count_ = nullptr;
   obs::Counter* m_stale_rebuilds_ = nullptr;
   obs::Counter* m_adopted_rebuilds_ = nullptr;
+  obs::Counter* m_rows_forwarded_ = nullptr;
   obs::Histogram* m_txn_latency_ns_ = nullptr;
   obs::Histogram* m_ckpt_duration_ns_ = nullptr;
   obs::Histogram* m_ondemand_ns_ = nullptr;

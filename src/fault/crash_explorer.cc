@@ -10,8 +10,19 @@ namespace mmdb::fault {
 namespace {
 
 Schema RowSchema() {
-  return Schema({{"id", ColumnType::kInt64}, {"v", ColumnType::kInt64}});
+  return Schema({{"id", ColumnType::kInt64},
+                 {"v", ColumnType::kInt64},
+                 {"pad", ColumnType::kString}});
 }
+
+/// A row's pad follows from its value: -v bytes for a negative value,
+/// none otherwise. The ledger keeps only values, so a recovered row is
+/// intact when its pad matches.
+std::string Pad(int64_t v) {
+  return std::string(v < 0 ? static_cast<size_t>(-v) : 0, 'p');
+}
+
+Tuple Row(int64_t key, int64_t v) { return Tuple{key, v, Pad(v)}; }
 
 std::string PointLabel(Site site, uint64_t visit, uint64_t seed) {
   return std::string("site=") + SiteName(site) +
@@ -56,10 +67,10 @@ Status CrashExplorer::RunScript(Database* db, Ledger* led) {
   led->index = Ledger::Ddl::kCommitted;
 
   // Phase B: a deterministic transaction mix — inserts, plus one txn of
-  // updates+delete and one delete-heavy txn — with forced checkpoints in
-  // the middle of the stream. There are enough transactions for their
-  // small records to fill many log pages, so the sweep has SLB flushes
-  // and log disk writes to crash inside.
+  // updates+delete, one delete-heavy txn and one whose update moves a
+  // row — with forced checkpoints in the middle of the stream. There are
+  // enough transactions for their small records to fill many log pages,
+  // so the sweep has SLB flushes and log disk writes to crash inside.
   const int kTxns = 96;
   const int kOpsPerTxn = 4;
   int64_t next_key = 0;
@@ -72,7 +83,7 @@ Status CrashExplorer::RunScript(Database* db, Ledger* led) {
     std::map<int64_t, EntityAddr> new_addrs;
     Status op = Status::OK();
     auto do_insert = [&](int64_t key) {
-      auto a = db->Insert(txn, "r", Tuple{key, key * 10 + ti});
+      auto a = db->Insert(txn, "r", Row(key, key * 10 + ti));
       if (!a.ok()) {
         op = a.status();
         return;
@@ -80,13 +91,19 @@ Status CrashExplorer::RunScript(Database* db, Ledger* led) {
       ups[key] = key * 10 + ti;
       new_addrs[key] = a.value();
     };
+    // Key 0's update grows it in place to three quarters of a partition;
+    // key 1's at ti 12 grows it past the half-partition its partition
+    // then has left, so the row moves to a new partition and its home
+    // slot keeps a stub: crash points inside a relocation.
+    const int64_t partition_bytes = db->options().partition_size_bytes;
+    auto do_update = [&](int64_t k, int64_t v) {
+      op = db->Update(txn, "r", led->addrs.at(k), Row(k, v));
+      if (op.ok()) ups[k] = v;
+    };
     if (ti == 5) {
       // Keys 0-3 were inserted (and committed) by the first transaction.
-      for (int64_t k : {int64_t{0}, int64_t{1}}) {
-        op = db->Update(txn, "r", led->addrs.at(k), Tuple{k, k * 10 + 1000});
-        if (!op.ok()) break;
-        ups[k] = k * 10 + 1000;
-      }
+      do_update(0, -partition_bytes * 3 / 4);
+      if (op.ok()) do_update(1, 1010);
       if (op.ok()) {
         op = db->Delete(txn, "r", led->addrs.at(2));
         if (op.ok()) dels.push_back(2);
@@ -95,6 +112,11 @@ Status CrashExplorer::RunScript(Database* db, Ledger* led) {
     } else if (ti == 8) {
       op = db->Delete(txn, "r", led->addrs.at(3));
       if (op.ok()) dels.push_back(3);
+      for (int j = 0; j < kOpsPerTxn - 1 && op.ok(); ++j) {
+        do_insert(next_key++);
+      }
+    } else if (ti == 12) {
+      do_update(1, -partition_bytes / 2);
       for (int j = 0; j < kOpsPerTxn - 1 && op.ok(); ++j) {
         do_insert(next_key++);
       }
@@ -125,6 +147,10 @@ Status CrashExplorer::RunScript(Database* db, Ledger* led) {
       led->addrs.erase(k);
     }
     for (const auto& [k, a] : new_addrs) led->addrs[k] = a;
+    if (ti == 12 &&
+        db->metrics().counter_value("storage.rows_forwarded") == 0) {
+      return Status::Corruption("key 1's growing update did not move it");
+    }
     if (ti == 6 || ti == 10) {
       MMDB_RETURN_IF_ERROR(db->ForceCheckpointRelation("r"));
     }
@@ -165,7 +191,7 @@ Status CrashExplorer::RunConcurrentScript(Database* db, Ledger* led) const {
     if (!t.ok()) return t.status();
     std::map<int64_t, int64_t> ups;
     for (int64_t h = 0; h < 2; ++h) {
-      auto a = db->Insert(t.value(), "r", Tuple{1000 + h, int64_t{0}});
+      auto a = db->Insert(t.value(), "r", Row(1000 + h, 0));
       if (!a.ok()) return a.status();
       hot[h] = a.value();
       ups[1000 + h] = 0;
@@ -211,7 +237,7 @@ Status CrashExplorer::RunConcurrentScript(Database* db, Ledger* led) const {
       s.label = "script-" + std::to_string(i);
       auto insert_op = [i](int64_t key, std::shared_ptr<EntityAddr> out) {
         return [i, key, out](Database& d, Transaction* t) -> Status {
-          auto a = d.Insert(t, "r", Tuple{key, key * 10 + i});
+          auto a = d.Insert(t, "r", Row(key, key * 10 + i));
           if (!a.ok()) return a.status();
           if (out != nullptr) *out = a.value();
           return Status::OK();
@@ -222,8 +248,7 @@ Status CrashExplorer::RunConcurrentScript(Database* db, Ledger* led) const {
       s.ops.push_back(insert_op(base + 1, nullptr));
       s.ops.push_back([i, addr = hot[i % 2]](Database& d,
                                              Transaction* t) -> Status {
-        return d.Update(t, "r", addr,
-                        Tuple{int64_t{1000 + (i % 2)}, int64_t{5000 + i}});
+        return d.Update(t, "r", addr, Row(1000 + (i % 2), 5000 + i));
       });
       s.ops.push_back(insert_op(base + 2, nullptr));
       if (i % 4 == 0) {
@@ -406,7 +431,12 @@ Status CrashExplorer::CheckInvariants(Database* db, const Ledger& led,
     }
     for (const auto& [addr, tup] : rows.value()) {
       (void)addr;
-      got[std::get<int64_t>(tup[0])] = std::get<int64_t>(tup[1]);
+      const int64_t v = std::get<int64_t>(tup[1]);
+      if (std::get<std::string>(tup[2]) != Pad(v)) {
+        return fail("row " + std::to_string(std::get<int64_t>(tup[0])) +
+                    " recovered with a damaged pad");
+      }
+      got[std::get<int64_t>(tup[0])] = v;
     }
 
     // Durability + atomicity: the recovered rows equal the expected set,
@@ -542,7 +572,7 @@ Status CrashExplorer::CheckInvariants(Database* db, const Ledger& led,
     MMDB_RETURN_IF_ERROR(db->CreateRelation("usable", RowSchema()));
     auto t = db->Begin();
     if (!t.ok()) return t.status();
-    auto a = db->Insert(t.value(), "usable", Tuple{int64_t{1}, int64_t{2}});
+    auto a = db->Insert(t.value(), "usable", Row(1, 2));
     if (!a.ok()) return a.status();
     return db->Commit(t.value());
   }();

@@ -216,6 +216,11 @@ Status Partition::Update(uint32_t slot, std::span<const uint8_t> data) {
   return Status::OK();
 }
 
+bool Partition::UpdateFits(uint32_t slot, size_t size) const {
+  if (!SlotUsed(slot)) return false;
+  return size <= uint64_t{free_bytes()} + garbage_bytes() + slot_entry(slot)[1];
+}
+
 Status Partition::Delete(uint32_t slot) {
   Header* h = header();
   if (!SlotUsed(slot)) {

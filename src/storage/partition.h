@@ -66,6 +66,10 @@ class Partition {
   /// Replaces the entity at `slot` with new bytes (may change length).
   Status Update(uint32_t slot, std::span<const uint8_t> data);
 
+  /// Whether Update(slot, ...) of `size` bytes would succeed: in place,
+  /// or in the free space and garbage beside the slot's own bytes.
+  bool UpdateFits(uint32_t slot, size_t size) const;
+
   /// Frees `slot`. The heap space becomes garbage, reclaimed by
   /// compaction.
   Status Delete(uint32_t slot);

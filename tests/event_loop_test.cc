@@ -24,10 +24,16 @@ namespace {
 /// Post-crash rig with enough partitions for the sweep to matter: small
 /// partitions, many rows, kOnDemand restart.
 struct SweepRig {
-  static constexpr int64_t kRows = 600;
+  /// At least this many rows, and as many more as it takes to span
+  /// kMinPartitions partitions: the sweep tests need a first, a middle
+  /// and a last partition that differ.
+  static constexpr int64_t kMinRows = 600;
+  static constexpr size_t kMinPartitions = 4;
 
   std::unique_ptr<Database> db;
   std::vector<EntityAddr> addrs;
+
+  int64_t row_count() const { return static_cast<int64_t>(addrs.size()); }
 
   Status Setup(uint32_t workers) {
     DatabaseOptions o;
@@ -41,7 +47,11 @@ struct SweepRig {
     MMDB_RETURN_IF_ERROR(db->CreateRelation("r", schema));
     auto t = db->Begin();
     MMDB_RETURN_IF_ERROR(t.status());
-    for (int64_t k = 0; k < kRows; ++k) {
+    auto rel = db->catalog().GetRelation("r");
+    MMDB_RETURN_IF_ERROR(rel.status());
+    for (int64_t k = 0;
+         k < kMinRows || rel.value()->partitions.size() < kMinPartitions;
+         ++k) {
       auto a = db->Insert(t.value(), "r", Tuple{k, k});
       MMDB_RETURN_IF_ERROR(a.status());
       addrs.push_back(a.value());
@@ -188,7 +198,7 @@ TEST(EventLoopTest, SweepQueueIsHeatOrdered) {
   ASSERT_OK(rig.Setup(1));
   // Warm a late partition hard, then crash again so the heat harvest
   // includes the reads (Setup's crash only saw the uniform population).
-  const int64_t hot_row = SweepRig::kRows - 1;
+  const int64_t hot_row = rig.row_count() - 1;
   auto t = rig.db->Begin();
   ASSERT_OK(t.status());
   for (int i = 0; i < 200; ++i) {
@@ -212,8 +222,8 @@ TEST(EventLoopTest, FaultAdoptsTheSweepsInFlightCopy) {
   SweepRig rig;
   ASSERT_OK(rig.Setup(1));
   // Heat the last row's partition so the sweep's one lane takes it first.
-  const int64_t hot_row = SweepRig::kRows - 1;
-  const int64_t middle_row = SweepRig::kRows / 2;
+  const int64_t hot_row = rig.row_count() - 1;
+  const int64_t middle_row = rig.row_count() / 2;
   const PartitionId hot = rig.addrs[hot_row].partition;
   ASSERT_NE(rig.addrs[0].partition, hot);
   ASSERT_NE(rig.addrs[middle_row].partition, hot);
@@ -261,7 +271,7 @@ TEST(EventLoopTest, FaultAdoptsTheSweepsInFlightCopy) {
   EXPECT_TRUE(rig.db->FullyResident());
   auto rows = rig.Rows();
   ASSERT_OK(rows.status());
-  EXPECT_EQ(rows.value().size(), static_cast<size_t>(SweepRig::kRows));
+  EXPECT_EQ(rows.value().size(), rig.addrs.size());
 }
 
 /// Explicit BackgroundRecoveryStep still drains everything under the
@@ -276,7 +286,7 @@ TEST(EventLoopTest, BackgroundStepsDrainHeatOrderedQueue) {
   EXPECT_TRUE(rig.db->FullyResident());
   auto rows = rig.Rows();
   ASSERT_OK(rows.status());
-  EXPECT_EQ(rows.value().size(), static_cast<size_t>(SweepRig::kRows));
+  EXPECT_EQ(rows.value().size(), rig.addrs.size());
 }
 
 }  // namespace

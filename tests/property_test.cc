@@ -2,7 +2,9 @@
 // deletes, aborts, checkpoints and crashes is mirrored against an
 // in-memory shadow model; after every crash+restart the database must
 // match the shadow exactly (committed state, nothing more, nothing less),
-// and the indexes must agree with the base relation.
+// and the indexes must agree with the base relation. Some sweeps grow
+// notes by kilobytes in nearly full partitions, so rows move and leave
+// stubs, while MVCC snapshot readers check the shadow of their snapshot.
 
 #include <gtest/gtest.h>
 
@@ -34,6 +36,8 @@ struct WorkloadParam {
   double crash_prob;  // chance of a crash after a commit
   uint64_t n_update;  // checkpoint threshold
   uint64_t window_pages;
+  double grow_prob = 0;  // chance an update writes a note of kilobytes
+  bool readers = false;  // snapshot readers alongside the writers
 };
 
 class WorkloadPropertyTest : public ::testing::TestWithParam<WorkloadParam> {};
@@ -83,7 +87,47 @@ TEST_P(WorkloadPropertyTest, DatabaseMatchesShadowModel) {
     ASSERT_OK(db.Commit(txn.value()));
   };
 
+  // Snapshot readers: each checks, some steps after it began, that it
+  // still sees the committed state of its snapshot, by scan and by home
+  // address.
+  struct SnapshotReader {
+    Transaction* txn;
+    std::map<int64_t, ShadowRow> seen;
+    int opened;
+  };
+  std::vector<SnapshotReader> readers;
+  auto check_and_close = [&](const SnapshotReader& r) {
+    auto rows = db.Scan(r.txn, "item");
+    ASSERT_OK(rows.status());
+    ASSERT_EQ(rows.value().size(), r.seen.size());
+    for (auto& [addr, tuple] : rows.value()) {
+      auto it = r.seen.find(std::get<int64_t>(tuple[0]));
+      ASSERT_NE(it, r.seen.end());
+      ASSERT_EQ(tuple, it->second.tuple);
+      ASSERT_EQ(addr, it->second.addr);
+    }
+    for (const auto& [id, row] : r.seen) {
+      ASSERT_OK_AND_ASSIGN(Tuple back, db.Read(r.txn, "item", row.addr));
+      ASSERT_EQ(back, row.tuple) << id;
+    }
+    ASSERT_OK(db.Commit(r.txn));
+  };
+  auto close_readers = [&](int before_step) {
+    while (!readers.empty() && readers.front().opened < before_step) {
+      check_and_close(readers.front());
+      readers.erase(readers.begin());
+    }
+  };
+
   for (int step = 0; step < param.steps; ++step) {
+    if (param.readers) {
+      close_readers(step - 5);
+      if (rng.Bernoulli(0.2)) {
+        auto r = db.Begin(TxnKind::kUser, "", /*read_only=*/true);
+        ASSERT_OK(r.status());
+        readers.push_back({r.value(), shadow, step});
+      }
+    }
     auto txn_r = db.Begin();
     ASSERT_OK(txn_r.status());
     Transaction* txn = txn_r.value();
@@ -102,8 +146,11 @@ TEST_P(WorkloadPropertyTest, DatabaseMatchesShadowModel) {
       } else if (dice < 8) {
         auto it = tentative.begin();
         std::advance(it, rng.Uniform(tentative.size()));
-        Tuple t{it->first, static_cast<int64_t>(rng.Uniform(50)),
-                rng.NextString(rng.Uniform(25) + 1)};
+        const int64_t qty = static_cast<int64_t>(rng.Uniform(50));
+        const size_t len = param.grow_prob > 0 && rng.Bernoulli(param.grow_prob)
+                               ? 500 + rng.Uniform(2500)
+                               : rng.Uniform(25) + 1;
+        Tuple t{it->first, qty, rng.NextString(len)};
         ASSERT_OK(db.Update(txn, "item", it->second.addr, t));
         it->second.tuple = t;
       } else {
@@ -122,12 +169,17 @@ TEST_P(WorkloadPropertyTest, DatabaseMatchesShadowModel) {
     }
 
     if (rng.Bernoulli(param.crash_prob)) {
+      close_readers(step + 1);
       db.Crash();
       ASSERT_OK(db.Restart());
       verify();
     } else if (step % 50 == 49) {
       verify();
     }
+  }
+  close_readers(param.steps);
+  if (param.grow_prob > 0) {
+    EXPECT_GT(db.metrics().counter_value("storage.rows_forwarded"), 0u);
   }
   // Final crash + full verification, twice (re-crash after recovery).
   db.Crash();
@@ -150,7 +202,12 @@ INSTANTIATE_TEST_SUITE_P(
         // Tiny log window: age checkpoints while crashing.
         WorkloadParam{404, 100, 8, 0.1, 0.08, 1000000, 48},
         // Abort-heavy.
-        WorkloadParam{505, 100, 10, 0.5, 0.05, 50, 1 << 20}));
+        WorkloadParam{505, 100, 10, 0.5, 0.05, 50, 1 << 20},
+        // Growing notes move rows out of full partitions, under snapshot
+        // readers.
+        WorkloadParam{606, 150, 8, 0.1, 0.05, 100, 1 << 20, 0.3, true},
+        // The same with aborts, crashes and a tiny log window.
+        WorkloadParam{707, 150, 8, 0.25, 0.1, 50, 48, 0.4, true}));
 
 }  // namespace
 }  // namespace mmdb

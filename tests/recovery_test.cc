@@ -256,26 +256,29 @@ TEST_F(RecoveryTest, AgeCheckpointsTriggerWithTinyLogWindow) {
   ASSERT_OK(db.CreateRelation("a", AccountSchema()));
   ASSERT_OK(db.CreateRelation("b", AccountSchema()));
   // Interleave: "a" gets lots of traffic, "b" trickles, so b's pages age
-  // out of the window.
-  for (int round = 0; round < 60; ++round) {
+  // out of the window. Rounds run until an age checkpoint has completed.
+  int rounds = 0;
+  for (; rounds < 1000; ++rounds) {
+    const DatabaseStats stats = db.GetStats();
+    if (stats.checkpoints_age > 0 && stats.checkpoints_completed > 0) break;
     auto t = db.Begin();
     ASSERT_OK(t.status());
     for (int i = 0; i < 20; ++i) {
       ASSERT_OK(
-          db.Insert(t.value(), "a", Account(round * 100 + i, 0, "hot"))
+          db.Insert(t.value(), "a", Account(rounds * 100 + i, 0, "hot"))
               .status());
     }
-    ASSERT_OK(db.Insert(t.value(), "b", Account(round, 0, "cool")).status());
+    ASSERT_OK(db.Insert(t.value(), "b", Account(rounds, 0, "cool")).status());
     ASSERT_OK(db.Commit(t.value()));
   }
   auto stats = db.GetStats();
-  EXPECT_GT(stats.checkpoints_age, 0u);
-  EXPECT_GT(stats.checkpoints_completed, 0u);
+  ASSERT_GT(stats.checkpoints_age, 0u);
+  ASSERT_GT(stats.checkpoints_completed, 0u);
   // Data still correct afterwards.
   db.Crash();
   ASSERT_OK(db.Restart());
-  EXPECT_EQ(Snapshot(&db, "b").size(), 60u);
-  EXPECT_EQ(Snapshot(&db, "a").size(), 1200u);
+  EXPECT_EQ(Snapshot(&db, "b").size(), static_cast<size_t>(rounds));
+  EXPECT_EQ(Snapshot(&db, "a").size(), static_cast<size_t>(rounds) * 20);
 }
 
 TEST_F(RecoveryTest, MediaFailureRecoveredFromArchive) {
@@ -366,14 +369,16 @@ TEST_F(RecoveryTest, TransactionIdsNeverReusedAcrossCrash) {
 TEST_F(RecoveryTest, LotsOfPartitionsRecoverCorrectly) {
   // Big enough to span many partitions and exercise the log page
   // directory's anchor walk (directory_entries defaults to 8).
+  // Batches run until the relation spans more than three partitions.
   ASSERT_OK(db_.CreateRelation("acct", AccountSchema()));
-  for (int batch = 0; batch < 20; ++batch) {
-    InsertAccounts("acct", batch * 100, batch * 100 + 100);
-  }
-  auto before = Snapshot(&db_, "acct");
-  ASSERT_EQ(before.size(), 2000u);
   ASSERT_OK_AND_ASSIGN(auto* rel, db_.catalog().GetRelation("acct"));
-  EXPECT_GT(rel->partitions.size(), 3u);
+  int batches = 0;
+  for (; batches < 200 && rel->partitions.size() <= 3; ++batches) {
+    InsertAccounts("acct", batches * 100, batches * 100 + 100);
+  }
+  ASSERT_GT(rel->partitions.size(), 3u);
+  auto before = Snapshot(&db_, "acct");
+  ASSERT_EQ(before.size(), static_cast<size_t>(batches) * 100);
 
   db_.Crash();
   ASSERT_OK(db_.Restart());

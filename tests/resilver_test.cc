@@ -110,11 +110,16 @@ TEST(ResilverTest, CrashDuringResilverRestartsIdempotently) {
   Database db(SmallOptions());
   ASSERT_OK(db.CreateRelation("r", S()));
   // Enough log volume that the worklist spans several re-silver quanta.
-  for (int b = 0; b < 5; ++b) {
-    ASSERT_OK(Fill(&db, "r", b * 300, (b + 1) * 300));
+  const size_t quantum = Resilverer::Config{}.pages_per_step;
+  int rows = 0;
+  while (rows < 100000 &&
+         db.log_disks().primary().StoredPageNumbers().size() <= 3 * quantum) {
+    ASSERT_OK(Fill(&db, "r", rows, rows + 300));
+    rows += 300;
   }
   ASSERT_OK(db.CheckpointEverything());
   size_t primary_pages = db.log_disks().primary().StoredPageNumbers().size();
+  ASSERT_GT(primary_pages, 3 * quantum);
 
   db.log_disks().mirror().FailMedia();
   ASSERT_OK(db.StartLogDiskResilver(1));
@@ -136,8 +141,8 @@ TEST(ResilverTest, CrashDuringResilverRestartsIdempotently) {
   {
     auto txn = db.Begin();
     ASSERT_OK(txn.status());
-    ASSERT_OK_AND_ASSIGN(auto rows, db.Scan(txn.value(), "r"));
-    EXPECT_EQ(rows.size(), 1500u);
+    ASSERT_OK_AND_ASSIGN(auto scanned, db.Scan(txn.value(), "r"));
+    EXPECT_EQ(scanned.size(), static_cast<size_t>(rows));
     ASSERT_OK(db.Commit(txn.value()));
   }
 
@@ -152,8 +157,14 @@ TEST(ResilverTest, CrashDuringResilverRestartsIdempotently) {
 TEST(ResilverTest, InjectedCrashDuringResilverRecovers) {
   Database db(SmallOptions());
   ASSERT_OK(db.CreateRelation("r", S()));
-  ASSERT_OK(Fill(&db, "r", 0, 400));
+  // The re-silver must copy more than the 5 pages the crash comes after.
+  for (int rows = 0;
+       rows < 100000 && db.log_disks().primary().StoredPageNumbers().size() < 8;
+       rows += 400) {
+    ASSERT_OK(Fill(&db, "r", rows, rows + 400));
+  }
   ASSERT_OK(db.CheckpointEverything());
+  ASSERT_GE(db.log_disks().primary().StoredPageNumbers().size(), 8u);
   db.log_disks().mirror().FailMedia();
 
   // Crash on the 5th disk write after arming — mid-re-silver.
@@ -180,8 +191,11 @@ TEST(ResilverTest, FallsBackToArchiveWhenMirrorCannotServePage) {
   o.grace_pages = 0;
   Database db(o);
   ASSERT_OK(db.CreateRelation("r", S()));
-  ASSERT_OK(Fill(&db, "r", 0, 400));
-  ASSERT_OK(db.CheckpointEverything());
+  for (int rows = 0; rows < 100000 && db.archive().archived_log_pages() == 0;
+       rows += 400) {
+    ASSERT_OK(Fill(&db, "r", rows, rows + 400));
+    ASSERT_OK(db.CheckpointEverything());
+  }
   ASSERT_GT(db.archive().archived_log_pages(), 0u)
       << "test setup: the window must have rolled pages into the archive";
   uint64_t archived_page = db.archive().log_page_archive().begin()->first;
@@ -217,6 +231,7 @@ TEST(ResilverTest, RolledCopyOfAPageCorruptOnOneMemberStaysClean) {
   ASSERT_OK(db.CreateRelation("r", S()));
   ASSERT_OK(Fill(&db, "r", 0, 400));
   // The newest log page is still inside the window, not yet rolled.
+  ASSERT_GT(db.log_writer().next_lsn(), 0u);
   const uint64_t lsn = db.log_writer().next_lsn() - 1;
   ASSERT_EQ(db.archive().log_page_archive().count(lsn), 0u);
 
@@ -235,8 +250,12 @@ TEST(ResilverTest, RolledCopyOfAPageCorruptOnOneMemberStaysClean) {
   EXPECT_FALSE(db.log_disks().primary().PageClean(lsn));
 
   // The window moves past the page: the roll takes member b's good copy.
-  ASSERT_OK(Fill(&db, "r", 400, 800));
-  ASSERT_OK(db.CheckpointEverything());
+  for (int rows = 400;
+       rows < 100000 && db.archive().log_page_archive().count(lsn) == 0;
+       rows += 400) {
+    ASSERT_OK(Fill(&db, "r", rows, rows + 400));
+    ASSERT_OK(db.CheckpointEverything());
+  }
   auto rolled = db.archive().log_page_archive().find(lsn);
   ASSERT_NE(rolled, db.archive().log_page_archive().end());
   EXPECT_TRUE(rolled->second.Verifies());

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "catalog/catalog.h"
 #include "catalog/schema.h"
 #include "test_util.h"
@@ -50,6 +52,149 @@ TEST(SchemaTest, EmptyStringsAndExtremeValues) {
   ASSERT_OK_AND_ASSIGN(auto bytes, s.Encode(t));
   ASSERT_OK_AND_ASSIGN(auto back, s.Decode(bytes));
   EXPECT_EQ(back, t);
+}
+
+TEST(SchemaTest, RoundTripsVarintExtremesAndStrings) {
+  Schema s({{"a", ColumnType::kInt64}, {"b", ColumnType::kString}});
+  const int64_t ints[] = {std::numeric_limits<int64_t>::min(),
+                          std::numeric_limits<int64_t>::max(), 0, 1, -1};
+  const std::string strings[] = {"", "x", std::string(300, 'q'),
+                                 std::string(40000, 'z')};
+  for (int64_t v : ints) {
+    for (const std::string& str : strings) {
+      const Tuple t{v, str};
+      ASSERT_OK_AND_ASSIGN(auto bytes, s.Encode(t));
+      ASSERT_OK_AND_ASSIGN(RowKind kind, Schema::KindOf(bytes));
+      EXPECT_EQ(kind, RowKind::kHome);
+      ASSERT_OK_AND_ASSIGN(auto back, s.Decode(bytes));
+      EXPECT_EQ(back, t);
+      // A moved row differs from its home row in the kind byte only.
+      bytes[0] = static_cast<uint8_t>(RowKind::kMoved);
+      ASSERT_OK_AND_ASSIGN(kind, Schema::KindOf(bytes));
+      EXPECT_EQ(kind, RowKind::kMoved);
+      ASSERT_OK_AND_ASSIGN(back, s.Decode(bytes));
+      EXPECT_EQ(back, t);
+    }
+  }
+  // A varint takes one byte per started group of seven bits: INT64_MIN
+  // and INT64_MAX zigzag to the two largest u64s, ten bytes each.
+  ASSERT_OK_AND_ASSIGN(auto big,
+                       s.Encode(Tuple{std::numeric_limits<int64_t>::min(),
+                                      std::string(300, 'q')}));
+  EXPECT_EQ(big.size(), 1u + 10u + 2u + 300u);
+}
+
+TEST(SchemaTest, Tp1RowIsSevenOrEightBytes) {
+  Schema s({{"id", ColumnType::kInt64},
+            {"balance", ColumnType::kInt64},
+            {"branch", ColumnType::kInt64}});
+  // Short rows are padded to a stub's length, so a home slot can always
+  // take a stub in place.
+  ASSERT_OK_AND_ASSIGN(auto small, s.Encode(Tuple{int64_t{0}, int64_t{0},
+                                                  int64_t{0}}));
+  EXPECT_EQ(small, (std::vector<uint8_t>{0, 0, 0, 0, 0, 0, 0}));
+  EXPECT_EQ(Schema::kStubSize, 7u);
+  for (int64_t id : {int64_t{1}, int64_t{8191}, int64_t{99999}}) {
+    ASSERT_OK_AND_ASSIGN(auto row,
+                         s.Encode(Tuple{id, int64_t{1000}, id % 97}));
+    EXPECT_GE(row.size(), 7u);
+    EXPECT_LE(row.size(), 8u);
+  }
+}
+
+TEST(SchemaTest, MalformedRowsReadCorruption) {
+  Schema s({{"a", ColumnType::kInt64}, {"b", ColumnType::kString}});
+  auto corrupt = [&](std::vector<uint8_t> row) {
+    return s.Decode(row).status().IsCorruption();
+  };
+  // Empty, and shorter than a stub.
+  EXPECT_TRUE(corrupt({}));
+  EXPECT_TRUE(corrupt({0, 0, 0}));
+  // Unknown kinds.
+  EXPECT_TRUE(corrupt({3, 0, 0, 0, 0, 0, 0}));
+  EXPECT_TRUE(corrupt({0xFF, 0, 0, 0, 0, 0, 0}));
+  EXPECT_TRUE(Schema::KindOf(std::vector<uint8_t>{9, 0, 0, 0, 0, 0, 0})
+                  .status()
+                  .IsCorruption());
+  // A stub holds no tuple.
+  EXPECT_TRUE(corrupt(Schema::EncodeStub({{5, 1}, 2})));
+  // A varint truncated at the end of the row.
+  EXPECT_TRUE(corrupt({0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80}));
+  // An overlong varint: eleven bytes, or a tenth byte above 1.
+  std::vector<uint8_t> overlong{0};
+  overlong.insert(overlong.end(), 10, 0x80);
+  overlong.insert(overlong.end(), {0x00, 0x00});
+  EXPECT_TRUE(corrupt(overlong));
+  std::vector<uint8_t> tenth{0};
+  tenth.insert(tenth.end(), 9, 0xFF);
+  tenth.insert(tenth.end(), {0x02, 0x00});
+  EXPECT_TRUE(corrupt(tenth));
+  // A string that runs past the end.
+  EXPECT_TRUE(corrupt({0, 0x02, 0x09, 'a', 'b', 'c', 'd'}));
+  // Trailing bytes: non-zero padding, and bytes past the padded length.
+  ASSERT_OK_AND_ASSIGN(auto row, s.Encode(Tuple{int64_t{1}, std::string()}));
+  ASSERT_EQ(row.size(), 7u);
+  EXPECT_OK(s.Decode(row).status());
+  std::vector<uint8_t> dirty = row;
+  dirty[6] = 1;
+  EXPECT_TRUE(corrupt(dirty));
+  std::vector<uint8_t> longer = row;
+  longer.push_back(0);
+  EXPECT_TRUE(corrupt(longer));
+  ASSERT_OK_AND_ASSIGN(auto wide,
+                       s.Encode(Tuple{int64_t{1}, std::string("abcdefgh")}));
+  wide.push_back(0);
+  EXPECT_TRUE(corrupt(wide));
+}
+
+TEST(SchemaTest, MutatedRowsDecodeOrReportCorruption) {
+  Schema s({{"id", ColumnType::kInt64},
+            {"owner", ColumnType::kString},
+            {"balance", ColumnType::kInt64}});
+  const Tuple tuples[] = {
+      Tuple{int64_t{7}, std::string(), int64_t{0}},
+      Tuple{int64_t{-123456789}, std::string("alice"), int64_t{1} << 62},
+      Tuple{std::numeric_limits<int64_t>::max(), std::string(200, 'm'),
+            std::numeric_limits<int64_t>::min()}};
+  size_t decoded = 0;
+  for (const Tuple& t : tuples) {
+    ASSERT_OK_AND_ASSIGN(auto row, s.Encode(t));
+    for (size_t i = 0; i < row.size(); ++i) {
+      for (uint8_t mask : kMutationMasks) {
+        std::vector<uint8_t> b = row;
+        b[i] ^= mask;
+        auto back = s.Decode(b);
+        EXPECT_TRUE(back.ok() || back.status().IsCorruption())
+            << "byte " << i << " mask " << int{mask};
+        if (back.ok()) ++decoded;
+      }
+    }
+    for (size_t len = 0; len < row.size(); ++len) {
+      std::span<const uint8_t> cut(row.data(), len);
+      EXPECT_TRUE(s.Decode(cut).status().IsCorruption()) << len;
+    }
+  }
+  EXPECT_GT(decoded, 0u);  // a flipped value bit is still a tuple
+}
+
+TEST(SchemaTest, StubsRoundTripAndRejectOtherRows) {
+  const EntityAddr target{{12, 0xFEDCBA98u}, 0xFFFF};
+  const std::vector<uint8_t> stub = Schema::EncodeStub(target);
+  ASSERT_EQ(stub.size(), Schema::kStubSize);
+  ASSERT_OK_AND_ASSIGN(RowKind kind, Schema::KindOf(stub));
+  EXPECT_EQ(kind, RowKind::kStub);
+  ASSERT_OK_AND_ASSIGN(EntityAddr back, Schema::DecodeStub(stub, 12));
+  EXPECT_EQ(back, target);
+  std::vector<uint8_t> longer = stub;
+  longer.push_back(0);
+  EXPECT_TRUE(Schema::DecodeStub(longer, 12).status().IsCorruption());
+  EXPECT_TRUE(Schema::DecodeStub(std::span<const uint8_t>(stub.data(), 6), 12)
+                  .status()
+                  .IsCorruption());
+  ASSERT_OK_AND_ASSIGN(auto row, AccountSchema().Encode(
+                                     Tuple{int64_t{1}, int64_t{2},
+                                           std::string("bob")}));
+  EXPECT_TRUE(Schema::DecodeStub(row, 12).status().IsCorruption());
 }
 
 TEST(SchemaTest, SerializeDeserializeSchema) {
